@@ -26,6 +26,6 @@ from .dialogue import (
     validate_dialogue,
 )
 from .atomic_ops import MockBackend, OpKind, OpRequest, OpResponse, RemoteBackend, invoke
-from .stream import StreamConfig, TokenStream, build_mask, loss_summary, serialize, validate_stream
+from .stream import StreamConfig, TokenStream, loss_summary, serialize, validate_stream
 
 __version__ = "0.1.0"

@@ -13,11 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Mapping, Protocol, Sequence
+from typing import Mapping, Protocol
 
 import requests
-
-from .util import map_ordered
 
 
 class MissingInput(ValueError):
@@ -225,12 +223,6 @@ def invoke(req: OpRequest, backend: CompletionBackend, retries: int = 2) -> OpRe
             last_err = err
     assert last_err is not None
     raise last_err
-
-
-def invoke_many(reqs: Sequence[OpRequest], backend: CompletionBackend,
-                retries: int = 2, concurrency: int = 8) -> list[OpResponse]:
-    """Concurrent invoke with a bounded in-flight limit; results in input order."""
-    return map_ordered(lambda r: invoke(r, backend, retries), reqs, concurrency)
 
 
 # --- Mock backend -------------------------------------------------------------

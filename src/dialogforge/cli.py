@@ -5,7 +5,8 @@ every writing command drops a manifest next to its output (argv, config,
 input/output hashes, counts), so reruns are reproducible byte for byte under
 the mock backend.
 
-Exit codes: 0 success, 2 configuration error, 3 I/O error, 4 backend failure.
+Exit codes: 0 success, 1 validation violations, 2 configuration error,
+3 I/O error, 4 backend failure.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ class PipelineConfig:
     backend: str = "mock"
     backend_url: str | None = None
     seed: int = 0
-    concurrency: int = 8
+    concurrency: int = 8  # remote backend only; mock stages run serially
     retries: int = 2
     k_min: int = 1
     k_max: int = 3
@@ -139,38 +140,28 @@ def _load_config(args: argparse.Namespace) -> PipelineConfig:
         except ValueError as err:
             raise ConfigError(f"{ENV_SEED} must be an integer") from err
     # CLI flags win over env and file values.
-    for key in ("backend", "backend_url", "seed", "concurrency", "retries",
+    for key in ("backend", "backend_url", "seed", "concurrency", "retries", "k_min", "k_max",
                 "apply_fraction", "l_min", "l_max", "vit_patch", "vae_patch",
                 "max_image_units"):
         value = getattr(args, key, None)
         if value is not None:
             setattr(cfg, key, value)
-    if getattr(args, "k_min", None) is not None:
-        cfg.k_min = args.k_min
-    if getattr(args, "k_max", None) is not None:
-        cfg.k_max = args.k_max
     cfg.validate()
     return cfg
 
 
-def _manifest(command: str, argv: Sequence[str], cfg: PipelineConfig,
-              inputs: Sequence[str], outputs: Sequence[str],
-              counts: dict[str, int]) -> dict[str, Any]:
-    return {
-        "command": command,
+def _write_manifest(args: argparse.Namespace, argv: Sequence[str], cfg: PipelineConfig,
+                    inputs: Sequence[str], outputs: Sequence[str],
+                    counts: dict[str, int]) -> None:
+    """Write the run's manifest to ``--manifest``, default ``<out>.manifest.json``."""
+    io.write_json(args.manifest or f"{args.out}.manifest.json", {
+        "command": args.command,
         "argv": list(argv),
         "config": cfg.to_obj(),
         "inputs": {p: io.sha256_file(p) for p in inputs},
         "outputs": {p: io.sha256_file(p) for p in outputs},
         "counts": counts,
-    }
-
-
-def _write_manifest(out_path: str, manifest: dict[str, Any],
-                    explicit: str | None) -> str:
-    path = explicit or f"{out_path}.manifest.json"
-    io.write_json(path, manifest)
-    return path
+    })
 
 
 def _read_dialogues(path: str, signature: str | None = None) -> list[Dialogue]:
@@ -182,6 +173,8 @@ def _read_dialogues(path: str, signature: str | None = None) -> list[Dialogue]:
 
 def cmd_synthesize(args: argparse.Namespace, argv: Sequence[str]) -> int:
     cfg = _load_config(args)
+    if args.stages is None:
+        raise ConfigError("synthesize needs --stage or --stages")
     stages = [s.strip() for s in args.stages.split(",") if s.strip()]
     if not stages or any(s not in ("a", "b", "c") for s in stages):
         raise ConfigError(f"stages must be drawn from a,b,c: {args.stages!r}")
@@ -193,6 +186,8 @@ def cmd_synthesize(args: argparse.Namespace, argv: Sequence[str]) -> int:
         raise ConfigError("stage b needs --pool <jsonl>")
 
     backend = cfg.make_backend()
+    # The mock stages are CPU-bound, so threads only add overhead there.
+    concurrency = cfg.concurrency if cfg.backend == "remote" else 1
     inputs = [args.in_path]
     rejects: list[dict[str, Any]] = []
 
@@ -200,7 +195,7 @@ def cmd_synthesize(args: argparse.Namespace, argv: Sequence[str]) -> int:
         raw = list(io.read_jsonl(args.in_path))
         dialogues, stage_rejects = run_stage_a(
             raw, args.task, backend,
-            seed=cfg.seed, retries=cfg.retries, concurrency=cfg.concurrency)
+            seed=cfg.seed, retries=cfg.retries, concurrency=concurrency)
         rejects += [{"stage": "a", **r} for r in stage_rejects]
     else:
         dialogues = _read_dialogues(args.in_path)
@@ -216,22 +211,21 @@ def cmd_synthesize(args: argparse.Namespace, argv: Sequence[str]) -> int:
             raise ConfigError(f"distractor pool entry {first.where}: {first.detail}")
         dialogues, stage_rejects = run_stage_b(
             dialogues, pool, (cfg.k_min, cfg.k_max), cfg.seed, backend,
-            retries=cfg.retries, concurrency=cfg.concurrency)
+            retries=cfg.retries, concurrency=concurrency)
         rejects += [{"stage": "b", **r} for r in stage_rejects]
 
     if "c" in stages:
         dialogues, stage_rejects = run_stage_c(
             dialogues, backend,
             apply_fraction=cfg.apply_fraction, seed=cfg.seed,
-            retries=cfg.retries, concurrency=cfg.concurrency)
+            retries=cfg.retries, concurrency=concurrency)
         rejects += [{"stage": "c", **r} for r in stage_rejects]
 
     io.write_jsonl(args.out, (dialogue_to_record(d) for d in dialogues))
     rejects_path = args.rejects or f"{args.out}.rejects.jsonl"
     io.write_jsonl(rejects_path, rejects)
     counts = {"written": len(dialogues), "rejected": len(rejects)}
-    manifest = _manifest("synthesize", argv, cfg, inputs, [args.out, rejects_path], counts)
-    _write_manifest(args.out, manifest, args.manifest)
+    _write_manifest(args, argv, cfg, inputs, [args.out, rejects_path], counts)
     print(f"synthesize: {counts['written']} dialogues, {counts['rejected']} rejects -> {args.out}")
     return 0
 
@@ -257,9 +251,7 @@ def cmd_serialize(args: argparse.Namespace, argv: Sequence[str]) -> int:
     for d in _read_dialogues(args.in_path, args.signature):
         records.append(stream_to_record(serialize(d, stream_cfg)))
     io.write_jsonl(args.out, records)
-    manifest = _manifest("serialize", argv, cfg, [args.in_path], [args.out],
-                         {"written": len(records)})
-    _write_manifest(args.out, manifest, args.manifest)
+    _write_manifest(args, argv, cfg, [args.in_path], [args.out], {"written": len(records)})
     print(f"serialize: {len(records)} streams -> {args.out}")
     return 0
 
@@ -275,9 +267,7 @@ def cmd_mask(args: argparse.Namespace, argv: Sequence[str]) -> int:
             "rows": mask_intervals(s),
         })
     io.write_jsonl(args.out, records)
-    manifest = _manifest("mask", argv, cfg, [args.in_path], [args.out],
-                         {"written": len(records)})
-    _write_manifest(args.out, manifest, args.manifest)
+    _write_manifest(args, argv, cfg, [args.in_path], [args.out], {"written": len(records)})
     print(f"mask: {len(records)} masks -> {args.out}")
     return 0
 
@@ -310,9 +300,8 @@ def cmd_pack(args: argparse.Namespace, argv: Sequence[str]) -> int:
                                cfg.seed, sort_desc=(args.sort == "desc"))
     io.write_jsonl(args.out, (pack_to_record(p) for p in packs))
     io.write_json(args.stats, stats)
-    manifest = _manifest("pack", argv, cfg, inputs, [args.out, args.stats],
-                         {"packs": len(packs), "samples": stats["sample_count"]})
-    _write_manifest(args.out, manifest, args.manifest)
+    _write_manifest(args, argv, cfg, inputs, [args.out, args.stats],
+                    {"packs": len(packs), "samples": stats["sample_count"]})
     print(f"pack: {len(packs)} packs ({stats['underfull_count']} underfull) -> {args.out}")
     return 0
 
@@ -415,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(fn=cmd_mask)
 
-    p = sub.add_parser("pack", help="weighted sampling + first-fit packing")
+    p = sub.add_parser("pack", help="weighted sampling + next-fit packing")
     p.add_argument("--config", dest="sampling_config", required=True,
                    help="JSON map of category -> weight")
     p.add_argument("--in-dir", dest="in_dir", required=True,
@@ -450,7 +439,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
-    except (OSError, json.JSONDecodeError) as err:
+    except (OSError, io.MalformedLine) as err:
         print(f"i/o error: {err}", file=sys.stderr)
         return 3
     except BackendUnavailable as err:

@@ -15,7 +15,6 @@ though its farthest subject is two rounds back.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Any
@@ -149,9 +148,6 @@ class Dialogue:
 
     def final_user(self) -> Turn:
         return self.rounds[-1].user
-
-    def final_assistant(self) -> Turn | None:
-        return self.rounds[-1].assistant
 
 
 @dataclass(frozen=True)
@@ -302,6 +298,19 @@ def validate_dialogue(d: Dialogue) -> ValidationReport:
             report.add("dep-modality", f"text dependency targets round {t} without text", t)
 
     return report
+
+
+def image_caption(d: Dialogue, i: int) -> str:
+    """Caption of the first image of round ``i``'s assistant turn.
+
+    Raises:
+        MissingCaption: the turn is absent, shows no image, or its caption is blank.
+    """
+    asst = d.rounds[i].assistant
+    images = asst.images() if asst is not None else []
+    if not images or not (images[0].caption or "").strip():
+        raise MissingCaption(f"dialogue {d.id!r}: round {i} has no captioned image")
+    return images[0].caption
 
 
 def compute_dependency_depth(d: Dialogue) -> DependencyDepth:
@@ -503,7 +512,3 @@ def dialogue_from_record(rec: dict[str, Any]) -> Dialogue:
 
 def with_annotation(d: Dialogue, note: str) -> Dialogue:
     return replace(d, annotations=d.annotations + (note,))
-
-
-def dialogue_to_json(d: Dialogue) -> str:
-    return json.dumps(dialogue_to_record(d), ensure_ascii=False, separators=(",", ":"))

@@ -8,6 +8,10 @@ from pathlib import Path
 from typing import Any, Iterable, Iterator
 
 
+class MalformedLine(ValueError):
+    """A JSONL line that does not parse as JSON."""
+
+
 def dumps(obj: Any) -> str:
     # Compact separators and raw UTF-8 keep output bytes stable across runs.
     return json.dumps(obj, ensure_ascii=False, separators=(",", ":"))
@@ -24,11 +28,19 @@ def write_jsonl(path: str | Path, objs: Iterable[Any]) -> int:
 
 
 def read_jsonl(path: str | Path) -> Iterator[Any]:
+    """Parse one JSON value per non-blank line.
+
+    Raises:
+        MalformedLine: a line is not JSON; the message leads with ``path:line``.
+    """
     with open(path, "r", encoding="utf-8") as f:
-        for line in f:
+        for lineno, line in enumerate(f, 1):
             line = line.strip()
             if line:
-                yield json.loads(line)
+                try:
+                    yield json.loads(line)
+                except json.JSONDecodeError as err:
+                    raise MalformedLine(f"{path}:{lineno}: {err.msg} (column {err.colno})") from None
 
 
 def write_json(path: str | Path, obj: Any) -> None:

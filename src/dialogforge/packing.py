@@ -1,9 +1,10 @@
-"""Weighted category sampling and first-fit sequence packing.
+"""Weighted category sampling and next-fit sequence packing.
 
 Draws are seeded and sequential, so a (config, corpora, n, seed) tuple pins
-the output bytes. Packing is plain first-fit over the draw order: samples are
+the output bytes. Packing is plain next-fit over the draw order: samples are
 whole, a pack closes as soon as the next sample would push it past the upper
-bound, and packs that close light are emitted anyway but flagged underfull.
+bound and is never revisited, and packs that close light are emitted anyway
+but flagged underfull.
 """
 
 from __future__ import annotations
@@ -86,7 +87,7 @@ class Pack:
 
 
 def pack_greedy(samples: Sequence[tuple[str, int]], l_min: int, l_max: int) -> list[Pack]:
-    """First-fit in input order; only sorting can make underfull packs rare.
+    """Next-fit in input order: only the open pack is tried, closed packs never reopen.
 
     Raises:
         SampleTooLong: a sample longer than l_max can never be packed.

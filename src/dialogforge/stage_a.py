@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Any, Callable
 
-from .atomic_ops import BackendUnavailable, CompletionBackend, OpKind, OpRequest, invoke
+from .atomic_ops import CompletionBackend, OpKind, OpRequest, invoke
 from .dialogue import (
     Dialogue,
     ImageRef,
@@ -26,7 +26,7 @@ from .dialogue import (
     image_from_obj,
 )
 from .taxonomy import parse_signature
-from .util import derive_seed, map_ordered
+from .util import derive_seed, run_records
 
 SIG_T_I_0_0 = parse_signature("t_i_0_0")
 SIG_T_I_T1_1 = parse_signature("t_i_t1_1")
@@ -301,20 +301,8 @@ def run_stage_a(raw_records: list[dict[str, Any]], task: str, backend: Completio
                 seed: int = 0, retries: int = 2, concurrency: int = 1,
                 ) -> tuple[list[Dialogue], list[dict[str, Any]]]:
     """Build one dialogue per record; failures land in the rejects list."""
-
-    def one(indexed):
-        i, raw = indexed
-        try:
-            return build_for_task(task, raw, backend, seed=seed, retries=retries), None
-        except BackendUnavailable:
-            raise  # infrastructure failure, not a data problem
-        except Exception as err:  # noqa: BLE001 - per-record errors become rejects
-            return None, {"index": i, "error": str(err), "record": raw}
-
-    outputs, rejects = [], []
-    for dialogue, reject in map_ordered(one, enumerate(raw_records), concurrency):
-        if dialogue is not None:
-            outputs.append(dialogue)
-        else:
-            rejects.append(reject)
-    return outputs, rejects
+    return run_records(
+        lambda indexed: build_for_task(task, indexed[1], backend, seed=seed, retries=retries),
+        enumerate(raw_records), concurrency,
+        lambda indexed, err: {"index": indexed[0], "error": str(err), "record": indexed[1]},
+    )

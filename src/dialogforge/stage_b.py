@@ -14,10 +14,9 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Any
 
-from .atomic_ops import BackendUnavailable, CompletionBackend, OpKind, OpRequest, invoke
+from .atomic_ops import CompletionBackend, OpKind, OpRequest, invoke
 from .dialogue import (
     Dialogue,
-    MissingCaption,
     Provenance,
     Role,
     Round,
@@ -28,11 +27,12 @@ from .dialogue import (
     turn_from_obj,
     turn_to_obj,
     compute_dependency_depth,
+    image_caption,
     validate_round_turns,
     with_annotation,
 )
 from .taxonomy import DependencyDepth, DependencyModality, DepthKind, format_signature
-from .util import derive_seed, map_ordered
+from .util import derive_seed, run_records
 
 
 class WrongDepth(ValueError):
@@ -144,33 +144,17 @@ def plan_insertion(d: Dialogue, pool: DistractorPool, k: int, seed: int) -> Inse
     )
 
 
-def _target_caption(d: Dialogue, target: int) -> str:
-    asst = d.rounds[target].assistant
-    images = asst.images() if asst is not None else []
-    if not images or not (images[0].caption or "").strip():
-        raise MissingCaption(f"dialogue {d.id!r}: target round {target} has no captioned image")
-    return images[0].caption
-
-
-def _final_image_caption(d: Dialogue) -> str:
-    asst = d.rounds[-1].assistant
-    images = asst.images() if asst is not None else []
-    if not images or not (images[0].caption or "").strip():
-        raise MissingCaption(f"dialogue {d.id!r}: final image carries no caption")
-    return images[0].caption
-
-
 def _rewrite_inputs(d: Dialogue, op: OpKind, original: str) -> dict[str, str]:
     targets = d.dep_target_rounds
     if op is OpKind.QUERY2DEP_Q:
-        return {"query": original, "target_caption": _target_caption(d, targets[0])}
+        return {"query": original, "target_caption": image_caption(d, targets[0])}
     if op is OpKind.CAPTION2QA_Q_DEP:
-        return {"caption": _final_image_caption(d)}
+        return {"caption": image_caption(d, d.last_round_index)}
     if op is OpKind.DRIVE_HS_DEP:
-        return {"caption_a": _target_caption(d, targets[0]),
-                "caption_b": _target_caption(d, targets[1])}
+        return {"caption_a": image_caption(d, targets[0]),
+                "caption_b": image_caption(d, targets[1])}
     if op is OpKind.DRIVE_I_H_DEP:
-        return {"caption_history": _target_caption(d, targets[0])}
+        return {"caption_history": image_caption(d, targets[0])}
     raise PlanMismatch(f"no rewrite inputs for {op.value!r}")
 
 
@@ -242,25 +226,15 @@ def run_stage_b(dialogues: list[Dialogue], pool: DistractorPool,
     if k_min < 1 or k_min > k_max:
         raise ValueError(f"invalid k range [{k_min}, {k_max}]")
 
-    def one(d: Dialogue):
+    def one(d: Dialogue) -> Dialogue:
         if d.signature.dep is DependencyModality.NONE or d.signature.depth.kind is DepthKind.ZERO:
-            return with_annotation(d, "stage_b_skipped"), None
-        try:
-            k = random.Random(derive_seed(seed, d.id, "k")).randint(k_min, k_max)
-            plan = plan_insertion(d, pool, k, derive_seed(seed, d.id, "plan"))
-            return apply_insertion(d, plan, backend, seed=seed, retries=retries), None
-        except BackendUnavailable:
-            raise  # infrastructure failure, not a data problem
-        except Exception as err:  # noqa: BLE001 - per-record errors become rejects
-            return None, {"id": d.id, "error": str(err)}
+            return with_annotation(d, "stage_b_skipped")
+        k = random.Random(derive_seed(seed, d.id, "k")).randint(k_min, k_max)
+        plan = plan_insertion(d, pool, k, derive_seed(seed, d.id, "plan"))
+        return apply_insertion(d, plan, backend, seed=seed, retries=retries)
 
-    outputs, rejects = [], []
-    for dialogue, reject in map_ordered(one, dialogues, concurrency):
-        if dialogue is not None:
-            outputs.append(dialogue)
-        else:
-            rejects.append(reject)
-    return outputs, rejects
+    return run_records(one, dialogues, concurrency,
+                       lambda d, err: {"id": d.id, "error": str(err)})
 
 
 def restore_stage_a_view(d: Dialogue) -> Dialogue:

@@ -11,45 +11,20 @@ import random
 from dataclasses import replace
 from typing import Any
 
-from .atomic_ops import BackendUnavailable, CompletionBackend, OpKind, OpRequest, invoke
-from .dialogue import (
-    Dialogue,
-    MissingCaption,
-    Round,
-    Segment,
-    Turn,
-    with_annotation,
-)
+from .atomic_ops import CompletionBackend, OpKind, OpRequest, invoke
+from .dialogue import Dialogue, Round, Segment, Turn, image_caption, with_annotation
 from .taxonomy import OutputModality
-from .util import derive_seed, map_ordered
+from .util import derive_seed, run_records
 
 
 class AlreadyInterleaved(ValueError):
     """The dialogue's output modality is already text-and-image."""
 
 
-def _final_caption(d: Dialogue) -> str:
-    asst = d.rounds[-1].assistant
-    if asst is None:
-        raise ValueError(f"dialogue {d.id!r} does not end with an assistant turn")
-    images = asst.images()
-    if not images:
-        raise ValueError(f"dialogue {d.id!r}: final assistant turn has no image segment")
-    caption = images[0].caption
-    if not (caption or "").strip():
-        raise MissingCaption(f"dialogue {d.id!r}: final image carries no caption")
-    return caption
-
-
-def _append_after_text(turn: Turn, text: str) -> Turn:
-    """Insert a text segment right after the turn's last text segment."""
-    at = max((i for i, s in enumerate(turn.segments) if s.is_text), default=-1) + 1
-    segments = turn.segments[:at] + (Segment(text=text),) + turn.segments[at:]
-    return replace(turn, segments=segments)
-
-
-def _append_after_image(turn: Turn, text: str) -> Turn:
-    at = max(i for i, s in enumerate(turn.segments) if s.is_image) + 1
+def _insert_text(turn: Turn, text: str, *, after_image: bool) -> Turn:
+    """Insert a text segment right after the turn's last text (or image) segment."""
+    at = max((i for i, s in enumerate(turn.segments) if s.is_image == after_image),
+             default=-1) + 1
     segments = turn.segments[:at] + (Segment(text=text),) + turn.segments[at:]
     return replace(turn, segments=segments)
 
@@ -64,7 +39,7 @@ def interleave_output(d: Dialogue, backend: CompletionBackend, *,
     """
     if d.signature.output is OutputModality.TI:
         raise AlreadyInterleaved(f"dialogue {d.id!r} already has an interleaved output")
-    caption = _final_caption(d)
+    caption = image_caption(d, d.last_round_index)
     question = invoke(
         OpRequest(OpKind.Q_FROM_CAPTION, {"caption": caption},
                   derive_seed(seed, d.id, "q_from_caption")),
@@ -78,8 +53,8 @@ def interleave_output(d: Dialogue, backend: CompletionBackend, *,
 
     final = d.rounds[-1]
     new_final = Round(
-        user=_append_after_text(final.user, question),
-        assistant=_append_after_image(final.assistant, answer),
+        user=_insert_text(final.user, question, after_image=False),
+        assistant=_insert_text(final.assistant, answer, after_image=True),
     )
     return replace(
         d,
@@ -100,22 +75,12 @@ def run_stage_c(dialogues: list[Dialogue], backend: CompletionBackend, *,
     if not 0.0 <= apply_fraction <= 1.0:
         raise ValueError("apply_fraction must lie in [0, 1]")
 
-    def one(d: Dialogue):
+    def one(d: Dialogue) -> Dialogue:
         if random.Random(derive_seed(seed, d.id, "apply")).random() >= apply_fraction:
-            return d, None
+            return d
         if d.signature.output is OutputModality.TI:
-            return with_annotation(d, "stage_c_skipped"), None
-        try:
-            return interleave_output(d, backend, seed=seed, retries=retries), None
-        except BackendUnavailable:
-            raise  # infrastructure failure, not a data problem
-        except Exception as err:  # noqa: BLE001 - per-record errors become rejects
-            return None, {"id": d.id, "error": str(err)}
+            return with_annotation(d, "stage_c_skipped")
+        return interleave_output(d, backend, seed=seed, retries=retries)
 
-    outputs, rejects = [], []
-    for dialogue, reject in map_ordered(one, dialogues, concurrency):
-        if dialogue is not None:
-            outputs.append(dialogue)
-        else:
-            rejects.append(reject)
-    return outputs, rejects
+    return run_records(one, dialogues, concurrency,
+                       lambda d, err: {"id": d.id, "error": str(err)})

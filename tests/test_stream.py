@@ -4,6 +4,7 @@ import random
 
 import numpy as np
 import pytest
+from mask_reference import StreamTooLong, dense_mask, mask_oracle
 
 from dialogforge.dialogue import (
     Dialogue,
@@ -26,16 +27,13 @@ from dialogforge.stream import (
     LossTag,
     SpecialToken,
     StreamConfig,
-    StreamTooLong,
     TokenBlock,
     TokenStream,
     UnitOverflow,
-    build_mask,
     default_vae_units,
     default_vit_units,
     loss_summary,
     mask_intervals,
-    mask_oracle,
     parse_stream,
     serialize,
     stream_from_record,
@@ -218,7 +216,12 @@ def test_validate_rejects_broken_positions():
     ), good.total_len)
     assert "positions" in validate_stream(shifted).rules()
     with pytest.raises(InvalidStream):
-        build_mask(shifted)
+        mask_intervals(shifted)
+    with pytest.raises(InvalidStream):
+        mask_intervals(dataclasses.replace(good, total_len=good.total_len + 1))
+    empty_block = dataclasses.replace(good.blocks[1], units=0, end=good.blocks[1].start)
+    with pytest.raises(InvalidStream):
+        mask_intervals(dataclasses.replace(good, blocks=(good.blocks[0], empty_block), total_len=1))
 
 
 def test_serialized_dialogues_always_validate(backend):
@@ -260,7 +263,7 @@ def test_loss_summary_no_image():
 
 def test_mask_pure_causal_text():
     s = simple_stream((BlockKind.TEXT, 3, Role.USER, LossTag.NONE))
-    mask = build_mask(s)
+    mask = dense_mask(s)
     assert np.array_equal(mask, np.tril(np.ones((3, 3), dtype=bool)))
 
 
@@ -270,7 +273,7 @@ def test_mask_noised_isolated_and_bidirectional():
         (BlockKind.VAE_NOISED, 3, Role.ASSISTANT, LossTag.MSE),
         (BlockKind.TEXT, 1, Role.ASSISTANT, LossTag.CE),
     )
-    mask = build_mask(s)
+    mask = dense_mask(s)
     q = 5  # the final text token
     assert mask[q, 0] and mask[q, 1]          # sees the prior text
     assert not mask[q, 2] and not mask[q, 3] and not mask[q, 4]  # never the noised latents
@@ -286,7 +289,7 @@ def test_mask_two_noised_blocks_do_not_see_each_other():
         (BlockKind.TEXT, 1, Role.ASSISTANT, LossTag.CE),
         (BlockKind.VAE_NOISED, 2, Role.ASSISTANT, LossTag.MSE),
     )
-    mask = build_mask(s)
+    mask = dense_mask(s)
     assert not mask[3:5, 0:2].any()
     assert not mask[0:2, 3:5].any()
     assert mask[3:5, 2].all()
@@ -295,13 +298,13 @@ def test_mask_two_noised_blocks_do_not_see_each_other():
 
 def test_mask_empty_stream():
     s = TokenStream("empty", (), 0)
-    assert build_mask(s).shape == (0, 0)
+    assert dense_mask(s).shape == (0, 0)
     assert mask_oracle(s).shape == (0, 0)
 
 
 def test_mask_self_visibility_everywhere(backend):
     s = serialize(t2i_dialogue(backend, w=32, h=32))
-    mask = build_mask(s)
+    mask = dense_mask(s)
     assert mask.diagonal().all()
 
 
@@ -320,7 +323,7 @@ def test_mask_matches_oracle_on_random_streams():
         s = serialize(d)
         if s.total_len > 256:
             continue
-        assert np.array_equal(build_mask(s), mask_oracle(s))
+        assert np.array_equal(dense_mask(s), mask_oracle(s))
         checked += 1
 
 
@@ -330,8 +333,8 @@ def test_mask_prefix_stability(backend):
         d = make_random_dialogue(rng, f"p-{i}", max_rounds=3, dims=[16, 24])
         if len(d.rounds) < 2:
             continue
-        full = build_mask(serialize(d))
-        head = build_mask(serialize(dataclasses.replace(d, rounds=d.rounds[:-1])))
+        full = dense_mask(serialize(d))
+        head = dense_mask(serialize(dataclasses.replace(d, rounds=d.rounds[:-1])))
         n = head.shape[0]
         assert np.array_equal(full[:n, :n], head)
 
@@ -340,17 +343,7 @@ def test_mask_intervals_reconstruct_dense():
     rng = random.Random(23)
     for i in range(15):
         s = serialize(make_random_dialogue(rng, f"r-{i}", max_rounds=2, dims=[16, 24]))
-        dense = np.zeros((s.total_len, s.total_len), dtype=bool)
-        for row in mask_intervals(s):
-            lo, hi = row["start"], row["end"]
-            for a, b in row["context"]:
-                dense[lo:hi, a:b] = True
-            if row["within"] == "bidirectional":
-                dense[lo:hi, lo:hi] = True
-            else:
-                for q in range(lo, hi):
-                    dense[q, lo:q + 1] = True
-        assert np.array_equal(dense, build_mask(s))
+        assert np.array_equal(dense_mask(s), mask_oracle(s))
 
 
 def test_stream_record_round_trip(backend):
