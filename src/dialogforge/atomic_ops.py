@@ -47,90 +47,79 @@ class OpKind(Enum):
     A_FROM_CAPTION = "a_from_caption"
 
 
-REQUIRED_INPUTS: dict[OpKind, tuple[str, ...]] = {
-    OpKind.CAPTION2QUERY: ("caption",),
-    OpKind.CAPTION2QA_Q: ("caption",),
-    OpKind.DRIVE_HS: ("caption_a", "caption_b"),
-    OpKind.DRIVE_I_H: ("caption_history",),
-    OpKind.QUERY2DEP_Q: ("query", "target_caption"),
-    OpKind.CAPTION2QA_Q_DEP: ("caption",),
-    OpKind.DRIVE_HS_DEP: ("caption_a", "caption_b"),
-    OpKind.DRIVE_I_H_DEP: ("caption_history",),
-    OpKind.Q_FROM_CAPTION: ("caption",),
-    OpKind.A_FROM_CAPTION: ("caption", "question"),
-}
-
-REQUIRED_OUTPUTS: dict[OpKind, tuple[str, ...]] = {
-    OpKind.CAPTION2QUERY: ("query",),
-    OpKind.CAPTION2QA_Q: ("q", "a", "query"),
-    OpKind.DRIVE_HS: ("query",),
-    OpKind.DRIVE_I_H: ("query",),
-    OpKind.QUERY2DEP_Q: ("query",),
-    OpKind.CAPTION2QA_Q_DEP: ("q", "a", "query"),
-    OpKind.DRIVE_HS_DEP: ("query",),
-    OpKind.DRIVE_I_H_DEP: ("query",),
-    OpKind.Q_FROM_CAPTION: ("q",),
-    OpKind.A_FROM_CAPTION: ("a",),
-}
-
-_TAGS = {"query": "QUERY:", "q": "Q:", "a": "A:"}
-
 _HEADER_PREFIX = "### op: "
 
-# Instruction body per operation. The reply-format sentence names every tag
-# the parser will require.
-_INSTRUCTIONS: dict[OpKind, str] = {
-    OpKind.CAPTION2QUERY: (
+
+@dataclass(frozen=True)
+class OpSpec:
+    """An op's input keys, reply tags, prompt instruction and mock reply.
+
+    The instruction names every tag the parser requires; the mock reply is a
+    format string over the inputs.
+    """
+
+    inputs: tuple[str, ...]
+    outputs: tuple[str, ...]
+    instruction: str
+    mock_reply: str
+
+
+OPS: dict[OpKind, OpSpec] = {
+    OpKind.CAPTION2QUERY: OpSpec(("caption",), ("query",),
         "Rewrite the image caption below as a natural user request asking for that image "
-        "to be generated. Reply with a single line of the form \"QUERY: <request>\"."
-    ),
-    OpKind.CAPTION2QA_Q: (
+        "to be generated. Reply with a single line of the form \"QUERY: <request>\".",
+        "QUERY: Please generate an image of {caption}"),
+    OpKind.CAPTION2QA_Q: OpSpec(("caption",), ("q", "a", "query"),
         "From the image caption below, write a general question a curious user might ask "
         "about the subject, a factual answer, and a short follow-up request asking for such "
         "an image without naming the subject again. Reply with three lines: "
-        "\"Q: <question>\", \"A: <answer>\", \"QUERY: <request>\"."
-    ),
-    OpKind.DRIVE_HS: (
+        "\"Q: <question>\", \"A: <answer>\", \"QUERY: <request>\".",
+        "Q: What can you tell me about {caption}?\n"
+        "A: Here is what I know: {caption}.\n"
+        "QUERY: Create one for me."),
+    OpKind.DRIVE_HS: OpSpec(("caption_a", "caption_b"), ("query",),
         "The two captions below describe subjects shown in the two immediately preceding "
         "turns of a conversation. Write one user request asking for a new image that "
-        "combines both subjects. Reply with a single line \"QUERY: <request>\"."
-    ),
-    OpKind.DRIVE_I_H: (
+        "combines both subjects. Reply with a single line \"QUERY: <request>\".",
+        "QUERY: Please draw {caption_a} and {caption_b} together in one image."),
+    OpKind.DRIVE_I_H: OpSpec(("caption_history",), ("query",),
         "The caption below describes the subject shown in the immediately preceding turn. "
         "Write one user request asking to combine that subject with the image the user is "
-        "uploading alongside this message. Reply with a single line \"QUERY: <request>\"."
-    ),
-    OpKind.QUERY2DEP_Q: (
+        "uploading alongside this message. Reply with a single line \"QUERY: <request>\".",
+        "QUERY: Please combine {caption_history} with this image I uploaded."),
+    OpKind.QUERY2DEP_Q: OpSpec(("query", "target_caption"), ("query",),
         "Rewrite the edit request below into a specific, self-contained instruction that "
         "names the subject of the target image, so the request stays unambiguous even after "
-        "unrelated conversation in between. Reply with a single line \"QUERY: <instruction>\"."
-    ),
-    OpKind.CAPTION2QA_Q_DEP: (
+        "unrelated conversation in between. Reply with a single line \"QUERY: <instruction>\".",
+        "QUERY: {query} — apply this to the image showing: {target_caption}"),
+    OpKind.CAPTION2QA_Q_DEP: OpSpec(("caption",), ("q", "a", "query"),
         "From the image caption below, write a general question about the subject, a factual "
         "answer, and a request for such an image that explicitly points back to the earlier "
         "discussion of the subject (several unrelated turns will sit in between). Reply with "
-        "three lines: \"Q: <question>\", \"A: <answer>\", \"QUERY: <request>\"."
-    ),
-    OpKind.DRIVE_HS_DEP: (
+        "three lines: \"Q: <question>\", \"A: <answer>\", \"QUERY: <request>\".",
+        "Q: What can you tell me about {caption}?\n"
+        "A: Here is what I know: {caption}.\n"
+        "QUERY: Now generate the one we discussed earlier: {caption}."),
+    OpKind.DRIVE_HS_DEP: OpSpec(("caption_a", "caption_b"), ("query",),
         "The two captions below describe subjects shown in earlier turns, now separated from "
         "the current turn by unrelated turns. Write one user request that explicitly names "
         "both subjects and asks for a new image combining them. Reply with a single line "
-        "\"QUERY: <request>\"."
-    ),
-    OpKind.DRIVE_I_H_DEP: (
+        "\"QUERY: <request>\".",
+        "QUERY: Draw {caption_a} and {caption_b} together in the next image."),
+    OpKind.DRIVE_I_H_DEP: OpSpec(("caption_history",), ("query",),
         "The caption below describes a subject shown several turns ago, separated from the "
         "current turn by unrelated turns. Write one user request that explicitly names that "
         "subject and asks to combine it with the image the user is uploading now. Reply with "
-        "a single line \"QUERY: <request>\"."
-    ),
-    OpKind.Q_FROM_CAPTION: (
+        "a single line \"QUERY: <request>\".",
+        "QUERY: Draw {caption_history} together with this image I uploaded."),
+    OpKind.Q_FROM_CAPTION: OpSpec(("caption",), ("q",),
         "Write one relevant general-knowledge question about the subject of the image "
-        "caption below. Reply with a single line \"Q: <question>\"."
-    ),
-    OpKind.A_FROM_CAPTION: (
+        "caption below. Reply with a single line \"Q: <question>\".",
+        "Q: What are the key features of {caption}?"),
+    OpKind.A_FROM_CAPTION: OpSpec(("caption", "question"), ("a",),
         "Answer the question below factually, using the image caption as grounding. Reply "
-        "with a single line \"A: <answer>\"."
-    ),
+        "with a single line \"A: <answer>\".",
+        "A: Regarding the question {question!r}: the image shows {caption}."),
 }
 
 
@@ -144,7 +133,7 @@ class OpRequest:
         object.__setattr__(self, "inputs", dict(self.inputs))
 
     def validate(self) -> None:
-        for key in REQUIRED_INPUTS[self.kind]:
+        for key in OPS[self.kind].inputs:
             value = self.inputs.get(key)
             if value is None or not value.strip():
                 raise MissingInput(f"{self.kind.value}: required input {key!r} absent or blank")
@@ -161,8 +150,7 @@ class OpResponse:
 
 
 class CompletionBackend(Protocol):
-    def complete(self, prompt: str, seed: int, *, max_tokens: int = 512,
-                 temperature: float = 0.7) -> str: ...
+    def complete(self, prompt: str, seed: int) -> str: ...
 
 
 def render_prompt(req: OpRequest) -> str:
@@ -172,8 +160,9 @@ def render_prompt(req: OpRequest) -> str:
         MissingInput: a required input key is absent or blank.
     """
     req.validate()
-    lines = [f"{_HEADER_PREFIX}{req.kind.value}", _INSTRUCTIONS[req.kind]]
-    for key in REQUIRED_INPUTS[req.kind]:
+    spec = OPS[req.kind]
+    lines = [f"{_HEADER_PREFIX}{req.kind.value}", spec.instruction]
+    for key in spec.inputs:
         lines.append(f"INPUT {key}: {req.inputs[key]}")
     return "\n".join(lines)
 
@@ -184,20 +173,19 @@ def parse_response(kind: OpKind, raw: str) -> OpResponse:
     Raises:
         UnparseableResponse: a required tag is missing or its payload is empty.
     """
-    wanted = REQUIRED_OUTPUTS[kind]
+    tags = {key: f"{key.upper()}:" for key in OPS[kind].outputs}  # QUERY: / Q: / A:
     found: dict[str, str] = {}
     for line in raw.splitlines():
         stripped = line.strip()
-        for key in wanted:
-            tag = _TAGS[key]
+        for key, tag in tags.items():
             if key not in found and stripped.startswith(tag):
                 found[key] = stripped[len(tag):].strip()
     fields: dict[str, str] = {}
-    for key in wanted:
+    for key, tag in tags.items():
         if key not in found:
-            raise UnparseableResponse(f"{kind.value}: tag {_TAGS[key]!r} not found in reply")
+            raise UnparseableResponse(f"{kind.value}: tag {tag!r} not found in reply")
         if not found[key]:
-            raise UnparseableResponse(f"{kind.value}: tag {_TAGS[key]!r} has an empty payload")
+            raise UnparseableResponse(f"{kind.value}: tag {tag!r} has an empty payload")
         fields[key] = found[key]
     return OpResponse(kind=kind, fields=fields, raw=raw)
 
@@ -228,38 +216,6 @@ def invoke(req: OpRequest, backend: CompletionBackend, retries: int = 2) -> OpRe
 # --- Mock backend -------------------------------------------------------------
 
 
-def _mock_lines(kind: OpKind, inputs: dict[str, str]) -> list[str]:
-    if kind is OpKind.CAPTION2QUERY:
-        return [f"QUERY: Please generate an image of {inputs['caption']}"]
-    if kind is OpKind.CAPTION2QA_Q:
-        return [
-            f"Q: What can you tell me about {inputs['caption']}?",
-            f"A: Here is what I know: {inputs['caption']}.",
-            "QUERY: Create one for me.",
-        ]
-    if kind is OpKind.DRIVE_HS:
-        return [f"QUERY: Please draw {inputs['caption_a']} and {inputs['caption_b']} together in one image."]
-    if kind is OpKind.DRIVE_I_H:
-        return [f"QUERY: Please combine {inputs['caption_history']} with this image I uploaded."]
-    if kind is OpKind.QUERY2DEP_Q:
-        return [f"QUERY: {inputs['query']} — apply this to the image showing: {inputs['target_caption']}"]
-    if kind is OpKind.CAPTION2QA_Q_DEP:
-        return [
-            f"Q: What can you tell me about {inputs['caption']}?",
-            f"A: Here is what I know: {inputs['caption']}.",
-            f"QUERY: Now generate the one we discussed earlier: {inputs['caption']}.",
-        ]
-    if kind is OpKind.DRIVE_HS_DEP:
-        return [f"QUERY: Draw {inputs['caption_a']} and {inputs['caption_b']} together in the next image."]
-    if kind is OpKind.DRIVE_I_H_DEP:
-        return [f"QUERY: Draw {inputs['caption_history']} together with this image I uploaded."]
-    if kind is OpKind.Q_FROM_CAPTION:
-        return [f"Q: What are the key features of {inputs['caption']}?"]
-    if kind is OpKind.A_FROM_CAPTION:
-        return [f"A: Regarding the question {inputs['question']!r}: the image shows {inputs['caption']}."]
-    raise UnknownTemplate(f"no mock rule for {kind!r}")
-
-
 def mock_complete(prompt: str, seed: int) -> str:
     """Answer a rendered prompt by fixed string rules; pure in (prompt, seed).
 
@@ -279,17 +235,17 @@ def mock_complete(prompt: str, seed: int) -> str:
         if line.startswith("INPUT ") and ": " in line:
             key, _, value = line[len("INPUT "):].partition(": ")
             inputs.setdefault(key, value)
-    for key in REQUIRED_INPUTS[kind]:
+    spec = OPS[kind]
+    for key in spec.inputs:
         if key not in inputs:
             raise UnknownTemplate(f"prompt is missing the input line for {key!r}")
-    return "\n".join(_mock_lines(kind, inputs))
+    return spec.mock_reply.format_map(inputs)
 
 
 class MockBackend:
     """Deterministic offline backend answering rendered prompts by fixed rules."""
 
-    def complete(self, prompt: str, seed: int, *, max_tokens: int = 512,
-                 temperature: float = 0.7) -> str:
+    def complete(self, prompt: str, seed: int) -> str:
         return mock_complete(prompt, seed)
 
 
@@ -309,10 +265,8 @@ class RemoteBackend:
     timeout: float = 30.0
     session: requests.Session = field(default_factory=requests.Session, repr=False)
 
-    def complete(self, prompt: str, seed: int, *, max_tokens: int = 512,
-                 temperature: float = 0.7) -> str:
-        body = {"prompt": prompt, "seed": seed, "max_tokens": max_tokens,
-                "temperature": temperature}
+    def complete(self, prompt: str, seed: int) -> str:
+        body = {"prompt": prompt, "seed": seed, "max_tokens": 512, "temperature": 0.7}
         try:
             resp = self.session.post(self.url, json=body, timeout=self.timeout)
         except requests.RequestException as err:

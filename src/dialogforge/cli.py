@@ -6,7 +6,7 @@ input/output hashes, counts), so reruns are reproducible byte for byte under
 the mock backend.
 
 Exit codes: 0 success, 1 validation violations, 2 configuration error,
-3 I/O error, 4 backend failure.
+3 I/O error or an input the stream layer rejects, 4 backend failure.
 """
 
 from __future__ import annotations
@@ -15,7 +15,8 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+import typing
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -32,10 +33,12 @@ from .stage_a import run_stage_a
 from .stage_b import DistractorPool, entry_from_record, run_stage_b
 from .stage_c import run_stage_c
 from .stream import (
+    EmptyText,
+    InvalidStream,
     StreamConfig,
+    UnitOverflow,
     loss_summary,
     mask_intervals,
-    patch_grid_units,
     serialize,
     stream_from_record,
     stream_to_record,
@@ -62,11 +65,9 @@ class PipelineConfig:
     apply_fraction: float = 1.0
     l_min: int = 62464
     l_max: int = 65536
-    weights: dict[str, float] = field(default_factory=dict)
-    vit_patch: int = 14
-    vae_patch: int = 16
-    max_image_units: int = 16384
-    replay_clean: bool = True
+    vit_patch: int = StreamConfig.vit_patch
+    vae_patch: int = StreamConfig.vae_patch
+    max_image_units: int = StreamConfig.max_image_units
 
     def validate(self) -> None:
         if self.backend not in ("mock", "remote"):
@@ -91,31 +92,18 @@ class PipelineConfig:
         return RemoteBackend(url=self.backend_url)
 
     def stream_config(self) -> StreamConfig:
-        return StreamConfig(
-            vit_units_per_image=lambda w, h: patch_grid_units(w, h, self.vit_patch),
-            vae_units_per_image=lambda w, h: patch_grid_units(w, h, self.vae_patch),
-            max_image_units=self.max_image_units,
-            replay_clean_after_noised=self.replay_clean,
-        )
+        return StreamConfig(self.vit_patch, self.vae_patch, self.max_image_units)
 
-    def to_obj(self) -> dict[str, Any]:
-        return {
-            "backend": self.backend,
-            "backend_url": self.backend_url,
-            "seed": self.seed,
-            "concurrency": self.concurrency,
-            "retries": self.retries,
-            "k_min": self.k_min,
-            "k_max": self.k_max,
-            "apply_fraction": self.apply_fraction,
-            "l_min": self.l_min,
-            "l_max": self.l_max,
-            "weights": {k: self.weights[k] for k in sorted(self.weights)},
-            "vit_patch": self.vit_patch,
-            "vae_patch": self.vae_patch,
-            "max_image_units": self.max_image_units,
-            "replay_clean": self.replay_clean,
-        }
+
+def _json_types(hint: Any) -> tuple[type, ...]:
+    """The types a JSON config value may have for a field annotated ``hint``."""
+    types = typing.get_args(hint) or (hint,)
+    return (*types, int) if float in types else types
+
+
+# Config-file key -> the value types it accepts; the keys are exactly the fields.
+_HINTS = typing.get_type_hints(PipelineConfig)
+_CONFIG_TYPES = {f.name: _json_types(_HINTS[f.name]) for f in fields(PipelineConfig)}
 
 
 def _load_config(args: argparse.Namespace) -> PipelineConfig:
@@ -129,8 +117,12 @@ def _load_config(args: argparse.Namespace) -> PipelineConfig:
         if not isinstance(file_cfg, dict):
             raise ConfigError("config file must hold a JSON object")
         for key, value in file_cfg.items():
-            if not hasattr(cfg, key):
+            if key not in _CONFIG_TYPES:
                 raise ConfigError(f"unknown config key {key!r}")
+            if type(value) not in _CONFIG_TYPES[key]:
+                wanted = " or ".join(t.__name__ for t in _CONFIG_TYPES[key])
+                raise ConfigError(f"config key {key!r} takes {wanted}, "
+                                  f"not {type(value).__name__}")
             setattr(cfg, key, value)
     if os.environ.get(ENV_BACKEND_URL):
         cfg.backend_url = os.environ[ENV_BACKEND_URL]
@@ -140,9 +132,7 @@ def _load_config(args: argparse.Namespace) -> PipelineConfig:
         except ValueError as err:
             raise ConfigError(f"{ENV_SEED} must be an integer") from err
     # CLI flags win over env and file values.
-    for key in ("backend", "backend_url", "seed", "concurrency", "retries", "k_min", "k_max",
-                "apply_fraction", "l_min", "l_max", "vit_patch", "vae_patch",
-                "max_image_units"):
+    for key in _CONFIG_TYPES:
         value = getattr(args, key, None)
         if value is not None:
             setattr(cfg, key, value)
@@ -157,7 +147,7 @@ def _write_manifest(args: argparse.Namespace, argv: Sequence[str], cfg: Pipeline
     io.write_json(args.manifest or f"{args.out}.manifest.json", {
         "command": args.command,
         "argv": list(argv),
-        "config": cfg.to_obj(),
+        "config": asdict(cfg),
         "inputs": {p: io.sha256_file(p) for p in inputs},
         "outputs": {p: io.sha256_file(p) for p in outputs},
         "counts": counts,
@@ -296,8 +286,7 @@ def cmd_pack(args: argparse.Namespace, argv: Sequence[str]) -> int:
         corpora[category] = [(rec["dialogue_id"], rec["total_len"])
                              for rec in io.read_jsonl(path)]
 
-    packs, stats = pack_corpus(sampling, corpora, args.n, cfg.l_min, cfg.l_max,
-                               cfg.seed, sort_desc=(args.sort == "desc"))
+    packs, stats = pack_corpus(sampling, corpora, args.n, cfg.l_min, cfg.l_max, cfg.seed)
     io.write_jsonl(args.out, (pack_to_record(p) for p in packs))
     io.write_json(args.stats, stats)
     _write_manifest(args, argv, cfg, inputs, [args.out, args.stats],
@@ -412,7 +401,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, help="number of draws")
     p.add_argument("--l-min", dest="l_min", type=int, default=None)
     p.add_argument("--l-max", dest="l_max", type=int, default=None)
-    p.add_argument("--sort", choices=["none", "desc"], default="none")
     p.add_argument("--out", required=True, help="packs JSONL")
     p.add_argument("--stats", required=True, help="stats JSON")
     p.add_argument("--manifest", default=None)
@@ -441,6 +429,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     except (OSError, io.MalformedLine) as err:
         print(f"i/o error: {err}", file=sys.stderr)
+        return 3
+    except (InvalidStream, UnitOverflow, EmptyText) as err:
+        print(f"stream error: {args.in_path}: {err}", file=sys.stderr)
         return 3
     except BackendUnavailable as err:
         print(f"backend failure: {err}", file=sys.stderr)

@@ -137,13 +137,11 @@ def pack_to_record(p: Pack) -> dict[str, Any]:
 
 
 def pack_corpus(cfg: SamplingConfig, corpora: Mapping[str, Sequence[tuple[str, int]]],
-                n_draws: int, l_min: int, l_max: int, seed: int, *,
-                sort_desc: bool = False) -> tuple[list[Pack], dict[str, Any]]:
+                n_draws: int, l_min: int, l_max: int,
+                seed: int) -> tuple[list[Pack], dict[str, Any]]:
     """sample_stream then pack_greedy, plus a stats record for the run."""
     draws = sample_stream(cfg, corpora, n_draws, seed)
     items = [(sid, length) for _, (sid, length) in draws]
-    if sort_desc:
-        items = sorted(items, key=lambda x: x[1], reverse=True)
     packs = pack_greedy(items, l_min, l_max)
 
     category_draws: dict[str, int] = {}

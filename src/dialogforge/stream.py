@@ -20,9 +20,9 @@ are involved.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Callable, Iterator
+from typing import Any, Iterator
 
 from .dialogue import Dialogue, Role, ValidationReport
 
@@ -92,43 +92,28 @@ class TokenStream:
         object.__setattr__(self, "blocks", tuple(self.blocks))
 
 
-def whitespace_unit_count(text: str) -> int:
-    return len(text.split())
-
-
 def patch_grid_units(width: int, height: int, patch: int) -> int:
     return math.ceil(width / patch) * math.ceil(height / patch)
 
 
-def default_vit_units(width: int, height: int) -> int:
-    return patch_grid_units(width, height, 14)
-
-
-def default_vae_units(width: int, height: int) -> int:
-    return patch_grid_units(width, height, 16)
-
-
-@dataclass
+@dataclass(frozen=True)
 class StreamConfig:
-    """Unit-count functions and layout knobs.
+    """Encoder patch sizes and the per-image unit cap the trainer expects.
 
-    The per-image formulas mirror common encoder strides but are
-    configuration, not contract; swap in whatever matches the real encoders.
+    A ``w x h`` image takes ``patch_grid_units(w, h, p)`` units in the ViT
+    (``p = vit_patch``) and VAE (``p = vae_patch``) blocks; text takes one
+    unit per whitespace-separated word.
     """
 
-    text_tokenizer: Callable[[str], int] = field(default=whitespace_unit_count)
-    vit_units_per_image: Callable[[int, int], int] = field(default=default_vit_units)
-    vae_units_per_image: Callable[[int, int], int] = field(default=default_vae_units)
+    vit_patch: int = 14
+    vae_patch: int = 16
     max_image_units: int = 16384
-    replay_clean_after_noised: bool = True
-
-
-DEFAULT_STREAM_CONFIG = StreamConfig()
 
 
 class _Emitter:
-    def __init__(self, dialogue_id: str):
+    def __init__(self, dialogue_id: str, cfg: StreamConfig):
         self.dialogue_id = dialogue_id
+        self.cfg = cfg
         self.blocks: list[TokenBlock] = []
         self.pos = 0
 
@@ -145,37 +130,36 @@ class _Emitter:
     def special(self, tok: SpecialToken, round_index: int, role: Role, loss: LossTag) -> None:
         self.emit(BlockKind.SPECIAL, 1, round_index, role, loss, tok=tok)
 
-    def clean_image(self, cfg: StreamConfig, img, round_index: int, role: Role) -> None:
+    def clean_image(self, img, round_index: int, role: Role) -> None:
         """Loss-free ``|v_s| ViT VAE |v_e|`` context: an upload or a replayed generation."""
         self.special(SpecialToken.V_S, round_index, role, LossTag.NONE)
-        self.emit(BlockKind.VIT, _image_units(cfg, cfg.vit_units_per_image, img),
+        self.emit(BlockKind.VIT, self.image_units(img, self.cfg.vit_patch),
                   round_index, role, LossTag.NONE, image_id=img.id)
-        self.emit(BlockKind.VAE_CLEAN, _image_units(cfg, cfg.vae_units_per_image, img),
+        self.emit(BlockKind.VAE_CLEAN, self.image_units(img, self.cfg.vae_patch),
                   round_index, role, LossTag.NONE, image_id=img.id)
         self.special(SpecialToken.V_E, round_index, role, LossTag.NONE)
+
+    def image_units(self, img, patch: int) -> int:
+        units = patch_grid_units(img.width, img.height, patch)
+        where = f"dialogue {self.dialogue_id!r}: image {img.id!r}"
+        if units < 1:
+            raise InvalidStream(f"{where} computes to {units} units")
+        if units > self.cfg.max_image_units:
+            raise UnitOverflow(f"{where} needs {units} units, cap is {self.cfg.max_image_units}")
+        return units
 
     def stream(self) -> TokenStream:
         return TokenStream(self.dialogue_id, tuple(self.blocks), self.pos)
 
 
-def _image_units(cfg: StreamConfig, fn: Callable[[int, int], int], img) -> int:
-    units = fn(img.width, img.height)
+def _text_units(d: Dialogue, round_index: int, texts: list[str]) -> int:
+    units = len(" ".join(texts).split())
     if units < 1:
-        raise InvalidStream(f"image {img.id!r} computes to {units} units")
-    if units > cfg.max_image_units:
-        raise UnitOverflow(f"image {img.id!r} needs {units} units, cap is {cfg.max_image_units}")
-    return units
-
-
-def _text_units(cfg: StreamConfig, d: Dialogue, round_index: int, texts: list[str]) -> int:
-    joined = " ".join(texts)
-    units = cfg.text_tokenizer(joined)
-    if not joined.strip() or units < 1:
         raise EmptyText(f"dialogue {d.id!r}: round {round_index} has an empty text span")
     return units
 
 
-def serialize(d: Dialogue, cfg: StreamConfig | None = None) -> TokenStream:
+def serialize(d: Dialogue, cfg: StreamConfig = StreamConfig()) -> TokenStream:
     """Flatten a dialogue into its block sequence.
 
     Raises:
@@ -183,18 +167,17 @@ def serialize(d: Dialogue, cfg: StreamConfig | None = None) -> TokenStream:
         UnitOverflow: an image exceeds the configured unit cap.
         ValueError: a round has no assistant turn.
     """
-    cfg = cfg or DEFAULT_STREAM_CONFIG
-    out = _Emitter(d.id)
+    out = _Emitter(d.id, cfg)
     for ri, rnd in enumerate(d.rounds):
         # User part: text span, then the upload's clean context if present.
         user = rnd.user
         texts = [s.text for s in user.segments if s.is_text]
-        units = _text_units(cfg, d, ri, texts)
+        units = _text_units(d, ri, texts)
         out.special(SpecialToken.IM_S, ri, Role.USER, LossTag.NONE)
         out.emit(BlockKind.TEXT, units, ri, Role.USER, LossTag.NONE)
         out.special(SpecialToken.IM_E, ri, Role.USER, LossTag.NONE)
         for img in user.images():
-            out.clean_image(cfg, img, ri, Role.USER)
+            out.clean_image(img, ri, Role.USER)
 
         asst = rnd.assistant
         if asst is None:
@@ -206,7 +189,7 @@ def serialize(d: Dialogue, cfg: StreamConfig | None = None) -> TokenStream:
 
         def flush_text():
             if pending:
-                n = _text_units(cfg, d, ri, pending)
+                n = _text_units(d, ri, pending)
                 out.special(SpecialToken.IM_S, ri, Role.ASSISTANT, LossTag.CE)
                 out.emit(BlockKind.TEXT, n, ri, Role.ASSISTANT, LossTag.CE)
                 out.special(SpecialToken.IM_E, ri, Role.ASSISTANT, LossTag.CE)
@@ -218,12 +201,11 @@ def serialize(d: Dialogue, cfg: StreamConfig | None = None) -> TokenStream:
                 continue
             flush_text()
             img = seg.image
-            vae = _image_units(cfg, cfg.vae_units_per_image, img)
+            vae = out.image_units(img, out.cfg.vae_patch)
             out.special(SpecialToken.V_S, ri, Role.ASSISTANT, LossTag.CE)
             out.emit(BlockKind.VAE_NOISED, vae, ri, Role.ASSISTANT, LossTag.MSE, image_id=img.id)
             out.special(SpecialToken.V_E, ri, Role.ASSISTANT, LossTag.CE)
-            if cfg.replay_clean_after_noised:
-                out.clean_image(cfg, img, ri, Role.ASSISTANT)
+            out.clean_image(img, ri, Role.ASSISTANT)
         flush_text()
         out.special(SpecialToken.END, ri, Role.ASSISTANT, LossTag.CE)
     return out.stream()
@@ -237,7 +219,6 @@ class ParsedRound:
     user_text_units: int
     upload_image_id: str | None
     noised_image_id: str | None
-    has_replay: bool
     assistant_text_units: int
 
 
@@ -343,7 +324,6 @@ def _walk(s: TokenStream) -> tuple[list[ParsedRound], ValidationReport]:
 
         # assistant_part = image_part? text_part? END, at least one part
         noised_id = None
-        has_replay = False
         asst_text_units = 0
         saw_part = False
         if cur.at_special(SpecialToken.V_S):
@@ -357,15 +337,14 @@ def _walk(s: TokenStream) -> tuple[list[ParsedRound], ValidationReport]:
             ve = cur.take(BlockKind.SPECIAL, SpecialToken.V_E)
             round_block(ve, Role.ASSISTANT)
             _expect_loss(report, ve, LossTag.CE, "the |v_e| closing a noised image", cur.i - 1)
-            if cur.at_special(SpecialToken.V_S):
-                has_replay = True
-                for kind, tok in ((BlockKind.SPECIAL, SpecialToken.V_S),
-                                  (BlockKind.VIT, None),
-                                  (BlockKind.VAE_CLEAN, None),
-                                  (BlockKind.SPECIAL, SpecialToken.V_E)):
-                    b = cur.take(kind, tok)
-                    round_block(b, Role.ASSISTANT)
-                    _expect_loss(report, b, LossTag.NONE, "a replayed clean block", cur.i - 1)
+            # The clean replay is required: later turns read the image only through it.
+            for kind, tok in ((BlockKind.SPECIAL, SpecialToken.V_S),
+                              (BlockKind.VIT, None),
+                              (BlockKind.VAE_CLEAN, None),
+                              (BlockKind.SPECIAL, SpecialToken.V_E)):
+                b = cur.take(kind, tok)
+                round_block(b, Role.ASSISTANT)
+                _expect_loss(report, b, LossTag.NONE, "a replayed clean block", cur.i - 1)
         if cur.at_special(SpecialToken.IM_S):
             saw_part = True
             ims = cur.take(BlockKind.SPECIAL, SpecialToken.IM_S)
@@ -388,7 +367,6 @@ def _walk(s: TokenStream) -> tuple[list[ParsedRound], ValidationReport]:
             user_text_units=user_text.units if user_text else 0,
             upload_image_id=upload_id,
             noised_image_id=noised_id,
-            has_replay=has_replay,
             assistant_text_units=asst_text_units,
         ))
         if cur.i == start_i:
@@ -444,7 +422,7 @@ def mask_intervals(s: TokenStream) -> list[dict[str, Any]]:
     for i, b in enumerate(s.blocks):
         fault = next(_tiling_faults(b, pos), None)
         if fault is not None:
-            raise InvalidStream(f"block {i}: {fault[1]}")
+            raise InvalidStream(f"dialogue {s.dialogue_id!r}: block {i}: {fault[1]}")
         pos = b.end
         rows.append({
             "block": i,
@@ -460,7 +438,8 @@ def mask_intervals(s: TokenStream) -> list[dict[str, Any]]:
             else:
                 context.append([b.start, b.end])
     if pos != s.total_len:
-        raise InvalidStream(f"total_len {s.total_len} != position sum {pos}")
+        raise InvalidStream(f"dialogue {s.dialogue_id!r}: "
+                            f"total_len {s.total_len} != position sum {pos}")
     return rows
 
 

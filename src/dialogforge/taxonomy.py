@@ -69,11 +69,6 @@ class DependencyDepth:
                 raise ValueError("long-range depth requires n_value >= 2")
 
 
-DEPTH_ZERO = DependencyDepth(DepthKind.ZERO)
-DEPTH_ONE = DependencyDepth(DepthKind.ONE)
-DEPTH_N = DependencyDepth(DepthKind.N)
-
-
 @dataclass(frozen=True)
 class TaskSignature:
     input: InputModality

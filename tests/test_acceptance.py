@@ -16,7 +16,7 @@ import numpy as np
 from mask_reference import dense_mask, mask_oracle
 
 from dialogforge.atomic_ops import (
-    REQUIRED_OUTPUTS,
+    OPS,
     MockBackend,
     OpKind,
     OpRequest,
@@ -114,12 +114,11 @@ def test_atomic_op_coverage():
         "query": "Add a red hat", "target_caption": "a dog reading a book",
         "question": "What breed is this?",
     }
-    from dialogforge.atomic_ops import REQUIRED_INPUTS
     for kind in OpKind:
-        req_inputs = {k: inputs[k] for k in REQUIRED_INPUTS[kind]}
+        req_inputs = {k: inputs[k] for k in OPS[kind].inputs}
         for seed in range(1000):
             resp = invoke(OpRequest(kind, req_inputs, seed), BACKEND, retries=0)
-            assert set(resp.fields) == set(REQUIRED_OUTPUTS[kind])
+            assert set(resp.fields) == set(OPS[kind].outputs)
             assert all(v.strip() for v in resp.fields.values())
 
 

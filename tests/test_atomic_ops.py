@@ -7,8 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dialogforge.atomic_ops import (
-    REQUIRED_INPUTS,
-    REQUIRED_OUTPUTS,
+    OPS,
     BackendUnavailable,
     MissingInput,
     MockBackend,
@@ -36,13 +35,12 @@ def full_inputs(kind: OpKind) -> dict[str, str]:
         "target_caption": "a golden retriever reading a book",
         "question": "What are the key features of golden retrievers?",
     }
-    return {k: base[k] for k in REQUIRED_INPUTS[kind]}
+    return {k: base[k] for k in OPS[kind].inputs}
 
 
 def test_registry_has_all_ten_ops():
     assert len(OpKind) == 10
-    assert set(REQUIRED_INPUTS) == set(OpKind)
-    assert set(REQUIRED_OUTPUTS) == set(OpKind)
+    assert set(OPS) == set(OpKind)
 
 
 def test_render_contains_inputs_verbatim():
@@ -132,7 +130,7 @@ def test_mock_all_kinds_all_tags():
     for kind in OpKind:
         raw = mock_complete(render_prompt(OpRequest(kind, full_inputs(kind), 0)), 0)
         resp = parse_response(kind, raw)
-        assert set(resp.fields) == set(REQUIRED_OUTPUTS[kind])
+        assert set(resp.fields) == set(OPS[kind].outputs)
         assert all(v.strip() for v in resp.fields.values())
 
 
@@ -140,7 +138,7 @@ def test_mock_all_kinds_all_tags():
 @given(kind=st.sampled_from(list(OpKind)), seed=st.integers(0, 2**32 - 1))
 def test_mock_parseable_for_any_seed(kind, seed):
     resp = invoke(OpRequest(kind, full_inputs(kind), seed), MockBackend(), retries=0)
-    assert set(resp.fields) == set(REQUIRED_OUTPUTS[kind])
+    assert set(resp.fields) == set(OPS[kind].outputs)
 
 
 def test_invoke_mock_deterministic():
@@ -155,7 +153,7 @@ class FlakyParse:
         self.good_from = good_from
         self.seeds = []
 
-    def complete(self, prompt, seed, *, max_tokens=512, temperature=0.7):
+    def complete(self, prompt, seed):
         self.seeds.append(seed)
         if seed >= self.good_from:
             return mock_complete(prompt, seed)
@@ -177,7 +175,7 @@ def test_invoke_exhausts_retries():
 
 
 class AlwaysDown:
-    def complete(self, prompt, seed, *, max_tokens=512, temperature=0.7):
+    def complete(self, prompt, seed):
         raise BackendUnavailable("nope")
 
 
@@ -233,7 +231,7 @@ def test_remote_wire_format(http_backend):
     assert resp.fields["query"] == f"Please generate an image of {CAPTION}"
     body = _Handler.bodies[0]
     assert set(body) == {"prompt", "seed", "max_tokens", "temperature"}
-    assert body["seed"] == 77
+    assert (body["seed"], body["max_tokens"], body["temperature"]) == (77, 512, 0.7)
     assert CAPTION in body["prompt"]
 
 

@@ -265,3 +265,48 @@ def test_dialogue_corpus_parses_back(workdir):
     for rec in io.read_jsonl("subj.jsonl"):
         d = dialogue_from_record(rec)
         assert d.signature.depth.kind.value == "n"
+
+
+def test_mask_bad_total_len_exits_3(workdir, capsys):
+    run("synthesize", "--stage", "a", "--task", "t_i_0_0",
+        "--in", "t2i_records_20.jsonl", "--out", "d.jsonl", "--seed", "1")
+    run("serialize", "--in", "d.jsonl", "--out", "s.jsonl")
+    streams = list(io.read_jsonl("s.jsonl"))
+    streams[3]["total_len"] += 1
+    io.write_jsonl("s.jsonl", streams)
+    capsys.readouterr()
+    assert run("mask", "--in", "s.jsonl", "--out", "m.jsonl") == 3
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    assert "s.jsonl" in err and repr(streams[3]["dialogue_id"]) in err
+
+
+@pytest.mark.parametrize("command", ["serialize", "stats"])
+def test_image_unit_overflow_exits_3(workdir, capsys, command):
+    run("synthesize", "--stage", "a", "--task", "t_i_0_0",
+        "--in", "t2i_records_20.jsonl", "--out", "d.jsonl", "--seed", "1")
+    first_id = next(io.read_jsonl("d.jsonl"))["id"]
+    capsys.readouterr()
+    assert run(command, "--in", "d.jsonl", "--out", "o.jsonl", "--max-image-units", "5") == 3
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    assert "d.jsonl" in err and repr(first_id) in err
+
+
+@pytest.mark.parametrize("cfg, code", [
+    ({"validate": 1}, 2),
+    ({"weights": {"t2i": 1.0}}, 2),
+    ({"replay_clean": False}, 2),
+    ({"k_min": "1"}, 2),
+    ({"seed": True}, 2),
+    ({"apply_fraction": "0.5"}, 2),
+    ({"backend_url": 5}, 2),
+    ({"apply_fraction": 1}, 0),
+    ({"apply_fraction": 0.5, "backend_url": None}, 0),
+    ({"backend_url": "http://127.0.0.1:9/c", "k_max": 2}, 0),
+])
+def test_config_file_keys_and_types(workdir, capsys, cfg, code):
+    Path("cfg.json").write_text(json.dumps(cfg))
+    assert run("synthesize", "--stage", "a", "--task", "t_i_0_0", "--config", "cfg.json",
+               "--in", "t2i_records_20.jsonl", "--out", "x.jsonl") == code
+    assert ("config error:" in capsys.readouterr().err) == (code == 2)

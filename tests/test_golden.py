@@ -1,0 +1,131 @@
+"""Pinned output bytes of the mock pipeline.
+
+Runs ``synthesize --stages a,b,c`` for every stage-a task (together they call
+all ten atomic ops), then ``serialize`` and ``mask`` on each output, one
+``pack`` over the streams and one ``stats``, all at seed 7 over ``tests/data``.
+Every data output must hash to its recorded digest, so a refactor that changes
+output bytes fails here even when it changes them the same way on every run.
+Manifests are left out: they record the config, not the data.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+from dialogforge.cli import main
+
+DATA = Path(__file__).parent / "data"
+SEED = "7"
+
+# task -> the tests/data records its stage a reads
+TASKS = {
+    "t_i_0_0": "t2i_records_20.jsonl",
+    "t_i_t1_1": "t2i_records_20.jsonl",
+    "ti_i_0_0": "edit_records_20.jsonl",
+    "t_i_i1_1": "edit_records_20.jsonl",
+    "t_i_in_1": "subject_records_20.jsonl",
+    "ti_i_i1_1": "subject_records_20.jsonl",
+}
+
+# Re-record (``python tests/test_golden.py``) only for an intended output change.
+GOLDEN = {
+    "dialogues/t_i_0_0.jsonl":
+        "af09043c6b5213c86ad334efd8475b4157800b9f7f0c9c1e846df260838776be",
+    "dialogues/t_i_0_0.jsonl.rejects.jsonl":
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "dialogues/t_i_i1_1.jsonl":
+        "42243c7de5e2282e65e40dc4695a7c352a9ce0e30b5e5abbd61b62d47d7dbaf2",
+    "dialogues/t_i_i1_1.jsonl.rejects.jsonl":
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "dialogues/t_i_in_1.jsonl":
+        "ae8b7ea950cc627ba95885ea8b85ea65898b954542d1400068a5ac2bf62bd1ef",
+    "dialogues/t_i_in_1.jsonl.rejects.jsonl":
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "dialogues/t_i_t1_1.jsonl":
+        "f19e5900db4d367c5760b6d6cc8450f5be0a7d68811f3b9b5e41322d6ed37b98",
+    "dialogues/t_i_t1_1.jsonl.rejects.jsonl":
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "dialogues/ti_i_0_0.jsonl":
+        "691ac4fbf0f3a868f081383ce07228f792cdba02d60ae40ea045f79dbc1d6f1d",
+    "dialogues/ti_i_0_0.jsonl.rejects.jsonl":
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "dialogues/ti_i_i1_1.jsonl":
+        "2f4c1d75aa8234a849c0d87b785924e32244584e359f6c79ae48565f07d8212e",
+    "dialogues/ti_i_i1_1.jsonl.rejects.jsonl":
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "masks/t_i_0_0.jsonl":
+        "d716d7dc2842d4d84aa14b99f3ddca749d8cf157eceb2e3d9262b042b6b9fd47",
+    "masks/t_i_i1_1.jsonl":
+        "677fb0cb44ee102157513f553d76ffa9e0f920a4bec787ba2d36ecc92e0b83bf",
+    "masks/t_i_in_1.jsonl":
+        "41a988645d278c0656625fecfb13edcdb783a143f789f884537ba210f48fef6a",
+    "masks/t_i_t1_1.jsonl":
+        "6575c830bb38790cfea9961a609438148168802d3d878ae4daecfa0900cb6436",
+    "masks/ti_i_0_0.jsonl":
+        "dd5262dc96d92bde96f2974c69acea7995b4a8b95517ee2ef8dee71e44d05c89",
+    "masks/ti_i_i1_1.jsonl":
+        "6a988fda3e1dc6e24f696f7d3d4258d4672d7a87dc630937f7b1ccdcd73e7861",
+    "pack_stats.json":
+        "b2809b4bd578b93374f5717e4a995e6233acc3ca23b417ae646678fb88370775",
+    "packs.jsonl":
+        "7dcb17c5b9eb462c300efeffd76dd1d0cf06d6bc970efae08967df736f8ca909",
+    "stats.json":
+        "00435a127c4b327341f05e30e3a875950e68f8fdd3b0ac2552020fc4fd310052",
+    "streams/t_i_0_0.jsonl":
+        "111c3d795a9dd92613852395e4913d3360c1efab5258806ad0f63277ab90d294",
+    "streams/t_i_i1_1.jsonl":
+        "da151d359e3c64164e9941ebaa0ba61b46662a679130e2050fc9739e61699988",
+    "streams/t_i_in_1.jsonl":
+        "25be47643324bb2cf41282d0f3176966ba51e86f7dcdcf9a7ffb72ff4d898e76",
+    "streams/t_i_t1_1.jsonl":
+        "727665ed247e0fae66b39682f01e85e7a85d2957ce6e1c947744af813aa46a70",
+    "streams/ti_i_0_0.jsonl":
+        "b44d2427f54c7d0daff61be3de13b04459a8a93d624634ee44c19f7aa186d021",
+    "streams/ti_i_i1_1.jsonl":
+        "777e9d0c9741a655843a7ae3755c5280faed2f1c182773959a3c0d0c9b5460ff",
+}
+
+
+def run_chain(root: Path) -> dict[str, str]:
+    """Run the chain, writing under ``root``; the sha256 of each data output."""
+    (root / "dialogues").mkdir()
+    (root / "streams").mkdir()
+    (root / "masks").mkdir()
+    for task, records in TASKS.items():
+        dialogues = root / "dialogues" / f"{task}.jsonl"
+        streams = root / "streams" / f"{task}.jsonl"
+        assert main(["synthesize", "--stages", "a,b,c", "--task", task,
+                     "--in", str(DATA / records), "--pool", str(DATA / "pool.jsonl"),
+                     "--out", str(dialogues), "--seed", SEED]) == 0
+        assert main(["serialize", "--in", str(dialogues), "--out", str(streams)]) == 0
+        assert main(["mask", "--in", str(streams),
+                     "--out", str(root / "masks" / f"{task}.jsonl")]) == 0
+    weights = root / "weights.json"
+    weights.write_text(json.dumps({task: 1.0 + i for i, task in enumerate(TASKS)}))
+    assert main(["pack", "--config", str(weights), "--in-dir", str(root / "streams"),
+                 "--n", "300", "--l-min", "8000", "--l-max", "16000", "--seed", SEED,
+                 "--out", str(root / "packs.jsonl"),
+                 "--stats", str(root / "pack_stats.json")]) == 0
+    assert main(["stats", "--in", str(root / "dialogues" / "t_i_i1_1.jsonl"),
+                 "--out", str(root / "stats.json")]) == 0
+    return {
+        f.relative_to(root).as_posix(): hashlib.sha256(f.read_bytes()).hexdigest()
+        for f in sorted(root.rglob("*"))
+        if f.is_file() and not f.name.endswith(".manifest.json") and f != weights
+    }
+
+
+def test_mock_outputs_match_golden_digests(tmp_path):
+    assert run_chain(tmp_path) == GOLDEN
+
+
+if __name__ == "__main__":
+    # Print the digests of the current code, e.g. to record GOLDEN.
+    import contextlib
+    import sys
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(sys.stderr):
+        digests = run_chain(Path(tmp))
+    json.dump(digests, sys.stdout, indent=4)
+    print()

@@ -30,11 +30,10 @@ from dialogforge.stream import (
     TokenBlock,
     TokenStream,
     UnitOverflow,
-    default_vae_units,
-    default_vit_units,
     loss_summary,
     mask_intervals,
     parse_stream,
+    patch_grid_units,
     serialize,
     stream_from_record,
     stream_to_record,
@@ -66,9 +65,9 @@ def simple_stream(*spans):
 
 
 def test_unit_formulas():
-    assert default_vit_units(256, 256) == math.ceil(256 / 14) ** 2
-    assert default_vae_units(256, 256) == 16 * 16
-    assert default_vae_units(17, 17) == 4
+    assert patch_grid_units(256, 256, 14) == math.ceil(256 / 14) ** 2
+    assert patch_grid_units(256, 256, 16) == 16 * 16
+    assert patch_grid_units(17, 17, 16) == 4
 
 
 def test_serialize_t2i_block_sequence(backend):
@@ -85,17 +84,33 @@ def test_serialize_t2i_block_sequence(backend):
     assert s.total_len == sum(b.units for b in s.blocks)
     noised = s.blocks[4]
     clean = s.blocks[8]
-    assert noised.units == clean.units == default_vae_units(256, 256)
+    assert noised.units == clean.units == patch_grid_units(256, 256, 16)
     assert noised.image_id == clean.image_id
-    assert s.blocks[7].units == default_vit_units(256, 256)
+    assert s.blocks[7].units == patch_grid_units(256, 256, 14)
 
 
-def test_serialize_no_replay(backend):
-    cfg = StreamConfig(replay_clean_after_noised=False)
-    s = serialize(t2i_dialogue(backend), cfg)
-    kinds = [(b.tok.value if b.tok else b.kind.value) for b in s.blocks]
-    assert kinds == ["|im_s|", "text", "|im_e|", "|v_s|", "vae_noised", "|v_e|", "|end|"]
+def test_serialize_uses_configured_patch_sizes(backend):
+    s = serialize(t2i_dialogue(backend), StreamConfig(vit_patch=32, vae_patch=8))
+    assert s.blocks[4].units == s.blocks[8].units == patch_grid_units(256, 256, 8)
+    assert s.blocks[7].units == patch_grid_units(256, 256, 32)
     assert validate_stream(s).ok
+
+
+def test_grammar_requires_replay_after_noised_image():
+    s = simple_stream(
+        (BlockKind.SPECIAL, 1, Role.USER, LossTag.NONE, SpecialToken.IM_S),
+        (BlockKind.TEXT, 3, Role.USER, LossTag.NONE),
+        (BlockKind.SPECIAL, 1, Role.USER, LossTag.NONE, SpecialToken.IM_E),
+        (BlockKind.SPECIAL, 1, Role.ASSISTANT, LossTag.CE, SpecialToken.V_S),
+        (BlockKind.VAE_NOISED, 4, Role.ASSISTANT, LossTag.MSE),
+        (BlockKind.SPECIAL, 1, Role.ASSISTANT, LossTag.CE, SpecialToken.V_E),
+        (BlockKind.SPECIAL, 1, Role.ASSISTANT, LossTag.CE, SpecialToken.END),
+    )
+    report = validate_stream(s)
+    assert [v.rule for v in report.violations][:1] == ["grammar"]
+    assert "|v_s|" in report.violations[0].detail
+    with pytest.raises(InvalidStream, match="grammar"):
+        parse_stream(s)
 
 
 def test_serialize_interleaved_order(backend):
@@ -164,7 +179,6 @@ def test_parse_stream_reconstructs_skeleton(backend):
             generated = rnd.assistant.images()
             assert p.upload_image_id == (uploads[0].id if uploads else None)
             assert p.noised_image_id == (generated[0].id if generated else None)
-            assert p.has_replay == bool(generated)
             assert (p.assistant_text_units > 0) == any(
                 s.is_text for s in rnd.assistant.segments)
 
@@ -237,7 +251,7 @@ def test_loss_summary_partition(backend):
     s = serialize(d)
     summary = loss_summary(s)
     assert summary.total == s.total_len
-    assert summary.mse_positions == default_vae_units(256, 256)
+    assert summary.mse_positions == patch_grid_units(256, 256, 16)
     # CE covers the assistant's structural specials only: v_s, v_e, end
     assert summary.ce_positions == 3
 

@@ -11,7 +11,7 @@ def item_reject(item, err):
 
 
 class SlowFirst:
-    def complete(self, prompt, seed, *, max_tokens=512, temperature=0.7):
+    def complete(self, prompt, seed):
         if "INPUT caption: first" in prompt:
             time.sleep(0.05)
         return mock_complete(prompt, seed)
