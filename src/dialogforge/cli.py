@@ -155,7 +155,7 @@ def _write_manifest(args: argparse.Namespace, argv: Sequence[str], cfg: Pipeline
 
 
 def _read_dialogues(path: str, signature: str | None = None) -> list[Dialogue]:
-    dialogues = [dialogue_from_record(rec) for rec in io.read_jsonl(path)]
+    dialogues = list(io.read_records(path, dialogue_from_record))
     if signature:
         dialogues = [d for d in dialogues if format_signature(d.signature) == signature]
     return dialogues
@@ -192,7 +192,7 @@ def cmd_synthesize(args: argparse.Namespace, argv: Sequence[str]) -> int:
 
     if "b" in stages:
         inputs.append(args.pool)
-        pool = DistractorPool(tuple(entry_from_record(r) for r in io.read_jsonl(args.pool)))
+        pool = DistractorPool(tuple(io.read_records(args.pool, entry_from_record)))
         if not pool.entries:
             raise ConfigError(f"distractor pool {args.pool} is empty")
         report = pool.validate()
@@ -249,8 +249,7 @@ def cmd_serialize(args: argparse.Namespace, argv: Sequence[str]) -> int:
 def cmd_mask(args: argparse.Namespace, argv: Sequence[str]) -> int:
     cfg = _load_config(args)
     records = []
-    for rec in io.read_jsonl(args.in_path):
-        s = stream_from_record(rec)
+    for s in io.read_records(args.in_path, stream_from_record):
         records.append({
             "dialogue_id": s.dialogue_id,
             "total_len": s.total_len,
@@ -272,6 +271,16 @@ def cmd_pack(args: argparse.Namespace, argv: Sequence[str]) -> int:
     if not isinstance(weights, dict):
         raise ConfigError("sampling config must map category names to weights")
     sampling = SamplingConfig(weights)
+    try:
+        sampling.validate()
+    except ValueError as err:
+        raise ConfigError(f"sampling config {args.sampling_config}: {err}") from err
+
+    def sample(rec: dict[str, Any]) -> tuple[str, int]:
+        sid, length = rec["dialogue_id"], rec["total_len"]
+        if type(length) is not int or not 0 < length <= cfg.l_max:
+            raise ValueError(f"stream {sid!r}: total_len {length!r} is outside [1, l_max {cfg.l_max}]")
+        return sid, length
 
     in_dir = Path(args.in_dir)
     corpora: dict[str, list[tuple[str, int]]] = {}
@@ -283,8 +292,9 @@ def cmd_pack(args: argparse.Namespace, argv: Sequence[str]) -> int:
         if not path.exists():
             raise ConfigError(f"category {category!r}: no stream file at {path}")
         inputs.append(str(path))
-        corpora[category] = [(rec["dialogue_id"], rec["total_len"])
-                             for rec in io.read_jsonl(path)]
+        corpora[category] = list(io.read_records(path, sample))
+        if not corpora[category]:
+            raise ConfigError(f"category {category!r}: stream file {path} is empty")
 
     packs, stats = pack_corpus(sampling, corpora, args.n, cfg.l_min, cfg.l_max, cfg.seed)
     io.write_jsonl(args.out, (pack_to_record(p) for p in packs))

@@ -192,8 +192,9 @@ def validate_round_turns(user: Turn, assistant: Turn | None, report: ValidationR
             if seg.is_image and (seg.image.width <= 0 or seg.image.height <= 0):
                 report.add("image-dims", f"image {seg.image.id!r} has non-positive dimensions", where)
         images = turn.images()
-        if turn.role is Role.USER and len(images) > 1:
-            report.add("user-image-count", f"user turn carries {len(images)} images", where)
+        if len(images) > 1:  # the stream grammar holds one upload or one generated image
+            report.add(f"{turn.role.value}-image-count",
+                       f"{turn.role.value} turn carries {len(images)} images", where)
         if turn.role is Role.ASSISTANT:
             seen_text = False
             for seg in turn.segments:

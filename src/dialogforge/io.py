@@ -5,11 +5,13 @@ from __future__ import annotations
 import hashlib
 import json
 from pathlib import Path
-from typing import Any, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator, TypeVar
+
+T = TypeVar("T")
 
 
 class MalformedLine(ValueError):
-    """A JSONL line that does not parse as JSON."""
+    """A JSONL line that is not JSON, or whose value its reader cannot decode."""
 
 
 def dumps(obj: Any) -> str:
@@ -41,6 +43,24 @@ def read_jsonl(path: str | Path) -> Iterator[Any]:
                     yield json.loads(line)
                 except json.JSONDecodeError as err:
                     raise MalformedLine(f"{path}:{lineno}: {err.msg} (column {err.colno})") from None
+
+
+def read_records(path: str | Path, decode: Callable[[Any], T]) -> Iterator[T]:
+    """``decode`` each value of ``read_jsonl(path)``.
+
+    Raises:
+        MalformedLine: a line is not JSON, or ``decode`` fails on its value; the
+            message leads with ``path:line``, blank lines counted.
+    """
+    for k, obj in enumerate(read_jsonl(path)):
+        try:
+            rec = decode(obj)
+        except (KeyError, TypeError, ValueError, AttributeError) as err:
+            detail = f"missing key {err}" if isinstance(err, KeyError) else str(err)
+            with open(path, "r", encoding="utf-8") as f:  # the k-th value's line, on failure only
+                lineno = [n for n, line in enumerate(f, 1) if line.strip()][k]
+            raise MalformedLine(f"{path}:{lineno}: {detail}") from None
+        yield rec
 
 
 def write_json(path: str | Path, obj: Any) -> None:

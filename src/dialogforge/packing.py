@@ -9,6 +9,7 @@ but flagged underfull.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Any, Mapping, Sequence, TypeVar
@@ -37,8 +38,8 @@ class SamplingConfig:
 
     def validate(self) -> None:
         for name, w in self.categories.items():
-            if w < 0:
-                raise ValueError(f"category {name!r} has negative weight {w}")
+            if type(w) not in (int, float) or not 0 <= w < math.inf:
+                raise ValueError(f"category {name!r} needs a finite weight >= 0, not {w!r}")
         if not any(w > 0 for w in self.categories.values()):
             raise AllZeroWeights("at least one category needs positive weight")
 

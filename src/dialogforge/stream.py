@@ -44,7 +44,7 @@ class UnitOverflow(ValueError):
 
 
 class InvalidStream(ValueError):
-    """Block positions are inconsistent; no mask can be built."""
+    """Blocks that break the grammar or the tiling, or a round the grammar cannot express."""
 
 
 class SpecialToken(Enum):
@@ -110,105 +110,90 @@ class StreamConfig:
     max_image_units: int = 16384
 
 
-class _Emitter:
-    def __init__(self, dialogue_id: str, cfg: StreamConfig):
-        self.dialogue_id = dialogue_id
-        self.cfg = cfg
-        self.blocks: list[TokenBlock] = []
-        self.pos = 0
+_CLEAN_IMAGE = (
+    (BlockKind.SPECIAL, SpecialToken.V_S, LossTag.NONE),
+    (BlockKind.VIT, None, LossTag.NONE),
+    (BlockKind.VAE_CLEAN, None, LossTag.NONE),
+    (BlockKind.SPECIAL, SpecialToken.V_E, LossTag.NONE),
+)
 
-    def emit(self, kind: BlockKind, units: int, round_index: int, role: Role,
-             loss: LossTag, tok: SpecialToken | None = None,
-             image_id: str | None = None) -> None:
-        self.blocks.append(TokenBlock(
-            kind=kind, units=units, round_index=round_index, role=role,
-            loss=loss, start=self.pos, end=self.pos + units,
-            tok=tok, image_id=image_id,
-        ))
-        self.pos += units
-
-    def special(self, tok: SpecialToken, round_index: int, role: Role, loss: LossTag) -> None:
-        self.emit(BlockKind.SPECIAL, 1, round_index, role, loss, tok=tok)
-
-    def clean_image(self, img, round_index: int, role: Role) -> None:
-        """Loss-free ``|v_s| ViT VAE |v_e|`` context: an upload or a replayed generation."""
-        self.special(SpecialToken.V_S, round_index, role, LossTag.NONE)
-        self.emit(BlockKind.VIT, self.image_units(img, self.cfg.vit_patch),
-                  round_index, role, LossTag.NONE, image_id=img.id)
-        self.emit(BlockKind.VAE_CLEAN, self.image_units(img, self.cfg.vae_patch),
-                  round_index, role, LossTag.NONE, image_id=img.id)
-        self.special(SpecialToken.V_E, round_index, role, LossTag.NONE)
-
-    def image_units(self, img, patch: int) -> int:
-        units = patch_grid_units(img.width, img.height, patch)
-        where = f"dialogue {self.dialogue_id!r}: image {img.id!r}"
-        if units < 1:
-            raise InvalidStream(f"{where} computes to {units} units")
-        if units > self.cfg.max_image_units:
-            raise UnitOverflow(f"{where} needs {units} units, cap is {self.cfg.max_image_units}")
-        return units
-
-    def stream(self) -> TokenStream:
-        return TokenStream(self.dialogue_id, tuple(self.blocks), self.pos)
-
-
-def _text_units(d: Dialogue, round_index: int, texts: list[str]) -> int:
-    units = len(" ".join(texts).split())
-    if units < 1:
-        raise EmptyText(f"dialogue {d.id!r}: round {round_index} has an empty text span")
-    return units
+# The block grammar of docs/stream-format.md, written once: part -> (role, slots),
+# one (kind, special token, loss) slot per block. ``serialize`` emits parts from
+# it and ``_walk`` matches streams against it, a round being
+#   user_text upload? (noised replay text? | text) end
+_PARTS: dict[str, tuple[Role, tuple]] = {
+    "user_text": (Role.USER, ((BlockKind.SPECIAL, SpecialToken.IM_S, LossTag.NONE),
+                              (BlockKind.TEXT, None, LossTag.NONE),
+                              (BlockKind.SPECIAL, SpecialToken.IM_E, LossTag.NONE))),
+    "upload": (Role.USER, _CLEAN_IMAGE),
+    "noised": (Role.ASSISTANT, ((BlockKind.SPECIAL, SpecialToken.V_S, LossTag.CE),
+                                (BlockKind.VAE_NOISED, None, LossTag.MSE),
+                                (BlockKind.SPECIAL, SpecialToken.V_E, LossTag.CE))),
+    "replay": (Role.ASSISTANT, _CLEAN_IMAGE),
+    "text": (Role.ASSISTANT, ((BlockKind.SPECIAL, SpecialToken.IM_S, LossTag.CE),
+                              (BlockKind.TEXT, None, LossTag.CE),
+                              (BlockKind.SPECIAL, SpecialToken.IM_E, LossTag.CE))),
+    "end": (Role.ASSISTANT, ((BlockKind.SPECIAL, SpecialToken.END, LossTag.CE),)),
+}
 
 
 def serialize(d: Dialogue, cfg: StreamConfig = StreamConfig()) -> TokenStream:
-    """Flatten a dialogue into its block sequence.
+    """Flatten a dialogue into its block sequence, one ``_PARTS`` part at a time.
 
     Raises:
         EmptyText: a required text span is empty.
         UnitOverflow: an image exceeds the configured unit cap.
+        InvalidStream: the grammar cannot express a round (a user turn with
+            more than one image, an assistant turn that is not at most one
+            image followed by text) or an image computes to no units.
         ValueError: a round has no assistant turn.
     """
-    out = _Emitter(d.id, cfg)
-    for ri, rnd in enumerate(d.rounds):
-        # User part: text span, then the upload's clean context if present.
-        user = rnd.user
-        texts = [s.text for s in user.segments if s.is_text]
-        units = _text_units(d, ri, texts)
-        out.special(SpecialToken.IM_S, ri, Role.USER, LossTag.NONE)
-        out.emit(BlockKind.TEXT, units, ri, Role.USER, LossTag.NONE)
-        out.special(SpecialToken.IM_E, ri, Role.USER, LossTag.NONE)
-        for img in user.images():
-            out.clean_image(img, ri, Role.USER)
+    blocks: list[TokenBlock] = []
 
+    def units(kind: BlockKind, ri: int, texts: list[str], img) -> int:
+        if kind is BlockKind.SPECIAL:
+            return 1
+        if kind is BlockKind.TEXT:
+            n = len(" ".join(texts).split())
+            if n < 1:
+                raise EmptyText(f"dialogue {d.id!r}: round {ri} has an empty text span")
+            return n
+        n = patch_grid_units(img.width, img.height,
+                             cfg.vit_patch if kind is BlockKind.VIT else cfg.vae_patch)
+        where = f"dialogue {d.id!r}: image {img.id!r}"
+        if n < 1:
+            raise InvalidStream(f"{where} computes to {n} units")
+        if n > cfg.max_image_units:
+            raise UnitOverflow(f"{where} needs {n} units, cap is {cfg.max_image_units}")
+        return n
+
+    def emit(part: str, ri: int, texts: list[str] | None = None, img=None) -> None:
+        role, slots = _PARTS[part]
+        for kind, tok, loss in slots:
+            pos = blocks[-1].end if blocks else 0
+            n = units(kind, ri, texts, img)
+            image_id = img.id if img is not None and tok is None else None
+            blocks.append(TokenBlock(kind, n, ri, role, loss, pos, pos + n, tok, image_id))
+
+    for ri, rnd in enumerate(d.rounds):
         asst = rnd.assistant
         if asst is None:
             raise ValueError(f"dialogue {d.id!r}: round {ri} has no assistant turn")
-        # Assistant part follows segment order; consecutive texts merge into
-        # one span. Structural delimiters the assistant predicts carry CE;
-        # the replayed clean copy of a generated image carries no loss at all.
-        pending: list[str] = []
-
-        def flush_text():
-            if pending:
-                n = _text_units(d, ri, pending)
-                out.special(SpecialToken.IM_S, ri, Role.ASSISTANT, LossTag.CE)
-                out.emit(BlockKind.TEXT, n, ri, Role.ASSISTANT, LossTag.CE)
-                out.special(SpecialToken.IM_E, ri, Role.ASSISTANT, LossTag.CE)
-                pending.clear()
-
-        for seg in asst.segments:
-            if seg.is_text:
-                pending.append(seg.text)
-                continue
-            flush_text()
-            img = seg.image
-            vae = out.image_units(img, out.cfg.vae_patch)
-            out.special(SpecialToken.V_S, ri, Role.ASSISTANT, LossTag.CE)
-            out.emit(BlockKind.VAE_NOISED, vae, ri, Role.ASSISTANT, LossTag.MSE, image_id=img.id)
-            out.special(SpecialToken.V_E, ri, Role.ASSISTANT, LossTag.CE)
-            out.clean_image(img, ri, Role.ASSISTANT)
-        flush_text()
-        out.special(SpecialToken.END, ri, Role.ASSISTANT, LossTag.CE)
-    return out.stream()
+        if (len(rnd.user.images()) > 1 or not asst.segments
+                or any(s.is_image for s in asst.segments[1:])):
+            raise InvalidStream(f"dialogue {d.id!r}: round {ri}: the grammar takes one upload at "
+                                "most and an assistant turn of one image at most, then text")
+        emit("user_text", ri, [s.text for s in rnd.user.segments if s.is_text])
+        for img in rnd.user.images():
+            emit("upload", ri, img=img)
+        for img in asst.images():
+            emit("noised", ri, img=img)
+            emit("replay", ri, img=img)
+        texts = [s.text for s in asst.segments if s.is_text]
+        if texts:
+            emit("text", ri, texts)
+        emit("end", ri)
+    return TokenStream(d.id, tuple(blocks), blocks[-1].end if blocks else 0)
 
 
 @dataclass(frozen=True)
@@ -222,37 +207,6 @@ class ParsedRound:
     assistant_text_units: int
 
 
-class _Cursor:
-    def __init__(self, blocks: tuple[TokenBlock, ...], report: ValidationReport):
-        self.blocks = blocks
-        self.i = 0
-        self.report = report
-
-    def peek(self, ahead: int = 0) -> TokenBlock | None:
-        j = self.i + ahead
-        return self.blocks[j] if j < len(self.blocks) else None
-
-    def at_special(self, tok: SpecialToken, ahead: int = 0) -> bool:
-        b = self.peek(ahead)
-        return b is not None and b.kind is BlockKind.SPECIAL and b.tok is tok
-
-    def take(self, kind: BlockKind, tok: SpecialToken | None = None) -> TokenBlock | None:
-        b = self.peek()
-        if b is None or b.kind is not kind or (tok is not None and b.tok is not tok):
-            want = tok.value if tok else kind.value
-            got = "end of stream" if b is None else (b.tok.value if b.tok else b.kind.value)
-            self.report.add("grammar", f"expected {want}, got {got}", self.i)
-            return None
-        self.i += 1
-        return b
-
-
-def _expect_loss(report: ValidationReport, b: TokenBlock | None, loss: LossTag,
-                 what: str, index: int) -> None:
-    if b is not None and b.loss is not loss:
-        report.add("loss-tags", f"{what} must carry {loss.value!r}, got {b.loss.value!r}", index)
-
-
 def _tiling_faults(b: TokenBlock, pos: int) -> Iterator[tuple[str, str]]:
     """(rule, detail) for each way block ``b`` fails to span [pos, pos + units), units >= 1."""
     if b.units < 1:
@@ -263,117 +217,67 @@ def _tiling_faults(b: TokenBlock, pos: int) -> Iterator[tuple[str, str]]:
 
 def _walk(s: TokenStream) -> tuple[list[ParsedRound], ValidationReport]:
     report = ValidationReport()
-
     pos = 0
     for i, b in enumerate(s.blocks):
         for rule, detail in _tiling_faults(b, pos):
             report.add(rule, detail, i)
         pos = b.end
-        if b.kind is BlockKind.SPECIAL:
-            if b.tok is None:
-                report.add("special-tok", "special block lacks its token", i)
-            if b.units != 1:
-                report.add("unit-count", "special block must be one unit", i)
-        elif b.tok is not None:
-            report.add("special-tok", "non-special block carries a token", i)
-        # Position-independent loss rules.
-        if (b.loss is LossTag.MSE) != (b.kind is BlockKind.VAE_NOISED):
-            report.add("loss-tags", "MSE loss exactly on noised latent blocks", i)
-        if b.kind in (BlockKind.VIT, BlockKind.VAE_CLEAN) and b.loss is not LossTag.NONE:
-            report.add("loss-tags", "clean visual context carries no loss", i)
-        if b.role is Role.USER and b.loss is not LossTag.NONE:
-            report.add("loss-tags", "user-side blocks carry no loss", i)
-        if b.kind is BlockKind.TEXT and b.role is Role.ASSISTANT and b.loss is not LossTag.CE:
-            report.add("loss-tags", "assistant text must carry CE", i)
+        if b.kind is BlockKind.SPECIAL and b.units != 1:
+            report.add("unit-count", "special block must be one unit", i)
     if s.total_len != pos:
         report.add("total-len", f"total_len {s.total_len} != position sum {pos}")
-
-    rounds: list[ParsedRound] = []
-    cur = _Cursor(s.blocks, report)
     if not s.blocks:
         report.add("grammar", "stream has no blocks")
-        return rounds, report
 
-    while cur.peek() is not None:
-        start_i = cur.i
-        first = cur.peek()
-        ri = first.round_index
+    rounds: list[ParsedRound] = []
+    i = 0
 
-        def round_block(b: TokenBlock | None, role: Role) -> None:
-            if b is None:
-                return
-            if b.round_index != ri:
-                report.add("round-index", f"block belongs to round {b.round_index}, expected {ri}",
-                           cur.i - 1)
+    def fits(part: str) -> bool:
+        """Whether the next blocks have the part's kinds and tokens (roles and losses aside)."""
+        slots = _PARTS[part][1]
+        ahead = s.blocks[i:i + len(slots)]
+        return len(ahead) == len(slots) and all(
+            b.kind is kind and b.tok is tok for b, (kind, tok, _) in zip(ahead, slots))
+
+    def take(part: str) -> tuple[TokenBlock, ...]:
+        """Match one block per slot of ``part``; a kind or token mismatch ends the walk."""
+        nonlocal i
+        role, slots = _PARTS[part]
+        for kind, tok, loss in slots:
+            b = s.blocks[i] if i < len(s.blocks) else None
+            got = "end of stream" if b is None else (b.tok.value if b.tok else b.kind.value)
+            if b is None or b.kind is not kind or b.tok is not tok:
+                report.add("grammar", f"expected {tok.value if tok else kind.value}, got {got}", i)
+                raise InvalidStream  # reported above; parse_stream raises its own
+            what = f"{got} of the {part} part"
             if b.role is not role:
-                report.add("roles", f"expected a {role.value} block", cur.i - 1)
+                report.add("roles", f"{what} must be a {role.value} block", i)
+            if b.round_index != len(rounds):
+                report.add("round-index", f"{what} is in round {b.round_index}, "
+                                          f"expected {len(rounds)}", i)
+            if b.loss is not loss:
+                report.add("loss-tags", f"{what} must carry {loss.value!r}, got {b.loss.value!r}", i)
+            i += 1
+        return s.blocks[i - len(slots):i]
 
-        # user_part = IM_S TEXT IM_E (V_S VIT VAE_CLEAN V_E)?
-        round_block(cur.take(BlockKind.SPECIAL, SpecialToken.IM_S), Role.USER)
-        user_text = cur.take(BlockKind.TEXT)
-        round_block(user_text, Role.USER)
-        round_block(cur.take(BlockKind.SPECIAL, SpecialToken.IM_E), Role.USER)
-        upload_id = None
-        if cur.at_special(SpecialToken.V_S) and cur.peek().role is Role.USER:
-            round_block(cur.take(BlockKind.SPECIAL, SpecialToken.V_S), Role.USER)
-            vit = cur.take(BlockKind.VIT)
-            round_block(vit, Role.USER)
-            round_block(cur.take(BlockKind.VAE_CLEAN), Role.USER)
-            round_block(cur.take(BlockKind.SPECIAL, SpecialToken.V_E), Role.USER)
-            upload_id = vit.image_id if vit else None
-
-        # assistant_part = image_part? text_part? END, at least one part
-        noised_id = None
-        asst_text_units = 0
-        saw_part = False
-        if cur.at_special(SpecialToken.V_S):
-            saw_part = True
-            vs = cur.take(BlockKind.SPECIAL, SpecialToken.V_S)
-            round_block(vs, Role.ASSISTANT)
-            _expect_loss(report, vs, LossTag.CE, "the |v_s| opening a noised image", cur.i - 1)
-            noised = cur.take(BlockKind.VAE_NOISED)
-            round_block(noised, Role.ASSISTANT)
-            noised_id = noised.image_id if noised else None
-            ve = cur.take(BlockKind.SPECIAL, SpecialToken.V_E)
-            round_block(ve, Role.ASSISTANT)
-            _expect_loss(report, ve, LossTag.CE, "the |v_e| closing a noised image", cur.i - 1)
-            # The clean replay is required: later turns read the image only through it.
-            for kind, tok in ((BlockKind.SPECIAL, SpecialToken.V_S),
-                              (BlockKind.VIT, None),
-                              (BlockKind.VAE_CLEAN, None),
-                              (BlockKind.SPECIAL, SpecialToken.V_E)):
-                b = cur.take(kind, tok)
-                round_block(b, Role.ASSISTANT)
-                _expect_loss(report, b, LossTag.NONE, "a replayed clean block", cur.i - 1)
-        if cur.at_special(SpecialToken.IM_S):
-            saw_part = True
-            ims = cur.take(BlockKind.SPECIAL, SpecialToken.IM_S)
-            round_block(ims, Role.ASSISTANT)
-            _expect_loss(report, ims, LossTag.CE, "the |im_s| opening assistant text", cur.i - 1)
-            text = cur.take(BlockKind.TEXT)
-            round_block(text, Role.ASSISTANT)
-            asst_text_units = text.units if text else 0
-            ime = cur.take(BlockKind.SPECIAL, SpecialToken.IM_E)
-            round_block(ime, Role.ASSISTANT)
-            _expect_loss(report, ime, LossTag.CE, "the |im_e| closing assistant text", cur.i - 1)
-        if not saw_part:
-            report.add("grammar", "assistant part needs an image or a text part", cur.i)
-        end = cur.take(BlockKind.SPECIAL, SpecialToken.END)
-        round_block(end, Role.ASSISTANT)
-        _expect_loss(report, end, LossTag.CE, "the |end| token", cur.i - 1)
-
-        rounds.append(ParsedRound(
-            index=ri,
-            user_text_units=user_text.units if user_text else 0,
-            upload_image_id=upload_id,
-            noised_image_id=noised_id,
-            assistant_text_units=asst_text_units,
-        ))
-        if cur.i == start_i:
-            # No progress: the stream is unrecoverably off-grammar.
-            break
-        if not report.ok and any(v.rule == "grammar" for v in report.violations):
-            break
+    try:
+        while i < len(s.blocks):
+            user_text = take("user_text")[1]
+            upload = take("upload")[1] if fits("upload") else None
+            noised = take("noised")[1] if fits("noised") else None
+            if noised is not None:
+                take("replay")  # required: later turns read the image only through it
+            text = take("text")[1] if noised is None or fits("text") else None
+            take("end")
+            rounds.append(ParsedRound(
+                index=len(rounds),
+                user_text_units=user_text.units,
+                upload_image_id=upload.image_id if upload else None,
+                noised_image_id=noised.image_id if noised else None,
+                assistant_text_units=text.units if text else 0,
+            ))
+    except InvalidStream:
+        pass
     return rounds, report
 
 

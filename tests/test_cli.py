@@ -310,3 +310,91 @@ def test_config_file_keys_and_types(workdir, capsys, cfg, code):
     assert run("synthesize", "--stage", "a", "--task", "t_i_0_0", "--config", "cfg.json",
                "--in", "t2i_records_20.jsonl", "--out", "x.jsonl") == code
     assert ("config error:" in capsys.readouterr().err) == (code == 2)
+
+
+def _second_image(turn):
+    """The turn record with a copy of its first image appended under a new id."""
+    image = next(s["image"] for s in turn["segments"] if "image" in s)
+    return {**turn, "segments": turn["segments"] + [{"image": {**image, "id": image["id"] + "-2"}}]}
+
+
+def test_two_image_assistant_turn_is_refused(workdir, capsys):
+    run("synthesize", "--stage", "a", "--task", "t_i_0_0",
+        "--in", "t2i_records_20.jsonl", "--out", "d.jsonl", "--seed", "1")
+    dialogues = list(io.read_jsonl("d.jsonl"))
+    rnd = dialogues[2]["rounds"][0]
+    rnd["assistant"] = _second_image(rnd["assistant"])
+    io.write_jsonl("d.jsonl", dialogues)
+    capsys.readouterr()
+    assert run("validate", "--in", "d.jsonl") == 1
+    assert "assistant-image-count" in capsys.readouterr().out
+    assert run("serialize", "--in", "d.jsonl", "--out", "s.jsonl") == 3
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("stream error:") and len(err.splitlines()) == 1
+    assert repr(dialogues[2]["id"]) in err
+
+    pool = list(io.read_jsonl("pool.jsonl"))
+    pool[0]["assistant"] = _second_image(pool[0]["assistant"])
+    io.write_jsonl("pool2.jsonl", pool)
+    assert run("synthesize", "--stages", "a,b", "--task", "t_i_i1_1",
+               "--in", "edit_records_20.jsonl", "--pool", "pool2.jsonl",
+               "--out", "x.jsonl", "--seed", "7") == 2
+    assert "config error:" in capsys.readouterr().err
+
+
+def _drop_key(path, key, out):
+    """Copy the first two records of ``path`` to ``out``, the second without ``key``.
+
+    A blank line between them puts that record on line 3 of ``out``.
+    """
+    first, second = list(io.read_jsonl(path))[:2]
+    del second[key]
+    Path(out).write_text(f"{json.dumps(first)}\n\n{json.dumps(second)}\n")
+
+
+@pytest.mark.parametrize("weights, l_max, code, needle", [
+    pytest.param({"t2i": "x"}, 16000, 2, "'t2i'", id="non-number-weight"),
+    pytest.param({"t2i": -1}, 16000, 2, "'t2i'", id="negative-weight"),
+    pytest.param({"t2i": 0, "edit": 0.0}, 16000, 2, "weight", id="all-zero-weights"),
+    pytest.param({"t2i": 1.0, "edit": 1.0}, 16000, 2, "is empty", id="empty-stream-file"),
+    pytest.param({"t2i": 1.0}, 100, 3, "t2i.jsonl:1: stream", id="stream-over-l-max"),
+    pytest.param({"t2i": 1.0}, 16000, 3, "t2i.jsonl:3: missing key 'total_len'",
+                 id="missing-total-len"),
+])
+def test_pack_bad_input_exits_without_traceback(workdir, capsys, weights, l_max, code, needle):
+    run("synthesize", "--stage", "a", "--task", "t_i_0_0",
+        "--in", "t2i_records_20.jsonl", "--out", "d.jsonl", "--seed", "1")
+    Path("streams").mkdir()
+    run("serialize", "--in", "d.jsonl", "--out", "streams/t2i.jsonl")
+    Path("streams/edit.jsonl").write_text("")
+    if "missing key" in needle:
+        _drop_key("streams/t2i.jsonl", "total_len", "streams/t2i.jsonl")
+    Path("weights.json").write_text(json.dumps(weights))
+    capsys.readouterr()
+    assert run("pack", "--config", "weights.json", "--in-dir", "streams", "--n", "50",
+               "--l-min", "50", "--l-max", str(l_max), "--seed", "3",
+               "--out", "packs.jsonl", "--stats", "stats.json") == code
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and needle in err
+    assert err.startswith("config error:" if code == 2 else "i/o error:")
+    if l_max == 100:
+        assert repr(next(io.read_jsonl("streams/t2i.jsonl"))["dialogue_id"]) in err
+
+
+@pytest.mark.parametrize("argv, source, key", [
+    ("validate --in bad.jsonl", "d.jsonl", "rounds"),
+    ("serialize --in bad.jsonl --out x.jsonl", "d.jsonl", "signature"),
+    ("stats --in bad.jsonl", "d.jsonl", "id"),
+    ("synthesize --stage c --in bad.jsonl --out x.jsonl", "d.jsonl", "dep_target_rounds"),
+    ("mask --in bad.jsonl --out x.jsonl", "s.jsonl", "blocks"),
+    ("synthesize --stage b --in d.jsonl --pool bad.jsonl --out x.jsonl", "pool.jsonl", "category"),
+])
+def test_record_missing_key_exits_3_with_path_line(workdir, capsys, argv, source, key):
+    run("synthesize", "--stage", "a", "--task", "t_i_i1_1",
+        "--in", "edit_records_20.jsonl", "--out", "d.jsonl", "--seed", "1")
+    run("serialize", "--in", "d.jsonl", "--out", "s.jsonl")
+    _drop_key(source, key, "bad.jsonl")
+    capsys.readouterr()
+    assert run(*argv.split()) == 3
+    err = capsys.readouterr().err.strip()
+    assert err.endswith(f"bad.jsonl:3: missing key '{key}'") and len(err.splitlines()) == 1

@@ -114,6 +114,18 @@ def test_validate_user_image_count():
     assert "user-image-count" in validate_dialogue(d).rules()
 
 
+def test_validate_assistant_image_count():
+    d = Dialogue(
+        id="d",
+        rounds=(Round(user(text("draw two")),
+                      assistant(Segment(image=image("g0")), Segment(image=image("g1")))),),
+        signature=parse_signature("t_i_0_0"),
+    )
+    report = validate_dialogue(d)
+    assert report.rules() == {"assistant-image-count"}
+    assert report.violations[0].where == 0
+
+
 def test_validate_assistant_image_after_text():
     d = Dialogue(
         id="d",

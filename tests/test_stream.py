@@ -153,6 +153,31 @@ def test_serialize_empty_text(backend):
         serialize(d2)
 
 
+@pytest.mark.parametrize("user_images, assistant_segments", [
+    pytest.param(2, ("image",), id="two-uploads"),
+    pytest.param(0, ("image", "image"), id="two-generated"),
+    pytest.param(0, ("text", "image"), id="text-before-image"),
+    pytest.param(0, (), id="empty-assistant"),
+])
+def test_serialize_refuses_rounds_the_grammar_cannot_express(user_images, assistant_segments):
+    def img(i, source):
+        return Segment(image=ImageRef(f"i{i}", source, f"img/i{i}.png", 32, 32, "a cat"))
+
+    asst = tuple(Segment(text="here") if kind == "text" else img(10 + j, ImageSource.GENERATED)
+                 for j, kind in enumerate(assistant_segments))
+    d = Dialogue(
+        id="d",
+        rounds=(Round(
+            Turn(Role.USER, (Segment(text="go"),) + tuple(
+                img(j, ImageSource.UPLOADED) for j in range(user_images)), PROV),
+            Turn(Role.ASSISTANT, asst, PROV),
+        ),),
+        signature=parse_signature("ti_i_0_0"),
+    )
+    with pytest.raises(InvalidStream, match="round 0"):
+        serialize(d)
+
+
 def test_serialize_unit_overflow(backend):
     with pytest.raises(UnitOverflow):
         serialize(t2i_dialogue(backend), StreamConfig(max_image_units=10))
@@ -370,3 +395,27 @@ def test_stream_record_round_trip(backend):
     assert list(special) == ["kind", "tok", "units", "round", "role", "loss", "start", "end"]
     noised = rec["blocks"][4]
     assert list(noised) == ["kind", "units", "round", "role", "image_id", "loss", "start", "end"]
+
+
+def _mutated(s, i, **change):
+    blocks = list(s.blocks)
+    blocks[i] = dataclasses.replace(blocks[i], **change)
+    return dataclasses.replace(s, blocks=tuple(blocks))
+
+
+def _found(s):
+    return [(v.rule, v.where) for v in validate_stream(s).violations]
+
+
+def test_each_grammar_rule_is_reported_once_at_its_block():
+    rng = random.Random(61)
+    for n in range(40):
+        s = serialize(make_random_dialogue(rng, f"g-{n}"))
+        for i, b in enumerate(s.blocks):
+            for loss in LossTag:
+                if loss is not b.loss:
+                    assert _found(_mutated(s, i, loss=loss)) == [("loss-tags", i)]
+            if i and s.blocks[i - 1].round_index == b.round_index:
+                assert _found(_mutated(s, i, round_index=b.round_index + 1)) == [("round-index", i)]
+            if b.kind is BlockKind.TEXT and b.role is Role.USER:
+                assert _found(_mutated(s, i, role=Role.ASSISTANT)) == [("roles", i)]
