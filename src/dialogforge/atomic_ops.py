@@ -11,11 +11,11 @@ rules, so the whole pipeline runs offline and deterministically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import json
+from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Protocol
-
-import requests
+from urllib.parse import SplitResult, unquote, urlsplit
 
 
 class MissingInput(ValueError):
@@ -252,6 +252,45 @@ class MockBackend:
 # --- Remote backend -----------------------------------------------------------
 
 
+def split_backend_url(url: str) -> SplitResult:
+    """``url`` split into its parts, once it is known to name an HTTP endpoint.
+
+    Raises:
+        ValueError: the scheme is not http or https, the host is missing, or
+            the port is not a number in 0..65535.
+    """
+    parts = urlsplit(url)
+    if parts.scheme not in ("http", "https") or not parts.hostname:
+        raise ValueError(f"backend url {url!r} is not an http:// or https:// URL with a host")
+    try:
+        parts.port
+    except ValueError as err:
+        raise ValueError(f"backend url {url!r}: {err}") from None
+    return parts
+
+
+def _proxy(target: SplitResult) -> tuple[str, int, dict[str, str]] | None:
+    """The proxy host, port and auth header for ``target``, from the environment.
+
+    ``None`` when no proxy is set for its scheme or ``no_proxy`` covers it.
+    """
+    import urllib.request
+
+    if urllib.request.proxy_bypass(target.netloc.rpartition("@")[2]):
+        return None
+    proxy = urllib.request.getproxies().get(target.scheme)
+    if not proxy:
+        return None
+    via = urlsplit(proxy if "://" in proxy else f"http://{proxy}")
+    auth = {}
+    if via.username is not None:
+        import base64
+
+        cred = f"{unquote(via.username)}:{unquote(via.password or '')}".encode()
+        auth["Proxy-Authorization"] = "Basic " + base64.b64encode(cred).decode()
+    return via.hostname, via.port or 80, auth
+
+
 @dataclass
 class RemoteBackend:
     """HTTP completion service speaking a one-endpoint JSON contract.
@@ -259,22 +298,89 @@ class RemoteBackend:
     POST ``{"prompt", "seed", "max_tokens", "temperature"}`` to ``url``;
     the service replies ``{"text": <completion>}``. Anything else (transport
     error, non-2xx, malformed body) raises BackendUnavailable.
+
+    Each thread keeps one keep-alive connection; when a reused one turns out
+    to have been closed by the server, the request is sent once more on a
+    fresh one. ``http_proxy``, ``https_proxy`` and ``no_proxy`` are read once,
+    here: an http URL goes to the proxy as an absolute URL, an https URL
+    through a CONNECT tunnel.
+
+    Raises:
+        ValueError: ``url`` fails ``split_backend_url``.
     """
 
     url: str
     timeout: float = 30.0
-    session: requests.Session = field(default_factory=requests.Session, repr=False)
+
+    def __post_init__(self) -> None:
+        # Imported here, not at module level, so that mock runs and the offline
+        # subcommands never load an HTTP stack.
+        import http.client
+        import threading
+        import weakref
+
+        target = split_backend_url(self.url)
+        https = target.scheme == "https"
+        cls = http.client.HTTPSConnection if https else http.client.HTTPConnection
+        host, port, tunnel = target.hostname, target.port, None
+        self._path = target.path or "/"
+        if target.query:
+            self._path += "?" + target.query
+        self._headers = {"Content-Type": "application/json"}
+        proxy = _proxy(target)
+        if proxy is not None:
+            proxy_host, proxy_port, auth = proxy
+            if https:
+                tunnel = (host, port, auth)
+            else:
+                self._path = self.url
+                self._headers.update(auth)
+            host, port = proxy_host, proxy_port
+
+        def connect() -> http.client.HTTPConnection:
+            conn = cls(host, port, timeout=self.timeout)
+            if tunnel:
+                conn.set_tunnel(*tunnel)
+            return conn
+
+        self._connect = connect
+        self._local = threading.local()
+        # Weak, so that a connection is dropped with the worker thread that owns it.
+        self._conns: weakref.WeakSet[http.client.HTTPConnection] = weakref.WeakSet()
+        self._transport_errors = (OSError, http.client.HTTPException)
+
+    def close(self) -> None:
+        """Close every live thread's connection; call it when no request is in flight.
+
+        A later ``complete`` reopens its thread's connection.
+        """
+        for conn in list(self._conns):
+            conn.close()
 
     def complete(self, prompt: str, seed: int) -> str:
         body = {"prompt": prompt, "seed": seed, "max_tokens": 512, "temperature": 0.7}
+        payload = json.dumps(body).encode("utf-8")
+        conn = getattr(self._local, "conn", None)
+        if conn is None:
+            conn = self._local.conn = self._connect()
+            self._conns.add(conn)
+        while True:
+            reused = conn.sock is not None
+            try:
+                conn.request("POST", self._path, payload, self._headers)
+                resp = conn.getresponse()
+                status, raw = resp.status, resp.read()
+                break
+            except self._transport_errors as err:
+                conn.close()
+                # A server may close an idle keep-alive connection. Resend on a
+                # fresh one: raising here would make invoke retry with seed + 1.
+                if not (reused and isinstance(err, (ConnectionResetError, BrokenPipeError))):
+                    raise BackendUnavailable(f"POST {self.url} failed: {err}") from err
+        if not 200 <= status < 300:
+            raise BackendUnavailable(f"POST {self.url} returned {status}")
         try:
-            resp = self.session.post(self.url, json=body, timeout=self.timeout)
-        except requests.RequestException as err:
-            raise BackendUnavailable(f"POST {self.url} failed: {err}") from err
-        if not 200 <= resp.status_code < 300:
-            raise BackendUnavailable(f"POST {self.url} returned {resp.status_code}")
-        try:
-            data = resp.json()
+            data = json.loads(raw)
         except ValueError as err:
             raise BackendUnavailable(f"{self.url}: response body is not JSON") from err
         text = data.get("text") if isinstance(data, dict) else None

@@ -21,7 +21,13 @@ from pathlib import Path
 from typing import Any, Sequence
 
 from . import io
-from .atomic_ops import BackendUnavailable, CompletionBackend, MockBackend, RemoteBackend
+from .atomic_ops import (
+    BackendUnavailable,
+    CompletionBackend,
+    MockBackend,
+    RemoteBackend,
+    split_backend_url,
+)
 from .dialogue import (
     Dialogue,
     dialogue_from_record,
@@ -72,9 +78,14 @@ class PipelineConfig:
     def validate(self) -> None:
         if self.backend not in ("mock", "remote"):
             raise ConfigError(f"unknown backend {self.backend!r}")
-        if self.backend == "remote" and not self.backend_url:
-            raise ConfigError("remote backend needs a backend_url "
-                              f"(flag, config file, or {ENV_BACKEND_URL})")
+        if self.backend == "remote":
+            if not self.backend_url:
+                raise ConfigError("remote backend needs a backend_url "
+                                  f"(flag, config file, or {ENV_BACKEND_URL})")
+            try:
+                split_backend_url(self.backend_url)
+            except ValueError as err:
+                raise ConfigError(str(err)) from None
         if not 1 <= self.k_min <= self.k_max:
             raise ConfigError(f"invalid k range [{self.k_min}, {self.k_max}]")
         if not 0.0 <= self.apply_fraction <= 1.0:

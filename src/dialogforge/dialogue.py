@@ -424,13 +424,21 @@ def image_to_obj(img: ImageRef) -> dict[str, Any]:
     return obj
 
 
+# The decoders check the value types later code computes with, so that a bad
+# record is refused where it is read (the CLI's exit 3 with path:line).
+
+
 def image_from_obj(obj: dict[str, Any]) -> ImageRef:
+    width, height = obj["width"], obj["height"]
+    if type(width) is not int or type(height) is not int:
+        raise TypeError(f"image {obj['id']!r}: width and height must be integers, "
+                        f"not {width!r} and {height!r}")
     return ImageRef(
         id=obj["id"],
         source=ImageSource(obj["source"]),
         uri=obj["uri"],
-        width=obj["width"],
-        height=obj["height"],
+        width=width,
+        height=height,
         caption=obj.get("caption"),
     )
 
@@ -443,6 +451,8 @@ def _segment_to_obj(seg: Segment) -> dict[str, Any]:
 
 def _segment_from_obj(obj: dict[str, Any]) -> Segment:
     if "text" in obj:
+        if not isinstance(obj["text"], str):
+            raise TypeError(f"text segment must be a string, not {obj['text']!r}")
         return Segment(text=obj["text"])
     return Segment(image=image_from_obj(obj["image"]))
 
@@ -462,6 +472,8 @@ def turn_to_obj(turn: Turn) -> dict[str, Any]:
 
 def turn_from_obj(obj: dict[str, Any], role: Role) -> Turn:
     prov = obj["provenance"]
+    if not isinstance(obj["segments"], list):
+        raise TypeError(f"{role.value} turn: segments must be a list")
     return Turn(
         role=role,
         segments=tuple(_segment_from_obj(s) for s in obj["segments"]),
@@ -494,6 +506,8 @@ def dialogue_to_record(d: Dialogue) -> dict[str, Any]:
 
 
 def dialogue_from_record(rec: dict[str, Any]) -> Dialogue:
+    if not isinstance(rec["rounds"], list):
+        raise TypeError(f"dialogue {rec['id']!r}: rounds must be a list")
     rounds = tuple(
         Round(
             user=turn_from_obj(r["user"], Role.USER),

@@ -98,8 +98,11 @@ def test_cli_import_does_not_load_numpy():
     src = str(Path(dialogforge.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    code = "import dialogforge.cli, sys; assert 'numpy' not in sys.modules"
-    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+    heavy = ("numpy", "requests", "urllib3", "http.client", "urllib.request")
+    code = f"import dialogforge.cli, sys; print([m for m in {heavy!r} if m in sys.modules])"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_stage_b_without_pool_exits_2(workdir):
@@ -123,6 +126,16 @@ def test_remote_unreachable_exits_4(workdir):
                "--in", "t2i_records_20.jsonl", "--out", "x.jsonl",
                "--backend", "remote", "--backend-url", "http://127.0.0.1:9/c",
                "--retries", "0") == 4
+
+
+@pytest.mark.parametrize("url", ["not-a-url", "ftp://127.0.0.1/x", "http:///x", "http://h:port/x"])
+def test_remote_bad_url_exits_2_before_reading(workdir, capsys, url):
+    # --in names no file: exit 2 rather than 3 shows the URL was refused first
+    assert run("synthesize", "--stage", "a", "--task", "t_i_0_0",
+               "--in", "nope.jsonl", "--out", "x.jsonl",
+               "--backend", "remote", "--backend-url", url) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and repr(url) in err
 
 
 def test_validate_and_filter(workdir):
@@ -398,3 +411,34 @@ def test_record_missing_key_exits_3_with_path_line(workdir, capsys, argv, source
     assert run(*argv.split()) == 3
     err = capsys.readouterr().err.strip()
     assert err.endswith(f"bad.jsonl:3: missing key '{key}'") and len(err.splitlines()) == 1
+
+
+def _set_width(rec, value):
+    next(seg for seg in rec["rounds"][0]["assistant"]["segments"] if "image" in seg)["image"]["width"] = value
+
+
+def _set_text(rec, value):
+    next(seg for seg in rec["rounds"][0]["user"]["segments"] if "text" in seg)["text"] = value
+
+
+@pytest.mark.parametrize("mutate, needle", [
+    pytest.param(lambda rec: _set_width(rec, "x"), "width", id="width-str"),
+    pytest.param(lambda rec: _set_width(rec, True), "width", id="width-bool"),
+    pytest.param(lambda rec: _set_width(rec, 64.0), "width", id="width-float"),
+    pytest.param(lambda rec: _set_text(rec, 5), "text", id="text-int"),
+    pytest.param(lambda rec: rec["rounds"][0]["user"].update(segments={}), "segments",
+                 id="segments-dict"),
+    pytest.param(lambda rec: rec.update(rounds={}), "rounds", id="rounds-dict"),
+])
+@pytest.mark.parametrize("argv", ["validate --in bad.jsonl", "serialize --in bad.jsonl --out x.jsonl"])
+def test_record_wrong_value_type_exits_3_with_path_line(workdir, capsys, mutate, needle, argv):
+    run("synthesize", "--stage", "a", "--task", "t_i_i1_1",
+        "--in", "edit_records_20.jsonl", "--out", "d.jsonl", "--seed", "1")
+    first, second = list(io.read_jsonl("d.jsonl"))[:2]
+    mutate(second)
+    Path("bad.jsonl").write_text(f"{json.dumps(first)}\n{json.dumps(second)}\n")
+    capsys.readouterr()
+    assert run(*argv.split()) == 3
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("i/o error: bad.jsonl:2: ") and len(err.splitlines()) == 1
+    assert needle in err
