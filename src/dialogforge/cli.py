@@ -18,7 +18,7 @@ import sys
 import typing
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Iterator, Sequence
 
 from . import io
 from .atomic_ops import (
@@ -165,11 +165,11 @@ def _write_manifest(args: argparse.Namespace, argv: Sequence[str], cfg: Pipeline
     })
 
 
-def _read_dialogues(path: str, signature: str | None = None) -> list[Dialogue]:
-    dialogues = list(io.read_records(path, dialogue_from_record))
-    if signature:
-        dialogues = [d for d in dialogues if format_signature(d.signature) == signature]
-    return dialogues
+def _read_dialogues(path: str, signature: str | None = None) -> Iterator[Dialogue]:
+    """The dialogues of ``path`` one at a time, only those with ``signature`` if given."""
+    for d in io.read_records(path, dialogue_from_record):
+        if not signature or format_signature(d.signature) == signature:
+            yield d
 
 
 def cmd_synthesize(args: argparse.Namespace, argv: Sequence[str]) -> int:
@@ -199,7 +199,7 @@ def cmd_synthesize(args: argparse.Namespace, argv: Sequence[str]) -> int:
             seed=cfg.seed, retries=cfg.retries, concurrency=concurrency)
         rejects += [{"stage": "a", **r} for r in stage_rejects]
     else:
-        dialogues = _read_dialogues(args.in_path)
+        dialogues = list(_read_dialogues(args.in_path))
 
     if "b" in stages:
         inputs.append(args.pool)
@@ -248,27 +248,20 @@ def cmd_validate(args: argparse.Namespace, argv: Sequence[str]) -> int:
 def cmd_serialize(args: argparse.Namespace, argv: Sequence[str]) -> int:
     cfg = _load_config(args)
     stream_cfg = cfg.stream_config()
-    records = []
-    for d in _read_dialogues(args.in_path, args.signature):
-        records.append(stream_to_record(serialize(d, stream_cfg)))
-    io.write_jsonl(args.out, records)
-    _write_manifest(args, argv, cfg, [args.in_path], [args.out], {"written": len(records)})
-    print(f"serialize: {len(records)} streams -> {args.out}")
+    written = io.write_jsonl(args.out, (stream_to_record(serialize(d, stream_cfg))
+                                        for d in _read_dialogues(args.in_path, args.signature)))
+    _write_manifest(args, argv, cfg, [args.in_path], [args.out], {"written": written})
+    print(f"serialize: {written} streams -> {args.out}")
     return 0
 
 
 def cmd_mask(args: argparse.Namespace, argv: Sequence[str]) -> int:
     cfg = _load_config(args)
-    records = []
-    for s in io.read_records(args.in_path, stream_from_record):
-        records.append({
-            "dialogue_id": s.dialogue_id,
-            "total_len": s.total_len,
-            "rows": mask_intervals(s),
-        })
-    io.write_jsonl(args.out, records)
-    _write_manifest(args, argv, cfg, [args.in_path], [args.out], {"written": len(records)})
-    print(f"mask: {len(records)} masks -> {args.out}")
+    written = io.write_jsonl(args.out, (
+        {"dialogue_id": s.dialogue_id, "total_len": s.total_len, "rows": mask_intervals(s)}
+        for s in io.read_records(args.in_path, stream_from_record)))
+    _write_manifest(args, argv, cfg, [args.in_path], [args.out], {"written": written})
+    print(f"mask: {written} masks -> {args.out}")
     return 0
 
 

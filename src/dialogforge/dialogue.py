@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Any
+from typing import Any, Callable, TypeVar
 
 from .taxonomy import (
     DependencyDepth,
@@ -29,6 +29,26 @@ from .taxonomy import (
     format_signature,
     parse_signature,
 )
+
+
+E = TypeVar("E", bound=Enum)
+
+
+def enum_decoder(enum: type[E]) -> Callable[[Any], E]:
+    """``enum(value)`` through a dict built once, several times cheaper per call.
+
+    A value the dict misses, or cannot hash, goes to ``enum(value)`` itself,
+    so the error stays ``ValueError("'x' is not a valid <Enum>")``.
+    """
+    members = {m.value: m for m in enum}
+
+    def decode(value: Any) -> E:
+        try:
+            return members[value]
+        except (KeyError, TypeError):
+            return enum(value)
+
+    return decode
 
 
 class InvalidTarget(ValueError):
@@ -427,6 +447,9 @@ def image_to_obj(img: ImageRef) -> dict[str, Any]:
 # The decoders check the value types later code computes with, so that a bad
 # record is refused where it is read (the CLI's exit 3 with path:line).
 
+_image_source = enum_decoder(ImageSource)
+_stage = enum_decoder(Stage)
+
 
 def image_from_obj(obj: dict[str, Any]) -> ImageRef:
     width, height = obj["width"], obj["height"]
@@ -435,7 +458,7 @@ def image_from_obj(obj: dict[str, Any]) -> ImageRef:
                         f"not {width!r} and {height!r}")
     return ImageRef(
         id=obj["id"],
-        source=ImageSource(obj["source"]),
+        source=_image_source(obj["source"]),
         uri=obj["uri"],
         width=width,
         height=height,
@@ -478,7 +501,7 @@ def turn_from_obj(obj: dict[str, Any], role: Role) -> Turn:
         role=role,
         segments=tuple(_segment_from_obj(s) for s in obj["segments"]),
         provenance=Provenance(
-            stage=Stage(prov["stage"]),
+            stage=_stage(prov["stage"]),
             op_kind=prov.get("op_kind"),
             original_text=prov.get("original_text"),
         ),

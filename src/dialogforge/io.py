@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, TypeVar
 
@@ -20,12 +21,26 @@ def dumps(obj: Any) -> str:
 
 
 def write_jsonl(path: str | Path, objs: Iterable[Any]) -> int:
+    """Write one ``dumps`` line per value of ``objs``; returns the count.
+
+    The lines go to a temp file beside ``path``, renamed onto it once ``objs``
+    is exhausted. If ``objs`` raises part way (say, a lazily read input has a
+    bad record), the temp file is removed and a file already at ``path`` keeps
+    its bytes; ``path`` may also be the file ``objs`` reads from.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
+    f = open(tmp, "w", encoding="utf-8", newline="\n")
     n = 0
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        for obj in objs:
-            f.write(dumps(obj))
-            f.write("\n")
-            n += 1
+    try:
+        with f:
+            for obj in objs:
+                f.write(dumps(obj))
+                f.write("\n")
+                n += 1
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
     return n
 
 

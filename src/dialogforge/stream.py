@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Iterator
 
-from .dialogue import Dialogue, Role, ValidationReport
+from .dialogue import Dialogue, Role, ValidationReport, enum_decoder
 
 __all__ = [
     "SpecialToken", "BlockKind", "LossTag", "TokenBlock", "TokenStream",
@@ -67,6 +67,11 @@ class LossTag(Enum):
     NONE = "none"
     CE = "ce"
     MSE = "mse"
+
+
+# Member -> record string, for the encoders. Keyed by id() (members live as long
+# as their class) because ``Enum.__hash__`` and ``.value`` are Python-level calls.
+_VALUE = {id(m): m.value for e in (BlockKind, Role, LossTag, SpecialToken) for m in e}
 
 
 @dataclass(frozen=True)
@@ -330,10 +335,12 @@ def mask_intervals(s: TokenStream) -> list[dict[str, Any]]:
         pos = b.end
         rows.append({
             "block": i,
-            "kind": b.kind.value,
+            "kind": _VALUE[id(b.kind)],
             "start": b.start,
             "end": b.end,
-            "context": [list(iv) for iv in context],
+            # Only the last interval can still grow: rows share the closed ones
+            # and take a copy of that one.
+            "context": [*context[:-1], list(context[-1])] if context else [],
             "within": "bidirectional" if b.kind is BlockKind.VAE_NOISED else "causal",
         })
         if b.kind is not BlockKind.VAE_NOISED:
@@ -371,28 +378,35 @@ def loss_summary(s: TokenStream) -> LossSummary:
 def stream_to_record(s: TokenStream) -> dict[str, Any]:
     blocks = []
     for b in s.blocks:
-        obj: dict[str, Any] = {"kind": b.kind.value}
+        obj: dict[str, Any] = {"kind": _VALUE[id(b.kind)]}
         if b.tok is not None:
-            obj["tok"] = b.tok.value
-        obj.update(units=b.units, round=b.round_index, role=b.role.value)
+            obj["tok"] = _VALUE[id(b.tok)]
+        obj["units"] = b.units
+        obj["round"] = b.round_index
+        obj["role"] = _VALUE[id(b.role)]
         if b.image_id is not None:
             obj["image_id"] = b.image_id
-        obj.update(loss=b.loss.value, start=b.start, end=b.end)
+        obj["loss"] = _VALUE[id(b.loss)]
+        obj["start"] = b.start
+        obj["end"] = b.end
         blocks.append(obj)
     return {"dialogue_id": s.dialogue_id, "total_len": s.total_len, "blocks": blocks}
+
+
+_kind, _role, _loss, _tok = map(enum_decoder, (BlockKind, Role, LossTag, SpecialToken))
 
 
 def stream_from_record(rec: dict[str, Any]) -> TokenStream:
     blocks = tuple(
         TokenBlock(
-            kind=BlockKind(o["kind"]),
+            kind=_kind(o["kind"]),
             units=o["units"],
             round_index=o["round"],
-            role=Role(o["role"]),
-            loss=LossTag(o["loss"]),
+            role=_role(o["role"]),
+            loss=_loss(o["loss"]),
             start=o["start"],
             end=o["end"],
-            tok=SpecialToken(o["tok"]) if "tok" in o else None,
+            tok=_tok(o["tok"]) if "tok" in o else None,
             image_id=o.get("image_id"),
         )
         for o in rec["blocks"]

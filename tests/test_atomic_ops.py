@@ -227,6 +227,7 @@ def http_backend():
     _Handler.mode = "ok"
     yield RemoteBackend(url=f"http://127.0.0.1:{server.server_port}/complete", timeout=5)
     server.shutdown()
+    server.server_close()
 
 
 def test_remote_wire_format(http_backend):

@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,7 @@ import dialogforge
 from dialogforge import cli, io
 from dialogforge.cli import main
 from dialogforge.dialogue import dialogue_from_record
+from dialogforge.fixtures import make_t2i_records
 
 DATA = Path(__file__).parent / "data"
 
@@ -442,3 +444,97 @@ def test_record_wrong_value_type_exits_3_with_path_line(workdir, capsys, mutate,
     err = capsys.readouterr().err.strip()
     assert err.startswith("i/o error: bad.jsonl:2: ") and len(err.splitlines()) == 1
     assert needle in err
+
+
+def test_stream_subcommands_hold_one_record_at_a_time(workdir, monkeypatch):
+    io.write_jsonl("r50.jsonl", make_t2i_records(50, seed=3))
+    run("synthesize", "--stage", "a", "--task", "t_i_0_0",
+        "--in", "r50.jsonl", "--out", "d.jsonl", "--seed", "1")
+    alive, peak = [0], [0]
+
+    def died():
+        alive[0] -= 1
+
+    def watched(decode):
+        def decode_and_watch(rec):
+            obj = decode(rec)
+            weakref.finalize(obj, died)
+            alive[0] += 1
+            peak[0] = max(peak[0], alive[0])
+            return obj
+        return decode_and_watch
+
+    monkeypatch.setattr(cli, "dialogue_from_record", watched(cli.dialogue_from_record))
+    monkeypatch.setattr(cli, "stream_from_record", watched(cli.stream_from_record))
+    for argv in ("validate --in d.jsonl", "serialize --in d.jsonl --out s.jsonl",
+                 "mask --in s.jsonl --out m.jsonl", "stats --in d.jsonl --out st.json"):
+        peak[0] = 0
+        assert run(*argv.split()) == 0
+        assert 0 < peak[0] <= 2, f"{argv}: {peak[0]} decoded records alive at once"
+    assert len(list(io.read_jsonl("m.jsonl"))) == 50
+
+
+def _bad_third_line(source, out, mutate):
+    """Copy the first three records of ``source`` to ``out``, the third changed by ``mutate``."""
+    records = list(io.read_jsonl(source))[:3]
+    mutate(records[2])
+    io.write_jsonl(out, records)
+
+
+@pytest.mark.parametrize("command, source, mutate, needle", [
+    ("serialize", "d.jsonl", lambda rec: rec.pop("rounds"), "missing key 'rounds'"),
+    ("mask", "s.jsonl", lambda rec: rec["blocks"][0].update(kind="bogus"),
+     "'bogus' is not a valid BlockKind"),
+])
+def test_failed_run_keeps_previous_output(workdir, capsys, command, source, mutate, needle):
+    run("synthesize", "--stage", "a", "--task", "t_i_0_0",
+        "--in", "t2i_records_20.jsonl", "--out", "d.jsonl", "--seed", "1")
+    run("serialize", "--in", "d.jsonl", "--out", "s.jsonl")
+    _bad_third_line(source, "bad.jsonl", mutate)
+    Path("out").mkdir()
+    Path("out/o.jsonl").write_bytes(b"previous output\n")
+    capsys.readouterr()
+    assert run(command, "--in", "bad.jsonl", "--out", "out/o.jsonl") == 3
+    err = capsys.readouterr().err.strip()
+    assert err == f"i/o error: bad.jsonl:3: {needle}"
+    assert os.listdir("out") == ["o.jsonl"]
+    assert Path("out/o.jsonl").read_bytes() == b"previous output\n"
+
+
+def test_output_may_replace_its_input(workdir):
+    run("synthesize", "--stage", "a", "--task", "t_i_0_0",
+        "--in", "t2i_records_20.jsonl", "--out", "d.jsonl", "--seed", "1")
+    run("serialize", "--in", "d.jsonl", "--out", "s.jsonl")
+    assert run("mask", "--in", "s.jsonl", "--out", "m.jsonl") == 0
+    assert run("mask", "--in", "s.jsonl", "--out", "s.jsonl") == 0
+    assert Path("s.jsonl").read_bytes() == Path("m.jsonl").read_bytes()
+
+
+def _set_at(rec, path, value):
+    *keys, last = path
+    for key in keys:
+        rec = rec[key]
+    rec[last] = value
+
+
+@pytest.mark.parametrize("value", ["bogus", [1]], ids=["unknown", "unhashable"])
+@pytest.mark.parametrize("command, source, path, enum", [
+    ("mask", "s.jsonl", ("blocks", 0, "kind"), "BlockKind"),
+    ("mask", "s.jsonl", ("blocks", 0, "role"), "Role"),
+    ("mask", "s.jsonl", ("blocks", 0, "loss"), "LossTag"),
+    ("mask", "s.jsonl", ("blocks", 0, "tok"), "SpecialToken"),
+    ("serialize", "d.jsonl", ("rounds", 0, "assistant", "segments", 0, "image", "source"),
+     "ImageSource"),
+    ("validate", "d.jsonl", ("rounds", 0, "user", "provenance", "stage"), "Stage"),
+], ids=["kind", "role", "loss", "tok", "image-source", "stage"])
+def test_unknown_enum_value_exits_3_with_its_enum(workdir, capsys, command, source, path,
+                                                  enum, value):
+    run("synthesize", "--stage", "a", "--task", "t_i_0_0",
+        "--in", "t2i_records_20.jsonl", "--out", "d.jsonl", "--seed", "1")
+    run("serialize", "--in", "d.jsonl", "--out", "s.jsonl")
+    _bad_third_line(source, "bad.jsonl", lambda rec: _set_at(rec, path, value))
+    capsys.readouterr()
+    out = [] if command == "validate" else ["--out", "x.jsonl"]
+    assert run(command, "--in", "bad.jsonl", *out) == 3
+    err = capsys.readouterr().err.strip()
+    assert err == f"i/o error: bad.jsonl:3: {value!r} is not a valid {enum}"

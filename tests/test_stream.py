@@ -1,11 +1,15 @@
 import dataclasses
+import json
 import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mask_reference import StreamTooLong, dense_mask, mask_oracle
 
+from dialogforge import io
 from dialogforge.dialogue import (
     Dialogue,
     ImageRef,
@@ -395,6 +399,18 @@ def test_stream_record_round_trip(backend):
     assert list(special) == ["kind", "tok", "units", "round", "role", "loss", "start", "end"]
     noised = rec["blocks"][4]
     assert list(noised) == ["kind", "units", "round", "role", "image_id", "loss", "start", "end"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), max_rounds=st.integers(1, 3))
+def test_stream_record_bytes_round_trip(seed, max_rounds):
+    d = make_random_dialogue(random.Random(seed), f"h-{seed}", max_rounds=max_rounds,
+                             dims=[16, 24, 32])
+    line = io.dumps(stream_to_record(serialize(d)))
+    s = stream_from_record(json.loads(line))
+    assert io.dumps(stream_to_record(s)) == line
+    if s.total_len <= 512:
+        assert np.array_equal(dense_mask(s), mask_oracle(s))
 
 
 def _mutated(s, i, **change):
