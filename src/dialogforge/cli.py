@@ -151,16 +151,24 @@ def _load_config(args: argparse.Namespace) -> PipelineConfig:
     return cfg
 
 
+def _digests(paths: Sequence[str]) -> dict[str, str]:
+    return {p: io.sha256_file(p) for p in paths}
+
+
 def _write_manifest(args: argparse.Namespace, argv: Sequence[str], cfg: PipelineConfig,
-                    inputs: Sequence[str], outputs: Sequence[str],
+                    inputs: dict[str, str], outputs: Sequence[str],
                     counts: dict[str, int]) -> None:
-    """Write the run's manifest to ``--manifest``, default ``<out>.manifest.json``."""
+    """Write the run's manifest to ``--manifest``, default ``<out>.manifest.json``.
+
+    ``inputs`` are the ``_digests`` of the inputs, taken before the run wrote
+    anything: an output may replace its input.
+    """
     io.write_json(args.manifest or f"{args.out}.manifest.json", {
         "command": args.command,
         "argv": list(argv),
         "config": asdict(cfg),
-        "inputs": {p: io.sha256_file(p) for p in inputs},
-        "outputs": {p: io.sha256_file(p) for p in outputs},
+        "inputs": inputs,
+        "outputs": _digests(outputs),
         "counts": counts,
     })
 
@@ -186,10 +194,10 @@ def cmd_synthesize(args: argparse.Namespace, argv: Sequence[str]) -> int:
     if "b" in stages and not args.pool:
         raise ConfigError("stage b needs --pool <jsonl>")
 
+    inputs = _digests([args.in_path, args.pool] if "b" in stages else [args.in_path])
     backend = cfg.make_backend()
     # The mock stages are CPU-bound, so threads only add overhead there.
     concurrency = cfg.concurrency if cfg.backend == "remote" else 1
-    inputs = [args.in_path]
     rejects: list[dict[str, Any]] = []
 
     if "a" in stages:
@@ -202,7 +210,6 @@ def cmd_synthesize(args: argparse.Namespace, argv: Sequence[str]) -> int:
         dialogues = list(_read_dialogues(args.in_path))
 
     if "b" in stages:
-        inputs.append(args.pool)
         pool = DistractorPool(tuple(io.read_records(args.pool, entry_from_record)))
         if not pool.entries:
             raise ConfigError(f"distractor pool {args.pool} is empty")
@@ -248,19 +255,21 @@ def cmd_validate(args: argparse.Namespace, argv: Sequence[str]) -> int:
 def cmd_serialize(args: argparse.Namespace, argv: Sequence[str]) -> int:
     cfg = _load_config(args)
     stream_cfg = cfg.stream_config()
+    inputs = _digests([args.in_path])
     written = io.write_jsonl(args.out, (stream_to_record(serialize(d, stream_cfg))
                                         for d in _read_dialogues(args.in_path, args.signature)))
-    _write_manifest(args, argv, cfg, [args.in_path], [args.out], {"written": written})
+    _write_manifest(args, argv, cfg, inputs, [args.out], {"written": written})
     print(f"serialize: {written} streams -> {args.out}")
     return 0
 
 
 def cmd_mask(args: argparse.Namespace, argv: Sequence[str]) -> int:
     cfg = _load_config(args)
+    inputs = _digests([args.in_path])
     written = io.write_jsonl(args.out, (
         {"dialogue_id": s.dialogue_id, "total_len": s.total_len, "rows": mask_intervals(s)}
         for s in io.read_records(args.in_path, stream_from_record)))
-    _write_manifest(args, argv, cfg, [args.in_path], [args.out], {"written": written})
+    _write_manifest(args, argv, cfg, inputs, [args.out], {"written": written})
     print(f"mask: {written} masks -> {args.out}")
     return 0
 
@@ -280,22 +289,23 @@ def cmd_pack(args: argparse.Namespace, argv: Sequence[str]) -> int:
     except ValueError as err:
         raise ConfigError(f"sampling config {args.sampling_config}: {err}") from err
 
-    def sample(rec: dict[str, Any]) -> tuple[str, int]:
-        sid, length = rec["dialogue_id"], rec["total_len"]
-        if type(length) is not int or not 0 < length <= cfg.l_max:
-            raise ValueError(f"stream {sid!r}: total_len {length!r} is outside [1, l_max {cfg.l_max}]")
-        return sid, length
+    def sample(rec: Any) -> tuple[str, int]:
+        s = stream_from_record(rec)
+        if s.total_len > cfg.l_max:
+            raise ValueError(f"stream {s.dialogue_id!r}: total_len {s.total_len} "
+                             f"is over l_max {cfg.l_max}")
+        return s.dialogue_id, s.total_len
 
     in_dir = Path(args.in_dir)
     corpora: dict[str, list[tuple[str, int]]] = {}
-    inputs = [args.sampling_config]
+    inputs = _digests([args.sampling_config])
     for category, weight in weights.items():
         if weight <= 0:
             continue
         path = in_dir / f"{category}.jsonl"
         if not path.exists():
             raise ConfigError(f"category {category!r}: no stream file at {path}")
-        inputs.append(str(path))
+        inputs[str(path)] = io.sha256_file(path)
         corpora[category] = list(io.read_records(path, sample))
         if not corpora[category]:
             raise ConfigError(f"category {category!r}: stream file {path} is empty")

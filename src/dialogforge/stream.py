@@ -22,15 +22,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Iterator
+from typing import Any, Callable, Iterator
 
-from .dialogue import Dialogue, Role, ValidationReport, enum_decoder
+from .dialogue import Dialogue, Role, ValidationReport
 
 __all__ = [
     "SpecialToken", "BlockKind", "LossTag", "TokenBlock", "TokenStream",
-    "StreamConfig", "serialize", "validate_stream", "parse_stream",
+    "StreamConfig", "serialize", "validate_stream",
     "mask_intervals", "loss_summary",
-    "LossSummary", "ParsedRound", "stream_to_record", "stream_from_record",
+    "LossSummary", "stream_to_record", "stream_from_record",
     "EmptyText", "UnitOverflow", "InvalidStream",
 ]
 
@@ -69,9 +69,9 @@ class LossTag(Enum):
     MSE = "mse"
 
 
-# Member -> record string, for the encoders. Keyed by id() (members live as long
+# Kind -> record string, for the mask rows. Keyed by id() (members live as long
 # as their class) because ``Enum.__hash__`` and ``.value`` are Python-level calls.
-_VALUE = {id(m): m.value for e in (BlockKind, Role, LossTag, SpecialToken) for m in e}
+_VALUE = {id(m): m.value for m in BlockKind}
 
 
 @dataclass(frozen=True)
@@ -123,8 +123,10 @@ _CLEAN_IMAGE = (
 )
 
 # The block grammar of docs/stream-format.md, written once: part -> (role, slots),
-# one (kind, special token, loss) slot per block. ``serialize`` emits parts from
-# it and ``_walk`` matches streams against it, a round being
+# one (kind, special token, loss) slot per block, and ``_NEXT`` below. ``serialize``
+# emits parts from it, ``_parts`` matches streams against it (for
+# ``validate_stream`` and ``stream_to_record``) and ``stream_from_record``
+# rebuilds blocks from it, a round being
 #   user_text upload? (noised replay text? | text) end
 _PARTS: dict[str, tuple[Role, tuple]] = {
     "user_text": (Role.USER, ((BlockKind.SPECIAL, SpecialToken.IM_S, LossTag.NONE),
@@ -139,6 +141,18 @@ _PARTS: dict[str, tuple[Role, tuple]] = {
                               (BlockKind.TEXT, None, LossTag.CE),
                               (BlockKind.SPECIAL, SpecialToken.IM_E, LossTag.CE))),
     "end": (Role.ASSISTANT, ((BlockKind.SPECIAL, SpecialToken.END, LossTag.CE),)),
+}
+
+# Part -> the parts that may follow it, the last one being what the round
+# requires when none of the others fits. A stream starts as if after an ``end``
+# and must stop right after one.
+_NEXT: dict[str, tuple[str, ...]] = {
+    "end": ("user_text",),
+    "user_text": ("upload", "noised", "text"),
+    "upload": ("noised", "text"),
+    "noised": ("replay",),
+    "replay": ("text", "end"),
+    "text": ("end",),
 }
 
 
@@ -201,17 +215,6 @@ def serialize(d: Dialogue, cfg: StreamConfig = StreamConfig()) -> TokenStream:
     return TokenStream(d.id, tuple(blocks), blocks[-1].end if blocks else 0)
 
 
-@dataclass(frozen=True)
-class ParsedRound:
-    """Round skeleton reconstructed from a stream's block sequence."""
-
-    index: int
-    user_text_units: int
-    upload_image_id: str | None
-    noised_image_id: str | None
-    assistant_text_units: int
-
-
 def _tiling_faults(b: TokenBlock, pos: int) -> Iterator[tuple[str, str]]:
     """(rule, detail) for each way block ``b`` fails to span [pos, pos + units), units >= 1."""
     if b.units < 1:
@@ -220,89 +223,66 @@ def _tiling_faults(b: TokenBlock, pos: int) -> Iterator[tuple[str, str]]:
         yield "positions", f"block spans [{b.start}, {b.end}), expected start {pos}"
 
 
-def _walk(s: TokenStream) -> tuple[list[ParsedRound], ValidationReport]:
-    report = ValidationReport()
+def _parts(s: TokenStream,
+           fault: Callable[[str, str, int | None], None]) -> Iterator[tuple[str, int]]:
+    """Match ``s`` against the grammar, yielding (part, index of its first block).
+
+    Calls ``fault(rule, detail, block index)`` once per fault, tiling faults
+    first; a block whose kind or token is not its slot's ends the walk there.
+    """
+    blocks = s.blocks
     pos = 0
-    for i, b in enumerate(s.blocks):
-        for rule, detail in _tiling_faults(b, pos):
-            report.add(rule, detail, i)
+    for i, b in enumerate(blocks):
+        if b.start != pos or b.units < 1 or b.end != pos + b.units:
+            for rule, detail in _tiling_faults(b, pos):
+                fault(rule, detail, i)
         pos = b.end
         if b.kind is BlockKind.SPECIAL and b.units != 1:
-            report.add("unit-count", "special block must be one unit", i)
+            fault("unit-count", "special block must be one unit", i)
     if s.total_len != pos:
-        report.add("total-len", f"total_len {s.total_len} != position sum {pos}")
-    if not s.blocks:
-        report.add("grammar", "stream has no blocks")
-
-    rounds: list[ParsedRound] = []
-    i = 0
+        fault("total-len", f"total_len {s.total_len} != position sum {pos}", None)
+    if not blocks:
+        fault("grammar", "stream has no blocks", None)
 
     def fits(part: str) -> bool:
         """Whether the next blocks have the part's kinds and tokens (roles and losses aside)."""
         slots = _PARTS[part][1]
-        ahead = s.blocks[i:i + len(slots)]
+        ahead = blocks[i:i + len(slots)]
         return len(ahead) == len(slots) and all(
             b.kind is kind and b.tok is tok for b, (kind, tok, _) in zip(ahead, slots))
 
-    def take(part: str) -> tuple[TokenBlock, ...]:
-        """Match one block per slot of ``part``; a kind or token mismatch ends the walk."""
-        nonlocal i
+    i, rnd, prev = 0, 0, "end"
+    while i < len(blocks) or prev != "end":
+        *optional, part = _NEXT[prev]
+        part = next((p for p in optional if fits(p)), part)
         role, slots = _PARTS[part]
-        for kind, tok, loss in slots:
-            b = s.blocks[i] if i < len(s.blocks) else None
-            got = "end of stream" if b is None else (b.tok.value if b.tok else b.kind.value)
+        for j, (kind, tok, loss) in enumerate(slots, i):
+            b = blocks[j] if j < len(blocks) else None
             if b is None or b.kind is not kind or b.tok is not tok:
-                report.add("grammar", f"expected {tok.value if tok else kind.value}, got {got}", i)
-                raise InvalidStream  # reported above; parse_stream raises its own
-            what = f"{got} of the {part} part"
+                got = "end of stream" if b is None else (b.tok or b.kind).value
+                fault("grammar", f"expected {(tok or kind).value}, got {got}", j)
+                return
+            if b.role is role and b.round_index == rnd and b.loss is loss:
+                continue
+            what = f"{(tok or kind).value} of the {part} part"
             if b.role is not role:
-                report.add("roles", f"{what} must be a {role.value} block", i)
-            if b.round_index != len(rounds):
-                report.add("round-index", f"{what} is in round {b.round_index}, "
-                                          f"expected {len(rounds)}", i)
+                fault("roles", f"{what} must be a {role.value} block", j)
+            if b.round_index != rnd:
+                fault("round-index", f"{what} is in round {b.round_index}, expected {rnd}", j)
             if b.loss is not loss:
-                report.add("loss-tags", f"{what} must carry {loss.value!r}, got {b.loss.value!r}", i)
-            i += 1
-        return s.blocks[i - len(slots):i]
-
-    try:
-        while i < len(s.blocks):
-            user_text = take("user_text")[1]
-            upload = take("upload")[1] if fits("upload") else None
-            noised = take("noised")[1] if fits("noised") else None
-            if noised is not None:
-                take("replay")  # required: later turns read the image only through it
-            text = take("text")[1] if noised is None or fits("text") else None
-            take("end")
-            rounds.append(ParsedRound(
-                index=len(rounds),
-                user_text_units=user_text.units,
-                upload_image_id=upload.image_id if upload else None,
-                noised_image_id=noised.image_id if noised else None,
-                assistant_text_units=text.units if text else 0,
-            ))
-    except InvalidStream:
-        pass
-    return rounds, report
+                fault("loss-tags", f"{what} must carry {loss.value!r}, got {b.loss.value!r}", j)
+        yield part, i
+        i += len(slots)
+        rnd += part == "end"
+        prev = part
 
 
 def validate_stream(s: TokenStream) -> ValidationReport:
     """Grammar, contiguity, role, and loss-tag checks; violations are data."""
-    _, report = _walk(s)
+    report = ValidationReport()
+    for _ in _parts(s, report.add):
+        pass
     return report
-
-
-def parse_stream(s: TokenStream) -> list[ParsedRound]:
-    """Reconstruct round boundaries, roles, and image ids from the blocks.
-
-    Raises:
-        InvalidStream: the stream violates the grammar.
-    """
-    rounds, report = _walk(s)
-    if not report.ok:
-        first = report.violations[0]
-        raise InvalidStream(f"{first.rule}: {first.detail} (block {first.where})")
-    return rounds
 
 
 # --- Attention mask -----------------------------------------------------------
@@ -373,42 +353,118 @@ def loss_summary(s: TokenStream) -> LossSummary:
 
 
 # --- JSONL record schema -------------------------------------------------------
+#
+# A v2 record holds one entry per part: the part's code, the units of its
+# non-special blocks in slot order, and the image id for a part that shows an
+# image first (upload, noised). Everything else follows from _PARTS and _NEXT.
+
+_VERSION = 2
+_CODE = {"user_text": "u", "upload": "p", "noised": "n", "replay": "r", "text": "t", "end": "e"}
+_PART_OF = {code: part for part, code in _CODE.items()}
+# Parts whose non-special blocks carry an image id -> whether the entry holds
+# it; a replay reuses the id of the noised part that ``_NEXT`` puts before it.
+_IMAGE_PARTS = {"upload": True, "noised": True, "replay": False}
+_ENTRY_LEN = {part: 1 + sum(tok is None for _, tok, _ in slots) + _IMAGE_PARTS.get(part, False)
+              for part, (_, slots) in _PARTS.items()}
 
 
 def stream_to_record(s: TokenStream) -> dict[str, Any]:
-    blocks = []
-    for b in s.blocks:
-        obj: dict[str, Any] = {"kind": _VALUE[id(b.kind)]}
-        if b.tok is not None:
-            obj["tok"] = _VALUE[id(b.tok)]
-        obj["units"] = b.units
-        obj["round"] = b.round_index
-        obj["role"] = _VALUE[id(b.role)]
-        if b.image_id is not None:
-            obj["image_id"] = b.image_id
-        obj["loss"] = _VALUE[id(b.loss)]
-        obj["start"] = b.start
-        obj["end"] = b.end
-        blocks.append(obj)
-    return {"dialogue_id": s.dialogue_id, "total_len": s.total_len, "blocks": blocks}
+    """The v2 record of ``s`` (``docs/stream-format.md``).
+
+    Raises:
+        InvalidStream: the record would not rebuild ``s``: a fault
+            ``validate_stream`` reports, an image block whose id is not a
+            string or differs from its part's (a replay's part is its noised
+            image's), or a special or text block with an image id.
+    """
+    def fault(rule: str, detail: str, where: int | None) -> None:
+        raise InvalidStream(f"dialogue {s.dialogue_id!r}: block {where}: {rule}: {detail}")
+
+    entries = []
+    image_id = None
+    for part, i in _parts(s, fault):
+        entry: list[Any] = [_CODE[part]]
+        named = _IMAGE_PARTS.get(part)
+        if named:  # the block after the part's |v_s| names the image
+            image_id = s.blocks[i + 1].image_id
+            if type(image_id) is not str:
+                fault("image-id", f"image id {image_id!r} is not a string", i + 1)
+        for j, b in enumerate(s.blocks[i:i + len(_PARTS[part][1])], i):
+            want = None
+            if b.tok is None:
+                entry.append(b.units)
+                if named is not None:
+                    want = image_id
+            if b.image_id != want:
+                fault("image-id", f"block has image id {b.image_id!r}, expected {want!r}", j)
+        if named:
+            entry.append(image_id)
+        entries.append(entry)
+    return {"v": _VERSION, "dialogue_id": s.dialogue_id, "total_len": s.total_len,
+            "blocks": entries}
 
 
-_kind, _role, _loss, _tok = map(enum_decoder, (BlockKind, Role, LossTag, SpecialToken))
+def stream_from_record(rec: Any) -> TokenStream:
+    """Rebuild the stream of a v2 record, walking the grammar over its entries.
 
-
-def stream_from_record(rec: dict[str, Any]) -> TokenStream:
-    blocks = tuple(
-        TokenBlock(
-            kind=_kind(o["kind"]),
-            units=o["units"],
-            round_index=o["round"],
-            role=_role(o["role"]),
-            loss=_loss(o["loss"]),
-            start=o["start"],
-            end=o["end"],
-            tok=_tok(o["tok"]) if "tok" in o else None,
-            image_id=o.get("image_id"),
-        )
-        for o in rec["blocks"]
-    )
-    return TokenStream(rec["dialogue_id"], blocks, rec["total_len"])
+    Raises:
+        KeyError: a key is missing.
+        ValueError: the record is not v2 or does not rebuild a stream exactly:
+            an entry that is not a list, an unknown part code, a part the
+            grammar does not allow there, an entry of the wrong length, units
+            that are not a positive int, an image id that is not a string, a
+            last round without its end, or a total_len other than the
+            position sum.
+    """
+    version = rec.get("v") if type(rec) is dict else None
+    if version != _VERSION or type(version) is not int:
+        raise ValueError(f"not a v{_VERSION} stream record (v is {version!r}); "
+                         "write it again with `dialogforge serialize`")
+    sid, total, entries = rec["dialogue_id"], rec["total_len"], rec["blocks"]
+    if type(entries) is not list or not entries:
+        raise ValueError(f"stream {sid!r}: blocks is not a non-empty list of part entries")
+    blocks: list[TokenBlock] = []
+    pos = rnd = 0
+    prev = "end"
+    image_id = None
+    for k, entry in enumerate(entries):
+        if type(entry) is not list or not entry:
+            raise ValueError(f"stream {sid!r}: blocks[{k}]: {entry!r} is not a [part, ...] list")
+        code = entry[0]
+        part = _PART_OF.get(code) if type(code) is str else None
+        if part is None:
+            raise ValueError(f"stream {sid!r}: blocks[{k}]: {code!r} is not a valid part code")
+        if part not in _NEXT[prev]:
+            after = "start a stream" if k == 0 else f"follow {_CODE[prev]!r}"
+            raise ValueError(f"stream {sid!r}: blocks[{k}]: part {code!r} cannot {after}")
+        if len(entry) != _ENTRY_LEN[part]:
+            raise ValueError(f"stream {sid!r}: blocks[{k}]: a {code!r} entry has "
+                             f"{_ENTRY_LEN[part]} items, not {len(entry)}")
+        named = _IMAGE_PARTS.get(part)
+        if named:
+            image_id = entry[-1]
+            if type(image_id) is not str:
+                raise ValueError(f"stream {sid!r}: blocks[{k}]: image id {image_id!r} "
+                                 "is not a string")
+        role, slots = _PARTS[part]
+        u = 1
+        for kind, tok, loss in slots:
+            if tok is not None:
+                blocks.append(TokenBlock(kind, 1, rnd, role, loss, pos, pos + 1, tok))
+                pos += 1
+                continue
+            n = entry[u]
+            u += 1
+            if type(n) is not int or n < 1:
+                raise ValueError(f"stream {sid!r}: blocks[{k}]: units {n!r} "
+                                 "are not a positive int")
+            blocks.append(TokenBlock(kind, n, rnd, role, loss, pos, pos + n, None,
+                                     image_id if named is not None else None))
+            pos += n
+        rnd += part == "end"
+        prev = part
+    if prev != "end":
+        raise ValueError(f"stream {sid!r}: the last round has no 'e' entry")
+    if type(total) is not int or total != pos:
+        raise ValueError(f"stream {sid!r}: total_len {total!r} != position sum {pos}")
+    return TokenStream(sid, tuple(blocks), total)

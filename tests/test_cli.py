@@ -1,18 +1,24 @@
+import contextlib
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
 import weakref
+from io import StringIO
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dialogforge
 from dialogforge import cli, io
 from dialogforge.cli import main
 from dialogforge.dialogue import dialogue_from_record
-from dialogforge.fixtures import make_t2i_records
+from dialogforge.fixtures import make_random_dialogue, make_t2i_records
+from dialogforge.stream import serialize, stream_from_record, stream_to_record, validate_stream
 
 DATA = Path(__file__).parent / "data"
 
@@ -161,26 +167,14 @@ def test_serialize_and_mask(workdir):
     run("synthesize", "--stage", "a", "--task", "t_i_0_0",
         "--in", "t2i_records_20.jsonl", "--out", "d.jsonl", "--seed", "1")
     assert run("serialize", "--in", "d.jsonl", "--out", "s.jsonl") == 0
-    streams = list(io.read_jsonl("s.jsonl"))
+    streams = [stream_from_record(rec) for rec in io.read_jsonl("s.jsonl")]
     assert len(streams) == 20
-    assert all(s["total_len"] == s["blocks"][-1]["end"] for s in streams)
+    assert all(validate_stream(s).ok for s in streams)
     assert run("mask", "--in", "s.jsonl", "--out", "m.jsonl") == 0
     masks = list(io.read_jsonl("m.jsonl"))
     assert len(masks) == 20
-    assert all(len(m["rows"]) == len(s["blocks"]) for m, s in zip(masks, streams))
-
-
-def test_mask_single_block_stream(workdir):
-    io.write_jsonl("one.jsonl", [{
-        "dialogue_id": "one", "total_len": 1,
-        "blocks": [{"kind": "text", "units": 1, "round": 0, "role": "user",
-                    "loss": "none", "start": 0, "end": 1}],
-    }])
-    assert run("mask", "--in", "one.jsonl", "--out", "m.jsonl") == 0
-    row = list(io.read_jsonl("m.jsonl"))[0]["rows"][0]
-    # a 1x1 mask: no context, causal within means the single position sees itself
-    assert row["context"] == [] and row["within"] == "causal"
-    assert (row["start"], row["end"]) == (0, 1)
+    assert all(len(m["rows"]) == len(s.blocks) and m["total_len"] == s.total_len
+               for m, s in zip(masks, streams))
 
 
 def test_pack_command(workdir):
@@ -481,10 +475,14 @@ def _bad_third_line(source, out, mutate):
     io.write_jsonl(out, records)
 
 
+def _unknown_part(rec):
+    rec["dialogue_id"] = "s3"
+    rec["blocks"][0][0] = "bogus"
+
+
 @pytest.mark.parametrize("command, source, mutate, needle", [
     ("serialize", "d.jsonl", lambda rec: rec.pop("rounds"), "missing key 'rounds'"),
-    ("mask", "s.jsonl", lambda rec: rec["blocks"][0].update(kind="bogus"),
-     "'bogus' is not a valid BlockKind"),
+    ("mask", "s.jsonl", _unknown_part, "stream 's3': blocks[0]: 'bogus' is not a valid part code"),
 ])
 def test_failed_run_keeps_previous_output(workdir, capsys, command, source, mutate, needle):
     run("synthesize", "--stage", "a", "--task", "t_i_0_0",
@@ -505,9 +503,14 @@ def test_output_may_replace_its_input(workdir):
     run("synthesize", "--stage", "a", "--task", "t_i_0_0",
         "--in", "t2i_records_20.jsonl", "--out", "d.jsonl", "--seed", "1")
     run("serialize", "--in", "d.jsonl", "--out", "s.jsonl")
+    streams = io.sha256_file("s.jsonl")
     assert run("mask", "--in", "s.jsonl", "--out", "m.jsonl") == 0
     assert run("mask", "--in", "s.jsonl", "--out", "s.jsonl") == 0
     assert Path("s.jsonl").read_bytes() == Path("m.jsonl").read_bytes()
+    # the manifest names the streams it read, not the masks that replaced them
+    manifest = json.loads(Path("s.jsonl.manifest.json").read_text())
+    assert manifest["inputs"] == {"s.jsonl": streams}
+    assert manifest["outputs"] == {"s.jsonl": io.sha256_file("m.jsonl")}
 
 
 def _set_at(rec, path, value):
@@ -519,14 +522,11 @@ def _set_at(rec, path, value):
 
 @pytest.mark.parametrize("value", ["bogus", [1]], ids=["unknown", "unhashable"])
 @pytest.mark.parametrize("command, source, path, enum", [
-    ("mask", "s.jsonl", ("blocks", 0, "kind"), "BlockKind"),
-    ("mask", "s.jsonl", ("blocks", 0, "role"), "Role"),
-    ("mask", "s.jsonl", ("blocks", 0, "loss"), "LossTag"),
-    ("mask", "s.jsonl", ("blocks", 0, "tok"), "SpecialToken"),
+    ("mask", "s.jsonl", ("blocks", 0, 0), "part code"),
     ("serialize", "d.jsonl", ("rounds", 0, "assistant", "segments", 0, "image", "source"),
      "ImageSource"),
     ("validate", "d.jsonl", ("rounds", 0, "user", "provenance", "stage"), "Stage"),
-], ids=["kind", "role", "loss", "tok", "image-source", "stage"])
+], ids=["part", "image-source", "stage"])
 def test_unknown_enum_value_exits_3_with_its_enum(workdir, capsys, command, source, path,
                                                   enum, value):
     run("synthesize", "--stage", "a", "--task", "t_i_0_0",
@@ -537,4 +537,68 @@ def test_unknown_enum_value_exits_3_with_its_enum(workdir, capsys, command, sour
     out = [] if command == "validate" else ["--out", "x.jsonl"]
     assert run(command, "--in", "bad.jsonl", *out) == 3
     err = capsys.readouterr().err.strip()
-    assert err == f"i/o error: bad.jsonl:3: {value!r} is not a valid {enum}"
+    assert err.startswith("i/o error: bad.jsonl:3: ") and len(err.splitlines()) == 1
+    assert err.endswith(f"{value!r} is not a valid {enum}")
+
+
+def _v1_record(rec):
+    """The record of one block per entry that streams had before v2."""
+    s = stream_from_record(rec)
+    return {"dialogue_id": s.dialogue_id, "total_len": s.total_len, "blocks": [
+        {"kind": b.kind.value, **({"tok": b.tok.value} if b.tok else {}), "units": b.units,
+         "round": b.round_index, "role": b.role.value,
+         **({"image_id": b.image_id} if b.image_id else {}), "loss": b.loss.value,
+         "start": b.start, "end": b.end}
+        for b in s.blocks]}
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    (root / "streams").mkdir()
+    (root / "weights.json").write_text(json.dumps({"bad": 1.0}))
+    return root
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**16), data=st.data(), mutation=st.sampled_from(
+    ["drop", "swap", "duplicate", "unknown-part", "units", "total-len", "no-key", "v1"]))
+def test_broken_stream_record_exits_3_in_mask_and_pack(fuzz_dir, seed, mutation, data):
+    records = [stream_to_record(serialize(make_random_dialogue(
+        random.Random(seed + k), f"f-{k}", max_rounds=3))) for k in range(3)]
+    rec = records[2]
+    entries = rec["blocks"]
+    k = data.draw(st.integers(0, len(entries) - 1), label="entry")
+    if mutation == "drop":
+        del entries[k]
+    elif mutation == "swap":  # no two adjacent parts of the grammar may follow each other both ways
+        k = data.draw(st.sampled_from([j for j in range(len(entries) - 1)
+                                       if entries[j][0] != entries[j + 1][0]]), label="swap at")
+        entries[k], entries[k + 1] = entries[k + 1], entries[k]
+    elif mutation == "duplicate":
+        entries.insert(k, list(entries[k]))
+    elif mutation == "unknown-part":
+        entries[k][0] = data.draw(st.sampled_from(["x", "", "U", "end", None, 1, ["u"]]),
+                                  label="code")
+    elif mutation == "units":
+        entry = data.draw(st.sampled_from([e for e in entries if e[0] != "e"]), label="units of")
+        j = data.draw(st.sampled_from([j for j, x in enumerate(entry) if type(x) is int]))
+        entry[j] = data.draw(st.sampled_from([0, -1, "3", True]), label="units")
+    elif mutation == "total-len":
+        rec["total_len"] += data.draw(st.sampled_from([-1, 1]), label="by")
+    elif mutation == "no-key":
+        del rec[data.draw(st.sampled_from(sorted(rec)), label="key")]
+    else:
+        records[2] = _v1_record(rec)
+    path = fuzz_dir / "streams" / "bad.jsonl"
+    io.write_jsonl(path, records)
+    for argv in (["mask", "--in", str(path), "--out", str(fuzz_dir / "m.jsonl")],
+                 ["pack", "--config", str(fuzz_dir / "weights.json"),
+                  "--in-dir", str(fuzz_dir / "streams"), "--n", "5", "--l-min", "10",
+                  "--out", str(fuzz_dir / "p.jsonl"), "--stats", str(fuzz_dir / "p.json")]):
+        err = StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code == 3, argv[0]
+        assert err.getvalue().startswith("i/o error: ") and len(err.getvalue().splitlines()) == 1
+        assert "bad.jsonl:3: " in err.getvalue()

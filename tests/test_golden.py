@@ -72,17 +72,17 @@ GOLDEN = {
     "stats.json":
         "00435a127c4b327341f05e30e3a875950e68f8fdd3b0ac2552020fc4fd310052",
     "streams/t_i_0_0.jsonl":
-        "111c3d795a9dd92613852395e4913d3360c1efab5258806ad0f63277ab90d294",
+        "aaa4d22a05865aca5ebf19af2e38b825a788694f413b7b943b4d4f91317000f7",
     "streams/t_i_i1_1.jsonl":
-        "da151d359e3c64164e9941ebaa0ba61b46662a679130e2050fc9739e61699988",
+        "11f52c9c797d5279d691e8125a119fa5e58eeef13841820ee042a16c72253b04",
     "streams/t_i_in_1.jsonl":
-        "25be47643324bb2cf41282d0f3176966ba51e86f7dcdcf9a7ffb72ff4d898e76",
+        "687ad5a06917e7c9c6341960a93aa1b9d3c8b14f2f16b131b2809829a9fea665",
     "streams/t_i_t1_1.jsonl":
-        "727665ed247e0fae66b39682f01e85e7a85d2957ce6e1c947744af813aa46a70",
+        "5213c838c570b1db1f0d74d4e6996007678c40c30d09f15d2843e751e43b9548",
     "streams/ti_i_0_0.jsonl":
-        "b44d2427f54c7d0daff61be3de13b04459a8a93d624634ee44c19f7aa186d021",
+        "c1ae12e9c99c8ccd0e747ae62c21ee247c1d4c63b3cee2f228258faa280eeec6",
     "streams/ti_i_i1_1.jsonl":
-        "777e9d0c9741a655843a7ae3755c5280faed2f1c182773959a3c0d0c9b5460ff",
+        "b6d25213212d0cc26ac72aeda53f6bc93dd81d52d4ef1f13850f3bbf05624701",
 }
 
 

@@ -36,7 +36,6 @@ from dialogforge.stream import (
     UnitOverflow,
     loss_summary,
     mask_intervals,
-    parse_stream,
     patch_grid_units,
     serialize,
     stream_from_record,
@@ -111,10 +110,8 @@ def test_grammar_requires_replay_after_noised_image():
         (BlockKind.SPECIAL, 1, Role.ASSISTANT, LossTag.CE, SpecialToken.END),
     )
     report = validate_stream(s)
-    assert [v.rule for v in report.violations][:1] == ["grammar"]
+    assert [(v.rule, v.where) for v in report.violations] == [("grammar", 6)]
     assert "|v_s|" in report.violations[0].detail
-    with pytest.raises(InvalidStream, match="grammar"):
-        parse_stream(s)
 
 
 def test_serialize_interleaved_order(backend):
@@ -187,29 +184,53 @@ def test_serialize_unit_overflow(backend):
         serialize(t2i_dialogue(backend), StreamConfig(max_image_units=10))
 
 
+def _record_rounds(rec):
+    """The part entries of a stream record, split into rounds at each ``e`` entry."""
+    rounds = [[]]
+    for entry in rec["blocks"]:
+        rounds[-1].append(entry)
+        if entry[0] == "e":
+            rounds.append([])
+    assert rounds.pop() == []
+    return rounds
+
+
 def test_round_index_and_roles(backend):
     rng = random.Random(5)
     d = make_random_dialogue(rng, "rr", max_rounds=3)
     s = serialize(d)
     indices = [b.round_index for b in s.blocks]
     assert indices == sorted(indices)
-    parsed = parse_stream(s)
-    assert [p.index for p in parsed] == list(range(len(d.rounds)))
+    rounds = _record_rounds(stream_to_record(s))
+    assert len(rounds) == len(d.rounds)
+    # a part's blocks sit in the round its entry is in, user blocks in u/p parts only
+    blocks = iter(s.blocks)
+    slots = {"u": 3, "p": 4, "n": 3, "r": 4, "t": 3, "e": 1}
+    for ri, entries in enumerate(rounds):
+        for code, *_ in entries:
+            for b in [next(blocks) for _ in range(slots[code])]:
+                assert b.round_index == ri
+                assert b.role is (Role.USER if code in "up" else Role.ASSISTANT)
+    assert next(blocks, None) is None
 
 
 def test_parse_stream_reconstructs_skeleton(backend):
+    """A stream record's part entries carry each round's skeleton."""
     rng = random.Random(9)
     for i in range(25):
         d = make_random_dialogue(rng, f"sk-{i}", max_rounds=3)
-        parsed = parse_stream(serialize(d))
-        assert len(parsed) == len(d.rounds)
-        for p, rnd in zip(parsed, d.rounds):
+        rounds = _record_rounds(stream_to_record(serialize(d)))
+        assert len(rounds) == len(d.rounds)
+        for entries, rnd in zip(rounds, d.rounds):
+            parts = {code: rest for code, *rest in entries}
+            assert [code for code, *_ in entries] in (
+                ["u", "t", "e"], ["u", "p", "t", "e"], ["u", "n", "r", "e"],
+                ["u", "n", "r", "t", "e"], ["u", "p", "n", "r", "e"], ["u", "p", "n", "r", "t", "e"])
             uploads = rnd.user.images()
             generated = rnd.assistant.images()
-            assert p.upload_image_id == (uploads[0].id if uploads else None)
-            assert p.noised_image_id == (generated[0].id if generated else None)
-            assert (p.assistant_text_units > 0) == any(
-                s.is_text for s in rnd.assistant.segments)
+            assert parts.get("p", [None])[-1] == (uploads[0].id if uploads else None)
+            assert parts.get("n", [None])[-1] == (generated[0].id if generated else None)
+            assert ("t" in parts) == any(s.is_text for s in rnd.assistant.segments)
 
 
 def test_validate_rejects_noised_in_user_part():
@@ -394,11 +415,12 @@ def test_stream_record_round_trip(backend):
     rec = stream_to_record(s)
     assert stream_from_record(rec) == s
     assert stream_to_record(stream_from_record(rec)) == rec
-    assert list(rec) == ["dialogue_id", "total_len", "blocks"]
-    special = rec["blocks"][0]
-    assert list(special) == ["kind", "tok", "units", "round", "role", "loss", "start", "end"]
-    noised = rec["blocks"][4]
-    assert list(noised) == ["kind", "units", "round", "role", "image_id", "loss", "start", "end"]
+    assert list(rec) == ["v", "dialogue_id", "total_len", "blocks"]
+    assert rec["v"] == 2 and rec["total_len"] == s.total_len
+    # one entry per part: its code, its non-special blocks' units, a new image's id
+    text, noised, vit = s.blocks[1], s.blocks[4], s.blocks[7]
+    assert rec["blocks"] == [["u", text.units], ["n", noised.units, noised.image_id],
+                             ["r", vit.units, noised.units], ["e"]]
 
 
 @settings(max_examples=60, deadline=None)
@@ -408,6 +430,7 @@ def test_stream_record_bytes_round_trip(seed, max_rounds):
                              dims=[16, 24, 32])
     line = io.dumps(stream_to_record(serialize(d)))
     s = stream_from_record(json.loads(line))
+    assert s == serialize(d)
     assert io.dumps(stream_to_record(s)) == line
     if s.total_len <= 512:
         assert np.array_equal(dense_mask(s), mask_oracle(s))
@@ -435,3 +458,90 @@ def test_each_grammar_rule_is_reported_once_at_its_block():
                 assert _found(_mutated(s, i, round_index=b.round_index + 1)) == [("round-index", i)]
             if b.kind is BlockKind.TEXT and b.role is Role.USER:
                 assert _found(_mutated(s, i, role=Role.ASSISTANT)) == [("roles", i)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_stream_to_record_refuses_a_block_off_its_slot(seed, data):
+    s = serialize(make_random_dialogue(random.Random(seed), f"o-{seed}", max_rounds=3))
+    i = data.draw(st.integers(0, len(s.blocks) - 1), label="block")
+    b = s.blocks[i]
+    field, value = data.draw(st.one_of(
+        st.sampled_from([r for r in Role if r is not b.role]).map(lambda v: ("role", v)),
+        st.sampled_from([x for x in LossTag if x is not b.loss]).map(lambda v: ("loss", v)),
+        st.integers(-1, 4).filter(lambda r: r != b.round_index).map(lambda v: ("round_index", v)),
+        st.sampled_from([None, *SpecialToken]).filter(lambda t: t is not b.tok)
+        .map(lambda v: ("tok", v)),
+    ), label="change")
+    with pytest.raises(InvalidStream):
+        stream_to_record(_mutated(s, i, **{field: value}))
+
+
+def test_stream_to_record_refuses_image_ids_it_cannot_carry(backend):
+    s = serialize(t2i_dialogue(backend))  # u: 0-2, noised: 3-5, replay: 6-9, end: 10
+    for i, image_id in [(5, "x"), (1, "x"), (4, None), (4, 7), (7, "other"), (8, "other")]:
+        with pytest.raises(InvalidStream, match=f"block {i}: image-id"):
+            stream_to_record(_mutated(s, i, image_id=image_id))
+
+
+def test_mask_single_block_stream():
+    # Not a grammatical stream, so no stream record can carry it; the mask rule still holds.
+    s = simple_stream((BlockKind.TEXT, 1, Role.USER, LossTag.NONE))
+    [row] = mask_intervals(s)
+    # a 1x1 mask: no context, causal within means the single position sees itself
+    assert row["context"] == [] and row["within"] == "causal"
+    assert (row["start"], row["end"]) == (0, 1)
+
+
+def _edit_record():
+    """One v2 record with every part: u p n r t e, then u t e."""
+    return {"v": 2, "dialogue_id": "d", "total_len": 2427, "blocks": [
+        ["u", 5], ["p", 4, 3, "src"], ["n", 800, "tgt"], ["r", 790, 800], ["t", 2], ["e"],
+        ["u", 3], ["t", 4], ["e"]]}
+
+
+def _set(path, value):
+    def edit(rec):
+        *keys, last = path
+        for key in keys:
+            rec = rec[key]
+        rec[last] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit, message", [
+    pytest.param(lambda rec: rec.pop("v"), r"not a v2 stream record \(v is None\)", id="v1"),
+    pytest.param(_set(["v"], 3), "v is 3", id="v3"),
+    pytest.param(_set(["v"], 2.0), "v is 2.0", id="v-float"),
+    pytest.param(_set(["blocks"], []), "not a non-empty list", id="no-entries"),
+    pytest.param(_set(["blocks"], {}), "not a non-empty list", id="blocks-dict"),
+    pytest.param(_set(["blocks", 4], {"kind": "text"}), r"blocks\[4\]: .* is not a \[part",
+                 id="entry-dict"),
+    pytest.param(_set(["blocks", 4, 0], "x"), r"blocks\[4\]: 'x' is not a valid part code",
+                 id="unknown-code"),
+    pytest.param(_set(["blocks", 0, 0], "t"), r"blocks\[0\]: part 't' cannot start a stream",
+                 id="bad-start"),
+    pytest.param(lambda rec: rec["blocks"].pop(3), r"blocks\[3\]: part 't' cannot follow 'n'",
+                 id="no-replay"),
+    pytest.param(_set(["blocks", 1], ["p", 4, "src"]),
+                 r"blocks\[1\]: a 'p' entry has 4 items, not 3", id="short-entry"),
+    pytest.param(_set(["blocks", 3], ["r", 790, 800, "tgt"]), "a 'r' entry has 3 items, not 4",
+                 id="replay-with-id"),
+    pytest.param(_set(["blocks", 0, 1], 0), r"blocks\[0\]: units 0 are not a positive int",
+                 id="units-zero"),
+    pytest.param(_set(["blocks", 1, 2], -1), "units -1 ", id="units-negative"),
+    pytest.param(_set(["blocks", 7, 1], "4"), "units '4' ", id="units-str"),
+    pytest.param(_set(["blocks", 7, 1], True), "units True ", id="units-bool"),
+    pytest.param(_set(["blocks", 2, 2], 7), r"blocks\[2\]: image id 7 is not a string",
+                 id="image-id-int"),
+    pytest.param(lambda rec: rec["blocks"].pop(), "the last round has no 'e' entry", id="no-end"),
+    pytest.param(_set(["total_len"], 2428), "total_len 2428 != position sum 2427",
+                 id="total-len"),
+    pytest.param(_set(["total_len"], 2427.0), "total_len 2427.0 != ", id="total-len-float"),
+])
+def test_stream_from_record_refuses_what_it_cannot_rebuild(edit, message):
+    rec = _edit_record()
+    assert stream_to_record(stream_from_record(rec)) == rec
+    edit(rec)
+    with pytest.raises(ValueError, match=message):
+        stream_from_record(rec)
