@@ -520,27 +520,6 @@ def _set_at(rec, path, value):
     rec[last] = value
 
 
-@pytest.mark.parametrize("value", ["bogus", [1]], ids=["unknown", "unhashable"])
-@pytest.mark.parametrize("command, source, path, enum", [
-    ("mask", "s.jsonl", ("blocks", 0, 0), "part code"),
-    ("serialize", "d.jsonl", ("rounds", 0, "assistant", "segments", 0, "image", "source"),
-     "ImageSource"),
-    ("validate", "d.jsonl", ("rounds", 0, "user", "provenance", "stage"), "Stage"),
-], ids=["part", "image-source", "stage"])
-def test_unknown_enum_value_exits_3_with_its_enum(workdir, capsys, command, source, path,
-                                                  enum, value):
-    run("synthesize", "--stage", "a", "--task", "t_i_0_0",
-        "--in", "t2i_records_20.jsonl", "--out", "d.jsonl", "--seed", "1")
-    run("serialize", "--in", "d.jsonl", "--out", "s.jsonl")
-    _bad_third_line(source, "bad.jsonl", lambda rec: _set_at(rec, path, value))
-    capsys.readouterr()
-    out = [] if command == "validate" else ["--out", "x.jsonl"]
-    assert run(command, "--in", "bad.jsonl", *out) == 3
-    err = capsys.readouterr().err.strip()
-    assert err.startswith("i/o error: bad.jsonl:3: ") and len(err.splitlines()) == 1
-    assert err.endswith(f"{value!r} is not a valid {enum}")
-
-
 def _v1_record(rec):
     """The record of one block per entry that streams had before v2."""
     s = stream_from_record(rec)
@@ -550,6 +529,44 @@ def _v1_record(rec):
          **({"image_id": b.image_id} if b.image_id else {}), "loss": b.loss.value,
          "start": b.start, "end": b.end}
         for b in s.blocks]}
+
+
+_NOT_V2 = "not a v2 stream record (v is None); write it again with `dialogforge serialize`"
+
+
+@pytest.mark.parametrize("value", ["bogus", [1]], ids=["unknown", "unhashable"])
+@pytest.mark.parametrize("command, source, path, enum", [
+    ("mask", "s.jsonl", ("blocks", 0, 0), "part code"),
+    # v1 records named each block's kind, role, loss and special token; v2 derives
+    # them from the part code, so a v1 record is refused whole, whatever they hold
+    ("mask", "v1", ("blocks", 0, "kind"), None),
+    ("mask", "v1", ("blocks", 0, "role"), None),
+    ("mask", "v1", ("blocks", 0, "loss"), None),
+    ("mask", "v1", ("blocks", 0, "tok"), None),
+    ("serialize", "d.jsonl", ("rounds", 0, "assistant", "segments", 0, "image", "source"),
+     "ImageSource"),
+    ("validate", "d.jsonl", ("rounds", 0, "user", "provenance", "stage"), "Stage"),
+], ids=["part", "kind", "role", "loss", "tok", "image-source", "stage"])
+def test_unknown_enum_value_exits_3_with_its_enum(workdir, capsys, command, source, path,
+                                                  enum, value):
+    run("synthesize", "--stage", "a", "--task", "t_i_0_0",
+        "--in", "t2i_records_20.jsonl", "--out", "d.jsonl", "--seed", "1")
+    run("serialize", "--in", "d.jsonl", "--out", "s.jsonl")
+
+    def mutate(rec):
+        if source == "v1":
+            v1 = _v1_record(rec)
+            rec.clear()
+            rec.update(v1)
+        _set_at(rec, path, value)
+
+    _bad_third_line("s.jsonl" if source == "v1" else source, "bad.jsonl", mutate)
+    capsys.readouterr()
+    out = [] if command == "validate" else ["--out", "x.jsonl"]
+    assert run(command, "--in", "bad.jsonl", *out) == 3
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("i/o error: bad.jsonl:3: ") and len(err.splitlines()) == 1
+    assert err.endswith(_NOT_V2 if enum is None else f"{value!r} is not a valid {enum}")
 
 
 @pytest.fixture(scope="module")
