@@ -1,7 +1,6 @@
 """dialogforge: multi-turn multimodal dialogue synthesis and stream serialization."""
 
 from .taxonomy import (
-    DependencyDepth,
     DependencyModality,
     DepthKind,
     InputModality,
@@ -21,7 +20,6 @@ from .dialogue import (
     Segment,
     Stage,
     Turn,
-    compute_dependency_depth,
     infer_signature,
     validate_dialogue,
 )

@@ -20,7 +20,6 @@ from enum import Enum
 from typing import Any, Callable, TypeVar
 
 from .taxonomy import (
-    DependencyDepth,
     DependencyModality,
     DepthKind,
     InputModality,
@@ -166,9 +165,6 @@ class Dialogue:
     def last_round_index(self) -> int:
         return len(self.rounds) - 1
 
-    def final_user(self) -> Turn:
-        return self.rounds[-1].user
-
 
 @dataclass(frozen=True)
 class Violation:
@@ -259,20 +255,9 @@ def validate_dialogue(d: Dialogue) -> ValidationReport:
                     report.add("image-id-unique", f"image id {img.id!r} appears twice", i)
                 seen_ids.add(img.id)
 
-    if not d.signature.is_consistent:
-        report.add("signature-consistency",
-                   "signature dependency and depth fields disagree")
-
     targets = d.dep_target_rounds
-    dep = d.signature.dep
-    if (len(targets) == 0) != (dep is DependencyModality.NONE):
-        report.add("dep-targets-presence",
-                   f"dependency {dep.value!r} with {len(targets)} target rounds")
-
     if len(set(targets)) != len(targets):
         report.add("target-unique", "duplicate dependency target rounds")
-
-    in_range = [t for t in targets if 0 <= t < last]
     for t in targets:
         if not (0 <= t < last):
             report.add("target-range",
@@ -281,43 +266,23 @@ def validate_dialogue(d: Dialogue) -> ValidationReport:
             d.rounds[t].assistant is not None and d.rounds[t].assistant.is_distractor
         ):
             report.add("distractor-target", f"target round {t} is a distractor", t)
+    if not all(0 <= t < last for t in targets):
+        return report
 
-    if targets and len(in_range) == len(targets):
-        seps = [last - t for t in targets]
-        nearest, farthest = min(seps), max(seps)
-        if d.dep_depth_value != farthest:
-            report.add("depth-value",
-                       f"dep_depth_value {d.dep_depth_value} != farthest target separation {farthest}")
-        expected_kind = DepthKind.ONE if nearest == 1 else DepthKind.N
-        if d.signature.depth.kind is not expected_kind:
-            report.add("depth-kind",
-                       f"depth mismatch: nearest separation {nearest} implies "
-                       f"{expected_kind.value!r}, signature says {d.signature.depth.kind.value!r}")
-    elif not targets:
-        if d.dep_depth_value is not None:
-            report.add("depth-value", "dep_depth_value set but there are no targets")
-        if d.signature.depth.kind is not DepthKind.ZERO and d.signature.is_consistent:
-            report.add("depth-kind", "nonzero depth without dependency targets")
-
-    if dep in (DependencyModality.I1, DependencyModality.T1) and len(targets) != 1:
-        report.add("target-count", f"dependency {dep.value!r} requires exactly one target")
-    if dep in (DependencyModality.IN, DependencyModality.TN) and targets and len(targets) < 2:
-        report.add("target-count", f"dependency {dep.value!r} requires at least two targets")
-
-    wants_image = dep in (DependencyModality.I1, DependencyModality.IN)
-    wants_text = dep in (DependencyModality.T1, DependencyModality.TN)
-    for t in in_range:
-        asst = d.rounds[t].assistant
-        if asst is None:
-            continue
-        has_image = bool(asst.images())
-        if wants_image and not has_image:
-            report.add("dep-modality", f"image dependency targets round {t} without an image", t)
-        if wants_text and has_image:
-            report.add("dep-modality", f"text dependency targets image round {t}", t)
-        if wants_text and not any(s.is_text for s in asst.segments):
-            report.add("dep-modality", f"text dependency targets round {t} without text", t)
-
+    farthest = max((last - t for t in targets), default=None)
+    if d.dep_depth_value != farthest:
+        report.add("depth-value",
+                   f"dep_depth_value {d.dep_depth_value} != farthest target separation {farthest}")
+    try:
+        derived = infer_signature(d)
+    except (InvalidTarget, AmbiguousDependency, UnclassifiableModality) as err:
+        report.add("signature", str(err))
+        return report
+    for name in ("input", "output", "dep", "depth"):
+        stored, found = getattr(d.signature, name), getattr(derived, name)
+        if stored is not found:
+            report.add("signature", f"{name} is {stored.value!r} in the signature, "
+                                    f"{found.value!r} in the content")
     return report
 
 
@@ -334,35 +299,15 @@ def image_caption(d: Dialogue, i: int) -> str:
     return images[0].caption
 
 
-def compute_dependency_depth(d: Dialogue) -> DependencyDepth:
-    """Depth class from the dependency targets.
-
-    Zero without targets; one when some target is the immediately preceding
-    round; long-range otherwise, carrying the farthest separation as n.
-
-    Raises:
-        InvalidTarget: a target does not strictly precede the final round.
-    """
-    if not d.dep_target_rounds:
-        return DependencyDepth(DepthKind.ZERO)
-    last = d.last_round_index
-    seps = []
-    for t in d.dep_target_rounds:
-        if not (0 <= t < last):
-            raise InvalidTarget(f"target round {t} does not precede the final round {last}")
-        seps.append(last - t)
-    if min(seps) == 1:
-        return DependencyDepth(DepthKind.ONE)
-    return DependencyDepth(DepthKind.N, n_value=max(seps))
-
-
 def infer_signature(d: Dialogue) -> TaskSignature:
     """Derive the task signature from the dialogue's content.
 
-    Returns the canonical form (no concrete n on the depth), so the result
-    compares equal to the stored signature of any pipeline-produced dialogue.
+    The depth kind is classified by the nearest dependency target: zero
+    without targets, one when some target is the immediately preceding
+    round, long-range otherwise.
 
     Raises:
+        InvalidTarget: a target does not strictly precede the final round.
         AmbiguousDependency: targets mix text and image history.
         UnclassifiableModality: final-turn content outside the taxonomy.
     """
@@ -381,49 +326,24 @@ def infer_signature(d: Dialogue) -> TaskSignature:
 
     targets = d.dep_target_rounds
     if not targets:
-        dep = DependencyModality.NONE
+        return TaskSignature(inp, out, DependencyModality.NONE, DepthKind.ZERO)
+    last = d.last_round_index
+    kinds = set()
+    for t in targets:
+        if not (0 <= t < last):
+            raise InvalidTarget(f"target round {t} does not precede the final round {last}")
+        asst = d.rounds[t].assistant
+        if asst is None:
+            raise InvalidTarget(f"target round {t} has no assistant turn")
+        kinds.add("image" if asst.images() else "text")
+    if len(kinds) != 1:
+        raise AmbiguousDependency("dependency targets mix text and image rounds")
+    if kinds == {"image"}:
+        dep = DependencyModality.I1 if len(targets) == 1 else DependencyModality.IN
     else:
-        kinds = set()
-        for t in targets:
-            asst = d.rounds[t].assistant
-            if asst is None:
-                raise InvalidTarget(f"target round {t} has no assistant turn")
-            kinds.add("image" if asst.images() else "text")
-        if len(kinds) != 1:
-            raise AmbiguousDependency("dependency targets mix text and image rounds")
-        if kinds == {"image"}:
-            dep = DependencyModality.I1 if len(targets) == 1 else DependencyModality.IN
-        else:
-            dep = DependencyModality.T1 if len(targets) == 1 else DependencyModality.TN
-
-    depth = DependencyDepth(compute_dependency_depth(d).kind)
+        dep = DependencyModality.T1 if len(targets) == 1 else DependencyModality.TN
+    depth = DepthKind.ONE if last - max(targets) == 1 else DepthKind.N
     return TaskSignature(inp, out, dep, depth)
-
-
-def structural_equal(a: Dialogue, b: Dialogue) -> bool:
-    """Content equality ignoring provenance and annotations."""
-    return _structure_key(a) == _structure_key(b)
-
-
-def _structure_key(d: Dialogue):
-    def seg_key(s: Segment):
-        if s.is_text:
-            return ("text", s.text)
-        img = s.image
-        return ("image", img.id, img.source.value, img.uri, img.width, img.height, img.caption)
-
-    def turn_key(t: Turn | None):
-        if t is None:
-            return None
-        return (t.role.value, t.is_distractor, tuple(seg_key(s) for s in t.segments))
-
-    return (
-        d.id,
-        format_signature(d.signature),
-        d.dep_target_rounds,
-        d.dep_depth_value,
-        tuple((turn_key(r.user), turn_key(r.assistant)) for r in d.rounds),
-    )
 
 
 # --- JSONL record schema -----------------------------------------------------
@@ -452,6 +372,8 @@ _stage = enum_decoder(Stage)
 
 
 def image_from_obj(obj: dict[str, Any]) -> ImageRef:
+    if type(obj["id"]) is not str:
+        raise TypeError(f"image id must be a string, not {obj['id']!r}")
     width, height = obj["width"], obj["height"]
     if type(width) is not int or type(height) is not int:
         raise TypeError(f"image {obj['id']!r}: width and height must be integers, "
@@ -497,6 +419,9 @@ def turn_from_obj(obj: dict[str, Any], role: Role) -> Turn:
     prov = obj["provenance"]
     if not isinstance(obj["segments"], list):
         raise TypeError(f"{role.value} turn: segments must be a list")
+    if type(obj["is_distractor"]) is not bool:
+        raise TypeError(f"{role.value} turn: is_distractor must be true or false, "
+                        f"not {obj['is_distractor']!r}")
     return Turn(
         role=role,
         segments=tuple(_segment_from_obj(s) for s in obj["segments"]),
@@ -531,6 +456,13 @@ def dialogue_to_record(d: Dialogue) -> dict[str, Any]:
 def dialogue_from_record(rec: dict[str, Any]) -> Dialogue:
     if not isinstance(rec["rounds"], list):
         raise TypeError(f"dialogue {rec['id']!r}: rounds must be a list")
+    targets, depth = rec["dep_target_rounds"], rec.get("dep_depth_value")
+    if type(targets) is not list or any(type(t) is not int for t in targets):
+        raise TypeError(f"dialogue {rec['id']!r}: dep_target_rounds must be a list of "
+                        f"integers, not {targets!r}")
+    if "dep_depth_value" in rec and type(depth) is not int:
+        raise TypeError(f"dialogue {rec['id']!r}: dep_depth_value must be an integer, "
+                        f"not {depth!r}")
     rounds = tuple(
         Round(
             user=turn_from_obj(r["user"], Role.USER),
@@ -542,8 +474,8 @@ def dialogue_from_record(rec: dict[str, Any]) -> Dialogue:
         id=rec["id"],
         rounds=rounds,
         signature=parse_signature(rec["signature"]),
-        dep_target_rounds=tuple(rec["dep_target_rounds"]),
-        dep_depth_value=rec.get("dep_depth_value"),
+        dep_target_rounds=tuple(targets),
+        dep_depth_value=depth,
         annotations=tuple(rec.get("annotations", ())),
     )
 

@@ -1,4 +1,4 @@
-"""Synthetic source records, distractor pools, and random dialogues.
+"""Synthetic source records and distractor pools.
 
 Everything here is seeded word-salad plumbing for demos and tests; the
 shapes, not the prose, are what matter.
@@ -9,18 +9,7 @@ from __future__ import annotations
 import random
 from typing import Any
 
-from .dialogue import (
-    Dialogue,
-    ImageRef,
-    ImageSource,
-    Provenance,
-    Role,
-    Round,
-    Segment,
-    Stage,
-    Turn,
-)
-from .stage_a import SIG_T_I_0_0
+from .dialogue import ImageRef, ImageSource, Provenance, Role, Segment, Stage, Turn
 from .stage_b import DistractorCategory, DistractorEntry, DistractorPool
 
 _ADJECTIVES = ["golden", "white", "sleepy", "tiny", "ancient", "bright", "wooden",
@@ -47,37 +36,35 @@ def make_caption(rng: random.Random) -> str:
     return f"a {rng.choice(_ADJECTIVES)} {rng.choice(_NOUNS)} {rng.choice(_SCENES)}"
 
 
-def make_image_obj(rng: random.Random, image_id: str, caption: str | None = None,
-                   dims: list[int] | None = None) -> dict[str, Any]:
-    dims = dims or _DIMS
+def make_image_obj(rng: random.Random, image_id: str, caption: str | None = None) -> dict[str, Any]:
     obj = {
         "id": image_id,
         "source": ImageSource.DATASET.value,
         "uri": f"data/images/{image_id}.png",
-        "width": rng.choice(dims),
-        "height": rng.choice(dims),
+        "width": rng.choice(_DIMS),
+        "height": rng.choice(_DIMS),
     }
     if caption is not None:
         obj["caption"] = caption
     return obj
 
 
-def make_t2i_records(n: int, seed: int, prefix: str = "t2i") -> list[dict[str, Any]]:
+def make_t2i_records(n: int, seed: int) -> list[dict[str, Any]]:
     rng = random.Random(seed)
     records = []
     for i in range(n):
-        rid = f"{prefix}-{i:05d}"
+        rid = f"t2i-{i:05d}"
         caption = make_caption(rng)
         records.append({"id": rid, "caption": caption,
                         "image": make_image_obj(rng, f"{rid}-img", caption)})
     return records
 
 
-def make_edit_records(n: int, seed: int, prefix: str = "edit") -> list[dict[str, Any]]:
+def make_edit_records(n: int, seed: int) -> list[dict[str, Any]]:
     rng = random.Random(seed)
     records = []
     for i in range(n):
-        rid = f"{prefix}-{i:05d}"
+        rid = f"edit-{i:05d}"
         src_caption = make_caption(rng)
         instruction = rng.choice(_EDITS)
         tgt_caption = f"{src_caption}, edited: {instruction.lower()}"
@@ -92,11 +79,11 @@ def make_edit_records(n: int, seed: int, prefix: str = "edit") -> list[dict[str,
     return records
 
 
-def make_subject_records(n: int, seed: int, prefix: str = "subj") -> list[dict[str, Any]]:
+def make_subject_records(n: int, seed: int) -> list[dict[str, Any]]:
     rng = random.Random(seed)
     records = []
     for i in range(n):
-        rid = f"{prefix}-{i:05d}"
+        rid = f"subj-{i:05d}"
         cap_a, cap_b = make_caption(rng), make_caption(rng)
         composed = f"{cap_a} together with {cap_b}"
         records.append({
@@ -112,21 +99,19 @@ def make_subject_records(n: int, seed: int, prefix: str = "subj") -> list[dict[s
 
 
 def _image_ref(rng: random.Random, image_id: str, source: ImageSource,
-               caption: str | None, dims: list[int] | None = None) -> ImageRef:
-    dims = dims or _DIMS
+               caption: str) -> ImageRef:
     return ImageRef(id=image_id, source=source, uri=f"data/images/{image_id}.png",
-                    width=rng.choice(dims), height=rng.choice(dims), caption=caption)
+                    width=rng.choice(_DIMS), height=rng.choice(_DIMS), caption=caption)
 
 
-def make_distractor_pool(n_per_category: int, seed: int,
-                         prefix: str = "pool") -> DistractorPool:
+def make_distractor_pool(n_per_category: int, seed: int) -> DistractorPool:
     """T2I, image-understanding, and text-chat single-round entries."""
     rng = random.Random(seed)
     entries = []
     prov = Provenance(Stage.SOURCE)
     for i in range(n_per_category):
         caption = make_caption(rng)
-        img = _image_ref(rng, f"{prefix}-t2i-{i:04d}", ImageSource.GENERATED, caption)
+        img = _image_ref(rng, f"pool-t2i-{i:04d}", ImageSource.GENERATED, caption)
         entries.append(DistractorEntry(
             DistractorCategory.T2I,
             Turn(Role.USER, (Segment(text=f"Please generate an image of {caption}"),), prov),
@@ -134,7 +119,7 @@ def make_distractor_pool(n_per_category: int, seed: int,
         ))
     for i in range(n_per_category):
         caption = make_caption(rng)
-        img = _image_ref(rng, f"{prefix}-und-{i:04d}", ImageSource.UPLOADED, caption)
+        img = _image_ref(rng, f"pool-und-{i:04d}", ImageSource.UPLOADED, caption)
         entries.append(DistractorEntry(
             DistractorCategory.IMAGE_UNDERSTANDING,
             Turn(Role.USER, (Segment(text=rng.choice(_QUESTIONS)), Segment(image=img)), prov),
@@ -149,37 +134,3 @@ def make_distractor_pool(n_per_category: int, seed: int,
         ))
     return DistractorPool(tuple(entries))
 
-
-def make_random_dialogue(rng: random.Random, dialogue_id: str, *,
-                         max_rounds: int = 3, dims: list[int] | None = None,
-                         max_words: int = 6) -> Dialogue:
-    """Random structure that serializes to a grammar-valid stream.
-
-    The signature and dependency fields are placeholders; mask and grammar
-    tests only care about the block layout.
-    """
-    dims = dims or [16, 24, 32, 48]
-    prov = Provenance(Stage.SOURCE)
-
-    def words(k: int) -> str:
-        return " ".join(rng.choice(_NOUNS) for _ in range(k))
-
-    rounds = []
-    for ri in range(rng.randint(1, max_rounds)):
-        user_segs: list[Segment] = [Segment(text=words(rng.randint(1, max_words)))]
-        if rng.random() < 0.3:
-            img = _image_ref(rng, f"{dialogue_id}-u{ri}", ImageSource.UPLOADED, None, dims)
-            user_segs.append(Segment(image=img))
-        shape = rng.choice(["image", "text", "image_text"])
-        asst_segs: list[Segment] = []
-        if shape in ("image", "image_text"):
-            img = _image_ref(rng, f"{dialogue_id}-a{ri}", ImageSource.GENERATED,
-                             make_caption(rng), dims)
-            asst_segs.append(Segment(image=img))
-        if shape in ("text", "image_text"):
-            asst_segs.append(Segment(text=words(rng.randint(1, max_words))))
-        rounds.append(Round(
-            Turn(Role.USER, tuple(user_segs), prov),
-            Turn(Role.ASSISTANT, tuple(asst_segs), prov),
-        ))
-    return Dialogue(id=dialogue_id, rounds=tuple(rounds), signature=SIG_T_I_0_0)

@@ -26,12 +26,11 @@ from .dialogue import (
     ValidationReport,
     turn_from_obj,
     turn_to_obj,
-    compute_dependency_depth,
     image_caption,
     validate_round_turns,
     with_annotation,
 )
-from .taxonomy import DependencyDepth, DependencyModality, DepthKind, format_signature
+from .taxonomy import DependencyModality, DepthKind, format_signature
 from .util import derive_seed, run_records
 
 
@@ -90,17 +89,6 @@ def entry_from_record(obj: dict[str, Any]) -> DistractorEntry:
     )
 
 
-def pool_from_t2i_dialogues(dialogues: list[Dialogue]) -> list[DistractorEntry]:
-    """Reuse single-round text-to-image dialogues as distractor entries."""
-    entries = []
-    for d in dialogues:
-        if len(d.rounds) != 1 or d.rounds[0].assistant is None:
-            raise ValueError(f"dialogue {d.id!r} is not a single-round dialogue")
-        entries.append(DistractorEntry(DistractorCategory.T2I,
-                                       d.rounds[0].user, d.rounds[0].assistant))
-    return entries
-
-
 @dataclass(frozen=True)
 class InsertionPlan:
     k: int
@@ -126,8 +114,8 @@ def plan_insertion(d: Dialogue, pool: DistractorPool, k: int, seed: int) -> Inse
         PoolExhausted: k exceeds the pool size.
         ValueError: k < 1.
     """
-    if d.signature.depth.kind is not DepthKind.ONE:
-        raise WrongDepth(f"dialogue {d.id!r} has depth {d.signature.depth.kind.value!r}, need '1'")
+    if d.signature.depth is not DepthKind.ONE:
+        raise WrongDepth(f"dialogue {d.id!r} has depth {d.signature.depth.value!r}, need '1'")
     if not d.dep_target_rounds:
         raise WrongDepth(f"dialogue {d.id!r} has no dependency targets")
     if k < 1:
@@ -193,7 +181,7 @@ def apply_insertion(d: Dialogue, plan: InsertionPlan, backend: CompletionBackend
         backend, retries,
     ).fields["query"]
 
-    new_final_user = Turn(
+    rewritten_user = Turn(
         role=Role.USER,
         segments=tuple(Segment(text=rewritten) if s.is_text else s for s in final.user.segments),
         provenance=Provenance(Stage.B, op_kind=op.value, original_text=original),
@@ -203,12 +191,12 @@ def apply_insertion(d: Dialogue, plan: InsertionPlan, backend: CompletionBackend
         Round(_as_distractor(e.user), _as_distractor(e.assistant)) for e in plan.entries
     )
     p = plan.insert_position
-    rounds = d.rounds[:p] + distractor_rounds + d.rounds[p:-1] + (Round(new_final_user, final.assistant),)
+    rounds = d.rounds[:p] + distractor_rounds + d.rounds[p:-1] + (Round(rewritten_user, final.assistant),)
 
     return replace(
         d,
         rounds=rounds,
-        signature=replace(d.signature, depth=DependencyDepth(DepthKind.N)),
+        signature=replace(d.signature, depth=DepthKind.N),
         dep_depth_value=(d.dep_depth_value or 0) + plan.k,
     )
 
@@ -227,7 +215,7 @@ def run_stage_b(dialogues: list[Dialogue], pool: DistractorPool,
         raise ValueError(f"invalid k range [{k_min}, {k_max}]")
 
     def one(d: Dialogue) -> Dialogue:
-        if d.signature.dep is DependencyModality.NONE or d.signature.depth.kind is DepthKind.ZERO:
+        if d.signature.dep is DependencyModality.NONE or d.signature.depth is DepthKind.ZERO:
             return with_annotation(d, "stage_b_skipped")
         k = random.Random(derive_seed(seed, d.id, "k")).randint(k_min, k_max)
         plan = plan_insertion(d, pool, k, derive_seed(seed, d.id, "plan"))
@@ -236,30 +224,3 @@ def run_stage_b(dialogues: list[Dialogue], pool: DistractorPool,
     return run_records(one, dialogues, concurrency,
                        lambda d, err: {"id": d.id, "error": str(err)})
 
-
-def restore_stage_a_view(d: Dialogue) -> Dialogue:
-    """Drop distractor rounds and restore the pre-rewrite final query.
-
-    Recomputes the dependency depth fields from the surviving structure, so a
-    stage-(b) output maps back to a dialogue structurally equal to its input.
-    """
-    rounds = tuple(
-        r for r in d.rounds
-        if not (r.user.is_distractor or (r.assistant is not None and r.assistant.is_distractor))
-    )
-    final = rounds[-1]
-    original = final.user.provenance.original_text
-    if original is not None:
-        user = replace(
-            final.user,
-            segments=tuple(Segment(text=original) if s.is_text else s for s in final.user.segments),
-        )
-        rounds = rounds[:-1] + (Round(user, final.assistant),)
-    restored = replace(d, rounds=rounds)
-    depth = compute_dependency_depth(restored)
-    seps = [restored.last_round_index - t for t in restored.dep_target_rounds]
-    return replace(
-        restored,
-        signature=replace(d.signature, depth=DependencyDepth(depth.kind)),
-        dep_depth_value=max(seps) if seps else None,
-    )

@@ -155,6 +155,11 @@ _NEXT: dict[str, tuple[str, ...]] = {
     "text": ("end",),
 }
 
+# Parts whose non-special blocks carry an image id -> whether the part names it
+# (in the block after its |v_s|, and in its record entry); a replay reuses the
+# id of the noised part that ``_NEXT`` puts before it. No other block has an id.
+_IMAGE_PARTS = {"upload": True, "noised": True, "replay": False}
+
 
 def serialize(d: Dialogue, cfg: StreamConfig = StreamConfig()) -> TokenStream:
     """Flatten a dialogue into its block sequence, one ``_PARTS`` part at a time.
@@ -164,7 +169,7 @@ def serialize(d: Dialogue, cfg: StreamConfig = StreamConfig()) -> TokenStream:
         UnitOverflow: an image exceeds the configured unit cap.
         InvalidStream: the grammar cannot express a round (a user turn with
             more than one image, an assistant turn that is not at most one
-            image followed by text) or an image computes to no units.
+            image followed by text) or an image has no positive size.
         ValueError: a round has no assistant turn.
     """
     blocks: list[TokenBlock] = []
@@ -177,11 +182,11 @@ def serialize(d: Dialogue, cfg: StreamConfig = StreamConfig()) -> TokenStream:
             if n < 1:
                 raise EmptyText(f"dialogue {d.id!r}: round {ri} has an empty text span")
             return n
+        where = f"dialogue {d.id!r}: image {img.id!r}"
+        if img.width < 1 or img.height < 1:
+            raise InvalidStream(f"{where} is {img.width}x{img.height}, not a positive size")
         n = patch_grid_units(img.width, img.height,
                              cfg.vit_patch if kind is BlockKind.VIT else cfg.vae_patch)
-        where = f"dialogue {d.id!r}: image {img.id!r}"
-        if n < 1:
-            raise InvalidStream(f"{where} computes to {n} units")
         if n > cfg.max_image_units:
             raise UnitOverflow(f"{where} needs {n} units, cap is {cfg.max_image_units}")
         return n
@@ -251,17 +256,25 @@ def _parts(s: TokenStream,
         return len(ahead) == len(slots) and all(
             b.kind is kind and b.tok is tok for b, (kind, tok, _) in zip(ahead, slots))
 
-    i, rnd, prev = 0, 0, "end"
+    i, rnd, prev, image_id = 0, 0, "end", None
     while i < len(blocks) or prev != "end":
         *optional, part = _NEXT[prev]
         part = next((p for p in optional if fits(p)), part)
         role, slots = _PARTS[part]
+        named = _IMAGE_PARTS.get(part)
         for j, (kind, tok, loss) in enumerate(slots, i):
             b = blocks[j] if j < len(blocks) else None
             if b is None or b.kind is not kind or b.tok is not tok:
                 got = "end of stream" if b is None else (b.tok or b.kind).value
                 fault("grammar", f"expected {(tok or kind).value}, got {got}", j)
                 return
+            if named and j == i + 1:
+                image_id = b.image_id
+                if type(image_id) is not str:
+                    fault("image-id", f"image id {image_id!r} is not a string", j)
+            want = image_id if named is not None and tok is None else None
+            if b.image_id != want:
+                fault("image-id", f"block has image id {b.image_id!r}, expected {want!r}", j)
             if b.role is role and b.round_index == rnd and b.loss is loss:
                 continue
             what = f"{(tok or kind).value} of the {part} part"
@@ -278,7 +291,7 @@ def _parts(s: TokenStream,
 
 
 def validate_stream(s: TokenStream) -> ValidationReport:
-    """Grammar, contiguity, role, and loss-tag checks; violations are data."""
+    """Grammar, contiguity, role, loss-tag and image-id checks; violations are data."""
     report = ValidationReport()
     for _ in _parts(s, report.add):
         pass
@@ -361,9 +374,6 @@ def loss_summary(s: TokenStream) -> LossSummary:
 _VERSION = 2
 _CODE = {"user_text": "u", "upload": "p", "noised": "n", "replay": "r", "text": "t", "end": "e"}
 _PART_OF = {code: part for part, code in _CODE.items()}
-# Parts whose non-special blocks carry an image id -> whether the entry holds
-# it; a replay reuses the id of the noised part that ``_NEXT`` puts before it.
-_IMAGE_PARTS = {"upload": True, "noised": True, "replay": False}
 _ENTRY_LEN = {part: 1 + sum(tok is None for _, tok, _ in slots) + _IMAGE_PARTS.get(part, False)
               for part, (_, slots) in _PARTS.items()}
 
@@ -372,33 +382,18 @@ def stream_to_record(s: TokenStream) -> dict[str, Any]:
     """The v2 record of ``s`` (``docs/stream-format.md``).
 
     Raises:
-        InvalidStream: the record would not rebuild ``s``: a fault
-            ``validate_stream`` reports, an image block whose id is not a
-            string or differs from its part's (a replay's part is its noised
-            image's), or a special or text block with an image id.
+        InvalidStream: a fault ``validate_stream`` reports, so that the record
+            would not rebuild ``s``.
     """
     def fault(rule: str, detail: str, where: int | None) -> None:
         raise InvalidStream(f"dialogue {s.dialogue_id!r}: block {where}: {rule}: {detail}")
 
     entries = []
-    image_id = None
     for part, i in _parts(s, fault):
         entry: list[Any] = [_CODE[part]]
-        named = _IMAGE_PARTS.get(part)
-        if named:  # the block after the part's |v_s| names the image
-            image_id = s.blocks[i + 1].image_id
-            if type(image_id) is not str:
-                fault("image-id", f"image id {image_id!r} is not a string", i + 1)
-        for j, b in enumerate(s.blocks[i:i + len(_PARTS[part][1])], i):
-            want = None
-            if b.tok is None:
-                entry.append(b.units)
-                if named is not None:
-                    want = image_id
-            if b.image_id != want:
-                fault("image-id", f"block has image id {b.image_id!r}, expected {want!r}", j)
-        if named:
-            entry.append(image_id)
+        entry += [b.units for b in s.blocks[i:i + len(_PARTS[part][1])] if b.tok is None]
+        if _IMAGE_PARTS.get(part):
+            entry.append(s.blocks[i + 1].image_id)
         entries.append(entry)
     return {"v": _VERSION, "dialogue_id": s.dialogue_id, "total_len": s.total_len,
             "blocks": entries}

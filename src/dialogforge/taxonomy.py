@@ -50,51 +50,28 @@ class DepthKind(Enum):
 
 
 @dataclass(frozen=True)
-class DependencyDepth:
-    """Depth class of the final turn's history dependency.
-
-    ``n_value`` is auxiliary metadata (the concrete separation for long-range
-    dependencies); it is never encoded in the string form, so parsing a
-    signature always leaves it unset.
-    """
-
-    kind: DepthKind
-    n_value: int | None = None
-
-    def __post_init__(self):
-        if self.n_value is not None:
-            if self.kind is not DepthKind.N:
-                raise ValueError("n_value is only meaningful for depth kind 'n'")
-            if self.n_value < 2:
-                raise ValueError("long-range depth requires n_value >= 2")
-
-
-@dataclass(frozen=True)
 class TaskSignature:
     input: InputModality
     output: OutputModality
     dep: DependencyModality
-    depth: DependencyDepth
+    depth: DepthKind
 
     @property
     def is_consistent(self) -> bool:
-        return (self.dep is DependencyModality.NONE) == (self.depth.kind is DepthKind.ZERO)
+        return (self.dep is DependencyModality.NONE) == (self.depth is DepthKind.ZERO)
 
 
 def format_signature(sig: TaskSignature) -> str:
     """Render a signature as its four-code string form.
-
-    Depth kind ``n`` renders as the literal "n" regardless of any concrete
-    n_value.
 
     Raises:
         InconsistentSignature: dependency/depth coupling violated.
     """
     if not sig.is_consistent:
         raise InconsistentSignature(
-            f"dependency {sig.dep.value!r} is incompatible with depth {sig.depth.kind.value!r}"
+            f"dependency {sig.dep.value!r} is incompatible with depth {sig.depth.value!r}"
         )
-    return "_".join((sig.input.value, sig.output.value, sig.dep.value, sig.depth.kind.value))
+    return "_".join((sig.input.value, sig.output.value, sig.dep.value, sig.depth.value))
 
 
 def parse_signature(s: str) -> TaskSignature:
@@ -118,11 +95,11 @@ def parse_signature(s: str) -> TaskSignature:
         input=lookup(InputModality, parts[0], "input modality"),
         output=lookup(OutputModality, parts[1], "output modality"),
         dep=lookup(DependencyModality, parts[2], "dependency modality"),
-        depth=DependencyDepth(lookup(DepthKind, parts[3], "depth")),
+        depth=lookup(DepthKind, parts[3], "depth"),
     )
     if not sig.is_consistent:
         raise InconsistentSignature(
-            f"dependency {sig.dep.value!r} is incompatible with depth {sig.depth.kind.value!r} in {s!r}"
+            f"dependency {sig.dep.value!r} is incompatible with depth {sig.depth.value!r} in {s!r}"
         )
     return sig
 
@@ -133,7 +110,7 @@ def enumerate_valid_signatures() -> list[TaskSignature]:
     for inp, out, dep, kind in itertools.product(
         InputModality, OutputModality, DependencyModality, DepthKind
     ):
-        sig = TaskSignature(inp, out, dep, DependencyDepth(kind))
+        sig = TaskSignature(inp, out, dep, kind)
         if sig.is_consistent:
             sigs.append(sig)
     sigs.sort(key=format_signature)

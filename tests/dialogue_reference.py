@@ -1,0 +1,126 @@
+"""Dialogue oracles and generators for tests.
+
+The library has no use for these: ``restore_stage_a_view`` undoes stage b for
+the reversibility properties, ``structural_equal`` compares dialogues without
+their provenance, ``pool_from_t2i_dialogues`` reuses text-to-image dialogues
+as distractors, and ``make_random_dialogue`` draws block layouts for the
+stream and mask properties.
+"""
+
+import random
+from dataclasses import replace
+
+from dialogforge.dialogue import (
+    Dialogue,
+    ImageRef,
+    ImageSource,
+    Provenance,
+    Role,
+    Round,
+    Segment,
+    Stage,
+    Turn,
+)
+from dialogforge.fixtures import _NOUNS, make_caption
+from dialogforge.stage_a import SIG_T_I_0_0
+from dialogforge.stage_b import DistractorCategory, DistractorEntry
+from dialogforge.taxonomy import DepthKind, format_signature
+
+
+def restore_stage_a_view(d: Dialogue) -> Dialogue:
+    """Drop distractor rounds and restore the pre-rewrite final query.
+
+    Recomputes the dependency depth fields from the surviving structure, so a
+    stage-(b) output maps back to a dialogue structurally equal to its input.
+    """
+    rounds = tuple(
+        r for r in d.rounds
+        if not (r.user.is_distractor or (r.assistant is not None and r.assistant.is_distractor))
+    )
+    final = rounds[-1]
+    original = final.user.provenance.original_text
+    if original is not None:
+        user = replace(
+            final.user,
+            segments=tuple(Segment(text=original) if s.is_text else s for s in final.user.segments),
+        )
+        rounds = rounds[:-1] + (Round(user, final.assistant),)
+    seps = [len(rounds) - 1 - t for t in d.dep_target_rounds]
+    depth = DepthKind.ZERO if not seps else DepthKind.ONE if min(seps) == 1 else DepthKind.N
+    return replace(d, rounds=rounds, signature=replace(d.signature, depth=depth),
+                   dep_depth_value=max(seps) if seps else None)
+
+
+def structural_equal(a: Dialogue, b: Dialogue) -> bool:
+    """Content equality ignoring provenance and annotations."""
+    return _structure_key(a) == _structure_key(b)
+
+
+def _structure_key(d: Dialogue):
+    def seg_key(s: Segment):
+        if s.is_text:
+            return ("text", s.text)
+        img = s.image
+        return ("image", img.id, img.source.value, img.uri, img.width, img.height, img.caption)
+
+    def turn_key(t: Turn | None):
+        if t is None:
+            return None
+        return (t.role.value, t.is_distractor, tuple(seg_key(s) for s in t.segments))
+
+    return (
+        d.id,
+        format_signature(d.signature),
+        d.dep_target_rounds,
+        d.dep_depth_value,
+        tuple((turn_key(r.user), turn_key(r.assistant)) for r in d.rounds),
+    )
+
+
+def pool_from_t2i_dialogues(dialogues: list[Dialogue]) -> list[DistractorEntry]:
+    """Reuse single-round text-to-image dialogues as distractor entries."""
+    entries = []
+    for d in dialogues:
+        if len(d.rounds) != 1 or d.rounds[0].assistant is None:
+            raise ValueError(f"dialogue {d.id!r} is not a single-round dialogue")
+        entries.append(DistractorEntry(DistractorCategory.T2I,
+                                       d.rounds[0].user, d.rounds[0].assistant))
+    return entries
+
+
+def make_random_dialogue(rng: random.Random, dialogue_id: str, *,
+                         max_rounds: int = 3, dims: list[int] | None = None,
+                         max_words: int = 6) -> Dialogue:
+    """Random structure that serializes to a grammar-valid stream.
+
+    The signature and dependency fields are placeholders; mask and grammar
+    tests only care about the block layout.
+    """
+    dims = dims or [16, 24, 32, 48]
+    prov = Provenance(Stage.SOURCE)
+
+    def words(k: int) -> str:
+        return " ".join(rng.choice(_NOUNS) for _ in range(k))
+
+    def image(image_id: str, source: ImageSource, caption: str | None) -> ImageRef:
+        return ImageRef(id=image_id, source=source, uri=f"data/images/{image_id}.png",
+                        width=rng.choice(dims), height=rng.choice(dims), caption=caption)
+
+    rounds = []
+    for ri in range(rng.randint(1, max_rounds)):
+        user_segs: list[Segment] = [Segment(text=words(rng.randint(1, max_words)))]
+        if rng.random() < 0.3:
+            user_segs.append(Segment(image=image(f"{dialogue_id}-u{ri}", ImageSource.UPLOADED,
+                                                 None)))
+        shape = rng.choice(["image", "text", "image_text"])
+        asst_segs: list[Segment] = []
+        if shape in ("image", "image_text"):
+            asst_segs.append(Segment(image=image(f"{dialogue_id}-a{ri}", ImageSource.GENERATED,
+                                                 make_caption(rng))))
+        if shape in ("text", "image_text"):
+            asst_segs.append(Segment(text=words(rng.randint(1, max_words))))
+        rounds.append(Round(
+            Turn(Role.USER, tuple(user_segs), prov),
+            Turn(Role.ASSISTANT, tuple(asst_segs), prov),
+        ))
+    return Dialogue(id=dialogue_id, rounds=tuple(rounds), signature=SIG_T_I_0_0)

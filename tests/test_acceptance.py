@@ -13,6 +13,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+from dialogue_reference import make_random_dialogue, restore_stage_a_view, structural_equal
 from mask_reference import dense_mask, mask_oracle
 
 from dialogforge.atomic_ops import (
@@ -25,19 +26,17 @@ from dialogforge.atomic_ops import (
 from dialogforge.cli import main as cli_main
 from dialogforge.dialogue import (
     infer_signature,
-    structural_equal,
     validate_dialogue,
 )
 from dialogforge.fixtures import (
     make_distractor_pool,
     make_edit_records,
-    make_random_dialogue,
     make_subject_records,
     make_t2i_records,
 )
 from dialogforge.packing import SamplingConfig, pack_greedy, sample_stream
 from dialogforge.stage_a import BUILDERS, run_stage_a
-from dialogforge.stage_b import apply_insertion, plan_insertion, restore_stage_a_view, run_stage_b
+from dialogforge.stage_b import apply_insertion, plan_insertion, run_stage_b
 from dialogforge.stage_c import interleave_output
 from dialogforge.stream import (
     BlockKind,

@@ -11,13 +11,14 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
+from dialogue_reference import make_random_dialogue
 from hypothesis import strategies as st
 
 import dialogforge
 from dialogforge import cli, io
 from dialogforge.cli import main
 from dialogforge.dialogue import dialogue_from_record
-from dialogforge.fixtures import make_random_dialogue, make_t2i_records
+from dialogforge.fixtures import make_t2i_records
 from dialogforge.stream import serialize, stream_from_record, stream_to_record, validate_stream
 
 DATA = Path(__file__).parent / "data"
@@ -273,7 +274,7 @@ def test_dialogue_corpus_parses_back(workdir):
         "--pool", "pool.jsonl", "--out", "subj.jsonl", "--seed", "9")
     for rec in io.read_jsonl("subj.jsonl"):
         d = dialogue_from_record(rec)
-        assert d.signature.depth.kind.value == "n"
+        assert d.signature.depth.value == "n"
 
 
 def test_mask_bad_total_len_exits_3(workdir, capsys):
@@ -425,6 +426,22 @@ def _set_text(rec, value):
     pytest.param(lambda rec: rec["rounds"][0]["user"].update(segments={}), "segments",
                  id="segments-dict"),
     pytest.param(lambda rec: rec.update(rounds={}), "rounds", id="rounds-dict"),
+    pytest.param(lambda rec: rec.update(dep_target_rounds=["a"]), "dep_target_rounds",
+                 id="targets-str"),
+    pytest.param(lambda rec: rec.update(dep_target_rounds=[0.5]), "dep_target_rounds",
+                 id="targets-float"),
+    pytest.param(lambda rec: rec.update(dep_target_rounds=[True]), "dep_target_rounds",
+                 id="targets-bool"),
+    pytest.param(lambda rec: rec.update(dep_target_rounds=0), "dep_target_rounds",
+                 id="targets-int"),
+    pytest.param(lambda rec: rec.update(dep_depth_value="1"), "dep_depth_value",
+                 id="depth-str"),
+    pytest.param(lambda rec: rec.update(dep_depth_value=None), "dep_depth_value",
+                 id="depth-null"),
+    pytest.param(lambda rec: rec["rounds"][0]["user"].update(is_distractor="no"),
+                 "is_distractor", id="distractor-str"),
+    pytest.param(lambda rec: rec["rounds"][0]["assistant"]["segments"][0]["image"].update(id=[1]),
+                 "image id", id="image-id-list"),
 ])
 @pytest.mark.parametrize("argv", ["validate --in bad.jsonl", "serialize --in bad.jsonl --out x.jsonl"])
 def test_record_wrong_value_type_exits_3_with_path_line(workdir, capsys, mutate, needle, argv):
@@ -619,3 +636,77 @@ def test_broken_stream_record_exits_3_in_mask_and_pack(fuzz_dir, seed, mutation,
         assert code == 3, argv[0]
         assert err.getvalue().startswith("i/o error: ") and len(err.getvalue().splitlines()) == 1
         assert "bad.jsonl:3: " in err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def dialogue_corpus(tmp_path_factory):
+    """A work directory and the first three records of a stage a,b,c run on the edit fixtures."""
+    root = tmp_path_factory.mktemp("dialogues")
+    with contextlib.redirect_stdout(StringIO()):
+        assert main(["synthesize", "--stages", "a,b,c", "--task", "t_i_i1_1",
+                     "--in", str(DATA / "edit_records_20.jsonl"),
+                     "--pool", str(DATA / "pool.jsonl"), "--out", str(root / "d.jsonl"),
+                     "--seed", "1"]) == 0
+    return root, list(io.read_jsonl(root / "d.jsonl"))[:3]
+
+
+def _json_paths(obj, path=()):
+    """The path of every value below ``obj``, a JSON tree."""
+    items = (obj.items() if isinstance(obj, dict)
+             else enumerate(obj) if isinstance(obj, list) else ())
+    for key, value in items:
+        yield path + (key,)
+        yield from _json_paths(value, path + (key,))
+
+
+def _at(rec, path):
+    for key in path:
+        rec = rec[key]
+    return rec
+
+
+_WRONG_TYPES = [None, True, -1, 2.5, "x", [], {}, [None]]
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data(), mutation=st.sampled_from(
+    ["type", "missing-key", "image-size", "enum", "target"]))
+def test_mutated_dialogue_record_never_escapes_main(dialogue_corpus, data, mutation):
+    root, corpus = dialogue_corpus
+    records = json.loads(json.dumps(corpus))
+    rec = records[2]
+    paths = list(_json_paths(rec))
+    if mutation == "type":
+        path = data.draw(st.sampled_from(paths), label="path")
+        value = _at(rec, path)
+        _set_at(rec, path, data.draw(st.sampled_from(
+            [v for v in _WRONG_TYPES if type(v) is not type(value) or v != value]), label="value"))
+    elif mutation == "missing-key":
+        path = data.draw(st.sampled_from([p for p in paths if isinstance(p[-1], str)]),
+                         label="path")
+        del _at(rec, path[:-1])[path[-1]]
+    elif mutation == "image-size":
+        path = data.draw(st.sampled_from([p for p in paths if p[-1] in ("width", "height")]),
+                         label="path")
+        size = data.draw(st.sampled_from([0, -1, -64, 10**9]), label="size")
+        for key in data.draw(st.sampled_from([[path[-1]], ["width", "height"]]), label="keys"):
+            _at(rec, path[:-1])[key] = size
+    elif mutation == "enum":
+        path = data.draw(st.sampled_from(
+            [p for p in paths if p[-1] in ("signature", "source", "stage")]), label="path")
+        _set_at(rec, path, data.draw(st.sampled_from(
+            ["bogus", "", "ti_ti_in_n", "t_i_0_0", "uploaded", "distractor"]), label="value"))
+    else:
+        last = len(rec["rounds"]) - 1
+        rec["dep_target_rounds"] = data.draw(st.sampled_from(
+            [[99], [-1], [last], [last + 1], [0, 0], [], [0, last - 1]]), label="targets")
+    io.write_jsonl(root / "bad.jsonl", records)
+    for argv in (["validate"], ["serialize", "--out", str(root / "s.jsonl")],
+                 ["stats", "--out", str(root / "st.json")],
+                 ["synthesize", "--stage", "c", "--out", str(root / "c.jsonl")]):
+        err = StringIO()
+        with contextlib.redirect_stdout(StringIO()), contextlib.redirect_stderr(err):
+            code = main([argv[0], "--in", str(root / "bad.jsonl"), *argv[1:]])
+        assert code in (0, 1, 2, 3, 4), argv[0]
+        if code >= 2:
+            assert len(err.getvalue().splitlines()) == 1 and "bad.jsonl" in err.getvalue()

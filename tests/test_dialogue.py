@@ -1,4 +1,5 @@
 import pytest
+from dialogue_reference import structural_equal
 
 from dialogforge.dialogue import (
     AmbiguousDependency,
@@ -13,11 +14,9 @@ from dialogforge.dialogue import (
     Stage,
     Turn,
     UnclassifiableModality,
-    compute_dependency_depth,
     dialogue_from_record,
     dialogue_to_record,
     infer_signature,
-    structural_equal,
     validate_dialogue,
 )
 from dialogforge.taxonomy import DepthKind, format_signature, parse_signature
@@ -70,7 +69,32 @@ def test_validate_clean_dialogue():
 
 def test_validate_depth_kind_mismatch():
     report = validate_dialogue(edit_dialogue(signature="t_i_i1_n"))
-    assert "depth-kind" in report.rules()
+    assert [(v.rule, v.detail) for v in report.violations] == [
+        ("signature", "depth is 'n' in the signature, '1' in the content")]
+
+
+@pytest.mark.parametrize("signature, fields", [
+    ("ti_i_i1_1", [("input", "ti", "t")]),
+    ("t_ti_i1_1", [("output", "ti", "i")]),
+    ("ti_ti_i1_n", [("input", "ti", "t"), ("output", "ti", "i"), ("depth", "n", "1")]),
+], ids=["input", "output", "three-fields"])
+def test_validate_relabelled_modality(signature, fields):
+    report = validate_dialogue(edit_dialogue(signature=signature))
+    assert [(v.rule, v.detail) for v in report.violations] == [
+        ("signature", f"{name} is {stored!r} in the signature, {found!r} in the content")
+        for name, stored, found in fields]
+
+
+def test_validate_reports_what_infer_signature_raises():
+    rounds = (
+        Round(user(text("q")), assistant(text("a"))),
+        Round(user(text("q")), assistant(Segment(image=image("g0")))),
+        Round(user(text("q")), assistant(Segment(image=image("g1")))),
+    )
+    d = Dialogue(id="d", rounds=rounds, signature=parse_signature("t_i_in_1"),
+                 dep_target_rounds=(0, 1), dep_depth_value=2)
+    assert [(v.rule, v.detail) for v in validate_dialogue(d).violations] == [
+        ("signature", "dependency targets mix text and image rounds")]
 
 
 def test_validate_ends_with_assistant():
@@ -175,7 +199,7 @@ def test_validate_nonpositive_dims():
 def test_validate_dep_target_presence_and_counts():
     d = edit_dialogue()
     no_targets = Dialogue(id=d.id, rounds=d.rounds, signature=d.signature)
-    assert "dep-targets-presence" in validate_dialogue(no_targets).rules()
+    assert "signature" in validate_dialogue(no_targets).rules()
 
     three = Dialogue(
         id="d3",
@@ -188,7 +212,7 @@ def test_validate_dep_target_presence_and_counts():
         dep_target_rounds=(0, 1),
         dep_depth_value=2,
     )
-    assert "target-count" in validate_dialogue(three).rules()
+    assert "signature" in validate_dialogue(three).rules()
 
 
 def test_validate_dep_modality():
@@ -202,7 +226,7 @@ def test_validate_dep_modality():
         dep_target_rounds=(0,),
         dep_depth_value=1,
     )
-    assert "dep-modality" in validate_dialogue(d).rules()
+    assert validate_dialogue(d).rules() == {"signature"}
 
 
 def test_validate_target_range():
@@ -226,7 +250,7 @@ def test_validate_is_pure_and_idempotent():
 
 def test_compute_depth_zero():
     d = Dialogue(id="d", rounds=edit_dialogue().rounds, signature=parse_signature("t_i_0_0"))
-    assert compute_dependency_depth(d).kind is DepthKind.ZERO
+    assert infer_signature(d).depth is DepthKind.ZERO
 
 
 def test_compute_depth_long_range():
@@ -236,20 +260,19 @@ def test_compute_depth_long_range():
     )
     d = Dialogue(id="d", rounds=rounds, signature=parse_signature("t_i_i1_n"),
                  dep_target_rounds=(0,), dep_depth_value=4)
-    depth = compute_dependency_depth(d)
-    assert depth.kind is DepthKind.N
-    assert depth.n_value == 4
+    assert infer_signature(d).depth is DepthKind.N
 
 
 def test_compute_depth_one():
-    assert compute_dependency_depth(edit_dialogue()).kind is DepthKind.ONE
+    assert infer_signature(edit_dialogue()).depth is DepthKind.ONE
 
 
 def test_compute_depth_invalid_target():
-    d = Dialogue(id="d", rounds=edit_dialogue().rounds, signature=parse_signature("t_i_i1_1"),
-                 dep_target_rounds=(5,), dep_depth_value=1)
-    with pytest.raises(InvalidTarget):
-        compute_dependency_depth(d)
+    for target in (1, 5, 99, -1):  # the final round itself, past it, far past it, before round 0
+        d = Dialogue(id="d", rounds=edit_dialogue().rounds, signature=parse_signature("t_i_i1_1"),
+                     dep_target_rounds=(target,), dep_depth_value=1)
+        with pytest.raises(InvalidTarget, match=f"target round {target} does not precede"):
+            infer_signature(d)
 
 
 def test_infer_context_free_generation():
@@ -280,7 +303,7 @@ def test_infer_two_image_targets():
                  dep_target_rounds=(0, 2), dep_depth_value=5)
     sig = infer_signature(d)
     assert format_signature(sig) == "t_i_in_n"
-    assert sig.depth.n_value is None  # canonical form
+    assert sig.depth is DepthKind.N
 
 
 def test_infer_mixed_targets_ambiguous():

@@ -51,7 +51,7 @@ def test_t_i_0_0(t2i_rec, backend):
     assert d.dep_depth_value is None
     assert validate_dialogue(d).ok
     assert format_signature(infer_signature(d)) == "t_i_0_0"
-    assert d.final_user().text_content() == f"Please generate an image of {t2i_rec.caption}"
+    assert d.rounds[-1].user.text_content() == f"Please generate an image of {t2i_rec.caption}"
     assert d.id == f"{t2i_rec.id}.t_i_0_0.7"
     img = d.rounds[0].assistant.images()[0]
     assert img.source is ImageSource.GENERATED
@@ -69,7 +69,7 @@ def test_t_i_t1_1(t2i_rec, backend):
     assert format_signature(infer_signature(d)) == "t_i_t1_1"
     # round 0 is the Q&A, round 1 the generic request
     assert d.rounds[0].assistant.images() == []
-    assert d.final_user().text_content() == "Create one for me."
+    assert d.rounds[-1].user.text_content() == "Create one for me."
     # byte-determinism under a fixed seed
     again = build_t_i_t1_1(t2i_rec, backend, seed=7)
     assert again == d
@@ -80,7 +80,7 @@ def test_ti_i_0_0(edit_rec):
     assert format_signature(d.signature) == "ti_i_0_0"
     assert validate_dialogue(d).ok
     assert format_signature(infer_signature(d)) == "ti_i_0_0"
-    user = d.final_user()
+    user = d.rounds[-1].user
     assert len(user.images()) == 1
     assert user.images()[0].source is ImageSource.UPLOADED
     assert user.segments[0].text == edit_rec.instruction
@@ -94,7 +94,7 @@ def test_t_i_i1_1(edit_rec, backend):
     assert d.dep_depth_value == 1
     assert validate_dialogue(d).ok
     assert format_signature(infer_signature(d)) == "t_i_i1_1"
-    assert d.final_user().text_content() == edit_rec.instruction
+    assert d.rounds[-1].user.text_content() == edit_rec.instruction
     assert d.rounds[0].assistant.images()[0].id == edit_rec.source_image.id
     assert d.rounds[1].assistant.images()[0].id == edit_rec.target_image.id
 
@@ -111,10 +111,10 @@ def test_t_i_in_1(subj_rec, backend):
     assert len(d.rounds) == 3
     assert d.dep_target_rounds == (0, 1)
     assert d.dep_depth_value == 2  # farthest subject sits two rounds back
-    assert d.signature.depth.kind is DepthKind.ONE  # nearest subject is adjacent
+    assert d.signature.depth is DepthKind.ONE  # nearest subject is adjacent
     assert validate_dialogue(d).ok
     assert format_signature(infer_signature(d)) == "t_i_in_1"
-    final = d.final_user().text_content()
+    final = d.rounds[-1].user.text_content()
     assert subj_rec.subjects[0][0] in final
     assert subj_rec.subjects[1][0] in final
 
@@ -127,8 +127,8 @@ def test_ti_i_i1_1(subj_rec, backend):
     assert d.dep_depth_value == 1
     assert validate_dialogue(d).ok
     assert format_signature(infer_signature(d)) == "ti_i_i1_1"
-    assert len(d.final_user().images()) == 1
-    assert d.final_user().images()[0].source is ImageSource.UPLOADED
+    assert len(d.rounds[-1].user.images()) == 1
+    assert d.rounds[-1].user.images()[0].source is ImageSource.UPLOADED
 
 
 def test_image_ids_appear_exactly_once(subj_rec, backend):

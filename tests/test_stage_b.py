@@ -1,8 +1,9 @@
 import pytest
+from dialogue_reference import pool_from_t2i_dialogues, restore_stage_a_view, structural_equal
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dialogforge.dialogue import Stage, infer_signature, structural_equal, validate_dialogue
+from dialogforge.dialogue import Stage, infer_signature, validate_dialogue
 from dialogforge.fixtures import (
     make_distractor_pool,
     make_edit_records,
@@ -29,8 +30,6 @@ from dialogforge.stage_b import (
     entry_from_record,
     entry_to_record,
     plan_insertion,
-    pool_from_t2i_dialogues,
-    restore_stage_a_view,
     run_stage_b,
 )
 from dialogforge.taxonomy import DepthKind, format_signature
@@ -130,8 +129,8 @@ def test_apply_insertion_edit(edit_dialogue, pool, backend):
     assert out.dep_target_rounds == edit_dialogue.dep_target_rounds
     assert out.rounds[0] == edit_dialogue.rounds[0]
     # final query rewritten by the dependency op, original preserved
-    final = out.final_user()
-    original = edit_dialogue.final_user().text_content()
+    final = out.rounds[-1].user
+    original = edit_dialogue.rounds[-1].user.text_content()
     assert final.provenance.op_kind == "query2dep_q"
     assert final.provenance.original_text == original
     assert final.text_content() != original
@@ -148,7 +147,7 @@ def test_apply_uses_signature_specific_op(backend, pool, index, expected_op, exp
     d = depth1_dialogues(backend)[index]
     out = apply_insertion(d, plan_insertion(d, pool, 2, seed=1), backend, seed=3)
     assert format_signature(out.signature) == expected_sig
-    assert out.final_user().provenance.op_kind == expected_op
+    assert out.rounds[-1].user.provenance.op_kind == expected_op
     assert validate_dialogue(out).ok
     assert format_signature(infer_signature(out)) == expected_sig
 
@@ -159,7 +158,7 @@ def test_depth_arithmetic_all_signatures(backend, pool):
             big_pool = make_distractor_pool(4, 7)  # 12 entries >= k
             out = apply_insertion(d, plan_insertion(d, big_pool, k, seed=k), backend)
             assert out.dep_depth_value == d.dep_depth_value + k
-            assert out.signature.depth.kind is DepthKind.N
+            assert out.signature.depth is DepthKind.N
             # nearest-target separation grows by exactly k as well
             nearest_in = min(d.last_round_index - t for t in d.dep_target_rounds)
             nearest_out = min(out.last_round_index - t for t in out.dep_target_rounds)
@@ -188,7 +187,7 @@ def test_run_stage_b_passthrough_and_rejects(backend, pool):
     assert outputs[0].id == t2i.id
     assert outputs[0].annotations == ("stage_b_skipped",)
     assert structural_equal(outputs[0], t2i)
-    assert outputs[1].signature.depth.kind is DepthKind.N
+    assert outputs[1].signature.depth is DepthKind.N
     assert len(rejects) == 1
     assert rejects[0]["id"] == deep.id
 

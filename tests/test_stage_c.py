@@ -1,11 +1,11 @@
 import dataclasses
 
 import pytest
+from dialogue_reference import structural_equal
 
 from dialogforge.dialogue import (
     MissingCaption,
     infer_signature,
-    structural_equal,
     validate_dialogue,
 )
 from dialogforge.fixtures import (

@@ -6,6 +6,7 @@ import random
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from dialogue_reference import make_random_dialogue
 from hypothesis import strategies as st
 from mask_reference import StreamTooLong, dense_mask, mask_oracle
 
@@ -21,7 +22,7 @@ from dialogforge.dialogue import (
     Stage,
     Turn,
 )
-from dialogforge.fixtures import make_random_dialogue, make_t2i_records
+from dialogforge.fixtures import make_t2i_records
 from dialogforge.stage_a import build_t_i_0_0, t2i_record_from_obj
 from dialogforge.stage_c import interleave_output
 from dialogforge.stream import (
@@ -109,7 +110,7 @@ def test_grammar_requires_replay_after_noised_image():
         (BlockKind.SPECIAL, 1, Role.ASSISTANT, LossTag.CE, SpecialToken.V_E),
         (BlockKind.SPECIAL, 1, Role.ASSISTANT, LossTag.CE, SpecialToken.END),
     )
-    report = validate_stream(s)
+    report = validate_stream(_mutated(s, 4, image_id="g0"))  # a noised image names its id
     assert [(v.rule, v.where) for v in report.violations] == [("grammar", 6)]
     assert "|v_s|" in report.violations[0].detail
 
@@ -182,6 +183,13 @@ def test_serialize_refuses_rounds_the_grammar_cannot_express(user_images, assist
 def test_serialize_unit_overflow(backend):
     with pytest.raises(UnitOverflow):
         serialize(t2i_dialogue(backend), StreamConfig(max_image_units=10))
+
+
+@pytest.mark.parametrize("w, h", [(0, 256), (256, -1), (-20, -20)])
+def test_serialize_refuses_an_image_without_a_positive_size(backend, w, h):
+    # -20 x -20 would otherwise compute to ceil(-20 / p) ** 2 = 1 unit per block
+    with pytest.raises(InvalidStream, match=f"is {w}x{h}, not a positive size"):
+        serialize(t2i_dialogue(backend, w=w, h=h))
 
 
 def _record_rounds(rec):
@@ -480,8 +488,11 @@ def test_stream_to_record_refuses_a_block_off_its_slot(seed, data):
 def test_stream_to_record_refuses_image_ids_it_cannot_carry(backend):
     s = serialize(t2i_dialogue(backend))  # u: 0-2, noised: 3-5, replay: 6-9, end: 10
     for i, image_id in [(5, "x"), (1, "x"), (4, None), (4, 7), (7, "other"), (8, "other")]:
+        m = _mutated(s, i, image_id=image_id)
         with pytest.raises(InvalidStream, match=f"block {i}: image-id"):
-            stream_to_record(_mutated(s, i, image_id=image_id))
+            stream_to_record(m)
+        # a noised image without a string id also leaves its replay's ids unmatched
+        assert _found(m) == [("image-id", j) for j in ([4, 7, 8] if i == 4 else [i])]
 
 
 def test_mask_single_block_stream():

@@ -5,7 +5,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dialogforge.taxonomy import (
-    DependencyDepth,
     DependencyModality,
     DepthKind,
     InconsistentSignature,
@@ -35,13 +34,13 @@ def test_parse_basic():
     assert sig.input is InputModality.T
     assert sig.output is OutputModality.I
     assert sig.dep is DependencyModality.I1
-    assert sig.depth == DependencyDepth(DepthKind.ONE)
+    assert sig.depth is DepthKind.ONE
 
 
 def test_parse_context_free():
     sig = parse_signature("t_i_0_0")
     assert sig.dep is DependencyModality.NONE
-    assert sig.depth.kind is DepthKind.ZERO
+    assert sig.depth is DepthKind.ZERO
 
 
 def test_parse_inconsistent():
@@ -60,29 +59,15 @@ def test_parse_malformed(bad):
 
 def test_format_basic():
     sig = TaskSignature(InputModality.T, OutputModality.TI, DependencyModality.NONE,
-                        DependencyDepth(DepthKind.ZERO))
+                        DepthKind.ZERO)
     assert format_signature(sig) == "t_ti_0_0"
-
-
-def test_format_drops_n_value():
-    sig = TaskSignature(InputModality.TI, OutputModality.I, DependencyModality.I1,
-                        DependencyDepth(DepthKind.N, n_value=3))
-    assert format_signature(sig) == "ti_i_i1_n"
 
 
 def test_format_inconsistent():
     sig = TaskSignature(InputModality.T, OutputModality.I, DependencyModality.NONE,
-                        DependencyDepth(DepthKind.ONE))
+                        DepthKind.ONE)
     with pytest.raises(InconsistentSignature):
         format_signature(sig)
-
-
-def test_depth_n_value_rules():
-    with pytest.raises(ValueError):
-        DependencyDepth(DepthKind.ONE, n_value=2)
-    with pytest.raises(ValueError):
-        DependencyDepth(DepthKind.N, n_value=1)
-    assert DependencyDepth(DepthKind.N, n_value=2).n_value == 2
 
 
 def test_enumeration_cardinality_and_order():
@@ -103,10 +88,6 @@ def test_enumeration_contents():
 def test_round_trip_all():
     for sig in enumerate_valid_signatures():
         assert parse_signature(format_signature(sig)) == sig
-
-
-def test_parse_leaves_n_value_unset():
-    assert parse_signature("t_i_in_n").depth.n_value is None
 
 
 @given(st.text(max_size=20))
