@@ -21,6 +21,7 @@ from .dialogue import (
     Stage,
     Turn,
     infer_signature,
+    make_dialogue,
     validate_dialogue,
 )
 from .atomic_ops import MockBackend, OpKind, OpRequest, OpResponse, RemoteBackend, invoke

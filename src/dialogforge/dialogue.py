@@ -4,7 +4,9 @@ A dialogue is an ordered list of (user, assistant) rounds plus dependency
 annotations tying the final user request to earlier rounds. Values are frozen
 after construction; the transformation stages always build new dialogues.
 Structural rules are checked by ``validate_dialogue``, which reports
-violations as data rather than raising.
+violations as data rather than raising. Code that writes a dialogue builds it
+with ``make_dialogue``, which derives the signature and depth from the
+content; only the decoder takes them as given.
 
 Depth bookkeeping: ``dep_depth_value`` records how far back the *farthest*
 dependency target sits (in rounds), while the signature's depth kind is
@@ -144,7 +146,7 @@ class Turn:
 @dataclass(frozen=True)
 class Round:
     user: Turn
-    assistant: Turn | None
+    assistant: Turn
 
 
 @dataclass(frozen=True)
@@ -188,17 +190,15 @@ class ValidationReport:
         return {v.rule for v in self.violations}
 
 
-def validate_round_turns(user: Turn, assistant: Turn | None, report: ValidationReport,
+def validate_round_turns(user: Turn, assistant: Turn, report: ValidationReport,
                          where: int | None = None) -> None:
     """Turn-level checks for one round; shared with distractor-pool validation."""
     if user.role is not Role.USER:
         report.add("round-roles", f"user slot holds role {user.role.value!r}", where)
-    if assistant is not None and assistant.role is not Role.ASSISTANT:
+    if assistant.role is not Role.ASSISTANT:
         report.add("round-roles", f"assistant slot holds role {assistant.role.value!r}", where)
 
     for turn in (user, assistant):
-        if turn is None:
-            continue
         if not turn.segments:
             report.add("empty-segments", f"{turn.role.value} turn has no segments", where)
             continue
@@ -239,17 +239,10 @@ def validate_dialogue(d: Dialogue) -> ValidationReport:
     last = d.last_round_index
     for i, rnd in enumerate(d.rounds):
         validate_round_turns(rnd.user, rnd.assistant, report, where=i)
-        if rnd.assistant is None:
-            if i == last:
-                report.add("ends-with-assistant", "dialogue must end with an assistant turn", i)
-            else:
-                report.add("missing-assistant", "round has no assistant turn", i)
 
     seen_ids: set[str] = set()
     for i, rnd in enumerate(d.rounds):
         for turn in (rnd.user, rnd.assistant):
-            if turn is None:
-                continue
             for img in turn.images():
                 if img.id in seen_ids:
                     report.add("image-id-unique", f"image id {img.id!r} appears twice", i)
@@ -262,14 +255,12 @@ def validate_dialogue(d: Dialogue) -> ValidationReport:
         if not (0 <= t < last):
             report.add("target-range",
                        f"target round {t} does not precede the final round {last}")
-        elif d.rounds[t].user.is_distractor or (
-            d.rounds[t].assistant is not None and d.rounds[t].assistant.is_distractor
-        ):
+        elif d.rounds[t].user.is_distractor or d.rounds[t].assistant.is_distractor:
             report.add("distractor-target", f"target round {t} is a distractor", t)
     if not all(0 <= t < last for t in targets):
         return report
 
-    farthest = max((last - t for t in targets), default=None)
+    farthest = _farthest(d.rounds, targets)
     if d.dep_depth_value != farthest:
         report.add("depth-value",
                    f"dep_depth_value {d.dep_depth_value} != farthest target separation {farthest}")
@@ -290,10 +281,9 @@ def image_caption(d: Dialogue, i: int) -> str:
     """Caption of the first image of round ``i``'s assistant turn.
 
     Raises:
-        MissingCaption: the turn is absent, shows no image, or its caption is blank.
+        MissingCaption: the turn shows no image, or its caption is blank.
     """
-    asst = d.rounds[i].assistant
-    images = asst.images() if asst is not None else []
+    images = d.rounds[i].assistant.images()
     if not images or not (images[0].caption or "").strip():
         raise MissingCaption(f"dialogue {d.id!r}: round {i} has no captioned image")
     return images[0].caption
@@ -311,12 +301,28 @@ def infer_signature(d: Dialogue) -> TaskSignature:
         AmbiguousDependency: targets mix text and image history.
         UnclassifiableModality: final-turn content outside the taxonomy.
     """
-    if not d.rounds:
-        raise UnclassifiableModality("empty dialogue")
-    final = d.rounds[-1]
-    if final.assistant is None:
-        raise UnclassifiableModality("dialogue does not end with an assistant turn")
+    return _classify(d.rounds, d.dep_target_rounds)
 
+
+def make_dialogue(id: str, rounds: tuple[Round, ...], targets: tuple[int, ...] = (),
+                  annotations: tuple[str, ...] = ()) -> Dialogue:
+    """A dialogue whose signature and ``dep_depth_value`` follow from its content.
+
+    Raises what ``infer_signature`` raises when the content has no signature.
+    """
+    return Dialogue(id, rounds, _classify(rounds, targets), targets,
+                    _farthest(rounds, targets), annotations)
+
+
+def _farthest(rounds: tuple[Round, ...], targets: tuple[int, ...]) -> int | None:
+    """Rounds between the final round and the farthest target; None without targets."""
+    return max((len(rounds) - 1 - t for t in targets), default=None)
+
+
+def _classify(rounds: tuple[Round, ...], targets: tuple[int, ...]) -> TaskSignature:
+    if not rounds:
+        raise UnclassifiableModality("empty dialogue")
+    final = rounds[-1]
     inp = InputModality.TI if final.user.images() else InputModality.T
     out_images = bool(final.assistant.images())
     out_text = any(s.is_text for s in final.assistant.segments)
@@ -324,18 +330,14 @@ def infer_signature(d: Dialogue) -> TaskSignature:
         raise UnclassifiableModality("final assistant turn produces no image")
     out = OutputModality.TI if out_text else OutputModality.I
 
-    targets = d.dep_target_rounds
     if not targets:
         return TaskSignature(inp, out, DependencyModality.NONE, DepthKind.ZERO)
-    last = d.last_round_index
+    last = len(rounds) - 1
     kinds = set()
     for t in targets:
         if not (0 <= t < last):
             raise InvalidTarget(f"target round {t} does not precede the final round {last}")
-        asst = d.rounds[t].assistant
-        if asst is None:
-            raise InvalidTarget(f"target round {t} has no assistant turn")
-        kinds.add("image" if asst.images() else "text")
+        kinds.add("image" if rounds[t].assistant.images() else "text")
     if len(kinds) != 1:
         raise AmbiguousDependency("dependency targets mix text and image rounds")
     if kinds == {"image"}:
@@ -442,18 +444,16 @@ def dialogue_to_record(d: Dialogue) -> dict[str, Any]:
     }
     if d.dep_depth_value is not None:
         rec["dep_depth_value"] = d.dep_depth_value
-    rounds = []
-    for rnd in d.rounds:
-        if rnd.assistant is None:
-            raise ValueError(f"dialogue {d.id!r}: cannot serialize a round without an assistant turn")
-        rounds.append({"user": turn_to_obj(rnd.user), "assistant": turn_to_obj(rnd.assistant)})
-    rec["rounds"] = rounds
+    rec["rounds"] = [{"user": turn_to_obj(rnd.user), "assistant": turn_to_obj(rnd.assistant)}
+                     for rnd in d.rounds]
     if d.annotations:
         rec["annotations"] = list(d.annotations)
     return rec
 
 
 def dialogue_from_record(rec: dict[str, Any]) -> Dialogue:
+    if type(rec["id"]) is not str:
+        raise TypeError(f"dialogue id must be a string, not {rec['id']!r}")
     if not isinstance(rec["rounds"], list):
         raise TypeError(f"dialogue {rec['id']!r}: rounds must be a list")
     targets, depth = rec["dep_target_rounds"], rec.get("dep_depth_value")

@@ -43,11 +43,6 @@ class SamplingConfig:
         if not any(w > 0 for w in self.categories.values()):
             raise AllZeroWeights("at least one category needs positive weight")
 
-    def probabilities(self) -> dict[str, float]:
-        self.validate()
-        total = sum(self.categories.values())
-        return {name: w / total for name, w in self.categories.items()}
-
 
 def sample_stream(cfg: SamplingConfig, corpora: Mapping[str, Sequence[T]],
                   n: int, seed: int) -> list[tuple[str, T]]:

@@ -3,7 +3,8 @@
 Each builder covers one task signature with dependency depth 0 or 1. Images
 are passed through as references: a record's dataset image becomes the
 generated (assistant) or uploaded (user) image of the dialogue fiction, id
-preserved so input and output corpora stay joinable.
+preserved so input and output corpora stay joinable. A record keeps each
+caption once, on its image, where ``_dataset_image`` fills it in or checks it.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from .dialogue import (
     Dialogue,
     ImageRef,
     ImageSource,
-    MissingCaption,
     Provenance,
     Role,
     Round,
@@ -24,16 +24,9 @@ from .dialogue import (
     Stage,
     Turn,
     image_from_obj,
+    make_dialogue,
 )
-from .taxonomy import parse_signature
 from .util import derive_seed, run_records
-
-SIG_T_I_0_0 = parse_signature("t_i_0_0")
-SIG_T_I_T1_1 = parse_signature("t_i_t1_1")
-SIG_TI_I_0_0 = parse_signature("ti_i_0_0")
-SIG_T_I_I1_1 = parse_signature("t_i_i1_1")
-SIG_T_I_IN_1 = parse_signature("t_i_in_1")
-SIG_TI_I_I1_1 = parse_signature("ti_i_i1_1")
 
 
 class RecordError(ValueError):
@@ -43,7 +36,6 @@ class RecordError(ValueError):
 @dataclass(frozen=True)
 class T2IRecord:
     id: str
-    caption: str
     image: ImageRef
 
 
@@ -53,16 +45,13 @@ class EditRecord:
     instruction: str
     source_image: ImageRef
     target_image: ImageRef
-    source_caption: str
-    target_caption: str
 
 
 @dataclass(frozen=True)
 class SubjectRecord:
     id: str
-    subjects: tuple[tuple[str, ImageRef], ...]  # (caption, image), exactly two
+    subjects: tuple[ImageRef, ImageRef]
     composed_image: ImageRef
-    composed_caption: str
 
 
 def _require(obj: dict[str, Any], key: str) -> Any:
@@ -87,7 +76,7 @@ def t2i_record_from_obj(obj: dict[str, Any]) -> T2IRecord:
     if not isinstance(caption, str) or not caption.strip():
         raise RecordError("t2i record needs a non-empty caption")
     image = _dataset_image(_require(obj, "image"), caption)
-    return T2IRecord(id=obj.get("id") or image.id, caption=caption, image=image)
+    return T2IRecord(id=obj.get("id") or image.id, image=image)
 
 
 def edit_record_from_obj(obj: dict[str, Any]) -> EditRecord:
@@ -99,14 +88,8 @@ def edit_record_from_obj(obj: dict[str, Any]) -> EditRecord:
     target = _dataset_image(_require(obj, "target_image"), obj["target_caption"])
     if source.id == target.id:
         raise RecordError("edit record source and target images must have distinct ids")
-    return EditRecord(
-        id=obj.get("id") or target.id,
-        instruction=obj["instruction"],
-        source_image=source,
-        target_image=target,
-        source_caption=obj["source_caption"],
-        target_caption=obj["target_caption"],
-    )
+    return EditRecord(id=obj.get("id") or target.id, instruction=obj["instruction"],
+                      source_image=source, target_image=target)
 
 
 def subject_record_from_obj(obj: dict[str, Any]) -> SubjectRecord:
@@ -118,27 +101,23 @@ def subject_record_from_obj(obj: dict[str, Any]) -> SubjectRecord:
         caption = _require(s, "caption")
         if not isinstance(caption, str) or not caption.strip():
             raise RecordError("subject needs a non-empty caption")
-        subjects.append((caption, _dataset_image(_require(s, "image"), caption)))
-    if subjects[0][1].id == subjects[1][1].id:
+        subjects.append(_dataset_image(_require(s, "image"), caption))
+    if subjects[0].id == subjects[1].id:
         raise RecordError("subject images must have distinct ids")
     composed_caption = _require(obj, "composed_caption")
     if not isinstance(composed_caption, str) or not composed_caption.strip():
         raise RecordError("subject record needs a non-empty composed_caption")
     composed = _dataset_image(_require(obj, "composed_image"), composed_caption)
-    return SubjectRecord(
-        id=obj.get("id") or composed.id,
-        subjects=tuple(subjects),
-        composed_image=composed,
-        composed_caption=composed_caption,
-    )
+    return SubjectRecord(id=obj.get("id") or composed.id, subjects=tuple(subjects),
+                         composed_image=composed)
 
 
-def _generated(img: ImageRef, caption: str) -> Segment:
-    return Segment(image=replace(img, source=ImageSource.GENERATED, caption=caption))
+def _generated(img: ImageRef) -> Segment:
+    return Segment(image=replace(img, source=ImageSource.GENERATED))
 
 
-def _uploaded(img: ImageRef, caption: str) -> Segment:
-    return Segment(image=replace(img, source=ImageSource.UPLOADED, caption=caption))
+def _uploaded(img: ImageRef) -> Segment:
+    return Segment(image=replace(img, source=ImageSource.UPLOADED))
 
 
 def _op_text(backend: CompletionBackend, kind: OpKind, inputs: dict[str, str],
@@ -160,23 +139,25 @@ def _assistant_text(text: str, op: OpKind) -> Turn:
     return Turn(Role.ASSISTANT, (Segment(text=text),), Provenance(Stage.A, op_kind=op.value))
 
 
+def _generation_round(img: ImageRef, backend: CompletionBackend, seed: int,
+                      retries: int) -> Round:
+    """A request written from the image's caption, answered by the image."""
+    query = _op_text(backend, OpKind.CAPTION2QUERY, {"caption": img.caption}, seed, retries)
+    return Round(_user(query, OpKind.CAPTION2QUERY), _assistant_image(_generated(img)))
+
+
 def build_t_i_0_0(rec: T2IRecord, backend: CompletionBackend, *,
                   seed: int = 0, retries: int = 2) -> Dialogue:
     """Single-round text-to-image: caption becomes the request, image the reply."""
-    query = _op_text(backend, OpKind.CAPTION2QUERY, {"caption": rec.caption},
-                     derive_seed(seed, rec.id, "caption2query"), retries)
-    return Dialogue(
-        id=f"{rec.id}.t_i_0_0.{seed}",
-        rounds=(Round(_user(query, OpKind.CAPTION2QUERY), _assistant_image(_generated(rec.image, rec.caption))),),
-        signature=SIG_T_I_0_0,
-    )
+    return make_dialogue(f"{rec.id}.t_i_0_0.{seed}", (_generation_round(
+        rec.image, backend, derive_seed(seed, rec.id, "caption2query"), retries),))
 
 
 def build_t_i_t1_1(rec: T2IRecord, backend: CompletionBackend, *,
                    seed: int = 0, retries: int = 2) -> Dialogue:
     """Q&A about the subject, then a generic request that leans on that text history."""
     resp = invoke(
-        OpRequest(OpKind.CAPTION2QA_Q, {"caption": rec.caption},
+        OpRequest(OpKind.CAPTION2QA_Q, {"caption": rec.image.caption},
                   derive_seed(seed, rec.id, "caption2qa_q")),
         backend, retries,
     )
@@ -184,105 +165,64 @@ def build_t_i_t1_1(rec: T2IRecord, backend: CompletionBackend, *,
         Round(_user(resp.fields["q"], OpKind.CAPTION2QA_Q),
               _assistant_text(resp.fields["a"], OpKind.CAPTION2QA_Q)),
         Round(_user(resp.fields["query"], OpKind.CAPTION2QA_Q),
-              _assistant_image(_generated(rec.image, rec.caption))),
+              _assistant_image(_generated(rec.image))),
     )
-    return Dialogue(
-        id=f"{rec.id}.t_i_t1_1.{seed}",
-        rounds=rounds,
-        signature=SIG_T_I_T1_1,
-        dep_target_rounds=(0,),
-        dep_depth_value=1,
-    )
+    return make_dialogue(f"{rec.id}.t_i_t1_1.{seed}", rounds, (0,))
 
 
-def build_ti_i_0_0(rec: EditRecord, *, seed: int = 0) -> Dialogue:
-    """Single-round edit: instruction plus uploaded image in, edited image out."""
-    rounds = (
-        Round(
-            _user(rec.instruction, upload=_uploaded(rec.source_image, rec.source_caption)),
-            _assistant_image(_generated(rec.target_image, rec.target_caption)),
-        ),
-    )
-    return Dialogue(id=f"{rec.id}.ti_i_0_0.{seed}", rounds=rounds, signature=SIG_TI_I_0_0)
+def build_ti_i_0_0(rec: EditRecord, backend: CompletionBackend, *,
+                   seed: int = 0, retries: int = 2) -> Dialogue:
+    """Single-round edit: instruction plus uploaded image in, edited image out; no backend call."""
+    return make_dialogue(f"{rec.id}.ti_i_0_0.{seed}", (Round(
+        _user(rec.instruction, upload=_uploaded(rec.source_image)),
+        _assistant_image(_generated(rec.target_image)),
+    ),))
 
 
 def build_t_i_i1_1(rec: EditRecord, backend: CompletionBackend, *,
                    seed: int = 0, retries: int = 2) -> Dialogue:
     """Edit split in two rounds: generate the original first, then edit it."""
-    if not rec.source_caption.strip():
-        raise MissingCaption("splitting an edit needs the source image caption")
-    query = _op_text(backend, OpKind.CAPTION2QUERY, {"caption": rec.source_caption},
-                     derive_seed(seed, rec.id, "caption2query"), retries)
     rounds = (
-        Round(_user(query, OpKind.CAPTION2QUERY),
-              _assistant_image(_generated(rec.source_image, rec.source_caption))),
-        Round(_user(rec.instruction),
-              _assistant_image(_generated(rec.target_image, rec.target_caption))),
+        _generation_round(rec.source_image, backend,
+                          derive_seed(seed, rec.id, "caption2query"), retries),
+        Round(_user(rec.instruction), _assistant_image(_generated(rec.target_image))),
     )
-    return Dialogue(
-        id=f"{rec.id}.t_i_i1_1.{seed}",
-        rounds=rounds,
-        signature=SIG_T_I_I1_1,
-        dep_target_rounds=(0,),
-        dep_depth_value=1,
-    )
+    return make_dialogue(f"{rec.id}.t_i_i1_1.{seed}", rounds, (0,))
 
 
 def build_t_i_in_1(rec: SubjectRecord, backend: CompletionBackend, *,
                    seed: int = 0, retries: int = 2) -> Dialogue:
     """Two subjects generated in consecutive rounds, then composed into one image."""
-    (cap_a, img_a), (cap_b, img_b) = rec.subjects
-    query_a = _op_text(backend, OpKind.CAPTION2QUERY, {"caption": cap_a},
-                       derive_seed(seed, rec.id, "caption2query.0"), retries)
-    query_b = _op_text(backend, OpKind.CAPTION2QUERY, {"caption": cap_b},
-                       derive_seed(seed, rec.id, "caption2query.1"), retries)
-    compose = _op_text(backend, OpKind.DRIVE_HS, {"caption_a": cap_a, "caption_b": cap_b},
+    a, b = rec.subjects
+    first = _generation_round(a, backend, derive_seed(seed, rec.id, "caption2query.0"), retries)
+    second = _generation_round(b, backend, derive_seed(seed, rec.id, "caption2query.1"), retries)
+    compose = _op_text(backend, OpKind.DRIVE_HS, {"caption_a": a.caption, "caption_b": b.caption},
                        derive_seed(seed, rec.id, "drive_hs"), retries)
-    rounds = (
-        Round(_user(query_a, OpKind.CAPTION2QUERY), _assistant_image(_generated(img_a, cap_a))),
-        Round(_user(query_b, OpKind.CAPTION2QUERY), _assistant_image(_generated(img_b, cap_b))),
-        Round(_user(compose, OpKind.DRIVE_HS),
-              _assistant_image(_generated(rec.composed_image, rec.composed_caption))),
-    )
-    return Dialogue(
-        id=f"{rec.id}.t_i_in_1.{seed}",
-        rounds=rounds,
-        signature=SIG_T_I_IN_1,
-        dep_target_rounds=(0, 1),
-        dep_depth_value=2,
-    )
+    rounds = (first, second, Round(_user(compose, OpKind.DRIVE_HS),
+                                   _assistant_image(_generated(rec.composed_image))))
+    return make_dialogue(f"{rec.id}.t_i_in_1.{seed}", rounds, (0, 1))
 
 
 def build_ti_i_i1_1(rec: SubjectRecord, backend: CompletionBackend, *,
                     seed: int = 0, retries: int = 2) -> Dialogue:
     """One generated subject combined with a newly uploaded one."""
-    (cap_hist, img_hist), (cap_up, img_up) = rec.subjects
-    query = _op_text(backend, OpKind.CAPTION2QUERY, {"caption": cap_hist},
-                     derive_seed(seed, rec.id, "caption2query"), retries)
-    combine = _op_text(backend, OpKind.DRIVE_I_H, {"caption_history": cap_hist},
+    history, upload = rec.subjects
+    first = _generation_round(history, backend, derive_seed(seed, rec.id, "caption2query"), retries)
+    combine = _op_text(backend, OpKind.DRIVE_I_H, {"caption_history": history.caption},
                        derive_seed(seed, rec.id, "drive_i_h"), retries)
-    rounds = (
-        Round(_user(query, OpKind.CAPTION2QUERY), _assistant_image(_generated(img_hist, cap_hist))),
-        Round(_user(combine, OpKind.DRIVE_I_H, upload=_uploaded(img_up, cap_up)),
-              _assistant_image(_generated(rec.composed_image, rec.composed_caption))),
-    )
-    return Dialogue(
-        id=f"{rec.id}.ti_i_i1_1.{seed}",
-        rounds=rounds,
-        signature=SIG_TI_I_I1_1,
-        dep_target_rounds=(0,),
-        dep_depth_value=1,
-    )
+    rounds = (first, Round(_user(combine, OpKind.DRIVE_I_H, upload=_uploaded(upload)),
+                           _assistant_image(_generated(rec.composed_image))))
+    return make_dialogue(f"{rec.id}.ti_i_i1_1.{seed}", rounds, (0,))
 
 
-# task signature -> (record parser, builder, builder needs a backend)
-BUILDERS: dict[str, tuple[Callable[[dict], Any], Callable[..., Dialogue], bool]] = {
-    "t_i_0_0": (t2i_record_from_obj, build_t_i_0_0, True),
-    "t_i_t1_1": (t2i_record_from_obj, build_t_i_t1_1, True),
-    "ti_i_0_0": (edit_record_from_obj, build_ti_i_0_0, False),
-    "t_i_i1_1": (edit_record_from_obj, build_t_i_i1_1, True),
-    "t_i_in_1": (subject_record_from_obj, build_t_i_in_1, True),
-    "ti_i_i1_1": (subject_record_from_obj, build_ti_i_i1_1, True),
+# task signature -> (record parser, builder)
+BUILDERS: dict[str, tuple[Callable[[dict], Any], Callable[..., Dialogue]]] = {
+    "t_i_0_0": (t2i_record_from_obj, build_t_i_0_0),
+    "t_i_t1_1": (t2i_record_from_obj, build_t_i_t1_1),
+    "ti_i_0_0": (edit_record_from_obj, build_ti_i_0_0),
+    "t_i_i1_1": (edit_record_from_obj, build_t_i_i1_1),
+    "t_i_in_1": (subject_record_from_obj, build_t_i_in_1),
+    "ti_i_i1_1": (subject_record_from_obj, build_ti_i_i1_1),
 }
 
 
@@ -290,11 +230,8 @@ def build_for_task(task: str, raw: dict[str, Any], backend: CompletionBackend, *
                    seed: int = 0, retries: int = 2) -> Dialogue:
     if task not in BUILDERS:
         raise RecordError(f"no builder for task {task!r}")
-    parse, build, needs_backend = BUILDERS[task]
-    rec = parse(raw)
-    if needs_backend:
-        return build(rec, backend, seed=seed, retries=retries)
-    return build(rec, seed=seed)
+    parse, build = BUILDERS[task]
+    return build(parse(raw), backend, seed=seed, retries=retries)
 
 
 def run_stage_a(raw_records: list[dict[str, Any]], task: str, backend: CompletionBackend, *,

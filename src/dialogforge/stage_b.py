@@ -27,6 +27,7 @@ from .dialogue import (
     turn_from_obj,
     turn_to_obj,
     image_caption,
+    make_dialogue,
     validate_round_turns,
     with_annotation,
 )
@@ -157,11 +158,14 @@ def apply_insertion(d: Dialogue, plan: InsertionPlan, backend: CompletionBackend
 
     Everything before the splice point and every non-final turn stays
     byte-identical; target indices are unchanged because insertion happens
-    after the last target.
+    after the last target, so the depth becomes n and the farthest separation
+    grows by k.
 
     Raises:
         PlanMismatch: plan does not fit this dialogue or its signature has no
         history-dependent rewrite operation.
+        InvalidTarget, AmbiguousDependency, UnclassifiableModality: the output
+        has no signature (see ``make_dialogue``).
     """
     sig_str = format_signature(d.signature)
     if sig_str not in _DEP_OPS:
@@ -193,12 +197,7 @@ def apply_insertion(d: Dialogue, plan: InsertionPlan, backend: CompletionBackend
     p = plan.insert_position
     rounds = d.rounds[:p] + distractor_rounds + d.rounds[p:-1] + (Round(rewritten_user, final.assistant),)
 
-    return replace(
-        d,
-        rounds=rounds,
-        signature=replace(d.signature, depth=DepthKind.N),
-        dep_depth_value=(d.dep_depth_value or 0) + plan.k,
-    )
+    return make_dialogue(d.id, rounds, d.dep_target_rounds, d.annotations)
 
 
 def run_stage_b(dialogues: list[Dialogue], pool: DistractorPool,

@@ -12,7 +12,8 @@ from dataclasses import replace
 from typing import Any
 
 from .atomic_ops import CompletionBackend, OpKind, OpRequest, invoke
-from .dialogue import Dialogue, Round, Segment, Turn, image_caption, with_annotation
+from .dialogue import (Dialogue, Round, Segment, Turn, image_caption, make_dialogue,
+                       with_annotation)
 from .taxonomy import OutputModality
 from .util import derive_seed, run_records
 
@@ -36,6 +37,8 @@ def interleave_output(d: Dialogue, backend: CompletionBackend, *,
     Raises:
         AlreadyInterleaved: output modality is already text-and-image.
         MissingCaption: the final image has no caption to ground the Q&A.
+        InvalidTarget, AmbiguousDependency, UnclassifiableModality: the output
+        has no signature (see ``make_dialogue``).
     """
     if d.signature.output is OutputModality.TI:
         raise AlreadyInterleaved(f"dialogue {d.id!r} already has an interleaved output")
@@ -56,11 +59,7 @@ def interleave_output(d: Dialogue, backend: CompletionBackend, *,
         user=_insert_text(final.user, question, after_image=False),
         assistant=_insert_text(final.assistant, answer, after_image=True),
     )
-    return replace(
-        d,
-        rounds=d.rounds[:-1] + (new_final,),
-        signature=replace(d.signature, output=OutputModality.TI),
-    )
+    return make_dialogue(d.id, d.rounds[:-1] + (new_final,), d.dep_target_rounds, d.annotations)
 
 
 def run_stage_c(dialogues: list[Dialogue], backend: CompletionBackend, *,

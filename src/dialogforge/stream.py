@@ -170,7 +170,6 @@ def serialize(d: Dialogue, cfg: StreamConfig = StreamConfig()) -> TokenStream:
         InvalidStream: the grammar cannot express a round (a user turn with
             more than one image, an assistant turn that is not at most one
             image followed by text) or an image has no positive size.
-        ValueError: a round has no assistant turn.
     """
     blocks: list[TokenBlock] = []
 
@@ -201,8 +200,6 @@ def serialize(d: Dialogue, cfg: StreamConfig = StreamConfig()) -> TokenStream:
 
     for ri, rnd in enumerate(d.rounds):
         asst = rnd.assistant
-        if asst is None:
-            raise ValueError(f"dialogue {d.id!r}: round {ri} has no assistant turn")
         if (len(rnd.user.images()) > 1 or not asst.segments
                 or any(s.is_image for s in asst.segments[1:])):
             raise InvalidStream(f"dialogue {d.id!r}: round {ri}: the grammar takes one upload at "
@@ -405,17 +402,19 @@ def stream_from_record(rec: Any) -> TokenStream:
     Raises:
         KeyError: a key is missing.
         ValueError: the record is not v2 or does not rebuild a stream exactly:
-            an entry that is not a list, an unknown part code, a part the
-            grammar does not allow there, an entry of the wrong length, units
-            that are not a positive int, an image id that is not a string, a
-            last round without its end, or a total_len other than the
-            position sum.
+            a dialogue_id that is not a string, an entry that is not a list,
+            an unknown part code, a part the grammar does not allow there, an
+            entry of the wrong length, units that are not a positive int, an
+            image id that is not a string, a last round without its end, or a
+            total_len other than the position sum.
     """
     version = rec.get("v") if type(rec) is dict else None
     if version != _VERSION or type(version) is not int:
         raise ValueError(f"not a v{_VERSION} stream record (v is {version!r}); "
                          "write it again with `dialogforge serialize`")
     sid, total, entries = rec["dialogue_id"], rec["total_len"], rec["blocks"]
+    if type(sid) is not str:
+        raise ValueError(f"stream dialogue_id must be a string, not {sid!r}")
     if type(entries) is not list or not entries:
         raise ValueError(f"stream {sid!r}: blocks is not a non-empty list of part entries")
     blocks: list[TokenBlock] = []

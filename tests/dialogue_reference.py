@@ -22,9 +22,10 @@ from dialogforge.dialogue import (
     Turn,
 )
 from dialogforge.fixtures import _NOUNS, make_caption
-from dialogforge.stage_a import SIG_T_I_0_0
 from dialogforge.stage_b import DistractorCategory, DistractorEntry
-from dialogforge.taxonomy import DepthKind, format_signature
+from dialogforge.taxonomy import DepthKind, format_signature, parse_signature
+
+SIG_T_I_0_0 = parse_signature("t_i_0_0")
 
 
 def restore_stage_a_view(d: Dialogue) -> Dialogue:
@@ -35,7 +36,7 @@ def restore_stage_a_view(d: Dialogue) -> Dialogue:
     """
     rounds = tuple(
         r for r in d.rounds
-        if not (r.user.is_distractor or (r.assistant is not None and r.assistant.is_distractor))
+        if not (r.user.is_distractor or r.assistant.is_distractor)
     )
     final = rounds[-1]
     original = final.user.provenance.original_text
@@ -63,9 +64,7 @@ def _structure_key(d: Dialogue):
         img = s.image
         return ("image", img.id, img.source.value, img.uri, img.width, img.height, img.caption)
 
-    def turn_key(t: Turn | None):
-        if t is None:
-            return None
+    def turn_key(t: Turn):
         return (t.role.value, t.is_distractor, tuple(seg_key(s) for s in t.segments))
 
     return (
@@ -81,7 +80,7 @@ def pool_from_t2i_dialogues(dialogues: list[Dialogue]) -> list[DistractorEntry]:
     """Reuse single-round text-to-image dialogues as distractor entries."""
     entries = []
     for d in dialogues:
-        if len(d.rounds) != 1 or d.rounds[0].assistant is None:
+        if len(d.rounds) != 1:
             raise ValueError(f"dialogue {d.id!r} is not a single-round dialogue")
         entries.append(DistractorEntry(DistractorCategory.T2I,
                                        d.rounds[0].user, d.rounds[0].assistant))

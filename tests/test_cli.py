@@ -442,6 +442,7 @@ def _set_text(rec, value):
                  "is_distractor", id="distractor-str"),
     pytest.param(lambda rec: rec["rounds"][0]["assistant"]["segments"][0]["image"].update(id=[1]),
                  "image id", id="image-id-list"),
+    pytest.param(lambda rec: rec.update(id=[1]), "dialogue id", id="id-list"),
 ])
 @pytest.mark.parametrize("argv", ["validate --in bad.jsonl", "serialize --in bad.jsonl --out x.jsonl"])
 def test_record_wrong_value_type_exits_3_with_path_line(workdir, capsys, mutate, needle, argv):
@@ -455,6 +456,39 @@ def test_record_wrong_value_type_exits_3_with_path_line(workdir, capsys, mutate,
     err = capsys.readouterr().err.strip()
     assert err.startswith("i/o error: bad.jsonl:2: ") and len(err.splitlines()) == 1
     assert needle in err
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda rec: rec["rounds"][-1].pop("assistant"),
+    lambda rec: rec["rounds"][-1].update(assistant=None),
+], ids=["missing", "null"])
+@pytest.mark.parametrize("argv", ["validate --in bad.jsonl", "serialize --in bad.jsonl --out x.jsonl"])
+def test_round_without_assistant_exits_3_with_path_line(workdir, capsys, mutate, argv):
+    run("synthesize", "--stage", "a", "--task", "t_i_i1_1",
+        "--in", "edit_records_20.jsonl", "--out", "d.jsonl", "--seed", "1")
+    _bad_third_line("d.jsonl", "bad.jsonl", mutate)
+    capsys.readouterr()
+    assert run(*argv.split()) == 3
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("i/o error: bad.jsonl:3: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("value", [[1], 7, None], ids=["list", "int", "null"])
+def test_stream_dialogue_id_not_a_string_exits_3_in_mask_and_pack(workdir, capsys, value):
+    run("synthesize", "--stage", "a", "--task", "t_i_0_0",
+        "--in", "t2i_records_20.jsonl", "--out", "d.jsonl", "--seed", "1")
+    run("serialize", "--in", "d.jsonl", "--out", "s.jsonl")
+    Path("streams").mkdir()
+    _bad_third_line("s.jsonl", "streams/t2i.jsonl", lambda rec: rec.update(dialogue_id=value))
+    Path("weights.json").write_text(json.dumps({"t2i": 1.0}))
+    for argv in (["mask", "--in", "streams/t2i.jsonl", "--out", "m.jsonl"],
+                 ["pack", "--config", "weights.json", "--in-dir", "streams", "--n", "5",
+                  "--l-min", "10", "--out", "p.jsonl", "--stats", "p.json"]):
+        capsys.readouterr()
+        assert run(*argv) == 3, argv[0]
+        err = capsys.readouterr().err.strip()
+        assert err == (f"i/o error: streams/t2i.jsonl:3: "
+                       f"stream dialogue_id must be a string, not {value!r}"), argv[0]
 
 
 def test_stream_subcommands_hold_one_record_at_a_time(workdir, monkeypatch):

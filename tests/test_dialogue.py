@@ -97,14 +97,6 @@ def test_validate_reports_what_infer_signature_raises():
         ("signature", "dependency targets mix text and image rounds")]
 
 
-def test_validate_ends_with_assistant():
-    d = edit_dialogue()
-    d = Dialogue(id=d.id, rounds=d.rounds[:-1] + (Round(d.rounds[-1].user, None),),
-                 signature=d.signature, dep_target_rounds=d.dep_target_rounds,
-                 dep_depth_value=d.dep_depth_value)
-    assert "ends-with-assistant" in validate_dialogue(d).rules()
-
-
 def test_validate_role_swap():
     d = Dialogue(
         id="d",

@@ -3,9 +3,9 @@ import dataclasses
 
 import pytest
 
+from dialogforge.atomic_ops import MissingInput
 from dialogforge.dialogue import (
     ImageSource,
-    MissingCaption,
     Stage,
     infer_signature,
     validate_dialogue,
@@ -51,12 +51,12 @@ def test_t_i_0_0(t2i_rec, backend):
     assert d.dep_depth_value is None
     assert validate_dialogue(d).ok
     assert format_signature(infer_signature(d)) == "t_i_0_0"
-    assert d.rounds[-1].user.text_content() == f"Please generate an image of {t2i_rec.caption}"
+    assert d.rounds[-1].user.text_content() == f"Please generate an image of {t2i_rec.image.caption}"
     assert d.id == f"{t2i_rec.id}.t_i_0_0.7"
     img = d.rounds[0].assistant.images()[0]
     assert img.source is ImageSource.GENERATED
     assert img.id == t2i_rec.image.id
-    assert img.caption == t2i_rec.caption
+    assert img.caption == t2i_rec.image.caption
 
 
 def test_t_i_t1_1(t2i_rec, backend):
@@ -75,8 +75,8 @@ def test_t_i_t1_1(t2i_rec, backend):
     assert again == d
 
 
-def test_ti_i_0_0(edit_rec):
-    d = build_ti_i_0_0(edit_rec, seed=7)
+def test_ti_i_0_0(edit_rec, backend):
+    d = build_ti_i_0_0(edit_rec, backend, seed=7)
     assert format_signature(d.signature) == "ti_i_0_0"
     assert validate_dialogue(d).ok
     assert format_signature(infer_signature(d)) == "ti_i_0_0"
@@ -100,8 +100,9 @@ def test_t_i_i1_1(edit_rec, backend):
 
 
 def test_t_i_i1_1_missing_caption(edit_rec, backend):
-    broken = dataclasses.replace(edit_rec, source_caption="   ")
-    with pytest.raises(MissingCaption):
+    blank = dataclasses.replace(edit_rec.source_image, caption="   ")
+    broken = dataclasses.replace(edit_rec, source_image=blank)
+    with pytest.raises(MissingInput):
         build_t_i_i1_1(broken, backend)
 
 
@@ -115,8 +116,8 @@ def test_t_i_in_1(subj_rec, backend):
     assert validate_dialogue(d).ok
     assert format_signature(infer_signature(d)) == "t_i_in_1"
     final = d.rounds[-1].user.text_content()
-    assert subj_rec.subjects[0][0] in final
-    assert subj_rec.subjects[1][0] in final
+    assert subj_rec.subjects[0].caption in final
+    assert subj_rec.subjects[1].caption in final
 
 
 def test_ti_i_i1_1(subj_rec, backend):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from dialogue_reference import pool_from_t2i_dialogues, restore_stage_a_view, structural_equal
 from hypothesis import given, settings
@@ -135,6 +137,14 @@ def test_apply_insertion_edit(edit_dialogue, pool, backend):
     assert final.provenance.original_text == original
     assert final.text_content() != original
     assert final.text_content().startswith(original)
+
+
+def test_apply_insertion_derives_the_depth_of_mislabelled_input(edit_dialogue, pool, backend):
+    wrong = dataclasses.replace(edit_dialogue, dep_depth_value=7)  # the content says 1
+    out = apply_insertion(wrong, plan_insertion(wrong, pool, 2, seed=9), backend, seed=2)
+    assert out.dep_depth_value == 3  # the one target now sits 1 + 2 rounds back
+    assert out.signature == infer_signature(out)
+    assert validate_dialogue(out).ok
 
 
 @pytest.mark.parametrize("index,expected_op,expected_sig", [

@@ -24,7 +24,7 @@ from dialogforge.stage_a import (
 )
 from dialogforge.stage_b import apply_insertion, plan_insertion
 from dialogforge.stage_c import AlreadyInterleaved, interleave_output, run_stage_c
-from dialogforge.taxonomy import OutputModality, format_signature
+from dialogforge.taxonomy import OutputModality, format_signature, parse_signature
 
 
 @pytest.fixture()
@@ -42,10 +42,8 @@ def all_image_output_dialogues(backend):
     raw_for = {"t_i_0_0": "t2i", "t_i_t1_1": "t2i", "ti_i_0_0": "edit",
                "t_i_i1_1": "edit", "t_i_in_1": "subj", "ti_i_i1_1": "subj"}
     dialogues = []
-    for task, (parse, build, needs_backend) in BUILDERS.items():
-        rec = parse(records[raw_for[task]])
-        d = build(rec, backend, seed=4) if needs_backend else build(rec, seed=4)
-        dialogues.append(d)
+    for task, (parse, build) in BUILDERS.items():
+        dialogues.append(build(parse(records[raw_for[task]]), backend, seed=4))
     pool = make_distractor_pool(4, 84)
     deep = []
     for d in dialogues:
@@ -78,7 +76,7 @@ def test_interleave_grounded_in_final_caption(t2i_dialogue, backend):
 
 def test_interleave_upload_stays_last(backend):
     rec = edit_record_from_obj(make_edit_records(1, 72)[0])
-    d = build_ti_i_0_0(rec, seed=1)
+    d = build_ti_i_0_0(rec, backend, seed=1)
     out = interleave_output(d, backend, seed=1)
     # question lands between the instruction and the upload
     kinds = ["image" if s.is_image else "text" for s in out.rounds[-1].user.segments]
@@ -101,6 +99,21 @@ def test_interleave_missing_caption(t2i_dialogue, backend):
                             rounds=(dataclasses.replace(final, assistant=asst),))
     with pytest.raises(MissingCaption):
         interleave_output(d, backend)
+
+
+def test_interleave_derives_the_signature_of_mislabelled_input(t2i_dialogue, backend):
+    # stored input modality "ti" disagrees with the text-only request it labels
+    wrong = dataclasses.replace(t2i_dialogue, signature=parse_signature("ti_i_0_0"))
+    out = interleave_output(wrong, backend, seed=1)
+    assert out.signature == infer_signature(out) == parse_signature("t_ti_0_0")
+    assert validate_dialogue(out).ok
+
+
+def test_stage_c_rejects_input_without_a_signature(t2i_dialogue, backend):
+    bad = dataclasses.replace(t2i_dialogue, dep_target_rounds=(3,))
+    outputs, rejects = run_stage_c([t2i_dialogue, bad], backend, seed=1)
+    assert [o.id for o in outputs] == [t2i_dialogue.id]
+    assert rejects == [{"id": bad.id, "error": "target round 3 does not precede the final round 0"}]
 
 
 def test_interleave_only_touches_final_round(backend):
