@@ -417,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(fn=cmd_mask)
 
-    p = sub.add_parser("pack", help="weighted sampling + next-fit packing")
+    p = sub.add_parser("pack", help="weighted sampling + best-fit-decreasing packing")
     p.add_argument("--config", dest="sampling_config", required=True,
                    help="JSON map of category -> weight")
     p.add_argument("--in-dir", dest="in_dir", required=True,

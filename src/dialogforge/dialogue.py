@@ -418,7 +418,11 @@ def turn_to_obj(turn: Turn) -> dict[str, Any]:
 
 
 def turn_from_obj(obj: dict[str, Any], role: Role) -> Turn:
+    if not isinstance(obj, dict):
+        raise TypeError(f"{role.value} turn must be an object, not {obj!r}")
     prov = obj["provenance"]
+    if not isinstance(prov, dict):
+        raise TypeError(f"{role.value} turn: provenance must be an object, not {prov!r}")
     if not isinstance(obj["segments"], list):
         raise TypeError(f"{role.value} turn: segments must be a list")
     if type(obj["is_distractor"]) is not bool:
@@ -463,16 +467,18 @@ def dialogue_from_record(rec: dict[str, Any]) -> Dialogue:
     if "dep_depth_value" in rec and type(depth) is not int:
         raise TypeError(f"dialogue {rec['id']!r}: dep_depth_value must be an integer, "
                         f"not {depth!r}")
-    rounds = tuple(
-        Round(
-            user=turn_from_obj(r["user"], Role.USER),
-            assistant=turn_from_obj(r["assistant"], Role.ASSISTANT),
-        )
-        for r in rec["rounds"]
-    )
+    rounds = []
+    for i, r in enumerate(rec["rounds"]):
+        if not isinstance(r, dict):
+            raise TypeError(f"dialogue {rec['id']!r}: round {i} must be an object, not {r!r}")
+        try:
+            rounds.append(Round(user=turn_from_obj(r["user"], Role.USER),
+                                assistant=turn_from_obj(r["assistant"], Role.ASSISTANT)))
+        except TypeError as err:
+            raise TypeError(f"dialogue {rec['id']!r}: round {i}: {err}") from err
     return Dialogue(
         id=rec["id"],
-        rounds=rounds,
+        rounds=tuple(rounds),
         signature=parse_signature(rec["signature"]),
         dep_target_rounds=tuple(targets),
         dep_depth_value=depth,

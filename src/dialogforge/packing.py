@@ -1,18 +1,23 @@
-"""Weighted category sampling and next-fit sequence packing.
+"""Weighted category sampling and best-fit-decreasing sequence packing.
 
 Draws are seeded and sequential, so a (config, corpora, n, seed) tuple pins
-the output bytes. Packing is plain next-fit over the draw order: samples are
-whole, a pack closes as soon as the next sample would push it past the upper
-bound and is never revisited, and packs that close light are emitted anyway
-but flagged underfull.
+the output bytes. Samples are whole and never truncated. ``best_fit_order``
+plans best-fit-decreasing (BFD) packs: longest sample first, each into the
+open pack with the least room that still holds it. ``pack_greedy`` (next-fit)
+then builds exactly those packs from that order, flagging any that close
+light as underfull, and ``pack_corpus`` writes them in a seeded order so the
+pack file carries no length curriculum.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Mapping, Sequence, TypeVar
+
+from .util import derive_seed
 
 T = TypeVar("T")
 
@@ -122,6 +127,30 @@ def pack_greedy(samples: Sequence[tuple[str, int]], l_min: int, l_max: int) -> l
     return packs
 
 
+def best_fit_order(lengths: Sequence[int], l_max: int) -> list[int]:
+    """Best-fit-decreasing plan: sample indices grouped pack by pack, packs in opening order.
+
+    Samples are taken longest first, equal lengths in input order. Each goes
+    into the open pack with the least room that still holds it, the earliest
+    such pack on a tie, or opens a new one. Next-fit over the returned order
+    closes exactly these packs: a pack's first sample fitted no earlier pack
+    when it was placed, and rooms only shrink after that.
+    """
+    rooms: list[tuple[int, int]] = []  # (room left, pack number), ascending
+    packs: list[list[int]] = []
+    for i in sorted(range(len(lengths)), key=lengths.__getitem__, reverse=True):
+        length = lengths[i]
+        at = bisect.bisect_left(rooms, (length,))
+        if at < len(rooms):
+            room, number = rooms.pop(at)
+        else:
+            room, number = l_max, len(packs)
+            packs.append([])
+        packs[number].append(i)
+        bisect.insort(rooms, (room - length, number))
+    return [i for pack in packs for i in pack]
+
+
 def pack_to_record(p: Pack) -> dict[str, Any]:
     return {
         "pack_id": p.pack_id,
@@ -135,10 +164,19 @@ def pack_to_record(p: Pack) -> dict[str, Any]:
 def pack_corpus(cfg: SamplingConfig, corpora: Mapping[str, Sequence[tuple[str, int]]],
                 n_draws: int, l_min: int, l_max: int,
                 seed: int) -> tuple[list[Pack], dict[str, Any]]:
-    """sample_stream then pack_greedy, plus a stats record for the run."""
+    """Seeded draws packed best-fit-decreasing, in a seeded pack order, plus run stats.
+
+    ``pack_greedy`` runs over the draws in ``best_fit_order``, so it builds the
+    BFD packs. They open longest sample first; shuffling them with an rng
+    derived from ``seed`` (apart from the draw rng) keeps any prefix of the
+    pack file a fair sample of the weights. ``pack_id``s follow file order.
+    """
     draws = sample_stream(cfg, corpora, n_draws, seed)
     items = [(sid, length) for _, (sid, length) in draws]
-    packs = pack_greedy(items, l_min, l_max)
+    order = best_fit_order([length for _, length in items], l_max)
+    packs = pack_greedy([items[i] for i in order], l_min, l_max)
+    random.Random(derive_seed(seed, "pack-order")).shuffle(packs)
+    packs = [replace(p, pack_id=f"pack-{n:05d}") for n, p in enumerate(packs)]
 
     category_draws: dict[str, int] = {}
     category_tokens: dict[str, int] = {}

@@ -458,12 +458,17 @@ def test_record_wrong_value_type_exits_3_with_path_line(workdir, capsys, mutate,
     assert needle in err
 
 
-@pytest.mark.parametrize("mutate", [
-    lambda rec: rec["rounds"][-1].pop("assistant"),
-    lambda rec: rec["rounds"][-1].update(assistant=None),
-], ids=["missing", "null"])
+@pytest.mark.parametrize("mutate, needle", [
+    (lambda rec: rec["rounds"][1].pop("assistant"), "missing key 'assistant'"),
+    (lambda rec: rec["rounds"][1].update(assistant=None),
+     "round 1: assistant turn must be an object, not None"),
+    (lambda rec: rec["rounds"][0].update(user=None),
+     "round 0: user turn must be an object, not None"),
+    (lambda rec: rec["rounds"][1]["user"].update(provenance=None),
+     "round 1: user turn: provenance must be an object, not None"),
+], ids=["missing", "null", "user-null", "provenance-null"])
 @pytest.mark.parametrize("argv", ["validate --in bad.jsonl", "serialize --in bad.jsonl --out x.jsonl"])
-def test_round_without_assistant_exits_3_with_path_line(workdir, capsys, mutate, argv):
+def test_round_without_assistant_exits_3_with_path_line(workdir, capsys, mutate, needle, argv):
     run("synthesize", "--stage", "a", "--task", "t_i_i1_1",
         "--in", "edit_records_20.jsonl", "--out", "d.jsonl", "--seed", "1")
     _bad_third_line("d.jsonl", "bad.jsonl", mutate)
@@ -471,6 +476,7 @@ def test_round_without_assistant_exits_3_with_path_line(workdir, capsys, mutate,
     assert run(*argv.split()) == 3
     err = capsys.readouterr().err.strip()
     assert err.startswith("i/o error: bad.jsonl:3: ") and len(err.splitlines()) == 1
+    assert needle in err
 
 
 @pytest.mark.parametrize("value", [[1], 7, None], ids=["list", "int", "null"])

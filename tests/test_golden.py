@@ -66,9 +66,9 @@ GOLDEN = {
     "masks/ti_i_i1_1.jsonl":
         "6a988fda3e1dc6e24f696f7d3d4258d4672d7a87dc630937f7b1ccdcd73e7861",
     "pack_stats.json":
-        "b2809b4bd578b93374f5717e4a995e6233acc3ca23b417ae646678fb88370775",
+        "7e98e3b71b8ac450e6f36efea9883a5d01ed9714a1009c1d18b2e946888ef9d5",
     "packs.jsonl":
-        "7dcb17c5b9eb462c300efeffd76dd1d0cf06d6bc970efae08967df736f8ca909",
+        "d22fd9c8cdd73211bfb2c62c79da04c367369f47703c5354e4b9c803bbc0b588",
     "stats.json":
         "00435a127c4b327341f05e30e3a875950e68f8fdd3b0ac2552020fc4fd310052",
     "streams/t_i_0_0.jsonl":

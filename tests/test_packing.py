@@ -1,9 +1,11 @@
 import collections
+import json
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from pack_reference import bfd_packs
 
 from dialogforge.packing import (
     AllZeroWeights,
@@ -11,6 +13,7 @@ from dialogforge.packing import (
     Pack,
     SampleTooLong,
     SamplingConfig,
+    best_fit_order,
     pack_corpus,
     pack_greedy,
     pack_to_record,
@@ -156,3 +159,84 @@ def test_pack_corpus_deterministic():
 def test_pack_record_shape():
     rec = pack_to_record(Pack("pack-00000", ("a", "b"), (3, 4), 7, False))
     assert list(rec) == ["pack_id", "sample_ids", "lengths", "total", "underfull"]
+
+
+bounded_lengths = st.integers(1, 200).flatmap(
+    lambda l_max: st.tuples(st.lists(st.integers(1, l_max), max_size=80), st.just(l_max)))
+
+
+@settings(max_examples=200)
+@given(case=bounded_lengths)
+def test_best_fit_order_is_a_permutation(case):
+    lengths, l_max = case
+    assert sorted(best_fit_order(lengths, l_max)) == list(range(len(lengths)))
+
+
+@settings(max_examples=200)
+@given(case=bounded_lengths)
+def test_next_fit_over_best_fit_order_closes_the_reference_packs(case):
+    lengths, l_max = case
+    order = best_fit_order(lengths, l_max)
+    packs = pack_greedy([(str(i), lengths[i]) for i in order], l_min=l_max, l_max=l_max)
+    assert [[int(sid) for sid in p.sample_ids] for p in packs] == bfd_packs(lengths, l_max)
+
+
+@st.composite
+def pack_runs(draw):
+    l_max = draw(st.integers(1, 120))
+    names = draw(st.lists(st.sampled_from("abcd"), min_size=1, max_size=4, unique=True))
+    corpora = {name: [(f"{name}-{i}", n) for i, n in
+                      enumerate(draw(st.lists(st.integers(1, l_max), min_size=1, max_size=8)))]
+               for name in names}
+    weights = {name: draw(st.floats(0.1, 4.0)) for name in names}
+    return SamplingConfig(weights), corpora, draw(st.integers(0, 120)), l_max, draw(st.integers(0, 2**32))
+
+
+@settings(max_examples=100)
+@given(run=pack_runs())
+def test_pack_corpus_packs_every_draw_once_within_l_max(run):
+    cfg, corpora, n, l_max, seed = run
+    packs, stats = pack_corpus(cfg, corpora, n, l_max // 2, l_max, seed)
+    drawn = collections.Counter(sid for _, (sid, _) in sample_stream(cfg, corpora, n, seed))
+    assert collections.Counter(sid for p in packs for sid in p.sample_ids) == drawn
+    assert all(p.total == sum(p.lengths) <= l_max for p in packs)
+    assert sum(p.total <= l_max / 2 for p in packs) <= 1
+    assert [p.pack_id for p in packs] == [f"pack-{i:05d}" for i in range(len(packs))]
+    assert stats["pack_count"] == len(packs) and stats["sample_count"] == n
+
+
+@settings(max_examples=50)
+@given(run=pack_runs())
+def test_pack_corpus_is_byte_deterministic(run):
+    cfg, corpora, n, l_max, seed = run
+
+    def dump():
+        packs, stats = pack_corpus(cfg, corpora, n, l_max // 2, l_max, seed)
+        return json.dumps([pack_to_record(p) for p in packs]), json.dumps(stats)
+
+    assert dump() == dump()
+
+
+def _ranks(values):
+    order = sorted(range(len(values)), key=values.__getitem__)
+    ranks = [0.0] * len(values)
+    i = 0
+    while i < len(order):
+        j = i
+        while j + 1 < len(order) and values[order[j + 1]] == values[order[i]]:
+            j += 1
+        for k in range(i, j + 1):
+            ranks[order[k]] = (i + j) / 2
+        i = j + 1
+    return ranks
+
+
+def test_pack_file_is_not_ordered_by_length():
+    rng = random.Random(2)
+    corp = {"a": [(f"a-{i}", rng.randint(200, 3000)) for i in range(400)]}
+    packs, _ = pack_corpus(SamplingConfig({"a": 1.0}), corp, 2000, 14000, 16000, seed=5)
+    x, y = _ranks(list(range(len(packs)))), _ranks([max(p.lengths) for p in packs])
+    mx, my = sum(x) / len(x), sum(y) / len(y)
+    cov = sum((a - mx) * (b - my) for a, b in zip(x, y))
+    rho = cov / (sum((a - mx) ** 2 for a in x) * sum((b - my) ** 2 for b in y)) ** 0.5
+    assert len(packs) > 150 and abs(rho) < 0.2
