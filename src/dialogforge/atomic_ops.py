@@ -248,6 +248,9 @@ class MockBackend:
     def complete(self, prompt: str, seed: int) -> str:
         return mock_complete(prompt, seed)
 
+    def close(self) -> None:
+        """Nothing to release; here so that every backend the CLI makes can be closed."""
+
 
 # --- Remote backend -----------------------------------------------------------
 
@@ -317,7 +320,6 @@ class RemoteBackend:
         # subcommands never load an HTTP stack.
         import http.client
         import threading
-        import weakref
 
         target = split_backend_url(self.url)
         https = target.scheme == "https"
@@ -345,12 +347,13 @@ class RemoteBackend:
 
         self._connect = connect
         self._local = threading.local()
-        # Weak, so that a connection is dropped with the worker thread that owns it.
-        self._conns: weakref.WeakSet[http.client.HTTPConnection] = weakref.WeakSet()
+        # Every connection opened, also those of worker threads that have exited
+        # since, so that ``close`` reaches them all.
+        self._conns: list[http.client.HTTPConnection] = []
         self._transport_errors = (OSError, http.client.HTTPException)
 
     def close(self) -> None:
-        """Close every live thread's connection; call it when no request is in flight.
+        """Close every connection this backend opened; call it when no request is in flight.
 
         A later ``complete`` reopens its thread's connection.
         """
@@ -363,7 +366,7 @@ class RemoteBackend:
         conn = getattr(self._local, "conn", None)
         if conn is None:
             conn = self._local.conn = self._connect()
-            self._conns.add(conn)
+            self._conns.append(conn)
         while True:
             reused = conn.sock is not None
             try:

@@ -23,7 +23,6 @@ from typing import Any, Iterator, Sequence
 from . import io
 from .atomic_ops import (
     BackendUnavailable,
-    CompletionBackend,
     MockBackend,
     RemoteBackend,
     split_backend_url,
@@ -97,7 +96,7 @@ class PipelineConfig:
         if min(self.vit_patch, self.vae_patch, self.max_image_units) < 1:
             raise ConfigError("patch sizes and the image-unit cap must be positive")
 
-    def make_backend(self) -> CompletionBackend:
+    def make_backend(self) -> MockBackend | RemoteBackend:
         if self.backend == "mock":
             return MockBackend()
         return RemoteBackend(url=self.backend_url)
@@ -199,35 +198,37 @@ def cmd_synthesize(args: argparse.Namespace, argv: Sequence[str]) -> int:
     # The mock stages are CPU-bound, so threads only add overhead there.
     concurrency = cfg.concurrency if cfg.backend == "remote" else 1
     rejects: list[dict[str, Any]] = []
+    try:
+        if "a" in stages:
+            raw = list(io.read_jsonl(args.in_path))
+            dialogues, stage_rejects = run_stage_a(
+                raw, args.task, backend,
+                seed=cfg.seed, retries=cfg.retries, concurrency=concurrency)
+            rejects += [{"stage": "a", **r} for r in stage_rejects]
+        else:
+            dialogues = list(_read_dialogues(args.in_path))
 
-    if "a" in stages:
-        raw = list(io.read_jsonl(args.in_path))
-        dialogues, stage_rejects = run_stage_a(
-            raw, args.task, backend,
-            seed=cfg.seed, retries=cfg.retries, concurrency=concurrency)
-        rejects += [{"stage": "a", **r} for r in stage_rejects]
-    else:
-        dialogues = list(_read_dialogues(args.in_path))
+        if "b" in stages:
+            pool = DistractorPool(tuple(io.read_records(args.pool, entry_from_record)))
+            if not pool.entries:
+                raise ConfigError(f"distractor pool {args.pool} is empty")
+            report = pool.validate()
+            if not report.ok:
+                first = report.violations[0]
+                raise ConfigError(f"distractor pool entry {first.where}: {first.detail}")
+            dialogues, stage_rejects = run_stage_b(
+                dialogues, pool, (cfg.k_min, cfg.k_max), cfg.seed, backend,
+                retries=cfg.retries, concurrency=concurrency)
+            rejects += [{"stage": "b", **r} for r in stage_rejects]
 
-    if "b" in stages:
-        pool = DistractorPool(tuple(io.read_records(args.pool, entry_from_record)))
-        if not pool.entries:
-            raise ConfigError(f"distractor pool {args.pool} is empty")
-        report = pool.validate()
-        if not report.ok:
-            first = report.violations[0]
-            raise ConfigError(f"distractor pool entry {first.where}: {first.detail}")
-        dialogues, stage_rejects = run_stage_b(
-            dialogues, pool, (cfg.k_min, cfg.k_max), cfg.seed, backend,
-            retries=cfg.retries, concurrency=concurrency)
-        rejects += [{"stage": "b", **r} for r in stage_rejects]
-
-    if "c" in stages:
-        dialogues, stage_rejects = run_stage_c(
-            dialogues, backend,
-            apply_fraction=cfg.apply_fraction, seed=cfg.seed,
-            retries=cfg.retries, concurrency=concurrency)
-        rejects += [{"stage": "c", **r} for r in stage_rejects]
+        if "c" in stages:
+            dialogues, stage_rejects = run_stage_c(
+                dialogues, backend,
+                apply_fraction=cfg.apply_fraction, seed=cfg.seed,
+                retries=cfg.retries, concurrency=concurrency)
+            rejects += [{"stage": "c", **r} for r in stage_rejects]
+    finally:
+        backend.close()
 
     io.write_jsonl(args.out, (dialogue_to_record(d) for d in dialogues))
     rejects_path = args.rejects or f"{args.out}.rejects.jsonl"

@@ -172,7 +172,7 @@ class Dialogue:
 class Violation:
     rule: str
     detail: str
-    where: int | None = None  # round index (dialogues) or block index (streams)
+    where: int | None = None  # round index (dialogues) or part index (streams)
 
 
 @dataclass

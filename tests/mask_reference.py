@@ -50,16 +50,17 @@ def mask_oracle(s: TokenStream) -> np.ndarray:
     n = s.total_len
     if n > 512:
         raise StreamTooLong(f"oracle handles up to 512 positions, got {n}")
+    blocks = s.blocks
     block_at: list[int] = [0] * n
-    for bi, b in enumerate(s.blocks):
+    for bi, b in enumerate(blocks):
         for p in range(b.start, b.end):
             block_at[p] = bi
     rows = []
     for q in range(n):
-        bq = s.blocks[block_at[q]]
+        bq = blocks[block_at[q]]
         row = []
         for k in range(n):
-            bk = s.blocks[block_at[k]]
+            bk = blocks[block_at[k]]
             same_noised = bq is bk and bq.kind is BlockKind.VAE_NOISED
             visible = (
                 same_noised

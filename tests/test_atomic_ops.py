@@ -1,8 +1,10 @@
 import base64
+import gc
 import json
 import socket
 import sys
 import threading
+import warnings
 from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
 
 import pytest
@@ -371,6 +373,21 @@ def test_remote_concurrent_replies_in_input_order(loopback):
     assert rejects == []
     assert outputs == [mock_complete(p, i) for i, p in enumerate(prompts)]
     assert server.connections <= 2
+
+
+def test_remote_close_reaches_connections_of_exited_threads(loopback):
+    server = loopback.server()
+    backend = RemoteBackend(url=server.url, timeout=5)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        outputs, _ = run_records(lambda i: backend.complete(render_prompt(_caption_req(i)), i),
+                                 range(8), 2, lambda i, err: {"i": i, "error": str(err)})
+        # the pool's threads have exited: only close() can release their connections
+        backend.close()
+        del backend
+        gc.collect()
+    assert len(outputs) == 8 and 1 <= server.connections <= 2
+    assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
 def test_remote_resends_once_on_a_closed_keep_alive_connection(loopback):

@@ -16,9 +16,11 @@ from hypothesis import strategies as st
 
 import dialogforge
 from dialogforge import cli, io
+from dialogforge.atomic_ops import BackendUnavailable, MockBackend
 from dialogforge.cli import main
 from dialogforge.dialogue import dialogue_from_record
-from dialogforge.fixtures import make_t2i_records
+from dialogforge.fixtures import make_distractor_pool, make_edit_records, make_t2i_records
+from dialogforge.stage_b import entry_to_record
 from dialogforge.stream import serialize, stream_from_record, stream_to_record, validate_stream
 
 DATA = Path(__file__).parent / "data"
@@ -60,6 +62,58 @@ def test_synthesize_chained_stages(workdir):
     assert len(records) == 20
     assert all(r["signature"] == "t_ti_i1_n" for r in records)
     assert all(2 <= r["dep_depth_value"] <= 4 for r in records)  # k in [1, 3]
+
+
+def _synthesize_lines(root, name, records, pool, seed):
+    """Run stages a, b and c in-process on ``records``; each dialogue's line by its id."""
+    src, out = root / f"{name}.jsonl", root / f"{name}.out.jsonl"
+    io.write_jsonl(src, records)
+    assert main(["synthesize", "--stages", "a,b,c", "--task", "t_i_i1_1", "--in", str(src),
+                 "--pool", str(pool), "--out", str(out), "--seed", str(seed)]) == 0
+    return {json.loads(line)["id"]: line for line in out.read_text().splitlines()}
+
+
+@settings(max_examples=10, deadline=None)
+@given(n=st.integers(2, 10), seed=st.integers(0, 2**16), data=st.data())
+def test_synthesize_lines_do_not_depend_on_input_order(tmp_path_factory, n, seed, data):
+    root = tmp_path_factory.mktemp("order")
+    pool = root / "pool.jsonl"
+    io.write_jsonl(pool, (entry_to_record(e) for e in make_distractor_pool(8, seed + 1).entries))
+    records = make_edit_records(n, seed)
+    full = _synthesize_lines(root, "full", records, pool, seed)
+    assert len(full) == n
+    shuffled = data.draw(st.permutations(records), label="shuffled")
+    assert _synthesize_lines(root, "shuffled", shuffled, pool, seed) == full
+    k = data.draw(st.integers(1, n - 1), label="suffix from")
+    kept = {rec["id"] for rec in records[k:]}
+    assert (_synthesize_lines(root, "suffix", records[k:], pool, seed)
+            == {i: line for i, line in full.items() if i.split(".")[0] in kept})
+
+
+class _ClosingBackend(MockBackend):
+    """The mock backend, failing after ``calls`` replies and noting ``close``."""
+
+    def __init__(self, calls):
+        self.calls, self.closed = calls, 0
+
+    def complete(self, prompt, seed):
+        self.calls -= 1
+        if self.calls < 0:
+            raise BackendUnavailable("backend went away")
+        return super().complete(prompt, seed)
+
+    def close(self):
+        self.closed += 1
+
+
+@pytest.mark.parametrize("calls, code", [(10**6, 0), (5, 4)], ids=["done", "backend-failure"])
+def test_synthesize_closes_its_backend(workdir, monkeypatch, calls, code):
+    backend = _ClosingBackend(calls)
+    monkeypatch.setattr(cli.PipelineConfig, "make_backend", lambda self: backend)
+    assert run("synthesize", "--stages", "a,b,c", "--task", "t_i_i1_1",
+               "--in", "edit_records_20.jsonl", "--pool", "pool.jsonl",
+               "--out", "full.jsonl", "--seed", "7") == code
+    assert backend.closed == 1
 
 
 def test_synthesize_missing_input_exits_2(workdir, capsys):

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from dialogue_reference import make_random_dialogue
 from hypothesis import strategies as st
 from mask_reference import StreamTooLong, dense_mask, mask_oracle
+from stream_reference import block_faults
 
 from dialogforge import io
 from dialogforge.dialogue import (
@@ -32,7 +33,6 @@ from dialogforge.stream import (
     LossTag,
     SpecialToken,
     StreamConfig,
-    TokenBlock,
     TokenStream,
     UnitOverflow,
     loss_summary,
@@ -55,17 +55,14 @@ def t2i_dialogue(backend, *, w=256, h=256, seed=90):
     return build_t_i_0_0(t2i_record_from_obj(rec), backend, seed=1)
 
 
-def simple_stream(*spans):
-    """Hand-build a stream from (kind, units, role, loss[, tok]) tuples."""
-    blocks = []
-    pos = 0
-    for span in spans:
-        kind, units, role, loss = span[:4]
-        tok = span[4] if len(span) > 4 else None
-        blocks.append(TokenBlock(kind=kind, units=units, round_index=0, role=role,
-                                 loss=loss, start=pos, end=pos + units, tok=tok))
-        pos += units
-    return TokenStream("hand", tuple(blocks), pos)
+# Part -> units of its special blocks, per the grammar in docs/stream-format.md
+_SPECIAL_UNITS = {"user_text": 2, "upload": 2, "noised": 2, "replay": 2, "text": 2, "end": 1}
+
+
+def parts_stream(*parts):
+    """Hand-build a stream from (part, units[, image_id]) tuples; total_len is the position sum."""
+    full = tuple((p[0], tuple(p[1]), p[2] if len(p) > 2 else None) for p in parts)
+    return TokenStream("hand", full, sum(_SPECIAL_UNITS[p] + sum(u) for p, u, _ in full))
 
 
 def test_unit_formulas():
@@ -101,18 +98,12 @@ def test_serialize_uses_configured_patch_sizes(backend):
 
 
 def test_grammar_requires_replay_after_noised_image():
-    s = simple_stream(
-        (BlockKind.SPECIAL, 1, Role.USER, LossTag.NONE, SpecialToken.IM_S),
-        (BlockKind.TEXT, 3, Role.USER, LossTag.NONE),
-        (BlockKind.SPECIAL, 1, Role.USER, LossTag.NONE, SpecialToken.IM_E),
-        (BlockKind.SPECIAL, 1, Role.ASSISTANT, LossTag.CE, SpecialToken.V_S),
-        (BlockKind.VAE_NOISED, 4, Role.ASSISTANT, LossTag.MSE),
-        (BlockKind.SPECIAL, 1, Role.ASSISTANT, LossTag.CE, SpecialToken.V_E),
-        (BlockKind.SPECIAL, 1, Role.ASSISTANT, LossTag.CE, SpecialToken.END),
-    )
-    report = validate_stream(_mutated(s, 4, image_id="g0"))  # a noised image names its id
-    assert [(v.rule, v.where) for v in report.violations] == [("grammar", 6)]
-    assert "|v_s|" in report.violations[0].detail
+    s = parts_stream(("user_text", [3]), ("noised", [4], "g0"), ("end", []))
+    report = validate_stream(s)
+    assert [(v.rule, v.where) for v in report.violations] == [("grammar", 2)]
+    assert report.violations[0].detail == "part 'e' cannot follow 'n'"
+    with pytest.raises(InvalidStream, match="part 2: grammar: part 'e' cannot follow 'n'"):
+        stream_to_record(s)
 
 
 def test_serialize_interleaved_order(backend):
@@ -241,59 +232,65 @@ def test_parse_stream_reconstructs_skeleton(backend):
             assert ("t" in parts) == any(s.is_text for s in rnd.assistant.segments)
 
 
-def test_validate_rejects_noised_in_user_part():
-    s = simple_stream(
-        (BlockKind.SPECIAL, 1, Role.USER, LossTag.NONE, SpecialToken.IM_S),
-        (BlockKind.VAE_NOISED, 4, Role.USER, LossTag.MSE),
-        (BlockKind.SPECIAL, 1, Role.USER, LossTag.NONE, SpecialToken.IM_E),
-    )
-    report = validate_stream(s)
-    assert not report.ok
-    assert "grammar" in report.rules()
+@pytest.mark.parametrize("parts, where, detail", [
+    pytest.param([("noised", [4], "g0"), ("replay", [2, 4]), ("end", [])], 0,
+                 "part 'n' cannot start a stream", id="noised-first"),
+    pytest.param([("user_text", [2]), ("text", [2]), ("upload", [2, 2], "u0"), ("end", [])], 2,
+                 "part 'p' cannot follow 't'", id="upload-after-text"),
+    pytest.param([("user_text", [2]), ("user_text", [2]), ("end", [])], 1,
+                 "part 'u' cannot follow 'u'", id="two-user-texts"),
+    pytest.param([("user_text", [2]), ("text", [1]), ("end", []), ("end", [])], 3,
+                 "part 'e' cannot follow 'e'", id="two-ends"),
+])
+def test_validate_rejects_a_part_out_of_order(parts, where, detail):
+    report = validate_stream(parts_stream(*parts))
+    assert [(v.rule, v.where, v.detail) for v in report.violations] == [("grammar", where, detail)]
 
 
-def test_validate_rejects_end_without_ce():
-    s = simple_stream(
-        (BlockKind.SPECIAL, 1, Role.USER, LossTag.NONE, SpecialToken.IM_S),
-        (BlockKind.TEXT, 2, Role.USER, LossTag.NONE),
-        (BlockKind.SPECIAL, 1, Role.USER, LossTag.NONE, SpecialToken.IM_E),
-        (BlockKind.SPECIAL, 1, Role.ASSISTANT, LossTag.CE, SpecialToken.IM_S),
-        (BlockKind.TEXT, 2, Role.ASSISTANT, LossTag.CE),
-        (BlockKind.SPECIAL, 1, Role.ASSISTANT, LossTag.CE, SpecialToken.IM_E),
-        (BlockKind.SPECIAL, 1, Role.ASSISTANT, LossTag.NONE, SpecialToken.END),
-    )
-    report = validate_stream(s)
-    assert "loss-tags" in report.rules()
-    assert any("|end|" in v.detail for v in report.violations)
+def test_block_oracle_rejects_end_without_ce(backend):
+    blocks = list(serialize(t2i_dialogue(backend)).blocks)
+    blocks[-1] = dataclasses.replace(blocks[-1], loss=LossTag.NONE)
+    faults = block_faults(blocks, blocks[-1].end)
+    assert [rule for rule, _, _ in faults] == ["loss-tags"]
+    assert "|end|" in faults[0][1]
 
 
-def test_validate_rejects_mse_outside_noised():
-    s = simple_stream(
-        (BlockKind.SPECIAL, 1, Role.USER, LossTag.NONE, SpecialToken.IM_S),
-        (BlockKind.TEXT, 2, Role.USER, LossTag.MSE),
-        (BlockKind.SPECIAL, 1, Role.USER, LossTag.NONE, SpecialToken.IM_E),
-    )
-    assert "loss-tags" in validate_stream(s).rules()
+def test_block_oracle_rejects_mse_outside_noised(backend):
+    blocks = list(serialize(t2i_dialogue(backend)).blocks)
+    blocks[1] = dataclasses.replace(blocks[1], loss=LossTag.MSE)  # the user text
+    assert [(rule, i) for rule, _, i in block_faults(blocks, blocks[-1].end)] == [("loss-tags", 1)]
 
 
-def test_validate_rejects_broken_positions():
-    good = simple_stream(
-        (BlockKind.SPECIAL, 1, Role.USER, LossTag.NONE, SpecialToken.IM_S),
-        (BlockKind.TEXT, 2, Role.USER, LossTag.NONE),
-        (BlockKind.SPECIAL, 1, Role.USER, LossTag.NONE, SpecialToken.IM_E),
-    )
-    shifted = TokenStream(good.dialogue_id, tuple(
-        dataclasses.replace(b, start=b.start + 1, end=b.end + 1) if b.kind is BlockKind.TEXT else b
-        for b in good.blocks
-    ), good.total_len)
-    assert "positions" in validate_stream(shifted).rules()
-    with pytest.raises(InvalidStream):
-        mask_intervals(shifted)
-    with pytest.raises(InvalidStream):
-        mask_intervals(dataclasses.replace(good, total_len=good.total_len + 1))
-    empty_block = dataclasses.replace(good.blocks[1], units=0, end=good.blocks[1].start)
-    with pytest.raises(InvalidStream):
-        mask_intervals(dataclasses.replace(good, blocks=(good.blocks[0], empty_block), total_len=1))
+def test_validate_rejects_bad_units_and_total_len():
+    good = parts_stream(("user_text", [2]), ("text", [2]), ("end", []))
+    assert validate_stream(good).ok
+    for units in [0, -1, "2", True, 2.0]:
+        bad = dataclasses.replace(good, parts=(("user_text", (units,), None), *good.parts[1:]),
+                                  total_len=good.total_len - 2)
+        assert _found(bad) == [("unit-count", 0)]
+    longer = dataclasses.replace(good, total_len=good.total_len + 1)
+    assert _found(longer) == [("total-len", None)]
+    with pytest.raises(InvalidStream, match="total_len 10 != position sum 9"):
+        mask_intervals(longer)
+    with pytest.raises(InvalidStream, match="part None: total-len"):
+        stream_to_record(longer)
+    assert _found(TokenStream("empty", (), 0)) == [("grammar", None)]
+
+
+def test_block_oracle_checks_tiling(backend):
+    blocks = serialize(t2i_dialogue(backend)).blocks
+    total = blocks[-1].end
+    assert block_faults(blocks, total) == []
+    shifted = [dataclasses.replace(b, start=b.start + 1, end=b.end + 1) if i == 1 else b
+               for i, b in enumerate(blocks)]
+    assert [(rule, i) for rule, _, i in block_faults(shifted, total)] == [("positions", 1),
+                                                                           ("positions", 2)]
+    assert [rule for rule, _, _ in block_faults(blocks, total + 1)] == ["total-len"]
+    empty = dataclasses.replace(blocks[1], units=0, end=blocks[1].start)
+    assert ("unit-count", 1) in [(rule, i) for rule, _, i in block_faults(
+        (blocks[0], empty), empty.end)]
+    wide = dataclasses.replace(blocks[0], units=2, end=2)
+    assert ("unit-count", 0) in [(rule, i) for rule, _, i in block_faults((wide,), 2)]
 
 
 def test_serialized_dialogues_always_validate(backend):
@@ -315,15 +312,7 @@ def test_loss_summary_partition(backend):
 
 
 def test_loss_summary_no_image():
-    s = simple_stream(
-        (BlockKind.SPECIAL, 1, Role.USER, LossTag.NONE, SpecialToken.IM_S),
-        (BlockKind.TEXT, 5, Role.USER, LossTag.NONE),
-        (BlockKind.SPECIAL, 1, Role.USER, LossTag.NONE, SpecialToken.IM_E),
-        (BlockKind.SPECIAL, 1, Role.ASSISTANT, LossTag.CE, SpecialToken.IM_S),
-        (BlockKind.TEXT, 3, Role.ASSISTANT, LossTag.CE),
-        (BlockKind.SPECIAL, 1, Role.ASSISTANT, LossTag.CE, SpecialToken.IM_E),
-        (BlockKind.SPECIAL, 1, Role.ASSISTANT, LossTag.CE, SpecialToken.END),
-    )
+    s = parts_stream(("user_text", [5]), ("text", [3]), ("end", []))
     summary = loss_summary(s)
     assert summary.mse_positions == 0
     assert summary.ce_positions == 6
@@ -334,37 +323,33 @@ def test_loss_summary_no_image():
 
 
 def test_mask_pure_causal_text():
-    s = simple_stream((BlockKind.TEXT, 3, Role.USER, LossTag.NONE))
+    s = parts_stream(("user_text", [3]), ("text", [2]), ("end", []))
     mask = dense_mask(s)
-    assert np.array_equal(mask, np.tril(np.ones((3, 3), dtype=bool)))
+    assert np.array_equal(mask, np.tril(np.ones((10, 10), dtype=bool)))
 
 
 def test_mask_noised_isolated_and_bidirectional():
-    s = simple_stream(
-        (BlockKind.TEXT, 2, Role.USER, LossTag.NONE),
-        (BlockKind.VAE_NOISED, 3, Role.ASSISTANT, LossTag.MSE),
-        (BlockKind.TEXT, 1, Role.ASSISTANT, LossTag.CE),
-    )
+    # u: |im_s| 0, text 1-2, |im_e| 3; n: |v_s| 4, noised 5-7, |v_e| 8;
+    # r: |v_s| 9, vit 10, vae_clean 11-13, |v_e| 14; |end| 15
+    s = parts_stream(("user_text", [2]), ("noised", [3], "g0"), ("replay", [1, 3]), ("end", []))
     mask = dense_mask(s)
-    q = 5  # the final text token
-    assert mask[q, 0] and mask[q, 1]          # sees the prior text
-    assert not mask[q, 2] and not mask[q, 3] and not mask[q, 4]  # never the noised latents
-    assert mask[q, q]                          # self
-    assert np.array_equal(mask[2:5, 2:5], np.ones((3, 3), dtype=bool))  # within noised block
-    assert mask[2:5, 0:2].all()               # noised queries see prior text
+    q = 15  # the |end| token
+    assert mask[q, :5].all()                     # sees the prior text and |v_s|
+    assert not mask[q, 5:8].any()                # never the noised latents
+    assert mask[q, 8:].all()                     # the clean replay, and itself
+    assert np.array_equal(mask[5:8, 5:8], np.ones((3, 3), dtype=bool))  # within noised block
+    assert mask[5:8, 0:5].all()                  # noised queries see the prior context
     assert np.array_equal(mask, mask_oracle(s))
 
 
 def test_mask_two_noised_blocks_do_not_see_each_other():
-    s = simple_stream(
-        (BlockKind.VAE_NOISED, 2, Role.ASSISTANT, LossTag.MSE),
-        (BlockKind.TEXT, 1, Role.ASSISTANT, LossTag.CE),
-        (BlockKind.VAE_NOISED, 2, Role.ASSISTANT, LossTag.MSE),
-    )
+    rnd = [("user_text", [1]), ("noised", [2], "g"), ("replay", [1, 2]), ("end", [])]
+    s = parts_stream(*rnd, *rnd)
+    first, second = [b for b in s.blocks if b.kind is BlockKind.VAE_NOISED]
     mask = dense_mask(s)
-    assert not mask[3:5, 0:2].any()
-    assert not mask[0:2, 3:5].any()
-    assert mask[3:5, 2].all()
+    assert not mask[second.start:second.end, first.start:first.end].any()
+    assert not mask[first.start:first.end, second.start:second.end].any()
+    assert mask[second.start:second.end, second.start - 1].all()
     assert np.array_equal(mask, mask_oracle(s))
 
 
@@ -444,36 +429,76 @@ def test_stream_record_bytes_round_trip(seed, max_rounds):
         assert np.array_equal(dense_mask(s), mask_oracle(s))
 
 
-def _mutated(s, i, **change):
-    blocks = list(s.blocks)
+def _mutated(blocks, i, **change):
+    blocks = list(blocks)
     blocks[i] = dataclasses.replace(blocks[i], **change)
-    return dataclasses.replace(s, blocks=tuple(blocks))
+    return blocks
+
+
+def _oracle_found(blocks):
+    return [(rule, i) for rule, _, i in block_faults(blocks, blocks[-1].end)]
 
 
 def _found(s):
     return [(v.rule, v.where) for v in validate_stream(s).violations]
 
 
-def test_each_grammar_rule_is_reported_once_at_its_block():
+def _with_part(s, k, **change):
+    part, units, image_id = s.parts[k]
+    new = (change.get("part", part), change.get("units", units), change.get("image_id", image_id))
+    return dataclasses.replace(s, parts=s.parts[:k] + (new,) + s.parts[k + 1:])
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), max_rounds=st.integers(1, 3))
+def test_blocks_pass_the_block_oracle(seed, max_rounds):
+    d = make_random_dialogue(random.Random(seed), f"b-{seed}", max_rounds=max_rounds,
+                             dims=[16, 24, 32])
+    s = serialize(d)
+    for t in (s, stream_from_record(stream_to_record(s))):
+        assert block_faults(t.blocks, t.total_len) == []
+        assert sum(b.units for b in t.blocks) == t.total_len
+        if t.total_len <= 512:
+            assert np.array_equal(dense_mask(t), mask_oracle(t))
+
+
+def test_block_oracle_reports_each_fault_once_at_its_block():
     rng = random.Random(61)
     for n in range(40):
-        s = serialize(make_random_dialogue(rng, f"g-{n}"))
-        for i, b in enumerate(s.blocks):
+        blocks = serialize(make_random_dialogue(rng, f"g-{n}")).blocks
+        for i, b in enumerate(blocks):
             for loss in LossTag:
                 if loss is not b.loss:
-                    assert _found(_mutated(s, i, loss=loss)) == [("loss-tags", i)]
-            if i and s.blocks[i - 1].round_index == b.round_index:
-                assert _found(_mutated(s, i, round_index=b.round_index + 1)) == [("round-index", i)]
+                    assert _oracle_found(_mutated(blocks, i, loss=loss)) == [("loss-tags", i)]
+            if i and blocks[i - 1].round_index == b.round_index:
+                assert (_oracle_found(_mutated(blocks, i, round_index=b.round_index + 1))
+                        == [("round-index", i)])
             if b.kind is BlockKind.TEXT and b.role is Role.USER:
-                assert _found(_mutated(s, i, role=Role.ASSISTANT)) == [("roles", i)]
+                assert _oracle_found(_mutated(blocks, i, role=Role.ASSISTANT)) == [("roles", i)]
+
+
+def test_each_part_fault_is_reported_once_at_its_part():
+    rng = random.Random(62)
+    for n in range(40):
+        s = serialize(make_random_dialogue(rng, f"q-{n}"))
+        assert _found(dataclasses.replace(s, total_len=s.total_len + 1)) == [("total-len", None)]
+        for k, (part, units, image_id) in enumerate(s.parts):
+            if image_id is not None:
+                assert _found(_with_part(s, k, image_id=7)) == [("image-id", k)]
+            for u, old in enumerate(units):
+                bad = units[:u] + (0,) + units[u + 1:]
+                assert (_found(dataclasses.replace(_with_part(s, k, units=bad),
+                                                   total_len=s.total_len - old))
+                        == [("unit-count", k)])
+            assert _found(_with_part(s, k, units=units + (1,))) == [("grammar", k)]
 
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), data=st.data())
-def test_stream_to_record_refuses_a_block_off_its_slot(seed, data):
-    s = serialize(make_random_dialogue(random.Random(seed), f"o-{seed}", max_rounds=3))
-    i = data.draw(st.integers(0, len(s.blocks) - 1), label="block")
-    b = s.blocks[i]
+def test_block_oracle_refuses_a_block_off_its_slot(seed, data):
+    blocks = serialize(make_random_dialogue(random.Random(seed), f"o-{seed}", max_rounds=3)).blocks
+    i = data.draw(st.integers(0, len(blocks) - 1), label="block")
+    b = blocks[i]
     field, value = data.draw(st.one_of(
         st.sampled_from([r for r in Role if r is not b.role]).map(lambda v: ("role", v)),
         st.sampled_from([x for x in LossTag if x is not b.loss]).map(lambda v: ("loss", v)),
@@ -481,27 +506,58 @@ def test_stream_to_record_refuses_a_block_off_its_slot(seed, data):
         st.sampled_from([None, *SpecialToken]).filter(lambda t: t is not b.tok)
         .map(lambda v: ("tok", v)),
     ), label="change")
-    with pytest.raises(InvalidStream):
-        stream_to_record(_mutated(s, i, **{field: value}))
+    assert _oracle_found(_mutated(blocks, i, **{field: value}))
+
+
+_PART_NAMES = ["user_text", "upload", "noised", "replay", "text", "end"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_stream_to_record_refuses_a_part_off_the_grammar(seed, data):
+    s = serialize(make_random_dialogue(random.Random(seed), f"o-{seed}", max_rounds=3))
+    k = data.draw(st.integers(0, len(s.parts) - 1), label="part")
+    part, units, image_id = s.parts[k]
+    change = data.draw(st.one_of(
+        st.sampled_from([p for p in _PART_NAMES if p != part]).map(lambda v: {"part": v}),
+        st.sampled_from([0, -1, "3", True]).map(lambda v: {"units": units[:-1] + (v,)})
+        if units else st.just({"units": (1,)}),
+        st.just({"units": units + (1,)}),
+        # a named part's id must be a string; any other part carries none
+        st.sampled_from([None, 7] if image_id is not None else ["x", 7])
+        .map(lambda v: {"image_id": v}),
+    ), label="change")
+    m = _with_part(s, k, **change)
+    assert not validate_stream(m).ok
+    with pytest.raises(InvalidStream, match=f"part {k}: "):
+        stream_to_record(m)
 
 
 def test_stream_to_record_refuses_image_ids_it_cannot_carry(backend):
-    s = serialize(t2i_dialogue(backend))  # u: 0-2, noised: 3-5, replay: 6-9, end: 10
-    for i, image_id in [(5, "x"), (1, "x"), (4, None), (4, 7), (7, "other"), (8, "other")]:
-        m = _mutated(s, i, image_id=image_id)
-        with pytest.raises(InvalidStream, match=f"block {i}: image-id"):
+    s = serialize(t2i_dialogue(backend))  # u, n, r, e
+    for k, image_id, rule in [(1, None, "image-id"), (1, 7, "image-id"), (0, "x", "grammar"),
+                              (2, "other", "grammar"), (3, "x", "grammar")]:
+        m = _with_part(s, k, image_id=image_id)
+        with pytest.raises(InvalidStream, match=f"part {k}: {rule}"):
             stream_to_record(m)
+        assert _found(m) == [(rule, k)]
+
+
+def test_block_oracle_checks_image_ids(backend):
+    blocks = serialize(t2i_dialogue(backend)).blocks  # u: 0-2, noised: 3-5, replay: 6-9, end: 10
+    for i, image_id in [(5, "x"), (1, "x"), (4, None), (4, 7), (7, "other"), (8, "other")]:
         # a noised image without a string id also leaves its replay's ids unmatched
-        assert _found(m) == [("image-id", j) for j in ([4, 7, 8] if i == 4 else [i])]
+        assert (_oracle_found(_mutated(blocks, i, image_id=image_id))
+                == [("image-id", j) for j in ([4, 7, 8] if i == 4 else [i])])
 
 
-def test_mask_single_block_stream():
-    # Not a grammatical stream, so no stream record can carry it; the mask rule still holds.
-    s = simple_stream((BlockKind.TEXT, 1, Role.USER, LossTag.NONE))
-    [row] = mask_intervals(s)
-    # a 1x1 mask: no context, causal within means the single position sees itself
-    assert row["context"] == [] and row["within"] == "causal"
-    assert (row["start"], row["end"]) == (0, 1)
+def test_mask_first_block_sees_only_itself():
+    s = parts_stream(("user_text", [1]), ("text", [1]), ("end", []))
+    first, second = mask_intervals(s)[:2]
+    # a 1x1 block: no context, causal within means the single position sees itself
+    assert first["context"] == [] and first["within"] == "causal"
+    assert (first["start"], first["end"]) == (0, 1)
+    assert second["context"] == [[0, 1]]
 
 
 def _edit_record():
