@@ -20,8 +20,6 @@ from .dialogue import (
     Segment,
     Stage,
     Turn,
-    infer_signature,
-    make_dialogue,
     validate_dialogue,
 )
 from .atomic_ops import MockBackend, OpKind, OpRequest, OpResponse, RemoteBackend, invoke

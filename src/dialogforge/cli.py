@@ -34,7 +34,7 @@ from .dialogue import (
     validate_dialogue,
 )
 from .packing import SamplingConfig, pack_corpus, pack_to_record
-from .stage_a import run_stage_a
+from .stage_a import BUILDERS, run_stage_a
 from .stage_b import DistractorPool, entry_from_record, run_stage_b
 from .stage_c import run_stage_c
 from .stream import (
@@ -48,7 +48,7 @@ from .stream import (
     stream_from_record,
     stream_to_record,
 )
-from .taxonomy import format_signature
+from .taxonomy import SignatureError, format_signature, parse_signature
 
 ENV_BACKEND_URL = "DF_BACKEND_URL"
 ENV_SEED = "DF_SEED"
@@ -173,10 +173,20 @@ def _write_manifest(args: argparse.Namespace, argv: Sequence[str], cfg: Pipeline
 
 
 def _read_dialogues(path: str, signature: str | None = None) -> Iterator[Dialogue]:
-    """The dialogues of ``path`` one at a time, only those with ``signature`` if given."""
-    for d in io.read_records(path, dialogue_from_record):
-        if not signature or format_signature(d.signature) == signature:
-            yield d
+    """The dialogues of ``path`` one at a time, only those with ``signature`` if given.
+
+    Raises:
+        ConfigError: ``signature`` is not a task signature; raised by the call
+            itself, before ``path`` is read.
+    """
+    dialogues = io.read_records(path, dialogue_from_record)
+    if not signature:
+        return dialogues
+    try:
+        wanted = parse_signature(signature)
+    except SignatureError as err:
+        raise ConfigError(f"--signature: {err}") from None
+    return (d for d in dialogues if d.signature == wanted)
 
 
 def cmd_synthesize(args: argparse.Namespace, argv: Sequence[str]) -> int:
@@ -188,8 +198,9 @@ def cmd_synthesize(args: argparse.Namespace, argv: Sequence[str]) -> int:
         raise ConfigError(f"stages must be drawn from a,b,c: {args.stages!r}")
     if stages != sorted(stages) or len(set(stages)) != len(stages):
         raise ConfigError("stages must be in order and unique, e.g. a,b,c")
-    if "a" in stages and not args.task:
-        raise ConfigError("stage a needs --task <signature>")
+    if "a" in stages and args.task not in BUILDERS:
+        raise ConfigError(f"stage a needs --task, one of {', '.join(BUILDERS)}: "
+                          f"{args.task!r}")
     if "b" in stages and not args.pool:
         raise ConfigError("stage b needs --pool <jsonl>")
 

@@ -3,10 +3,11 @@
 A dialogue is an ordered list of (user, assistant) rounds plus dependency
 annotations tying the final user request to earlier rounds. Values are frozen
 after construction; the transformation stages always build new dialogues.
-Structural rules are checked by ``validate_dialogue``, which reports
-violations as data rather than raising. Code that writes a dialogue builds it
-with ``make_dialogue``, which derives the signature and depth from the
-content; only the decoder takes them as given.
+The constructor derives a dialogue's signature and ``dep_depth_value`` from
+its content and raises when the content has none, so neither is ever stored
+apart from what it describes, and records do not carry them. The remaining
+structural rules are checked by ``validate_dialogue``, which reports
+violations as data rather than raising.
 
 Depth bookkeeping: ``dep_depth_value`` records how far back the *farthest*
 dependency target sits (in rounds), while the signature's depth kind is
@@ -27,8 +28,6 @@ from .taxonomy import (
     InputModality,
     OutputModality,
     TaskSignature,
-    format_signature,
-    parse_signature,
 )
 
 
@@ -151,17 +150,28 @@ class Round:
 
 @dataclass(frozen=True)
 class Dialogue:
+    """Rounds and dependency targets; the signature and depth are derived from them.
+
+    Raises TypeError for an ``id`` that is not a string, and what ``_classify``
+    raises for content that has no signature.
+    """
+
     id: str
     rounds: tuple[Round, ...]
-    signature: TaskSignature
     dep_target_rounds: tuple[int, ...] = ()
-    dep_depth_value: int | None = None
     annotations: tuple[str, ...] = ()
+    signature: TaskSignature = field(init=False)
+    dep_depth_value: int | None = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "rounds", tuple(self.rounds))
-        object.__setattr__(self, "dep_target_rounds", tuple(self.dep_target_rounds))
+        if type(self.id) is not str:
+            raise TypeError(f"dialogue id must be a string, not {self.id!r}")
+        rounds, targets = tuple(self.rounds), tuple(self.dep_target_rounds)
+        object.__setattr__(self, "rounds", rounds)
+        object.__setattr__(self, "dep_target_rounds", targets)
         object.__setattr__(self, "annotations", tuple(self.annotations))
+        object.__setattr__(self, "signature", _classify(rounds, targets))
+        object.__setattr__(self, "dep_depth_value", _farthest(rounds, targets))
 
     @property
     def last_round_index(self) -> int:
@@ -230,13 +240,8 @@ def validate_round_turns(user: Turn, assistant: Turn, report: ValidationReport,
 
 
 def validate_dialogue(d: Dialogue) -> ValidationReport:
-    """Check every structural invariant; violations are data, not errors."""
+    """Check the rules the constructor leaves open; violations are data, not errors."""
     report = ValidationReport()
-    if not d.rounds:
-        report.add("empty-dialogue", "dialogue has no rounds")
-        return report
-
-    last = d.last_round_index
     for i, rnd in enumerate(d.rounds):
         validate_round_turns(rnd.user, rnd.assistant, report, where=i)
 
@@ -252,28 +257,8 @@ def validate_dialogue(d: Dialogue) -> ValidationReport:
     if len(set(targets)) != len(targets):
         report.add("target-unique", "duplicate dependency target rounds")
     for t in targets:
-        if not (0 <= t < last):
-            report.add("target-range",
-                       f"target round {t} does not precede the final round {last}")
-        elif d.rounds[t].user.is_distractor or d.rounds[t].assistant.is_distractor:
+        if d.rounds[t].user.is_distractor or d.rounds[t].assistant.is_distractor:
             report.add("distractor-target", f"target round {t} is a distractor", t)
-    if not all(0 <= t < last for t in targets):
-        return report
-
-    farthest = _farthest(d.rounds, targets)
-    if d.dep_depth_value != farthest:
-        report.add("depth-value",
-                   f"dep_depth_value {d.dep_depth_value} != farthest target separation {farthest}")
-    try:
-        derived = infer_signature(d)
-    except (InvalidTarget, AmbiguousDependency, UnclassifiableModality) as err:
-        report.add("signature", str(err))
-        return report
-    for name in ("input", "output", "dep", "depth"):
-        stored, found = getattr(d.signature, name), getattr(derived, name)
-        if stored is not found:
-            report.add("signature", f"{name} is {stored.value!r} in the signature, "
-                                    f"{found.value!r} in the content")
     return report
 
 
@@ -289,8 +274,13 @@ def image_caption(d: Dialogue, i: int) -> str:
     return images[0].caption
 
 
-def infer_signature(d: Dialogue) -> TaskSignature:
-    """Derive the task signature from the dialogue's content.
+def _farthest(rounds: tuple[Round, ...], targets: tuple[int, ...]) -> int | None:
+    """Rounds between the final round and the farthest target; None without targets."""
+    return max((len(rounds) - 1 - t for t in targets), default=None)
+
+
+def _classify(rounds: tuple[Round, ...], targets: tuple[int, ...]) -> TaskSignature:
+    """The task signature of this content.
 
     The depth kind is classified by the nearest dependency target: zero
     without targets, one when some target is the immediately preceding
@@ -299,27 +289,8 @@ def infer_signature(d: Dialogue) -> TaskSignature:
     Raises:
         InvalidTarget: a target does not strictly precede the final round.
         AmbiguousDependency: targets mix text and image history.
-        UnclassifiableModality: final-turn content outside the taxonomy.
+        UnclassifiableModality: no rounds, or final-turn content outside the taxonomy.
     """
-    return _classify(d.rounds, d.dep_target_rounds)
-
-
-def make_dialogue(id: str, rounds: tuple[Round, ...], targets: tuple[int, ...] = (),
-                  annotations: tuple[str, ...] = ()) -> Dialogue:
-    """A dialogue whose signature and ``dep_depth_value`` follow from its content.
-
-    Raises what ``infer_signature`` raises when the content has no signature.
-    """
-    return Dialogue(id, rounds, _classify(rounds, targets), targets,
-                    _farthest(rounds, targets), annotations)
-
-
-def _farthest(rounds: tuple[Round, ...], targets: tuple[int, ...]) -> int | None:
-    """Rounds between the final round and the farthest target; None without targets."""
-    return max((len(rounds) - 1 - t for t in targets), default=None)
-
-
-def _classify(rounds: tuple[Round, ...], targets: tuple[int, ...]) -> TaskSignature:
     if not rounds:
         raise UnclassifiableModality("empty dialogue")
     final = rounds[-1]
@@ -443,30 +414,23 @@ def turn_from_obj(obj: dict[str, Any], role: Role) -> Turn:
 def dialogue_to_record(d: Dialogue) -> dict[str, Any]:
     rec: dict[str, Any] = {
         "id": d.id,
-        "signature": format_signature(d.signature),
         "dep_target_rounds": list(d.dep_target_rounds),
+        "rounds": [{"user": turn_to_obj(rnd.user), "assistant": turn_to_obj(rnd.assistant)}
+                   for rnd in d.rounds],
     }
-    if d.dep_depth_value is not None:
-        rec["dep_depth_value"] = d.dep_depth_value
-    rec["rounds"] = [{"user": turn_to_obj(rnd.user), "assistant": turn_to_obj(rnd.assistant)}
-                     for rnd in d.rounds]
     if d.annotations:
         rec["annotations"] = list(d.annotations)
     return rec
 
 
 def dialogue_from_record(rec: dict[str, Any]) -> Dialogue:
-    if type(rec["id"]) is not str:
-        raise TypeError(f"dialogue id must be a string, not {rec['id']!r}")
+    """Decode one record, ignoring the ``signature`` and ``dep_depth_value`` older ones hold."""
     if not isinstance(rec["rounds"], list):
         raise TypeError(f"dialogue {rec['id']!r}: rounds must be a list")
-    targets, depth = rec["dep_target_rounds"], rec.get("dep_depth_value")
+    targets = rec["dep_target_rounds"]
     if type(targets) is not list or any(type(t) is not int for t in targets):
         raise TypeError(f"dialogue {rec['id']!r}: dep_target_rounds must be a list of "
                         f"integers, not {targets!r}")
-    if "dep_depth_value" in rec and type(depth) is not int:
-        raise TypeError(f"dialogue {rec['id']!r}: dep_depth_value must be an integer, "
-                        f"not {depth!r}")
     rounds = []
     for i, r in enumerate(rec["rounds"]):
         if not isinstance(r, dict):
@@ -476,14 +440,7 @@ def dialogue_from_record(rec: dict[str, Any]) -> Dialogue:
                                 assistant=turn_from_obj(r["assistant"], Role.ASSISTANT)))
         except TypeError as err:
             raise TypeError(f"dialogue {rec['id']!r}: round {i}: {err}") from err
-    return Dialogue(
-        id=rec["id"],
-        rounds=tuple(rounds),
-        signature=parse_signature(rec["signature"]),
-        dep_target_rounds=tuple(targets),
-        dep_depth_value=depth,
-        annotations=tuple(rec.get("annotations", ())),
-    )
+    return Dialogue(rec["id"], rounds, targets, rec.get("annotations", ()))
 
 
 def with_annotation(d: Dialogue, note: str) -> Dialogue:

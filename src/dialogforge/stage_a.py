@@ -24,7 +24,6 @@ from .dialogue import (
     Stage,
     Turn,
     image_from_obj,
-    make_dialogue,
 )
 from .util import derive_seed, run_records
 
@@ -149,7 +148,7 @@ def _generation_round(img: ImageRef, backend: CompletionBackend, seed: int,
 def build_t_i_0_0(rec: T2IRecord, backend: CompletionBackend, *,
                   seed: int = 0, retries: int = 2) -> Dialogue:
     """Single-round text-to-image: caption becomes the request, image the reply."""
-    return make_dialogue(f"{rec.id}.t_i_0_0.{seed}", (_generation_round(
+    return Dialogue(f"{rec.id}.t_i_0_0.{seed}", (_generation_round(
         rec.image, backend, derive_seed(seed, rec.id, "caption2query"), retries),))
 
 
@@ -167,13 +166,13 @@ def build_t_i_t1_1(rec: T2IRecord, backend: CompletionBackend, *,
         Round(_user(resp.fields["query"], OpKind.CAPTION2QA_Q),
               _assistant_image(_generated(rec.image))),
     )
-    return make_dialogue(f"{rec.id}.t_i_t1_1.{seed}", rounds, (0,))
+    return Dialogue(f"{rec.id}.t_i_t1_1.{seed}", rounds, (0,))
 
 
 def build_ti_i_0_0(rec: EditRecord, backend: CompletionBackend, *,
                    seed: int = 0, retries: int = 2) -> Dialogue:
     """Single-round edit: instruction plus uploaded image in, edited image out; no backend call."""
-    return make_dialogue(f"{rec.id}.ti_i_0_0.{seed}", (Round(
+    return Dialogue(f"{rec.id}.ti_i_0_0.{seed}", (Round(
         _user(rec.instruction, upload=_uploaded(rec.source_image)),
         _assistant_image(_generated(rec.target_image)),
     ),))
@@ -187,7 +186,7 @@ def build_t_i_i1_1(rec: EditRecord, backend: CompletionBackend, *,
                           derive_seed(seed, rec.id, "caption2query"), retries),
         Round(_user(rec.instruction), _assistant_image(_generated(rec.target_image))),
     )
-    return make_dialogue(f"{rec.id}.t_i_i1_1.{seed}", rounds, (0,))
+    return Dialogue(f"{rec.id}.t_i_i1_1.{seed}", rounds, (0,))
 
 
 def build_t_i_in_1(rec: SubjectRecord, backend: CompletionBackend, *,
@@ -200,7 +199,7 @@ def build_t_i_in_1(rec: SubjectRecord, backend: CompletionBackend, *,
                        derive_seed(seed, rec.id, "drive_hs"), retries)
     rounds = (first, second, Round(_user(compose, OpKind.DRIVE_HS),
                                    _assistant_image(_generated(rec.composed_image))))
-    return make_dialogue(f"{rec.id}.t_i_in_1.{seed}", rounds, (0, 1))
+    return Dialogue(f"{rec.id}.t_i_in_1.{seed}", rounds, (0, 1))
 
 
 def build_ti_i_i1_1(rec: SubjectRecord, backend: CompletionBackend, *,
@@ -212,7 +211,7 @@ def build_ti_i_i1_1(rec: SubjectRecord, backend: CompletionBackend, *,
                        derive_seed(seed, rec.id, "drive_i_h"), retries)
     rounds = (first, Round(_user(combine, OpKind.DRIVE_I_H, upload=_uploaded(upload)),
                            _assistant_image(_generated(rec.composed_image))))
-    return make_dialogue(f"{rec.id}.ti_i_i1_1.{seed}", rounds, (0,))
+    return Dialogue(f"{rec.id}.ti_i_i1_1.{seed}", rounds, (0,))
 
 
 # task signature -> (record parser, builder)
@@ -226,20 +225,17 @@ BUILDERS: dict[str, tuple[Callable[[dict], Any], Callable[..., Dialogue]]] = {
 }
 
 
-def build_for_task(task: str, raw: dict[str, Any], backend: CompletionBackend, *,
-                   seed: int = 0, retries: int = 2) -> Dialogue:
-    if task not in BUILDERS:
-        raise RecordError(f"no builder for task {task!r}")
-    parse, build = BUILDERS[task]
-    return build(parse(raw), backend, seed=seed, retries=retries)
-
-
 def run_stage_a(raw_records: list[dict[str, Any]], task: str, backend: CompletionBackend, *,
                 seed: int = 0, retries: int = 2, concurrency: int = 1,
                 ) -> tuple[list[Dialogue], list[dict[str, Any]]]:
-    """Build one dialogue per record; failures land in the rejects list."""
+    """Build one dialogue per record; failures land in the rejects list.
+
+    Raises:
+        KeyError: ``task`` is not a key of ``BUILDERS``.
+    """
+    parse, build = BUILDERS[task]
     return run_records(
-        lambda indexed: build_for_task(task, indexed[1], backend, seed=seed, retries=retries),
+        lambda indexed: build(parse(indexed[1]), backend, seed=seed, retries=retries),
         enumerate(raw_records), concurrency,
         lambda indexed, err: {"index": indexed[0], "error": str(err), "record": indexed[1]},
     )

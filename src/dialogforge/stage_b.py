@@ -27,7 +27,6 @@ from .dialogue import (
     turn_from_obj,
     turn_to_obj,
     image_caption,
-    make_dialogue,
     validate_round_turns,
     with_annotation,
 )
@@ -165,7 +164,7 @@ def apply_insertion(d: Dialogue, plan: InsertionPlan, backend: CompletionBackend
         PlanMismatch: plan does not fit this dialogue or its signature has no
         history-dependent rewrite operation.
         InvalidTarget, AmbiguousDependency, UnclassifiableModality: the output
-        has no signature (see ``make_dialogue``).
+        has no signature (see ``Dialogue``).
     """
     sig_str = format_signature(d.signature)
     if sig_str not in _DEP_OPS:
@@ -197,7 +196,7 @@ def apply_insertion(d: Dialogue, plan: InsertionPlan, backend: CompletionBackend
     p = plan.insert_position
     rounds = d.rounds[:p] + distractor_rounds + d.rounds[p:-1] + (Round(rewritten_user, final.assistant),)
 
-    return make_dialogue(d.id, rounds, d.dep_target_rounds, d.annotations)
+    return Dialogue(d.id, rounds, d.dep_target_rounds, d.annotations)
 
 
 def run_stage_b(dialogues: list[Dialogue], pool: DistractorPool,

@@ -23,15 +23,12 @@ from dialogforge.dialogue import (
 )
 from dialogforge.fixtures import _NOUNS, make_caption
 from dialogforge.stage_b import DistractorCategory, DistractorEntry
-from dialogforge.taxonomy import DepthKind, format_signature, parse_signature
-
-SIG_T_I_0_0 = parse_signature("t_i_0_0")
 
 
 def restore_stage_a_view(d: Dialogue) -> Dialogue:
     """Drop distractor rounds and restore the pre-rewrite final query.
 
-    Recomputes the dependency depth fields from the surviving structure, so a
+    The dialogue derives its depth again from the surviving rounds, so a
     stage-(b) output maps back to a dialogue structurally equal to its input.
     """
     rounds = tuple(
@@ -46,14 +43,14 @@ def restore_stage_a_view(d: Dialogue) -> Dialogue:
             segments=tuple(Segment(text=original) if s.is_text else s for s in final.user.segments),
         )
         rounds = rounds[:-1] + (Round(user, final.assistant),)
-    seps = [len(rounds) - 1 - t for t in d.dep_target_rounds]
-    depth = DepthKind.ZERO if not seps else DepthKind.ONE if min(seps) == 1 else DepthKind.N
-    return replace(d, rounds=rounds, signature=replace(d.signature, depth=depth),
-                   dep_depth_value=max(seps) if seps else None)
+    return replace(d, rounds=rounds)
 
 
 def structural_equal(a: Dialogue, b: Dialogue) -> bool:
-    """Content equality ignoring provenance and annotations."""
+    """Content equality ignoring provenance and annotations.
+
+    The signature and depth follow from the content, so they need no comparing.
+    """
     return _structure_key(a) == _structure_key(b)
 
 
@@ -69,9 +66,7 @@ def _structure_key(d: Dialogue):
 
     return (
         d.id,
-        format_signature(d.signature),
         d.dep_target_rounds,
-        d.dep_depth_value,
         tuple((turn_key(r.user), turn_key(r.assistant)) for r in d.rounds),
     )
 
@@ -92,8 +87,9 @@ def make_random_dialogue(rng: random.Random, dialogue_id: str, *,
                          max_words: int = 6) -> Dialogue:
     """Random structure that serializes to a grammar-valid stream.
 
-    The signature and dependency fields are placeholders; mask and grammar
-    tests only care about the block layout.
+    The dialogue has no dependency targets, and its final round always ends on
+    a generated image so that it has a signature; mask and grammar tests only
+    care about the block layout.
     """
     dims = dims or [16, 24, 32, 48]
     prov = Provenance(Stage.SOURCE)
@@ -106,12 +102,14 @@ def make_random_dialogue(rng: random.Random, dialogue_id: str, *,
                         width=rng.choice(dims), height=rng.choice(dims), caption=caption)
 
     rounds = []
-    for ri in range(rng.randint(1, max_rounds)):
+    n_rounds = rng.randint(1, max_rounds)
+    for ri in range(n_rounds):
         user_segs: list[Segment] = [Segment(text=words(rng.randint(1, max_words)))]
         if rng.random() < 0.3:
             user_segs.append(Segment(image=image(f"{dialogue_id}-u{ri}", ImageSource.UPLOADED,
                                                  None)))
-        shape = rng.choice(["image", "text", "image_text"])
+        shape = rng.choice(["image", "image_text"] if ri == n_rounds - 1
+                           else ["image", "text", "image_text"])
         asst_segs: list[Segment] = []
         if shape in ("image", "image_text"):
             asst_segs.append(Segment(image=image(f"{dialogue_id}-a{ri}", ImageSource.GENERATED,
@@ -122,4 +120,4 @@ def make_random_dialogue(rng: random.Random, dialogue_id: str, *,
             Turn(Role.USER, tuple(user_segs), prov),
             Turn(Role.ASSISTANT, tuple(asst_segs), prov),
         ))
-    return Dialogue(id=dialogue_id, rounds=tuple(rounds), signature=SIG_T_I_0_0)
+    return Dialogue(id=dialogue_id, rounds=tuple(rounds))

@@ -24,10 +24,7 @@ from dialogforge.atomic_ops import (
     invoke,
 )
 from dialogforge.cli import main as cli_main
-from dialogforge.dialogue import (
-    infer_signature,
-    validate_dialogue,
-)
+from dialogforge.dialogue import dialogue_from_record, validate_dialogue
 from dialogforge.fixtures import (
     make_distractor_pool,
     make_edit_records,
@@ -139,7 +136,7 @@ def test_stage_a_builders():
         for d in dialogues:
             report = validate_dialogue(d)
             assert report.ok, (task, d.id, report.violations)
-            assert infer_signature(d) == d.signature, (task, d.id)
+            assert format_signature(d.signature) == task, (task, d.id)
 
 
 @criterion(4, "stage b: depth grows by exactly k, strip+restore reconstructs the input")
@@ -179,7 +176,6 @@ def test_stage_c_transform():
         flags = [s.is_image for s in out.rounds[-1].assistant.segments]
         assert flags[0] is True and flags[-1] is False  # image first, text answer last
         assert validate_dialogue(out).ok
-        assert infer_signature(out) == out.signature
         seen.add(format_signature(d.signature))
     # every image-output signature the pipeline produces was transformed
     assert seen == {"t_i_0_0", "t_i_t1_1", "ti_i_0_0", "t_i_i1_1", "t_i_in_1",
@@ -303,7 +299,7 @@ def test_end_to_end_determinism(tmp_path, monkeypatch):
     assert set(first) == set(second)
     for name in first:
         assert first[name] == second[name], f"{name} differs between runs"
-    dialogues = [json.loads(line) for line in
+    dialogues = [dialogue_from_record(json.loads(line)) for line in
                  first["dialogues.jsonl"].decode().splitlines()]
     assert len(dialogues) == 20
-    assert all(d["signature"] == "t_ti_i1_n" for d in dialogues)
+    assert all(format_signature(d.signature) == "t_ti_i1_n" for d in dialogues)

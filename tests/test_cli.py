@@ -19,9 +19,22 @@ from dialogforge import cli, io
 from dialogforge.atomic_ops import BackendUnavailable, MockBackend
 from dialogforge.cli import main
 from dialogforge.dialogue import dialogue_from_record
-from dialogforge.fixtures import make_distractor_pool, make_edit_records, make_t2i_records
+from dialogforge.fixtures import (
+    make_distractor_pool,
+    make_edit_records,
+    make_subject_records,
+    make_t2i_records,
+)
+from dialogforge.stage_a import (
+    BUILDERS,
+    edit_record_from_obj,
+    subject_record_from_obj,
+    t2i_record_from_obj,
+)
 from dialogforge.stage_b import entry_to_record
 from dialogforge.stream import serialize, stream_from_record, stream_to_record, validate_stream
+from dialogforge.taxonomy import format_signature
+from dialogforge.util import derive_seed
 
 DATA = Path(__file__).parent / "data"
 
@@ -38,14 +51,21 @@ def run(*argv):
     return main(list(argv))
 
 
+def read_dialogues(path):
+    return [dialogue_from_record(rec) for rec in io.read_jsonl(path)]
+
+
+def signatures(path):
+    return {format_signature(d.signature) for d in read_dialogues(path)}
+
+
 def test_synthesize_stage_a(workdir):
     code = run("synthesize", "--stage", "a", "--task", "t_i_i1_1",
                "--in", "edit_records_20.jsonl", "--out", "out.jsonl",
                "--backend", "mock", "--seed", "7")
     assert code == 0
-    records = list(io.read_jsonl("out.jsonl"))
-    assert len(records) == 20
-    assert all(r["signature"] == "t_i_i1_1" for r in records)
+    assert len(read_dialogues("out.jsonl")) == 20
+    assert signatures("out.jsonl") == {"t_i_i1_1"}
     assert Path("out.jsonl.rejects.jsonl").exists()
     manifest = json.loads(Path("out.jsonl.manifest.json").read_text())
     assert manifest["command"] == "synthesize"
@@ -58,10 +78,10 @@ def test_synthesize_chained_stages(workdir):
                "--in", "edit_records_20.jsonl", "--pool", "pool.jsonl",
                "--out", "full.jsonl", "--backend", "mock", "--seed", "7")
     assert code == 0
-    records = list(io.read_jsonl("full.jsonl"))
-    assert len(records) == 20
-    assert all(r["signature"] == "t_ti_i1_n" for r in records)
-    assert all(2 <= r["dep_depth_value"] <= 4 for r in records)  # k in [1, 3]
+    dialogues = read_dialogues("full.jsonl")
+    assert len(dialogues) == 20
+    assert signatures("full.jsonl") == {"t_ti_i1_n"}
+    assert all(2 <= d.dep_depth_value <= 4 for d in dialogues)  # k in [1, 3]
 
 
 def _synthesize_lines(root, name, records, pool, seed):
@@ -88,6 +108,38 @@ def test_synthesize_lines_do_not_depend_on_input_order(tmp_path_factory, n, seed
     kept = {rec["id"] for rec in records[k:]}
     assert (_synthesize_lines(root, "suffix", records[k:], pool, seed)
             == {i: line for i, line in full.items() if i.split(".")[0] in kept})
+
+
+_MAKE_RECORDS = {t2i_record_from_obj: make_t2i_records, edit_record_from_obj: make_edit_records,
+                 subject_record_from_obj: make_subject_records}
+
+
+@settings(max_examples=12, deadline=None)
+@given(task=st.sampled_from(sorted(BUILDERS)), n=st.integers(1, 6), seed=st.integers(0, 2**16))
+def test_chain_writes_dialogues_that_decode_validate_and_deepen_by_k(tmp_path_factory, task, n,
+                                                                     seed):
+    root = tmp_path_factory.mktemp("chain")
+    io.write_jsonl(root / "in.jsonl", _MAKE_RECORDS[BUILDERS[task][0]](n, seed))
+    io.write_jsonl(root / "pool.jsonl",
+                   (entry_to_record(e) for e in make_distractor_pool(2, seed + 1).entries))
+    argv = ["--task", task, "--in", str(root / "in.jsonl"), "--pool", str(root / "pool.jsonl"),
+            "--seed", str(seed)]
+    with contextlib.redirect_stdout(StringIO()):
+        assert main(["synthesize", "--stages", "a", *argv, "--out", str(root / "a.jsonl")]) == 0
+        assert main(["synthesize", "--stages", "a,b,c", *argv,
+                     "--out", str(root / "abc.jsonl")]) == 0
+        assert main(["validate", "--in", str(root / "abc.jsonl")]) == 0
+    assert (root / "abc.jsonl.rejects.jsonl").read_text() == ""
+    basic = {d.id: d for d in read_dialogues(root / "a.jsonl")}
+    chained = read_dialogues(root / "abc.jsonl")  # every line decodes: its content classifies
+    assert [d.id for d in chained] == list(basic)
+    for d in chained:
+        k = sum(r.user.is_distractor for r in d.rounds)
+        if basic[d.id].dep_target_rounds:
+            assert k == random.Random(derive_seed(seed, d.id, "k")).randint(1, 3)
+            assert d.dep_depth_value == basic[d.id].dep_depth_value + k
+        else:
+            assert k == 0 and d.dep_depth_value is None
 
 
 class _ClosingBackend(MockBackend):
@@ -212,10 +264,30 @@ def test_validate_reports_violations(workdir, capsys):
     run("synthesize", "--stage", "a", "--task", "t_i_0_0",
         "--in", "t2i_records_20.jsonl", "--out", "d.jsonl", "--seed", "1")
     records = list(io.read_jsonl("d.jsonl"))
-    records[0]["dep_target_rounds"] = [5]
+    records[0]["rounds"][0]["assistant"]["segments"][0]["image"]["width"] = 0
     io.write_jsonl("d.jsonl", records)
     assert run("validate", "--in", "d.jsonl") == 1
-    assert "target-range" in capsys.readouterr().out
+    assert "image-dims (round 0)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param("validate --in d.jsonl --signature bogus", id="validate-signature"),
+    pytest.param("validate --in d.jsonl --signature t_i_0_1", id="validate-inconsistent"),
+    pytest.param("stats --in d.jsonl --signature nope_x", id="stats-signature"),
+    pytest.param("serialize --in d.jsonl --out x.jsonl --signature t_i", id="serialize-signature"),
+    pytest.param("synthesize --stage a --task bogus --in t2i_records_20.jsonl --out x.jsonl",
+                 id="synthesize-task"),
+    pytest.param("synthesize --stages a,c --task t_i_i1_n --in t2i_records_20.jsonl "
+                 "--out x.jsonl", id="synthesize-deep-task"),
+])
+def test_unknown_task_or_signature_exits_2_before_any_output(workdir, capsys, argv):
+    run("synthesize", "--stage", "a", "--task", "t_i_0_0",
+        "--in", "t2i_records_20.jsonl", "--out", "d.jsonl", "--seed", "1")
+    capsys.readouterr()
+    assert run(*argv.split()) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("config error:") and len(err.splitlines()) == 1
+    assert not Path("x.jsonl").exists() and not Path("x.jsonl.rejects.jsonl").exists()
 
 
 def test_serialize_and_mask(workdir):
@@ -268,9 +340,25 @@ def test_stage_b_standalone(workdir):
                "--pool", "pool.jsonl", "--k-min", "1", "--k-max", "3",
                "--seed", "7", "--out", "deep.jsonl", "--rejects", "deep.rej.jsonl")
     assert code == 0
-    records = list(io.read_jsonl("deep.jsonl"))
-    assert all(r["signature"] == "t_i_i1_n" for r in records)
+    assert signatures("deep.jsonl") == {"t_i_i1_n"}
     assert Path("deep.rej.jsonl").read_text() == ""
+
+
+@pytest.mark.parametrize("label", ["t_i_t1_1", "t_i_in_1"])
+def test_stage_b_rewrites_by_content_not_by_a_stored_label(workdir, label):
+    # a line in the older format still carries the label; stage b must not follow it
+    run("synthesize", "--stage", "a", "--task", "t_i_i1_1",
+        "--in", "edit_records_20.jsonl", "--out", "basic.jsonl", "--seed", "7")
+    io.write_jsonl("old.jsonl", ({**rec, "signature": label, "dep_depth_value": 1}
+                                 for rec in io.read_jsonl("basic.jsonl")))
+    assert run("synthesize", "--stage", "b", "--in", "old.jsonl", "--pool", "pool.jsonl",
+               "--seed", "7", "--out", "deep.jsonl") == 0
+    assert Path("deep.jsonl.rejects.jsonl").read_text() == ""
+    dialogues = read_dialogues("deep.jsonl")
+    assert len(dialogues) == 20
+    assert {d.rounds[-1].user.provenance.op_kind for d in dialogues} == {"query2dep_q"}
+    assert signatures("deep.jsonl") == {"t_i_i1_n"}
+    assert run("validate", "--in", "deep.jsonl") == 0
 
 
 def test_env_backend_url_read(workdir, monkeypatch):
@@ -299,8 +387,7 @@ def test_config_file_merged_under_flags(workdir):
     run("synthesize", "--stages", "a,b", "--task", "t_i_i1_1",
         "--in", "edit_records_20.jsonl", "--pool", "pool.jsonl",
         "--out", "cfg_run.jsonl", "--config", "cfg.json")
-    records = list(io.read_jsonl("cfg_run.jsonl"))
-    assert all(r["dep_depth_value"] == 3 for r in records)  # 1 + k, k pinned to 2
+    assert {d.dep_depth_value for d in read_dialogues("cfg_run.jsonl")} == {3}  # 1 + k, k = 2
 
 
 def test_rerun_is_byte_identical(workdir):
@@ -447,7 +534,7 @@ def test_pack_bad_input_exits_without_traceback(workdir, capsys, weights, l_max,
 
 @pytest.mark.parametrize("argv, source, key", [
     ("validate --in bad.jsonl", "d.jsonl", "rounds"),
-    ("serialize --in bad.jsonl --out x.jsonl", "d.jsonl", "signature"),
+    ("serialize --in bad.jsonl --out x.jsonl", "d.jsonl", "dep_target_rounds"),
     ("stats --in bad.jsonl", "d.jsonl", "id"),
     ("synthesize --stage c --in bad.jsonl --out x.jsonl", "d.jsonl", "dep_target_rounds"),
     ("mask --in bad.jsonl --out x.jsonl", "s.jsonl", "blocks"),
@@ -488,10 +575,6 @@ def _set_text(rec, value):
                  id="targets-bool"),
     pytest.param(lambda rec: rec.update(dep_target_rounds=0), "dep_target_rounds",
                  id="targets-int"),
-    pytest.param(lambda rec: rec.update(dep_depth_value="1"), "dep_depth_value",
-                 id="depth-str"),
-    pytest.param(lambda rec: rec.update(dep_depth_value=None), "dep_depth_value",
-                 id="depth-null"),
     pytest.param(lambda rec: rec["rounds"][0]["user"].update(is_distractor="no"),
                  "is_distractor", id="distractor-str"),
     pytest.param(lambda rec: rec["rounds"][0]["assistant"]["segments"][0]["image"].update(id=[1]),
@@ -531,6 +614,36 @@ def test_round_without_assistant_exits_3_with_path_line(workdir, capsys, mutate,
     err = capsys.readouterr().err.strip()
     assert err.startswith("i/o error: bad.jsonl:3: ") and len(err.splitlines()) == 1
     assert needle in err
+
+
+def _mix_targets(rec):
+    text_round = json.loads(json.dumps(rec["rounds"][0]))
+    text_round["assistant"]["segments"] = [{"text": "they bark"}]
+    rec["rounds"].insert(0, text_round)
+    rec["dep_target_rounds"] = [0, 1]
+
+
+@pytest.mark.parametrize("mutate, needle", [
+    pytest.param(lambda rec: rec.update(rounds=[]), "empty dialogue", id="empty"),
+    pytest.param(lambda rec: rec.update(dep_target_rounds=[1]),
+                 "target round 1 does not precede the final round 1", id="target-range"),
+    pytest.param(_mix_targets, "dependency targets mix text and image rounds", id="mixed-targets"),
+    pytest.param(lambda rec: rec["rounds"][-1]["assistant"].update(segments=[{"text": "done"}]),
+                 "final assistant turn produces no image", id="no-final-image"),
+])
+@pytest.mark.parametrize("argv", ["validate --in bad.jsonl", "serialize --in bad.jsonl --out x.jsonl",
+                                  "stats --in bad.jsonl",
+                                  "synthesize --stage b --in bad.jsonl --pool pool.jsonl --out x.jsonl"])
+def test_content_without_a_signature_exits_3_with_path_line(workdir, capsys, mutate, needle, argv):
+    run("synthesize", "--stage", "a", "--task", "t_i_i1_1",
+        "--in", "edit_records_20.jsonl", "--out", "d.jsonl", "--seed", "1")
+    _bad_third_line("d.jsonl", "bad.jsonl", mutate)
+    capsys.readouterr()
+    assert run(*argv.split()) == 3
+    out, err = capsys.readouterr()
+    assert err.startswith("i/o error: bad.jsonl:3: ") and len(err.splitlines()) == 1
+    assert needle in err
+    assert "validate:" not in out and not Path("x.jsonl").exists()
 
 
 @pytest.mark.parametrize("value", [[1], 7, None], ids=["list", "int", "null"])
@@ -787,7 +900,7 @@ def test_mutated_dialogue_record_never_escapes_main(dialogue_corpus, data, mutat
             _at(rec, path[:-1])[key] = size
     elif mutation == "enum":
         path = data.draw(st.sampled_from(
-            [p for p in paths if p[-1] in ("signature", "source", "stage")]), label="path")
+            [p for p in paths if p[-1] in ("source", "stage")]), label="path")
         _set_at(rec, path, data.draw(st.sampled_from(
             ["bogus", "", "ti_ti_in_n", "t_i_0_0", "uploaded", "distractor"]), label="value"))
     else:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 from dialogue_reference import structural_equal
 
@@ -16,7 +18,6 @@ from dialogforge.dialogue import (
     UnclassifiableModality,
     dialogue_from_record,
     dialogue_to_record,
-    infer_signature,
     validate_dialogue,
 )
 from dialogforge.taxonomy import DepthKind, format_signature, parse_signature
@@ -42,7 +43,7 @@ def text(s):
     return Segment(text=s)
 
 
-def edit_dialogue(signature="t_i_i1_1"):
+def edit_dialogue(targets=(0,)):
     # Generate-then-edit across two rounds, dependency back to round 0.
     return Dialogue(
         id="d0",
@@ -50,9 +51,7 @@ def edit_dialogue(signature="t_i_i1_1"):
             Round(user(text("Draw a dog reading a book")), assistant(Segment(image=image("g0")))),
             Round(user(text("Add a red hat")), assistant(Segment(image=image("g1")))),
         ),
-        signature=parse_signature(signature),
-        dep_target_rounds=(0,),
-        dep_depth_value=1,
+        dep_target_rounds=targets,
     )
 
 
@@ -67,41 +66,43 @@ def test_validate_clean_dialogue():
     assert validate_dialogue(edit_dialogue()).ok
 
 
-def test_validate_depth_kind_mismatch():
-    report = validate_dialogue(edit_dialogue(signature="t_i_i1_n"))
-    assert [(v.rule, v.detail) for v in report.violations] == [
-        ("signature", "depth is 'n' in the signature, '1' in the content")]
+@pytest.mark.parametrize("label, depth", [
+    ("t_i_i1_n", 4), ("ti_i_i1_1", 1), ("t_ti_i1_1", None), ("ti_ti_i1_n", 7),
+], ids=["depth", "input", "output", "three-fields"])
+def test_decode_ignores_a_stored_label(label, depth):
+    d = edit_dialogue()
+    rec = {**dialogue_to_record(d), "signature": label, "dep_depth_value": depth}
+    assert dialogue_from_record(rec) == d
+    assert format_signature(dialogue_from_record(rec).signature) == "t_i_i1_1"
+    assert dialogue_from_record(rec).dep_depth_value == 1
 
 
-@pytest.mark.parametrize("signature, fields", [
-    ("ti_i_i1_1", [("input", "ti", "t")]),
-    ("t_ti_i1_1", [("output", "ti", "i")]),
-    ("ti_ti_i1_n", [("input", "ti", "t"), ("output", "ti", "i"), ("depth", "n", "1")]),
-], ids=["input", "output", "three-fields"])
-def test_validate_relabelled_modality(signature, fields):
-    report = validate_dialogue(edit_dialogue(signature=signature))
-    assert [(v.rule, v.detail) for v in report.violations] == [
-        ("signature", f"{name} is {stored!r} in the signature, {found!r} in the content")
-        for name, stored, found in fields]
+def test_replace_derives_the_signature_again():
+    d = edit_dialogue()
+    extra = Round(user(text("Now make it night")), assistant(Segment(image=image("g2"))))
+    longer = replace(d, rounds=d.rounds + (extra,))
+    assert format_signature(longer.signature) == "t_i_i1_n"
+    assert longer.dep_depth_value == 2
+    with pytest.raises(ValueError, match="init=False"):
+        replace(d, signature=parse_signature("t_i_0_0"))
 
 
-def test_validate_reports_what_infer_signature_raises():
-    rounds = (
-        Round(user(text("q")), assistant(text("a"))),
-        Round(user(text("q")), assistant(Segment(image=image("g0")))),
-        Round(user(text("q")), assistant(Segment(image=image("g1")))),
-    )
-    d = Dialogue(id="d", rounds=rounds, signature=parse_signature("t_i_in_1"),
-                 dep_target_rounds=(0, 1), dep_depth_value=2)
-    assert [(v.rule, v.detail) for v in validate_dialogue(d).violations] == [
-        ("signature", "dependency targets mix text and image rounds")]
+@pytest.mark.parametrize("bad_id", [5, None, ["d"]], ids=["int", "null", "list"])
+def test_dialogue_id_must_be_a_string(bad_id):
+    # a dialogue with a non-string id would serialize to a stream no reader accepts
+    with pytest.raises(TypeError, match="dialogue id must be a string"):
+        Dialogue(bad_id, edit_dialogue().rounds)
+
+
+def test_content_without_a_signature_cannot_be_built():
+    with pytest.raises(UnclassifiableModality, match="empty dialogue"):
+        Dialogue("d", ())
 
 
 def test_validate_role_swap():
     d = Dialogue(
         id="d",
         rounds=(Round(assistant(text("hi")), assistant(Segment(image=image("g")))),),
-        signature=parse_signature("t_i_0_0"),
     )
     assert "round-roles" in validate_dialogue(d).rules()
 
@@ -109,12 +110,12 @@ def test_validate_role_swap():
 def test_validate_empty_text_and_segments():
     d = Dialogue(
         id="d",
-        rounds=(Round(user(text("  ")), Turn(Role.ASSISTANT, (), PROV)),),
-        signature=parse_signature("t_i_0_0"),
+        rounds=(Round(user(text("  ")), Turn(Role.ASSISTANT, (), PROV)),
+                Round(user(text("draw it")), assistant(Segment(image=image("g"))))),
     )
-    rules = validate_dialogue(d).rules()
-    assert "empty-text" in rules
-    assert "empty-segments" in rules
+    report = validate_dialogue(d)
+    assert report.rules() == {"empty-text", "empty-segments"}
+    assert {v.where for v in report.violations} == {0}
 
 
 def test_validate_user_image_count():
@@ -125,7 +126,6 @@ def test_validate_user_image_count():
                  Segment(image=image("u1", ImageSource.UPLOADED))),
             assistant(Segment(image=image("g"))),
         ),),
-        signature=parse_signature("ti_i_0_0"),
     )
     assert "user-image-count" in validate_dialogue(d).rules()
 
@@ -135,7 +135,6 @@ def test_validate_assistant_image_count():
         id="d",
         rounds=(Round(user(text("draw two")),
                       assistant(Segment(image=image("g0")), Segment(image=image("g1")))),),
-        signature=parse_signature("t_i_0_0"),
     )
     report = validate_dialogue(d)
     assert report.rules() == {"assistant-image-count"}
@@ -146,7 +145,6 @@ def test_validate_assistant_image_after_text():
     d = Dialogue(
         id="d",
         rounds=(Round(user(text("go")), assistant(text("here"), Segment(image=image("g")))),),
-        signature=parse_signature("t_i_0_0"),
     )
     assert "assistant-image-order" in validate_dialogue(d).rules()
 
@@ -158,7 +156,6 @@ def test_validate_source_placement():
             user(text("go"), Segment(image=image("u", ImageSource.GENERATED))),
             assistant(Segment(image=image("g", ImageSource.UPLOADED))),
         ),),
-        signature=parse_signature("ti_i_0_0"),
     )
     rules = validate_dialogue(d).rules()
     assert "generated-placement" in rules
@@ -172,9 +169,7 @@ def test_validate_duplicate_image_ids():
             Round(user(text("a")), assistant(Segment(image=image("same")))),
             Round(user(text("b")), assistant(Segment(image=image("same")))),
         ),
-        signature=parse_signature("t_i_i1_1"),
         dep_target_rounds=(0,),
-        dep_depth_value=1,
     )
     assert "image-id-unique" in validate_dialogue(d).rules()
 
@@ -183,15 +178,13 @@ def test_validate_nonpositive_dims():
     d = Dialogue(
         id="d",
         rounds=(Round(user(text("a")), assistant(Segment(image=image("g", w=0)))),),
-        signature=parse_signature("t_i_0_0"),
     )
     assert "image-dims" in validate_dialogue(d).rules()
 
 
-def test_validate_dep_target_presence_and_counts():
+def test_signature_follows_the_target_count():
     d = edit_dialogue()
-    no_targets = Dialogue(id=d.id, rounds=d.rounds, signature=d.signature)
-    assert "signature" in validate_dialogue(no_targets).rules()
+    assert format_signature(Dialogue(d.id, d.rounds).signature) == "t_i_0_0"
 
     three = Dialogue(
         id="d3",
@@ -200,36 +193,23 @@ def test_validate_dep_target_presence_and_counts():
             Round(user(text("b")), assistant(Segment(image=image("g1")))),
             Round(user(text("c")), assistant(Segment(image=image("g2")))),
         ),
-        signature=parse_signature("t_i_i1_1"),
         dep_target_rounds=(0, 1),
-        dep_depth_value=2,
     )
-    assert "signature" in validate_dialogue(three).rules()
+    assert format_signature(three.signature) == "t_i_in_1"
+    assert three.dep_depth_value == 2
 
 
-def test_validate_dep_modality():
+def test_signature_follows_the_target_content():
     d = Dialogue(
         id="d",
         rounds=(
             Round(user(text("what about dogs?")), assistant(text("they bark"))),
             Round(user(text("draw one")), assistant(Segment(image=image("g")))),
         ),
-        signature=parse_signature("t_i_i1_1"),  # claims image dependency on a text round
         dep_target_rounds=(0,),
-        dep_depth_value=1,
     )
-    assert validate_dialogue(d).rules() == {"signature"}
-
-
-def test_validate_target_range():
-    d = Dialogue(
-        id="d",
-        rounds=edit_dialogue().rounds,
-        signature=parse_signature("t_i_i1_1"),
-        dep_target_rounds=(1,),  # final round cannot target itself
-        dep_depth_value=1,
-    )
-    assert "target-range" in validate_dialogue(d).rules()
+    assert format_signature(d.signature) == "t_i_t1_1"
+    assert validate_dialogue(d).ok
 
 
 def test_validate_is_pure_and_idempotent():
@@ -241,8 +221,9 @@ def test_validate_is_pure_and_idempotent():
 
 
 def test_compute_depth_zero():
-    d = Dialogue(id="d", rounds=edit_dialogue().rounds, signature=parse_signature("t_i_0_0"))
-    assert infer_signature(d).depth is DepthKind.ZERO
+    d = edit_dialogue(targets=())
+    assert d.signature.depth is DepthKind.ZERO
+    assert d.dep_depth_value is None
 
 
 def test_compute_depth_long_range():
@@ -250,30 +231,28 @@ def test_compute_depth_long_range():
         Round(user(text(f"q{i}")), assistant(Segment(image=image(f"g{i}"))))
         for i in range(5)
     )
-    d = Dialogue(id="d", rounds=rounds, signature=parse_signature("t_i_i1_n"),
-                 dep_target_rounds=(0,), dep_depth_value=4)
-    assert infer_signature(d).depth is DepthKind.N
+    d = Dialogue(id="d", rounds=rounds, dep_target_rounds=(0,))
+    assert d.signature.depth is DepthKind.N
+    assert d.dep_depth_value == 4
 
 
 def test_compute_depth_one():
-    assert infer_signature(edit_dialogue()).depth is DepthKind.ONE
+    assert edit_dialogue().signature.depth is DepthKind.ONE
+    assert edit_dialogue().dep_depth_value == 1
 
 
 def test_compute_depth_invalid_target():
     for target in (1, 5, 99, -1):  # the final round itself, past it, far past it, before round 0
-        d = Dialogue(id="d", rounds=edit_dialogue().rounds, signature=parse_signature("t_i_i1_1"),
-                     dep_target_rounds=(target,), dep_depth_value=1)
         with pytest.raises(InvalidTarget, match=f"target round {target} does not precede"):
-            infer_signature(d)
+            edit_dialogue(targets=(target,))
 
 
 def test_infer_context_free_generation():
     d = Dialogue(
         id="d",
         rounds=(Round(user(text("draw a dog")), assistant(Segment(image=image("g")))),),
-        signature=parse_signature("t_i_0_0"),
     )
-    assert format_signature(infer_signature(d)) == "t_i_0_0"
+    assert format_signature(d.signature) == "t_i_0_0"
 
 
 def test_infer_interleaved_output():
@@ -281,9 +260,8 @@ def test_infer_interleaved_output():
         id="d",
         rounds=(Round(user(text("draw a dog")),
                       assistant(Segment(image=image("g")), text("here it is"))),),
-        signature=parse_signature("t_ti_0_0"),
     )
-    assert format_signature(infer_signature(d)) == "t_ti_0_0"
+    assert format_signature(d.signature) == "t_ti_0_0"
 
 
 def test_infer_two_image_targets():
@@ -291,11 +269,10 @@ def test_infer_two_image_targets():
         Round(user(text(f"q{i}")), assistant(Segment(image=image(f"g{i}"))))
         for i in range(6)
     )
-    d = Dialogue(id="d", rounds=rounds, signature=parse_signature("t_i_in_n"),
-                 dep_target_rounds=(0, 2), dep_depth_value=5)
-    sig = infer_signature(d)
-    assert format_signature(sig) == "t_i_in_n"
-    assert sig.depth is DepthKind.N
+    d = Dialogue(id="d", rounds=rounds, dep_target_rounds=(0, 2))
+    assert format_signature(d.signature) == "t_i_in_n"
+    assert d.signature.depth is DepthKind.N
+    assert d.dep_depth_value == 5
 
 
 def test_infer_mixed_targets_ambiguous():
@@ -304,17 +281,13 @@ def test_infer_mixed_targets_ambiguous():
         Round(user(text("q")), assistant(Segment(image=image("g0")))),
         Round(user(text("q")), assistant(Segment(image=image("g1")))),
     )
-    d = Dialogue(id="d", rounds=rounds, signature=parse_signature("t_i_in_1"),
-                 dep_target_rounds=(0, 1), dep_depth_value=2)
-    with pytest.raises(AmbiguousDependency):
-        infer_signature(d)
+    with pytest.raises(AmbiguousDependency, match="dependency targets mix text and image rounds"):
+        Dialogue(id="d", rounds=rounds, dep_target_rounds=(0, 1))
 
 
 def test_infer_text_only_output_unclassifiable():
-    d = Dialogue(id="d", rounds=(Round(user(text("hi")), assistant(text("hello"))),),
-                 signature=parse_signature("t_i_0_0"))
-    with pytest.raises(UnclassifiableModality):
-        infer_signature(d)
+    with pytest.raises(UnclassifiableModality, match="final assistant turn produces no image"):
+        Dialogue(id="d", rounds=(Round(user(text("hi")), assistant(text("hello"))),))
 
 
 def test_record_round_trip_lossless():
@@ -330,7 +303,7 @@ def test_record_round_trip_lossless():
 
 def test_record_field_order():
     rec = dialogue_to_record(edit_dialogue())
-    assert list(rec) == ["id", "signature", "dep_target_rounds", "dep_depth_value", "rounds"]
+    assert list(rec) == ["id", "dep_target_rounds", "rounds"]
     turn = rec["rounds"][0]["user"]
     assert list(turn) == ["segments", "is_distractor", "provenance"]
 
@@ -343,7 +316,6 @@ def test_structural_equal_ignores_provenance():
             d1.rounds[-1].assistant,
         ),
     )
-    d2 = Dialogue(id=d1.id, rounds=rounds, signature=d1.signature,
-                  dep_target_rounds=d1.dep_target_rounds, dep_depth_value=d1.dep_depth_value)
+    d2 = Dialogue(id=d1.id, rounds=rounds, dep_target_rounds=d1.dep_target_rounds)
     assert structural_equal(d1, d2)
-    assert not structural_equal(d1, edit_dialogue(signature="t_i_i1_n"))
+    assert not structural_equal(d1, edit_dialogue(targets=()))

@@ -30,27 +30,27 @@ TASKS = {
 # Re-record (``python tests/test_golden.py``) only for an intended output change.
 GOLDEN = {
     "dialogues/t_i_0_0.jsonl":
-        "af09043c6b5213c86ad334efd8475b4157800b9f7f0c9c1e846df260838776be",
+        "9b728b64d1300a55a8e86f8e504e7251a58d59f4e05b279ca7c0a7d6ccec1409",
     "dialogues/t_i_0_0.jsonl.rejects.jsonl":
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "dialogues/t_i_i1_1.jsonl":
-        "42243c7de5e2282e65e40dc4695a7c352a9ce0e30b5e5abbd61b62d47d7dbaf2",
+        "49f23a213bebe4ab2f910dda8cfeced5f3a59be7c22f850572038493b9df6619",
     "dialogues/t_i_i1_1.jsonl.rejects.jsonl":
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "dialogues/t_i_in_1.jsonl":
-        "ae8b7ea950cc627ba95885ea8b85ea65898b954542d1400068a5ac2bf62bd1ef",
+        "4ae5784246bf253f3dbc19d8109280acfe4c52169ad249e6811c20d2f4630643",
     "dialogues/t_i_in_1.jsonl.rejects.jsonl":
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "dialogues/t_i_t1_1.jsonl":
-        "f19e5900db4d367c5760b6d6cc8450f5be0a7d68811f3b9b5e41322d6ed37b98",
+        "55d89707ec2c57ed46482a1145ccd6aeeff984609134ef1f2552708cf85e9b50",
     "dialogues/t_i_t1_1.jsonl.rejects.jsonl":
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "dialogues/ti_i_0_0.jsonl":
-        "691ac4fbf0f3a868f081383ce07228f792cdba02d60ae40ea045f79dbc1d6f1d",
+        "11bf6e561367ba9d2b457200a7c766b0a9f105ef4c17c927f59c5e52e1331523",
     "dialogues/ti_i_0_0.jsonl.rejects.jsonl":
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "dialogues/ti_i_i1_1.jsonl":
-        "2f4c1d75aa8234a849c0d87b785924e32244584e359f6c79ae48565f07d8212e",
+        "01dfaace987ac9baa2d9b6fe812d49d357c7aa76910214e8979c9e54f0e8db63",
     "dialogues/ti_i_i1_1.jsonl.rejects.jsonl":
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "masks/t_i_0_0.jsonl":

@@ -7,7 +7,6 @@ from dialogforge.atomic_ops import MissingInput
 from dialogforge.dialogue import (
     ImageSource,
     Stage,
-    infer_signature,
     validate_dialogue,
 )
 from dialogforge.fixtures import make_edit_records, make_subject_records, make_t2i_records
@@ -50,7 +49,6 @@ def test_t_i_0_0(t2i_rec, backend):
     assert d.dep_target_rounds == ()
     assert d.dep_depth_value is None
     assert validate_dialogue(d).ok
-    assert format_signature(infer_signature(d)) == "t_i_0_0"
     assert d.rounds[-1].user.text_content() == f"Please generate an image of {t2i_rec.image.caption}"
     assert d.id == f"{t2i_rec.id}.t_i_0_0.7"
     img = d.rounds[0].assistant.images()[0]
@@ -66,7 +64,6 @@ def test_t_i_t1_1(t2i_rec, backend):
     assert d.dep_target_rounds == (0,)
     assert d.dep_depth_value == 1
     assert validate_dialogue(d).ok
-    assert format_signature(infer_signature(d)) == "t_i_t1_1"
     # round 0 is the Q&A, round 1 the generic request
     assert d.rounds[0].assistant.images() == []
     assert d.rounds[-1].user.text_content() == "Create one for me."
@@ -79,7 +76,6 @@ def test_ti_i_0_0(edit_rec, backend):
     d = build_ti_i_0_0(edit_rec, backend, seed=7)
     assert format_signature(d.signature) == "ti_i_0_0"
     assert validate_dialogue(d).ok
-    assert format_signature(infer_signature(d)) == "ti_i_0_0"
     user = d.rounds[-1].user
     assert len(user.images()) == 1
     assert user.images()[0].source is ImageSource.UPLOADED
@@ -93,7 +89,6 @@ def test_t_i_i1_1(edit_rec, backend):
     assert d.dep_target_rounds == (0,)
     assert d.dep_depth_value == 1
     assert validate_dialogue(d).ok
-    assert format_signature(infer_signature(d)) == "t_i_i1_1"
     assert d.rounds[-1].user.text_content() == edit_rec.instruction
     assert d.rounds[0].assistant.images()[0].id == edit_rec.source_image.id
     assert d.rounds[1].assistant.images()[0].id == edit_rec.target_image.id
@@ -114,7 +109,6 @@ def test_t_i_in_1(subj_rec, backend):
     assert d.dep_depth_value == 2  # farthest subject sits two rounds back
     assert d.signature.depth is DepthKind.ONE  # nearest subject is adjacent
     assert validate_dialogue(d).ok
-    assert format_signature(infer_signature(d)) == "t_i_in_1"
     final = d.rounds[-1].user.text_content()
     assert subj_rec.subjects[0].caption in final
     assert subj_rec.subjects[1].caption in final
@@ -127,7 +121,6 @@ def test_ti_i_i1_1(subj_rec, backend):
     assert d.dep_target_rounds == (0,)
     assert d.dep_depth_value == 1
     assert validate_dialogue(d).ok
-    assert format_signature(infer_signature(d)) == "ti_i_i1_1"
     assert len(d.rounds[-1].user.images()) == 1
     assert d.rounds[-1].user.images()[0].source is ImageSource.UPLOADED
 
@@ -186,3 +179,8 @@ def test_run_stage_a_deterministic(backend):
 def test_every_builder_is_registered():
     assert set(BUILDERS) == {"t_i_0_0", "t_i_t1_1", "ti_i_0_0", "t_i_i1_1",
                              "t_i_in_1", "ti_i_i1_1"}
+
+
+def test_run_stage_a_refuses_an_unknown_task_before_any_record(backend):
+    with pytest.raises(KeyError, match="t_i_i1_n"):
+        run_stage_a(make_t2i_records(3, 14), "t_i_i1_n", backend)
