@@ -18,11 +18,12 @@ import sys
 import typing
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Any, Iterator, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
-from . import io
+from . import io, util
 from .atomic_ops import (
     BackendUnavailable,
+    CompletionBackend,
     MockBackend,
     RemoteBackend,
     split_backend_url,
@@ -34,9 +35,9 @@ from .dialogue import (
     validate_dialogue,
 )
 from .packing import SamplingConfig, pack_corpus, pack_to_record
-from .stage_a import BUILDERS, run_stage_a
-from .stage_b import DistractorPool, entry_from_record, run_stage_b
-from .stage_c import run_stage_c
+from .stage_a import BUILDERS
+from .stage_b import DistractorPool, entry_from_record, insert_distractors
+from .stage_c import interleave
 from .stream import (
     EmptyText,
     InvalidStream,
@@ -189,6 +190,50 @@ def _read_dialogues(path: str, signature: str | None = None) -> Iterator[Dialogu
     return (d for d in dialogues if d.signature == wanted)
 
 
+def synthesize_records(items: Iterable[Any], stages: Sequence[str], backend: CompletionBackend,
+                       cfg: PipelineConfig, rejects: list[dict[str, Any]], *,
+                       task: str | None = None, pool: DistractorPool | None = None,
+                       concurrency: int = 1) -> Iterator[dict[str, Any]]:
+    """Run each of ``items`` through ``stages``; yield the dialogue records in input order.
+
+    ``items`` are ingest records for ``task`` when ``stages`` starts with a,
+    dialogues otherwise. An item a stage refuses is appended to ``rejects``
+    instead, as that stage's reject: ``{stage, index, error, record}`` for
+    stage a (``index`` counts the items), ``{stage, id, error}`` for stages b
+    and c. ``BackendUnavailable`` propagates.
+    """
+    if "a" in stages:
+        parse, build = BUILDERS[task]
+
+    def one(indexed: tuple[int, Any]) -> Dialogue | dict[str, Any]:
+        index, d = indexed
+        stage = stages[0]
+        try:
+            if stage == "a":
+                d = build(parse(d), backend, seed=cfg.seed, retries=cfg.retries)
+            if "b" in stages:
+                stage = "b"
+                d = insert_distractors(d, pool, (cfg.k_min, cfg.k_max), cfg.seed, backend,
+                                       retries=cfg.retries)
+            if "c" in stages:
+                stage = "c"
+                d = interleave(d, backend, apply_fraction=cfg.apply_fraction, seed=cfg.seed,
+                               retries=cfg.retries)
+        except BackendUnavailable:
+            raise
+        except Exception as err:  # noqa: BLE001 - per-record errors become rejects
+            if stage == "a":
+                return {"stage": "a", "index": index, "error": str(err), "record": d}
+            return {"stage": stage, "id": d.id, "error": str(err)}
+        return d
+
+    for out in util.run_records(one, enumerate(items), concurrency):
+        if isinstance(out, Dialogue):
+            yield dialogue_to_record(out)
+        else:
+            rejects.append(out)
+
+
 def cmd_synthesize(args: argparse.Namespace, argv: Sequence[str]) -> int:
     cfg = _load_config(args)
     if args.stages is None:
@@ -205,48 +250,31 @@ def cmd_synthesize(args: argparse.Namespace, argv: Sequence[str]) -> int:
         raise ConfigError("stage b needs --pool <jsonl>")
 
     inputs = _digests([args.in_path, args.pool] if "b" in stages else [args.in_path])
+    pool = None
+    if "b" in stages:
+        pool = DistractorPool(tuple(io.read_records(args.pool, entry_from_record)))
+        if not pool.entries:
+            raise ConfigError(f"distractor pool {args.pool} is empty")
+        report = pool.validate()
+        if not report.ok:
+            first = report.violations[0]
+            raise ConfigError(f"distractor pool {args.pool}: entry {first.where}: {first.detail}")
+    items = io.read_jsonl(args.in_path) if "a" in stages else _read_dialogues(args.in_path)
     backend = cfg.make_backend()
     # The mock stages are CPU-bound, so threads only add overhead there.
     concurrency = cfg.concurrency if cfg.backend == "remote" else 1
     rejects: list[dict[str, Any]] = []
     try:
-        if "a" in stages:
-            raw = list(io.read_jsonl(args.in_path))
-            dialogues, stage_rejects = run_stage_a(
-                raw, args.task, backend,
-                seed=cfg.seed, retries=cfg.retries, concurrency=concurrency)
-            rejects += [{"stage": "a", **r} for r in stage_rejects]
-        else:
-            dialogues = list(_read_dialogues(args.in_path))
-
-        if "b" in stages:
-            pool = DistractorPool(tuple(io.read_records(args.pool, entry_from_record)))
-            if not pool.entries:
-                raise ConfigError(f"distractor pool {args.pool} is empty")
-            report = pool.validate()
-            if not report.ok:
-                first = report.violations[0]
-                raise ConfigError(f"distractor pool entry {first.where}: {first.detail}")
-            dialogues, stage_rejects = run_stage_b(
-                dialogues, pool, (cfg.k_min, cfg.k_max), cfg.seed, backend,
-                retries=cfg.retries, concurrency=concurrency)
-            rejects += [{"stage": "b", **r} for r in stage_rejects]
-
-        if "c" in stages:
-            dialogues, stage_rejects = run_stage_c(
-                dialogues, backend,
-                apply_fraction=cfg.apply_fraction, seed=cfg.seed,
-                retries=cfg.retries, concurrency=concurrency)
-            rejects += [{"stage": "c", **r} for r in stage_rejects]
+        written = io.write_jsonl(args.out, synthesize_records(
+            items, stages, backend, cfg, rejects,
+            task=args.task, pool=pool, concurrency=concurrency))
     finally:
         backend.close()
-
-    io.write_jsonl(args.out, (dialogue_to_record(d) for d in dialogues))
     rejects_path = args.rejects or f"{args.out}.rejects.jsonl"
     io.write_jsonl(rejects_path, rejects)
-    counts = {"written": len(dialogues), "rejected": len(rejects)}
+    counts = {"written": written, "rejected": len(rejects)}
     _write_manifest(args, argv, cfg, inputs, [args.out, rejects_path], counts)
-    print(f"synthesize: {counts['written']} dialogues, {counts['rejected']} rejects -> {args.out}")
+    print(f"synthesize: {written} dialogues, {len(rejects)} rejects -> {args.out}")
     return 0
 
 

@@ -440,7 +440,11 @@ def dialogue_from_record(rec: dict[str, Any]) -> Dialogue:
                                 assistant=turn_from_obj(r["assistant"], Role.ASSISTANT)))
         except TypeError as err:
             raise TypeError(f"dialogue {rec['id']!r}: round {i}: {err}") from err
-    return Dialogue(rec["id"], rounds, targets, rec.get("annotations", ()))
+    annotations = rec.get("annotations", [])
+    if type(annotations) is not list or any(type(a) is not str for a in annotations):
+        raise TypeError(f"dialogue {rec['id']!r}: annotations must be a list of strings, "
+                        f"not {annotations!r}")
+    return Dialogue(rec["id"], rounds, targets, annotations)
 
 
 def with_annotation(d: Dialogue, note: str) -> Dialogue:

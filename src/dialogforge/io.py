@@ -48,7 +48,8 @@ def read_jsonl(path: str | Path) -> Iterator[Any]:
     """Parse one JSON value per non-blank line.
 
     Raises:
-        MalformedLine: a line is not JSON; the message leads with ``path:line``.
+        MalformedLine: a line is not JSON, or nests deeper than the parser
+            can recurse; the message leads with ``path:line``.
     """
     with open(path, "r", encoding="utf-8") as f:
         for lineno, line in enumerate(f, 1):
@@ -58,6 +59,8 @@ def read_jsonl(path: str | Path) -> Iterator[Any]:
                     yield json.loads(line)
                 except json.JSONDecodeError as err:
                     raise MalformedLine(f"{path}:{lineno}: {err.msg} (column {err.colno})") from None
+                except RecursionError:
+                    raise MalformedLine(f"{path}:{lineno}: JSON nested too deeply") from None
 
 
 def read_records(path: str | Path, decode: Callable[[Any], T]) -> Iterator[T]:

@@ -25,7 +25,7 @@ from .dialogue import (
     Turn,
     image_from_obj,
 )
-from .util import derive_seed, run_records
+from .util import derive_seed
 
 
 class RecordError(ValueError):
@@ -224,18 +224,3 @@ BUILDERS: dict[str, tuple[Callable[[dict], Any], Callable[..., Dialogue]]] = {
     "ti_i_i1_1": (subject_record_from_obj, build_ti_i_i1_1),
 }
 
-
-def run_stage_a(raw_records: list[dict[str, Any]], task: str, backend: CompletionBackend, *,
-                seed: int = 0, retries: int = 2, concurrency: int = 1,
-                ) -> tuple[list[Dialogue], list[dict[str, Any]]]:
-    """Build one dialogue per record; failures land in the rejects list.
-
-    Raises:
-        KeyError: ``task`` is not a key of ``BUILDERS``.
-    """
-    parse, build = BUILDERS[task]
-    return run_records(
-        lambda indexed: build(parse(indexed[1]), backend, seed=seed, retries=retries),
-        enumerate(raw_records), concurrency,
-        lambda indexed, err: {"index": indexed[0], "error": str(err), "record": indexed[1]},
-    )

@@ -5,6 +5,7 @@ after the last dependency-source round, and the final user query is rewritten
 by the signature-appropriate history-dependent operation so it stays
 unambiguous across the noise. The pre-rewrite query is kept in the final
 turn's provenance, which makes the transformation reversible for audits.
+``insert_distractors`` runs the stage on one dialogue.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .dialogue import (
     with_annotation,
 )
 from .taxonomy import DependencyModality, DepthKind, format_signature
-from .util import derive_seed, run_records
+from .util import derive_seed
 
 
 class WrongDepth(ValueError):
@@ -199,26 +200,15 @@ def apply_insertion(d: Dialogue, plan: InsertionPlan, backend: CompletionBackend
     return Dialogue(d.id, rounds, d.dep_target_rounds, d.annotations)
 
 
-def run_stage_b(dialogues: list[Dialogue], pool: DistractorPool,
-                k_range: tuple[int, int], seed: int, backend: CompletionBackend, *,
-                retries: int = 2, concurrency: int = 1,
-                ) -> tuple[list[Dialogue], list[dict[str, Any]]]:
-    """Insert distractors per dialogue with k drawn uniformly from k_range.
+def insert_distractors(d: Dialogue, pool: DistractorPool, k_range: tuple[int, int], seed: int,
+                       backend: CompletionBackend, *, retries: int = 2) -> Dialogue:
+    """Stage b for one dialogue: insert k distractors, k drawn from ``k_range`` by the id's seed.
 
-    Dialogues without any dependency pass through unchanged, annotated as
-    skipped; failing dialogues land in the rejects list.
+    ``k_range`` is ``(k_min, k_max)`` with ``1 <= k_min <= k_max``. A dialogue
+    without any dependency passes through unchanged, annotated as skipped.
     """
-    k_min, k_max = k_range
-    if k_min < 1 or k_min > k_max:
-        raise ValueError(f"invalid k range [{k_min}, {k_max}]")
-
-    def one(d: Dialogue) -> Dialogue:
-        if d.signature.dep is DependencyModality.NONE or d.signature.depth is DepthKind.ZERO:
-            return with_annotation(d, "stage_b_skipped")
-        k = random.Random(derive_seed(seed, d.id, "k")).randint(k_min, k_max)
-        plan = plan_insertion(d, pool, k, derive_seed(seed, d.id, "plan"))
-        return apply_insertion(d, plan, backend, seed=seed, retries=retries)
-
-    return run_records(one, dialogues, concurrency,
-                       lambda d, err: {"id": d.id, "error": str(err)})
-
+    if d.signature.dep is DependencyModality.NONE or d.signature.depth is DepthKind.ZERO:
+        return with_annotation(d, "stage_b_skipped")
+    k = random.Random(derive_seed(seed, d.id, "k")).randint(*k_range)
+    plan = plan_insertion(d, pool, k, derive_seed(seed, d.id, "plan"))
+    return apply_insertion(d, plan, backend, seed=seed, retries=retries)

@@ -3,18 +3,18 @@
 The final user turn is augmented with a general-knowledge question about the
 requested image's subject and the final assistant turn answers it right after
 the image, turning the output modality from image-only into text-and-image.
+``interleave`` runs the stage on one dialogue, if its seeded per-id coin says so.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import replace
-from typing import Any
 
 from .atomic_ops import CompletionBackend, OpKind, OpRequest, invoke
 from .dialogue import Dialogue, Round, Segment, Turn, image_caption, with_annotation
 from .taxonomy import OutputModality
-from .util import derive_seed, run_records
+from .util import derive_seed
 
 
 class AlreadyInterleaved(ValueError):
@@ -61,24 +61,15 @@ def interleave_output(d: Dialogue, backend: CompletionBackend, *,
     return Dialogue(d.id, d.rounds[:-1] + (new_final,), d.dep_target_rounds, d.annotations)
 
 
-def run_stage_c(dialogues: list[Dialogue], backend: CompletionBackend, *,
-                apply_fraction: float = 1.0, seed: int = 0,
-                retries: int = 2, concurrency: int = 1,
-                ) -> tuple[list[Dialogue], list[dict[str, Any]]]:
-    """Interleave each dialogue selected by a seeded per-id coin.
+def interleave(d: Dialogue, backend: CompletionBackend, *, apply_fraction: float = 1.0,
+               seed: int = 0, retries: int = 2) -> Dialogue:
+    """Stage c for one dialogue: interleave it if the id's seeded coin selects it.
 
-    Unselected dialogues pass through untouched; selected ones that are
-    already interleaved pass through with a skip annotation.
+    The coin comes up ``apply_fraction`` of the time. Unselected dialogues pass
+    through untouched; selected ones already interleaved get a skip annotation.
     """
-    if not 0.0 <= apply_fraction <= 1.0:
-        raise ValueError("apply_fraction must lie in [0, 1]")
-
-    def one(d: Dialogue) -> Dialogue:
-        if random.Random(derive_seed(seed, d.id, "apply")).random() >= apply_fraction:
-            return d
-        if d.signature.output is OutputModality.TI:
-            return with_annotation(d, "stage_c_skipped")
-        return interleave_output(d, backend, seed=seed, retries=retries)
-
-    return run_records(one, dialogues, concurrency,
-                       lambda d, err: {"id": d.id, "error": str(err)})
+    if random.Random(derive_seed(seed, d.id, "apply")).random() >= apply_fraction:
+        return d
+    if d.signature.output is OutputModality.TI:
+        return with_annotation(d, "stage_c_skipped")
+    return interleave_output(d, backend, seed=seed, retries=retries)

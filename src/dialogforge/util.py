@@ -1,12 +1,11 @@
-"""Seed derivation and the order-preserving per-record runner."""
+"""Seed derivation and the lazy, order-preserving per-record runner."""
 
 from __future__ import annotations
 
+import collections
 import hashlib
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Callable, Iterable, TypeVar
-
-from .atomic_ops import BackendUnavailable
+from typing import Callable, Iterable, Iterator, TypeVar
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -28,34 +27,25 @@ def derive_seed(root: int, *parts: str | int) -> int:
     return int.from_bytes(h.digest()[:8], "big") % (1 << _SEED_BITS)
 
 
-def run_records(fn: Callable[[T], R], items: Iterable[T], concurrency: int,
-                reject: Callable[[T, Exception], dict[str, Any]],
-                ) -> tuple[list[R], list[dict[str, Any]]]:
-    """Apply ``fn`` with at most ``concurrency`` in flight; outputs and rejects in input order.
+def run_records(fn: Callable[[T], R], items: Iterable[T], concurrency: int) -> Iterator[R]:
+    """Yield ``fn(item)`` per item in input order, at most ``concurrency`` calls in flight.
 
-    An exception from one item becomes the reject record ``reject(item, err)``.
-    BackendUnavailable is an infrastructure failure, not a data problem, so it
-    propagates.
+    ``items`` is read at most ``4 * concurrency`` ahead of what was yielded. One
+    thread pool (none at concurrency 1) serves the whole call, so its workers and
+    their per-thread connections last the run. Exceptions propagate in input
+    order; if the caller stops early, calls not yet started are cancelled.
     """
-
-    def one(item: T):
-        try:
-            return fn(item), None
-        except BackendUnavailable:
-            raise
-        except Exception as err:  # noqa: BLE001 - per-record errors become rejects
-            return None, reject(item, err)
-
-    items = list(items)
-    if concurrency <= 1 or len(items) <= 1:
-        results = [one(x) for x in items]
-    else:
-        with ThreadPoolExecutor(max_workers=concurrency) as pool:
-            results = list(pool.map(one, items))
-    outputs, rejects = [], []
-    for output, rejected in results:
-        if rejected is None:
-            outputs.append(output)
-        else:
-            rejects.append(rejected)
-    return outputs, rejects
+    if concurrency <= 1:
+        yield from map(fn, items)
+        return
+    pool = ThreadPoolExecutor(max_workers=concurrency)
+    pending = collections.deque()
+    try:
+        for item in items:
+            pending.append(pool.submit(fn, item))
+            if len(pending) >= 4 * concurrency:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)

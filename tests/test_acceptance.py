@@ -32,8 +32,8 @@ from dialogforge.fixtures import (
     make_t2i_records,
 )
 from dialogforge.packing import SamplingConfig, pack_greedy, sample_stream
-from dialogforge.stage_a import BUILDERS, run_stage_a
-from dialogforge.stage_b import apply_insertion, plan_insertion, run_stage_b
+from dialogforge.stage_a import BUILDERS
+from dialogforge.stage_b import apply_insertion, insert_distractors, plan_insertion
 from dialogforge.stage_c import interleave_output
 from dialogforge.stream import (
     BlockKind,
@@ -79,12 +79,8 @@ def stage_a_corpus(n_per_type: int, seed: int):
     }
     source_for = {"t_i_0_0": "t2i", "t_i_t1_1": "t2i", "ti_i_0_0": "edit",
                   "t_i_i1_1": "edit", "t_i_in_1": "subj", "ti_i_i1_1": "subj"}
-    out = {}
-    for task in BUILDERS:
-        dialogues, rejects = run_stage_a(raw[source_for[task]], task, BACKEND, seed=seed)
-        assert not rejects
-        out[task] = dialogues
-    return out
+    return {task: [build(parse(rec), BACKEND, seed=seed) for rec in raw[source_for[task]]]
+            for task, (parse, build) in BUILDERS.items()}
 
 
 @criterion(1, "taxonomy: 36 signatures, full round-trip, all named tasks covered")
@@ -129,11 +125,8 @@ def test_stage_a_builders():
     source_for = {"t_i_0_0": "t2i", "t_i_t1_1": "t2i", "ti_i_0_0": "edit",
                   "t_i_i1_1": "edit", "t_i_in_1": "subj", "ti_i_i1_1": "subj"}
     assert sum(len(v) for v in raw.values()) == 500
-    for task in BUILDERS:
-        dialogues, rejects = run_stage_a(raw[source_for[task]], task, BACKEND, seed=17)
-        assert not rejects
-        assert len(dialogues) == len(raw[source_for[task]])
-        for d in dialogues:
+    for task, (parse, build) in BUILDERS.items():
+        for d in (build(parse(rec), BACKEND, seed=17) for rec in raw[source_for[task]]):
             report = validate_dialogue(d)
             assert report.ok, (task, d.id, report.violations)
             assert format_signature(d.signature) == task, (task, d.id)
@@ -187,9 +180,7 @@ def pipeline_corpus_1000():
     dialogues = [d for task in BUILDERS for d in corpus[task]]  # 600
     eligible = [d for d in dialogues if d.dep_target_rounds]  # 400
     pool = make_distractor_pool(4, 601)
-    deep, rejects = run_stage_b(eligible, pool, (1, 3), 602, BACKEND)
-    assert not rejects
-    out = dialogues + deep
+    out = dialogues + [insert_distractors(d, pool, (1, 3), 602, BACKEND) for d in eligible]
     assert len(out) == 1000
     # interleave half of them for output-modality diversity
     rng = random.Random(603)

@@ -1,4 +1,5 @@
 import base64
+import contextlib
 import gc
 import json
 import socket
@@ -6,6 +7,8 @@ import sys
 import threading
 import warnings
 from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
+from io import StringIO
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -26,8 +29,10 @@ from dialogforge.atomic_ops import (
     parse_response,
     render_prompt,
 )
+from dialogforge.cli import main
 from dialogforge.util import run_records
 
+DATA = Path(__file__).parent / "data"
 CAPTION = "A golden retriever is running on the grass"
 
 
@@ -366,11 +371,9 @@ def test_remote_concurrent_replies_in_input_order(loopback):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        outputs, rejects = run_records(lambda i: backend.complete(prompts[i], i),
-                                       range(40), 2, lambda i, err: {"i": i, "error": str(err)})
+        outputs = list(run_records(lambda i: backend.complete(prompts[i], i), range(40), 2))
     finally:
         sys.setswitchinterval(interval)
-    assert rejects == []
     assert outputs == [mock_complete(p, i) for i, p in enumerate(prompts)]
     assert server.connections <= 2
 
@@ -380,14 +383,29 @@ def test_remote_close_reaches_connections_of_exited_threads(loopback):
     backend = RemoteBackend(url=server.url, timeout=5)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", ResourceWarning)
-        outputs, _ = run_records(lambda i: backend.complete(render_prompt(_caption_req(i)), i),
-                                 range(8), 2, lambda i, err: {"i": i, "error": str(err)})
+        outputs = list(run_records(lambda i: backend.complete(render_prompt(_caption_req(i)), i),
+                                   range(8), 2))
         # the pool's threads have exited: only close() can release their connections
         backend.close()
         del backend
         gc.collect()
     assert len(outputs) == 8 and 1 <= server.connections <= 2
     assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+
+def test_remote_synthesize_keeps_one_connection_per_worker_for_the_whole_run(loopback, tmp_path):
+    server = loopback.server()
+    records = (DATA / "edit_records_20.jsonl").read_text().splitlines(keepends=True)
+    (tmp_path / "in.jsonl").write_text("".join(records[:6]))
+    argv = ["synthesize", "--stages", "a,b,c", "--task", "t_i_i1_1",
+            "--in", str(tmp_path / "in.jsonl"), "--pool", str(DATA / "pool.jsonl"), "--seed", "7"]
+    with contextlib.redirect_stdout(StringIO()):
+        assert main([*argv, "--out", str(tmp_path / "mock.jsonl")]) == 0
+        assert main([*argv, "--out", str(tmp_path / "remote.jsonl"), "--backend", "remote",
+                     "--backend-url", server.url, "--concurrency", "2"]) == 0
+    assert (tmp_path / "remote.jsonl").read_bytes() == (tmp_path / "mock.jsonl").read_bytes()
+    assert len(server.seen) >= 18  # every stage called the backend
+    assert server.connections <= 2
 
 
 def test_remote_resends_once_on_a_closed_keep_alive_connection(loopback):

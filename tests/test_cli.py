@@ -15,7 +15,7 @@ from dialogue_reference import make_random_dialogue
 from hypothesis import strategies as st
 
 import dialogforge
-from dialogforge import cli, io
+from dialogforge import cli, io, util
 from dialogforge.atomic_ops import BackendUnavailable, MockBackend
 from dialogforge.cli import main
 from dialogforge.dialogue import dialogue_from_record
@@ -194,30 +194,129 @@ def test_malformed_jsonl_line_exits_3_with_path_line(workdir, capsys):
     assert "bad.jsonl:2:" in capsys.readouterr().err
 
 
-def test_mock_stages_run_serially(workdir, monkeypatch):
-    seen = []
-    for name in ("run_stage_a", "run_stage_b", "run_stage_c"):
-        def record(*args, _fn=getattr(cli, name), **kwargs):
-            seen.append(kwargs["concurrency"])
-            return _fn(*args, **kwargs)
-        monkeypatch.setattr(cli, name, record)
+def test_mock_runs_use_no_executor(workdir, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a mock run started a thread pool")
+
+    monkeypatch.setattr(util, "ThreadPoolExecutor", no_pool)
     assert run("synthesize", "--stages", "a,b,c", "--task", "t_i_i1_1",
                "--in", "edit_records_20.jsonl", "--pool", "pool.jsonl",
                "--out", "o.jsonl", "--concurrency", "8") == 0
-    assert seen == [1, 1, 1]
+    assert len(read_dialogues("o.jsonl")) == 20
     manifest = json.loads(Path("o.jsonl.manifest.json").read_text())
     assert manifest["config"]["concurrency"] == 8
 
 
-def test_cli_import_does_not_load_numpy():
+def _child_env():
+    """The environment for a child Python that imports this checkout's ``dialogforge``."""
     src = str(Path(dialogforge.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
+def test_cli_import_does_not_load_numpy():
+    env = _child_env()
     heavy = ("numpy", "requests", "urllib3", "http.client", "urllib.request")
     code = f"import dialogforge.cli, sys; print([m for m in {heavy!r} if m in sys.modules])"
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+_REPORT_PEAK = ("import sys; from dialogforge.cli import main; code = main(sys.argv[1:]); "
+                "print(next(line for line in open('/proc/self/status') "
+                "if line.startswith('VmHWM:')).split()[1]); sys.exit(code)")
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                    reason="needs VmHWM from /proc/self/status")
+def test_synthesize_memory_does_not_grow_with_the_corpus(tmp_path):
+    io.write_jsonl(tmp_path / "pool.jsonl",
+                   (entry_to_record(e) for e in make_distractor_pool(4, 5).entries))
+    peak_kb = {}
+    for n in (500, 4000):
+        io.write_jsonl(tmp_path / f"r{n}.jsonl", make_edit_records(n, 3))
+        out = subprocess.run(
+            [sys.executable, "-c", _REPORT_PEAK, "synthesize", "--stages", "a,b,c",
+             "--task", "t_i_i1_1", "--in", str(tmp_path / f"r{n}.jsonl"),
+             "--pool", str(tmp_path / "pool.jsonl"), "--out", str(tmp_path / f"d{n}.jsonl"),
+             "--seed", "1"],
+            env=_child_env(), check=True, capture_output=True, text=True).stdout
+        assert f"synthesize: {n} dialogues, 0 rejects" in out
+        peak_kb[n] = int(out.splitlines()[-1])
+    assert peak_kb[4000] - peak_kb[500] <= 3 * 1024, peak_kb
+
+
+def test_chain_rejects_come_in_input_order(workdir):
+    records = make_edit_records(12, 8)
+    for k in (0, 5, 9):
+        records[k] = {"id": records[k]["id"]}  # stage a rejects these
+    io.write_jsonl("in.jsonl", records)
+    io.write_jsonl("pool3.jsonl", (entry_to_record(e) for e in make_distractor_pool(1, 4).entries))
+    # k is drawn from [2, 5] and the pool holds 3 entries, so stage b rejects some dialogues
+    assert run("synthesize", "--stages", "a,b", "--task", "t_i_i1_1", "--in", "in.jsonl",
+               "--pool", "pool3.jsonl", "--k-min", "2", "--k-max", "5", "--seed", "3",
+               "--out", "d.jsonl") == 0
+    rejects = list(io.read_jsonl("d.jsonl.rejects.jsonl"))
+    line_of = {rec["id"]: k for k, rec in enumerate(records)}
+    lines = [r["index"] if r["stage"] == "a" else line_of[r["id"].split(".")[0]] for r in rejects]
+    assert [list(r) for r in rejects if r["stage"] == "a"] == [["stage", "index", "error",
+                                                                "record"]] * 3
+    assert {tuple(r) for r in rejects if r["stage"] == "b"} == {("stage", "id", "error")}
+    assert lines == sorted(lines) and 0 in lines and len(lines) > 3
+    assert len(read_dialogues("d.jsonl")) + len(rejects) == 12
+
+
+@pytest.mark.parametrize("concurrency", [1, 4])
+def test_chain_lets_backend_unavailable_through(concurrency):
+    chain = cli.synthesize_records(make_edit_records(6, 2), ["a", "b", "c"], _ClosingBackend(5),
+                                   cli.PipelineConfig(), [], task="t_i_i1_1",
+                                   pool=make_distractor_pool(2, 3), concurrency=concurrency)
+    with pytest.raises(BackendUnavailable):
+        list(chain)
+
+
+def test_bad_dialogue_midway_exits_3_after_the_records_before_it(workdir, capsys, monkeypatch):
+    io.write_jsonl("r300.jsonl", make_edit_records(300, 5))
+    run("synthesize", "--stage", "a", "--task", "t_i_i1_1", "--in", "r300.jsonl",
+        "--out", "d.jsonl", "--seed", "1")
+    records = list(io.read_jsonl("d.jsonl"))
+    del records[149]["rounds"]
+    io.write_jsonl("bad.jsonl", records)
+    Path("out").mkdir()
+    Path("out/o.jsonl").write_bytes(b"previous output\n")
+    calls = []
+    monkeypatch.setattr(cli, "insert_distractors",
+                        lambda d, *args, _fn=cli.insert_distractors, **kwargs:
+                        calls.append(d.id) or _fn(d, *args, **kwargs))
+    capsys.readouterr()
+    assert run("synthesize", "--stage", "b", "--in", "bad.jsonl", "--pool", "pool.jsonl",
+               "--out", "out/o.jsonl") == 3
+    assert capsys.readouterr().err == "i/o error: bad.jsonl:150: missing key 'rounds'\n"
+    assert len(calls) == 149  # the records before the bad line went through stage b
+    assert os.listdir("out") == ["o.jsonl"]
+    assert Path("out/o.jsonl").read_bytes() == b"previous output\n"
+
+
+@pytest.mark.parametrize("argv, bad", [
+    ("validate --in bad.jsonl", "bad.jsonl"),
+    ("serialize --in bad.jsonl --out x.jsonl", "bad.jsonl"),
+    ("stats --in bad.jsonl", "bad.jsonl"),
+    ("mask --in bad.jsonl --out x.jsonl", "bad.jsonl"),
+    ("synthesize --stage a --task t_i_0_0 --in bad.jsonl --out x.jsonl", "bad.jsonl"),
+    ("synthesize --stage c --in bad.jsonl --out x.jsonl", "bad.jsonl"),
+    ("synthesize --stage b --in t2i_records_20.jsonl --pool bad.jsonl --out x.jsonl",
+     "bad.jsonl"),
+    ("pack --config w.json --in-dir streams --n 5 --out p.jsonl --stats p.json",
+     "streams/t2i.jsonl"),
+], ids=["validate", "serialize", "stats", "mask", "synthesize-a", "synthesize-c",
+        "synthesize-pool", "pack"])
+def test_deeply_nested_json_line_exits_3_with_path_line(workdir, capsys, argv, bad):
+    Path("streams").mkdir()
+    Path("w.json").write_text(json.dumps({"t2i": 1.0}))
+    Path(bad).write_text("[" * 200_000 + "\n")
+    assert run(*argv.split()) == 3
+    assert capsys.readouterr().err == f"i/o error: {bad}:1: JSON nested too deeply\n"
 
 
 def test_stage_b_without_pool_exits_2(workdir):
@@ -580,6 +679,10 @@ def _set_text(rec, value):
     pytest.param(lambda rec: rec["rounds"][0]["assistant"]["segments"][0]["image"].update(id=[1]),
                  "image id", id="image-id-list"),
     pytest.param(lambda rec: rec.update(id=[1]), "dialogue id", id="id-list"),
+    pytest.param(lambda rec: rec.update(annotations="stage_b_skipped"), "annotations",
+                 id="annotations-str"),
+    pytest.param(lambda rec: rec.update(annotations=[5, None]), "annotations",
+                 id="annotations-not-str"),
 ])
 @pytest.mark.parametrize("argv", ["validate --in bad.jsonl", "serialize --in bad.jsonl --out x.jsonl"])
 def test_record_wrong_value_type_exits_3_with_path_line(workdir, capsys, mutate, needle, argv):
@@ -857,6 +960,17 @@ def dialogue_corpus(tmp_path_factory):
     return root, list(io.read_jsonl(root / "d.jsonl"))[:3]
 
 
+@pytest.fixture(scope="module")
+def basic_dialogues(tmp_path_factory):
+    """The stage-a dialogues of the edit fixtures, in a work directory of their own."""
+    path = tmp_path_factory.mktemp("basic") / "basic.jsonl"
+    with contextlib.redirect_stdout(StringIO()):
+        assert main(["synthesize", "--stage", "a", "--task", "t_i_i1_1",
+                     "--in", str(DATA / "edit_records_20.jsonl"), "--out", str(path),
+                     "--seed", "1"]) == 0
+    return path
+
+
 def _json_paths(obj, path=()):
     """The path of every value below ``obj``, a JSON tree."""
     items = (obj.items() if isinstance(obj, dict)
@@ -873,16 +987,14 @@ def _at(rec, path):
 
 
 _WRONG_TYPES = [None, True, -1, 2.5, "x", [], {}, [None]]
+_MUTATIONS = ["type", "missing-key", "image-size", "enum"]
 
 
-@settings(max_examples=120, deadline=None)
-@given(data=st.data(), mutation=st.sampled_from(
-    ["type", "missing-key", "image-size", "enum", "target"]))
-def test_mutated_dialogue_record_never_escapes_main(dialogue_corpus, data, mutation):
-    root, corpus = dialogue_corpus
-    records = json.loads(json.dumps(corpus))
-    rec = records[2]
+def _mutate(rec, mutation, data):
+    """Break ``rec``, a JSON tree, in place by one of ``_MUTATIONS``, drawn from ``data``."""
     paths = list(_json_paths(rec))
+    if mutation == "image-size" and not any(p[-1] == "width" for p in paths):
+        mutation = "type"  # a text-only record has no image to resize
     if mutation == "type":
         path = data.draw(st.sampled_from(paths), label="path")
         value = _at(rec, path)
@@ -898,22 +1010,71 @@ def test_mutated_dialogue_record_never_escapes_main(dialogue_corpus, data, mutat
         size = data.draw(st.sampled_from([0, -1, -64, 10**9]), label="size")
         for key in data.draw(st.sampled_from([[path[-1]], ["width", "height"]]), label="keys"):
             _at(rec, path[:-1])[key] = size
-    elif mutation == "enum":
-        path = data.draw(st.sampled_from(
-            [p for p in paths if p[-1] in ("source", "stage")]), label="path")
-        _set_at(rec, path, data.draw(st.sampled_from(
-            ["bogus", "", "ti_ti_in_n", "t_i_0_0", "uploaded", "distractor"]), label="value"))
     else:
+        path = data.draw(st.sampled_from(
+            [p for p in paths if p[-1] in ("source", "stage", "category")]), label="path")
+        _set_at(rec, path, data.draw(st.sampled_from(
+            ["bogus", "", "ti_ti_in_n", "t_i_0_0", "uploaded", "distractor", "t2i"]),
+            label="value"))
+
+
+def _never_escapes(argv, path):
+    """Run ``main(argv)``; its code is documented, and an exit of 2 to 4 names ``path``."""
+    err = StringIO()
+    with contextlib.redirect_stdout(StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3, 4), argv[0]
+    if code >= 2:
+        assert len(err.getvalue().splitlines()) == 1 and str(path) in err.getvalue(), argv
+    return code
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data(), mutation=st.sampled_from([*_MUTATIONS, "target"]))
+def test_mutated_dialogue_record_never_escapes_main(dialogue_corpus, data, mutation):
+    root, corpus = dialogue_corpus
+    records = json.loads(json.dumps(corpus))
+    rec = records[2]
+    if mutation == "target":
         last = len(rec["rounds"]) - 1
         rec["dep_target_rounds"] = data.draw(st.sampled_from(
             [[99], [-1], [last], [last + 1], [0, 0], [], [0, last - 1]]), label="targets")
+    else:
+        _mutate(rec, mutation, data)
     io.write_jsonl(root / "bad.jsonl", records)
     for argv in (["validate"], ["serialize", "--out", str(root / "s.jsonl")],
                  ["stats", "--out", str(root / "st.json")],
                  ["synthesize", "--stage", "c", "--out", str(root / "c.jsonl")]):
-        err = StringIO()
-        with contextlib.redirect_stdout(StringIO()), contextlib.redirect_stderr(err):
-            code = main([argv[0], "--in", str(root / "bad.jsonl"), *argv[1:]])
-        assert code in (0, 1, 2, 3, 4), argv[0]
-        if code >= 2:
-            assert len(err.getvalue().splitlines()) == 1 and "bad.jsonl" in err.getvalue()
+        _never_escapes([argv[0], "--in", str(root / "bad.jsonl"), *argv[1:]], root / "bad.jsonl")
+
+
+_INGEST = {"t_i_t1_1": make_t2i_records, "t_i_i1_1": make_edit_records,
+           "ti_i_i1_1": make_subject_records}
+
+
+@settings(max_examples=80, deadline=None)
+@given(task=st.sampled_from(sorted(_INGEST)), seed=st.integers(0, 2**16), data=st.data(),
+       mutation=st.sampled_from(_MUTATIONS))
+def test_mutated_ingest_record_never_escapes_main(dialogue_corpus, task, seed, data, mutation):
+    root, _ = dialogue_corpus
+    records = _INGEST[task](3, seed)
+    _mutate(records[2], mutation, data)
+    io.write_jsonl(root / "bad_in.jsonl", records)
+    out = root / "a.jsonl"
+    if _never_escapes(["synthesize", "--stage", "a", "--task", task,
+                       "--in", str(root / "bad_in.jsonl"), "--out", str(out)],
+                      root / "bad_in.jsonl") == 0:
+        counts = json.loads(Path(f"{out}.manifest.json").read_text())["counts"]
+        assert counts["written"] + counts["rejected"] == 3
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**16), data=st.data(), mutation=st.sampled_from(_MUTATIONS))
+def test_mutated_pool_entry_never_escapes_main(basic_dialogues, seed, data, mutation):
+    root = basic_dialogues.parent
+    entries = [entry_to_record(e) for e in make_distractor_pool(1, seed).entries]
+    _mutate(entries[data.draw(st.integers(0, 2), label="entry")], mutation, data)
+    io.write_jsonl(root / "bad_pool.jsonl", entries)
+    _never_escapes(["synthesize", "--stage", "b", "--in", str(basic_dialogues),
+                    "--pool", str(root / "bad_pool.jsonl"), "--k-min", "1", "--k-max", "1",
+                    "--out", str(root / "b.jsonl")], root / "bad_pool.jsonl")

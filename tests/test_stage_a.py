@@ -4,6 +4,7 @@ import dataclasses
 import pytest
 
 from dialogforge.atomic_ops import MissingInput
+from dialogforge.cli import PipelineConfig, synthesize_records
 from dialogforge.dialogue import (
     ImageSource,
     Stage,
@@ -20,7 +21,6 @@ from dialogforge.stage_a import (
     build_ti_i_0_0,
     build_ti_i_i1_1,
     edit_record_from_obj,
-    run_stage_a,
     subject_record_from_obj,
     t2i_record_from_obj,
 )
@@ -159,21 +159,28 @@ def test_record_parsing_rejects_non_dataset_image():
         t2i_record_from_obj(rec)
 
 
-def test_run_stage_a_order_and_rejects(backend):
+def _stage_a(raw, task, backend, seed, concurrency=1):
+    """Stage a over ``raw`` through the synthesize chain: (dialogue records, rejects)."""
+    rejects = []
+    records = list(synthesize_records(raw, ["a"], backend, PipelineConfig(seed=seed), rejects,
+                                      task=task, concurrency=concurrency))
+    return records, rejects
+
+
+def test_stage_a_chain_keeps_order_and_rejects(backend):
     raw = make_t2i_records(5, 21)
     raw[2] = {"caption": "", "image": raw[2]["image"]}  # one broken record
-    outputs, rejects = run_stage_a(raw, "t_i_0_0", backend, seed=1, concurrency=4)
+    outputs, rejects = _stage_a(raw, "t_i_0_0", backend, seed=1, concurrency=4)
     assert len(outputs) == 4
-    assert len(rejects) == 1
-    assert rejects[0]["index"] == 2
-    assert [d.id.split(".")[0] for d in outputs] == [r["id"] for i, r in enumerate(raw) if i != 2]
+    assert rejects == [{"stage": "a", "index": 2, "error": rejects[0]["error"], "record": raw[2]}]
+    assert ([d["id"].split(".")[0] for d in outputs]
+            == [r["id"] for i, r in enumerate(raw) if i != 2])
 
 
-def test_run_stage_a_deterministic(backend):
+def test_stage_a_chain_deterministic(backend):
     raw = make_subject_records(6, 9)
-    a1, _ = run_stage_a(raw, "ti_i_i1_1", backend, seed=5, concurrency=1)
-    a2, _ = run_stage_a(raw, "ti_i_i1_1", backend, seed=5, concurrency=4)
-    assert a1 == a2
+    assert (_stage_a(raw, "ti_i_i1_1", backend, seed=5, concurrency=1)
+            == _stage_a(raw, "ti_i_i1_1", backend, seed=5, concurrency=4))
 
 
 def test_every_builder_is_registered():
@@ -181,6 +188,14 @@ def test_every_builder_is_registered():
                              "t_i_in_1", "ti_i_i1_1"}
 
 
-def test_run_stage_a_refuses_an_unknown_task_before_any_record(backend):
+def test_stage_a_chain_refuses_an_unknown_task_before_any_record(backend):
+    read = []
+
+    def records():
+        for rec in make_t2i_records(3, 14):
+            read.append(rec)
+            yield rec
+
     with pytest.raises(KeyError, match="t_i_i1_n"):
-        run_stage_a(make_t2i_records(3, 14), "t_i_i1_n", backend)
+        _stage_a(records(), "t_i_i1_n", backend, seed=0)
+    assert read == []

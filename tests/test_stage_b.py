@@ -3,7 +3,8 @@ from dialogue_reference import pool_from_t2i_dialogues, restore_stage_a_view, st
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dialogforge.dialogue import Stage, validate_dialogue
+from dialogforge.cli import PipelineConfig, synthesize_records
+from dialogforge.dialogue import Stage, dialogue_from_record, validate_dialogue
 from dialogforge.fixtures import (
     make_distractor_pool,
     make_edit_records,
@@ -29,8 +30,8 @@ from dialogforge.stage_b import (
     apply_insertion,
     entry_from_record,
     entry_to_record,
+    insert_distractors,
     plan_insertion,
-    run_stage_b,
 )
 from dialogforge.taxonomy import DepthKind, format_signature
 
@@ -176,35 +177,29 @@ def test_no_distractor_is_ever_a_target(backend, pool):
             assert not out.rounds[t].user.is_distractor
 
 
-def test_run_stage_b_passthrough_and_rejects(backend, pool):
+def test_stage_b_chain_passes_through_and_rejects(backend, pool):
     t2i = build_t_i_0_0(t2i_record_from_obj(make_t2i_records(1, 51)[0]), backend)
     d1 = depth1_dialogues(backend)[1]
     deep = apply_insertion(d1, plan_insertion(d1, pool, 1, 0), backend)
-    outputs, rejects = run_stage_b([t2i, d1, deep], pool, (1, 3), 99, backend)
+    rejects = []
+    records = list(synthesize_records([t2i, d1, deep], ["b"], backend, PipelineConfig(seed=99),
+                                      rejects, pool=pool))
+    outputs = [dialogue_from_record(rec) for rec in records]
     assert len(outputs) == 2
     assert outputs[0].id == t2i.id
     assert outputs[0].annotations == ("stage_b_skipped",)
     assert structural_equal(outputs[0], t2i)
     assert outputs[1].signature.depth is DepthKind.N
-    assert len(rejects) == 1
-    assert rejects[0]["id"] == deep.id
+    assert rejects == [{"stage": "b", "id": deep.id, "error": rejects[0]["error"]}]
+    assert "depth 'n'" in rejects[0]["error"]
 
 
-def test_run_stage_b_k_in_range(backend, pool):
-    dialogues = [build_t_i_i1_1(edit_record_from_obj(r), backend, seed=4)
-                 for r in make_edit_records(10, 52)]
-    outputs, rejects = run_stage_b(dialogues, pool, (1, 3), 7, backend)
-    assert not rejects
+def test_insert_distractors_k_in_range(backend, pool):
+    outputs = [insert_distractors(build_t_i_i1_1(edit_record_from_obj(r), backend, seed=4),
+                                  pool, (1, 3), 7, backend)
+               for r in make_edit_records(10, 52)]
     assert all(o.dep_depth_value in (2, 3, 4) for o in outputs)
     assert {o.dep_depth_value for o in outputs} == {2, 3, 4}  # spread over the range
-
-
-def test_run_stage_b_deterministic(backend, pool):
-    dialogues = [build_t_i_i1_1(edit_record_from_obj(r), backend, seed=4)
-                 for r in make_edit_records(5, 53)]
-    o1, _ = run_stage_b(dialogues, pool, (1, 3), 7, backend, concurrency=1)
-    o2, _ = run_stage_b(dialogues, pool, (1, 3), 7, backend, concurrency=4)
-    assert o1 == o2
 
 
 @settings(max_examples=20, deadline=None)

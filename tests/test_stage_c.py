@@ -3,6 +3,7 @@ import dataclasses
 import pytest
 from dialogue_reference import structural_equal
 
+from dialogforge.cli import PipelineConfig, synthesize_records
 from dialogforge.dialogue import (
     MissingCaption,
     validate_dialogue,
@@ -20,10 +21,9 @@ from dialogforge.stage_a import (
     build_ti_i_0_0,
     t2i_record_from_obj,
     edit_record_from_obj,
-    run_stage_a,
 )
-from dialogforge.stage_b import apply_insertion, plan_insertion, run_stage_b
-from dialogforge.stage_c import AlreadyInterleaved, interleave_output, run_stage_c
+from dialogforge.stage_b import apply_insertion, plan_insertion
+from dialogforge.stage_c import AlreadyInterleaved, interleave, interleave_output
 from dialogforge.taxonomy import OutputModality, format_signature
 
 
@@ -122,63 +122,63 @@ def test_signature_transform_is_output_only(backend):
         assert out.rounds[-1].assistant.segments[-1].is_text
 
 
-def test_run_stage_c_universal(backend):
+def test_interleave_universal(backend):
     dialogues = [build_t_i_0_0(t2i_record_from_obj(r), backend)
                  for r in make_t2i_records(20, 74)]
-    outputs, rejects = run_stage_c(dialogues, backend, apply_fraction=1.0, seed=3)
-    assert not rejects
+    outputs = [interleave(d, backend, apply_fraction=1.0, seed=3) for d in dialogues]
     assert all(o.signature.output is OutputModality.TI for o in outputs)
     assert [o.id for o in outputs] == [d.id for d in dialogues]
 
 
-def test_run_stage_c_identity_at_zero(backend):
+def test_interleave_identity_at_zero(backend):
     dialogues = [build_t_i_0_0(t2i_record_from_obj(r), backend)
                  for r in make_t2i_records(8, 75)]
-    outputs, rejects = run_stage_c(dialogues, backend, apply_fraction=0.0, seed=3)
-    assert not rejects
-    assert outputs == dialogues
+    assert [interleave(d, backend, apply_fraction=0.0, seed=3) for d in dialogues] == dialogues
 
 
-def test_run_stage_c_seeded_selection(backend):
+def test_interleave_seeded_selection(backend):
     dialogues = [build_t_i_0_0(t2i_record_from_obj(r), backend)
                  for r in make_t2i_records(40, 76)]
-    o1, _ = run_stage_c(dialogues, backend, apply_fraction=0.5, seed=3)
-    o2, _ = run_stage_c(dialogues, backend, apply_fraction=0.5, seed=3)
-    assert o1 == o2
+
+    def run(seed):
+        return [interleave(d, backend, apply_fraction=0.5, seed=seed) for d in dialogues]
+
+    o1 = run(3)
+    assert run(3) == o1
     selected = [o.signature.output is OutputModality.TI for o in o1]
     assert 5 < sum(selected) < 35  # a fraction, not all or none
-    o3, _ = run_stage_c(dialogues, backend, apply_fraction=0.5, seed=4)
-    assert [o.signature.output for o in o3] != [o.signature.output for o in o1]
+    assert [o.signature.output for o in run(4)] != [o.signature.output for o in o1]
 
 
-def test_run_stage_c_annotates_already_interleaved(backend):
+def test_interleave_annotates_already_interleaved(backend):
     d = interleave_output(
         build_t_i_0_0(t2i_record_from_obj(make_t2i_records(1, 77)[0]), backend), backend)
-    outputs, rejects = run_stage_c([d], backend, apply_fraction=1.0, seed=3)
-    assert not rejects
-    assert outputs[0].annotations == ("stage_c_skipped",)
-    assert structural_equal(outputs[0], d)
+    out = interleave(d, backend, apply_fraction=1.0, seed=3)
+    assert out.annotations == ("stage_c_skipped",)
+    assert structural_equal(out, d)
 
 
 @pytest.mark.parametrize("make_records", [make_edit_records, make_t2i_records,
                                           make_subject_records])
-def test_stage_outputs_do_not_depend_on_concurrency(backend, make_records):
+def test_chain_outputs_do_not_depend_on_concurrency(backend, make_records):
     raw = make_records(12, 91)
     raw.insert(5, {"id": "broken"})  # every record parser rejects it
     parse = BUILDERS[{make_edit_records: "t_i_i1_1", make_t2i_records: "t_i_0_0",
                       make_subject_records: "t_i_in_1"}[make_records]][0]
     pool = make_distractor_pool(3, 92)
+    cfg = PipelineConfig(seed=5, apply_fraction=0.5)
 
     def chain(concurrency):
         runs = []
         for task in (task for task, (p, _) in BUILDERS.items() if p is parse):
-            a = run_stage_a(raw, task, backend, seed=5, concurrency=concurrency)
-            b = run_stage_b(a[0], pool, (1, 3), 5, backend, concurrency=concurrency)
-            c = run_stage_c(b[0], backend, apply_fraction=0.5, seed=5, concurrency=concurrency)
-            runs.append((a, b, c))
+            rejects = []
+            records = list(synthesize_records(raw, ["a", "b", "c"], backend, cfg, rejects,
+                                              task=task, pool=pool, concurrency=concurrency))
+            runs.append((records, rejects))
         return runs
 
     serial = chain(1)
     assert len(serial) == 2
-    assert all(len(a[1]) == 1 and len(c[0]) == 12 for a, _, c in serial)
+    assert all(len(records) == 12 and [(r["stage"], r["index"]) for r in rejects] == [("a", 5)]
+               for records, rejects in serial)
     assert chain(4) == serial
