@@ -5,6 +5,11 @@ every writing command drops a manifest next to its output (argv, config,
 input/output hashes, counts), so reruns are reproducible byte for byte under
 the mock backend.
 
+Each subcommand loads only the layers it runs: the data layers (``io``,
+``dialogue``, ``stream``, ``taxonomy``) load with this module, the backend,
+the stages and ``util`` only where ``synthesize`` needs them, and ``packing``
+only in ``pack``.
+
 Exit codes: 0 success, 1 validation violations, 2 configuration error,
 3 I/O error or an input the stream layer rejects, 4 backend failure.
 """
@@ -18,26 +23,15 @@ import sys
 import typing
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, Sequence
 
-from . import io, util
-from .atomic_ops import (
-    BackendUnavailable,
-    CompletionBackend,
-    MockBackend,
-    RemoteBackend,
-    split_backend_url,
-)
+from . import io
 from .dialogue import (
     Dialogue,
     dialogue_from_record,
     dialogue_to_record,
     validate_dialogue,
 )
-from .packing import SamplingConfig, pack_corpus, pack_to_record
-from .stage_a import BUILDERS
-from .stage_b import DistractorPool, entry_from_record, insert_distractors
-from .stage_c import interleave
 from .stream import (
     EmptyText,
     InvalidStream,
@@ -50,6 +44,10 @@ from .stream import (
     stream_to_record,
 )
 from .taxonomy import SignatureError, format_signature, parse_signature
+
+if TYPE_CHECKING:
+    from .atomic_ops import CompletionBackend, MockBackend, RemoteBackend
+    from .stage_b import DistractorPool
 
 ENV_BACKEND_URL = "DF_BACKEND_URL"
 ENV_SEED = "DF_SEED"
@@ -82,6 +80,8 @@ class PipelineConfig:
             if not self.backend_url:
                 raise ConfigError("remote backend needs a backend_url "
                                   f"(flag, config file, or {ENV_BACKEND_URL})")
+            from .atomic_ops import split_backend_url
+
             try:
                 split_backend_url(self.backend_url)
             except ValueError as err:
@@ -98,6 +98,8 @@ class PipelineConfig:
             raise ConfigError("patch sizes and the image-unit cap must be positive")
 
     def make_backend(self) -> MockBackend | RemoteBackend:
+        from .atomic_ops import MockBackend, RemoteBackend
+
         if self.backend == "mock":
             return MockBackend()
         return RemoteBackend(url=self.backend_url)
@@ -117,14 +119,21 @@ _HINTS = typing.get_type_hints(PipelineConfig)
 _CONFIG_TYPES = {f.name: _json_types(_HINTS[f.name]) for f in fields(PipelineConfig)}
 
 
+def _read_json(path: str, what: str) -> Any:
+    """The JSON value of the file at ``path``; ``what`` names it in a ``ConfigError``."""
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            return json.load(f)
+    except json.JSONDecodeError as err:
+        raise ConfigError(f"{what} {path}: {err}") from err
+    except RecursionError:
+        raise ConfigError(f"{what} {path}: JSON nested too deeply") from None
+
+
 def _load_config(args: argparse.Namespace) -> PipelineConfig:
     cfg = PipelineConfig()
     if getattr(args, "config", None):
-        try:
-            with open(args.config, "r", encoding="utf-8") as f:
-                file_cfg = json.load(f)
-        except json.JSONDecodeError as err:
-            raise ConfigError(f"config file {args.config}: {err}") from err
+        file_cfg = _read_json(args.config, "config file")
         if not isinstance(file_cfg, dict):
             raise ConfigError("config file must hold a JSON object")
         for key, value in file_cfg.items():
@@ -202,6 +211,12 @@ def synthesize_records(items: Iterable[Any], stages: Sequence[str], backend: Com
     stage a (``index`` counts the items), ``{stage, id, error}`` for stages b
     and c. ``BackendUnavailable`` propagates.
     """
+    from .atomic_ops import BackendUnavailable
+    from .stage_a import BUILDERS
+    from .stage_b import insert_distractors
+    from .stage_c import interleave
+    from .util import run_records
+
     if "a" in stages:
         parse, build = BUILDERS[task]
 
@@ -227,7 +242,7 @@ def synthesize_records(items: Iterable[Any], stages: Sequence[str], backend: Com
             return {"stage": stage, "id": d.id, "error": str(err)}
         return d
 
-    for out in util.run_records(one, enumerate(items), concurrency):
+    for out in run_records(one, enumerate(items), concurrency):
         if isinstance(out, Dialogue):
             yield dialogue_to_record(out)
         else:
@@ -235,6 +250,10 @@ def synthesize_records(items: Iterable[Any], stages: Sequence[str], backend: Com
 
 
 def cmd_synthesize(args: argparse.Namespace, argv: Sequence[str]) -> int:
+    from .atomic_ops import BackendUnavailable
+    from .stage_a import BUILDERS
+    from .stage_b import DistractorPool, entry_from_record
+
     cfg = _load_config(args)
     if args.stages is None:
         raise ConfigError("synthesize needs --stage or --stages")
@@ -268,6 +287,9 @@ def cmd_synthesize(args: argparse.Namespace, argv: Sequence[str]) -> int:
         written = io.write_jsonl(args.out, synthesize_records(
             items, stages, backend, cfg, rejects,
             task=args.task, pool=pool, concurrency=concurrency))
+    except BackendUnavailable as err:
+        print(f"backend failure: {err}", file=sys.stderr)
+        return 4
     finally:
         backend.close()
     rejects_path = args.rejects or f"{args.out}.rejects.jsonl"
@@ -306,21 +328,20 @@ def cmd_serialize(args: argparse.Namespace, argv: Sequence[str]) -> int:
 def cmd_mask(args: argparse.Namespace, argv: Sequence[str]) -> int:
     cfg = _load_config(args)
     inputs = _digests([args.in_path])
-    written = io.write_jsonl(args.out, (
-        {"dialogue_id": s.dialogue_id, "total_len": s.total_len, "rows": mask_intervals(s)}
-        for s in io.read_records(args.in_path, stream_from_record)))
+    written = io.write_lines(args.out, map(mask_intervals,
+                                           io.read_records(args.in_path, stream_from_record)))
     _write_manifest(args, argv, cfg, inputs, [args.out], {"written": written})
     print(f"mask: {written} masks -> {args.out}")
     return 0
 
 
 def cmd_pack(args: argparse.Namespace, argv: Sequence[str]) -> int:
+    from .packing import SamplingConfig, pack_corpus, pack_to_record
+
     cfg = _load_config(args)
-    try:
-        with open(args.sampling_config, "r", encoding="utf-8") as f:
-            weights = json.load(f)
-    except json.JSONDecodeError as err:
-        raise ConfigError(f"sampling config {args.sampling_config}: {err}") from err
+    if args.n < 1:
+        raise ConfigError(f"--n must be >= 1, not {args.n}")
+    weights = _read_json(args.sampling_config, "sampling config")
     if not isinstance(weights, dict):
         raise ConfigError("sampling config must map category names to weights")
     sampling = SamplingConfig(weights)
@@ -497,9 +518,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (InvalidStream, UnitOverflow, EmptyText) as err:
         print(f"stream error: {args.in_path}: {err}", file=sys.stderr)
         return 3
-    except BackendUnavailable as err:
-        print(f"backend failure: {err}", file=sys.stderr)
-        return 4
 
 
 if __name__ == "__main__":

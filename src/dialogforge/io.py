@@ -20,21 +20,21 @@ def dumps(obj: Any) -> str:
     return json.dumps(obj, ensure_ascii=False, separators=(",", ":"))
 
 
-def write_jsonl(path: str | Path, objs: Iterable[Any]) -> int:
-    """Write one ``dumps`` line per value of ``objs``; returns the count.
+def write_lines(path: str | Path, lines: Iterable[str]) -> int:
+    """Write each of ``lines`` and a newline; returns the count.
 
-    The lines go to a temp file beside ``path``, renamed onto it once ``objs``
-    is exhausted. If ``objs`` raises part way (say, a lazily read input has a
+    The lines go to a temp file beside ``path``, renamed onto it once ``lines``
+    is exhausted. If ``lines`` raises part way (say, a lazily read input has a
     bad record), the temp file is removed and a file already at ``path`` keeps
-    its bytes; ``path`` may also be the file ``objs`` reads from.
+    its bytes; ``path`` may also be the file ``lines`` reads from.
     """
     tmp = f"{path}.{os.getpid()}.tmp"
     f = open(tmp, "w", encoding="utf-8", newline="\n")
     n = 0
     try:
         with f:
-            for obj in objs:
-                f.write(dumps(obj))
+            for line in lines:
+                f.write(line)
                 f.write("\n")
                 n += 1
         os.replace(tmp, path)
@@ -42,6 +42,11 @@ def write_jsonl(path: str | Path, objs: Iterable[Any]) -> int:
         os.unlink(tmp)
         raise
     return n
+
+
+def write_jsonl(path: str | Path, objs: Iterable[Any]) -> int:
+    """``write_lines`` of one ``dumps`` line per value of ``objs``; returns the count."""
+    return write_lines(path, map(dumps, objs))
 
 
 def read_jsonl(path: str | Path) -> Iterator[Any]:

@@ -18,6 +18,8 @@ Attention over the stream is causal with two exceptions: positions inside one
 noised block attend to each other bidirectionally (the latents of an image
 are denoised jointly), and no position outside a noised block ever sees into
 it, so history is always consumed through the clean replay.
+``mask_intervals`` writes a stream's run-length mask record as a JSONL line,
+in one walk over the parts.
 
 Block sizes are unit *counts* only; no tokenizer vocabulary or latent tensors
 are involved.
@@ -32,6 +34,7 @@ from enum import Enum
 from typing import Any, Callable
 
 from .dialogue import Dialogue, Role, ValidationReport
+from .io import dumps
 
 __all__ = [
     "SpecialToken", "BlockKind", "LossTag", "TokenBlock", "TokenStream",
@@ -404,43 +407,42 @@ _MASK_SLOTS = {part: tuple((kind.value, kind is BlockKind.VAE_NOISED, u) for kin
                for part, slots in _SLOTS.items()}
 
 
-def mask_intervals(s: TokenStream) -> list[dict[str, Any]]:
-    """Run-length form of the mask: visible context intervals per query block.
+def mask_intervals(s: TokenStream) -> str:
+    """The mask record line of ``s``: the run-length mask, one row per query block.
 
     Every query in a block sees the same strictly-earlier context; within its
     own block attention is causal for ordinary blocks and bidirectional for
-    noised ones. ``docs/stream-format.md`` documents the encoding. Assumes a
-    stream that ``validate_stream`` passes.
+    noised ones. ``docs/stream-format.md`` documents the record. The line is
+    built as text in one walk over the parts and has the bytes ``io.dumps``
+    writes for the record. Assumes a stream that ``validate_stream`` passes.
 
     Raises:
         InvalidStream: the parts' units do not sum to total_len.
     """
     rows = []
-    context: list[list[int]] = []  # merged [start, end) intervals of non-noised history
+    # Merged [start, end) runs of non-noised history: the text of the closed ones,
+    # each with its comma, and the last one, [lo, hi), which can still grow
+    # (lo is -1 before the first).
+    closed, lo, hi = "", -1, -1
     pos = 0
     for part, units, _ in s.parts:
         for kind, noised, u in _MASK_SLOTS[part]:
             end = pos + (1 if u is None else units[u])
-            rows.append({
-                "block": len(rows),
-                "kind": kind,
-                "start": pos,
-                "end": end,
-                # Only the last interval can still grow: rows share the closed ones
-                # and take a copy of that one.
-                "context": [*context[:-1], list(context[-1])] if context else [],
-                "within": "bidirectional" if noised else "causal",
-            })
+            rows.append(f'{{"block":{len(rows)},"kind":"{kind}","start":{pos},"end":{end},'
+                        f'"context":[{closed}{"" if lo < 0 else f"[{lo},{hi}]"}],'
+                        f'"within":"{"bidirectional" if noised else "causal"}"}}')
             if not noised:
-                if context and context[-1][1] == pos:
-                    context[-1][1] = end
-                else:
-                    context.append([pos, end])
+                if hi != pos:
+                    if lo >= 0:
+                        closed = f"{closed}[{lo},{hi}],"
+                    lo = pos
+                hi = end
             pos = end
     if pos != s.total_len:
         raise InvalidStream(f"dialogue {s.dialogue_id!r}: "
                             f"total_len {s.total_len} != position sum {pos}")
-    return rows
+    return (f'{{"dialogue_id":{dumps(s.dialogue_id)},"total_len":{s.total_len},'
+            f'"rows":[{",".join(rows)}]}}')
 
 
 @dataclass(frozen=True)

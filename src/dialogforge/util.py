@@ -1,10 +1,13 @@
-"""Seed derivation and the lazy, order-preserving per-record runner."""
+"""Seed derivation and the lazy, order-preserving per-record runner.
+
+``concurrent.futures`` is loaded only by a run with more than one call in
+flight, so serial runs do not pay for it.
+"""
 
 from __future__ import annotations
 
 import collections
 import hashlib
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, Iterator, TypeVar
 
 T = TypeVar("T")
@@ -38,6 +41,8 @@ def run_records(fn: Callable[[T], R], items: Iterable[T], concurrency: int) -> I
     if concurrency <= 1:
         yield from map(fn, items)
         return
+    from concurrent.futures import ThreadPoolExecutor
+
     pool = ThreadPoolExecutor(max_workers=concurrency)
     pending = collections.deque()
     try:

@@ -1,10 +1,12 @@
 """Dense attention masks for tests: the brute-force oracle and the interval expansion.
 
-The library only ships ``mask_intervals``. ``dense_mask`` expands its rows into
-a full mask[query, key] matrix, and ``mask_oracle`` evaluates the visibility
-rule literally per (query, key) pair, so tests can hold the one against the
-other.
+The library only ships ``mask_intervals``. ``dense_mask`` expands the rows of
+its record line (``dense_from_rows``) into a full mask[query, key] matrix, and
+``mask_oracle`` evaluates the visibility rule literally per (query, key) pair,
+so tests can hold the one against the other.
 """
+
+import json
 
 import numpy as np
 
@@ -16,9 +18,14 @@ class StreamTooLong(ValueError):
 
 
 def dense_mask(s: TokenStream) -> np.ndarray:
-    """Boolean mask[query, key] rebuilt from the ``mask_intervals`` rows."""
-    dense = np.zeros((s.total_len, s.total_len), dtype=bool)
-    for row in mask_intervals(s):
+    """Boolean mask[query, key] rebuilt from the rows of ``mask_intervals``' line."""
+    return dense_from_rows(json.loads(mask_intervals(s))["rows"], s.total_len)
+
+
+def dense_from_rows(rows: list[dict], total_len: int) -> np.ndarray:
+    """Boolean mask[query, key] of a mask record's ``rows``."""
+    dense = np.zeros((total_len, total_len), dtype=bool)
+    for row in rows:
         lo, hi = row["start"], row["end"]
         for a, b in row["context"]:
             dense[lo:hi, a:b] = True

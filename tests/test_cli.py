@@ -1,3 +1,4 @@
+import concurrent.futures
 import contextlib
 import json
 import os
@@ -9,13 +10,15 @@ import weakref
 from io import StringIO
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from dialogue_reference import make_random_dialogue
 from hypothesis import strategies as st
+from mask_reference import dense_from_rows, mask_oracle
 
 import dialogforge
-from dialogforge import cli, io, util
+from dialogforge import cli, io, stage_b
 from dialogforge.atomic_ops import BackendUnavailable, MockBackend
 from dialogforge.cli import main
 from dialogforge.dialogue import dialogue_from_record
@@ -142,6 +145,49 @@ def test_chain_writes_dialogues_that_decode_validate_and_deepen_by_k(tmp_path_fa
             assert k == 0 and d.dep_depth_value is None
 
 
+@settings(max_examples=15, deadline=None)
+@given(task=st.sampled_from(sorted(BUILDERS)), n=st.integers(1, 5), seed=st.integers(0, 2**16),
+       patch=st.sampled_from([256, 512]), draws=st.integers(1, 30))
+def test_chain_writes_streams_masks_and_packs_that_agree(tmp_path_factory, task, n, seed, patch,
+                                                        draws):
+    root = tmp_path_factory.mktemp("chain")
+    io.write_jsonl(root / "in.jsonl", _MAKE_RECORDS[BUILDERS[task][0]](n, seed))
+    io.write_jsonl(root / "pool.jsonl",
+                   (entry_to_record(e) for e in make_distractor_pool(2, seed + 1).entries))
+    (root / "streams").mkdir()
+    (root / "w.json").write_text(json.dumps({"chain": 1.0}))
+    d, streams, masks = root / "d.jsonl", root / "streams" / "chain.jsonl", root / "m.jsonl"
+    packs, stats = root / "p.jsonl", root / "p.json"
+    # Patches at least half the largest fixture image keep every stream within
+    # the 512 positions of the brute-force mask oracle.
+    with contextlib.redirect_stdout(StringIO()):
+        assert main(["synthesize", "--stages", "a,b,c", "--task", task, "--seed", str(seed),
+                     "--in", str(root / "in.jsonl"), "--pool", str(root / "pool.jsonl"),
+                     "--out", str(d)]) == 0
+        assert main(["serialize", "--in", str(d), "--out", str(streams),
+                     "--vit-patch", str(patch), "--vae-patch", str(patch)]) == 0
+        assert main(["mask", "--in", str(streams), "--out", str(masks)]) == 0
+        assert main(["pack", "--config", str(root / "w.json"), "--in-dir", str(root / "streams"),
+                     "--n", str(draws), "--l-min", "256", "--l-max", "512", "--seed", str(seed),
+                     "--out", str(packs), "--stats", str(stats)]) == 0
+    lengths = {}
+    for rec, mask in zip(io.read_jsonl(streams), io.read_jsonl(masks), strict=True):
+        s = stream_from_record(rec)
+        assert validate_stream(s).ok and stream_to_record(s) == rec
+        assert (mask["dialogue_id"], mask["total_len"]) == (s.dialogue_id, s.total_len)
+        assert np.array_equal(dense_from_rows(mask["rows"], s.total_len), mask_oracle(s))
+        lengths[s.dialogue_id] = s.total_len
+    assert len(lengths) == n
+    pack_stats = json.loads(stats.read_text())
+    packed = list(io.read_jsonl(packs))
+    assert sum(len(p["sample_ids"]) for p in packed) == pack_stats["sample_count"] == draws
+    for p in packed:
+        assert p["lengths"] == [lengths[i] for i in p["sample_ids"]]
+        assert p["total"] == sum(p["lengths"]) <= 512
+        assert p["underfull"] == (p["total"] < 256)
+    assert sum(p["total"] for p in packed) == pack_stats["token_count"]
+
+
 class _ClosingBackend(MockBackend):
     """The mock backend, failing after ``calls`` replies and noting ``close``."""
 
@@ -198,7 +244,7 @@ def test_mock_runs_use_no_executor(workdir, monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a mock run started a thread pool")
 
-    monkeypatch.setattr(util, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
     assert run("synthesize", "--stages", "a,b,c", "--task", "t_i_i1_1",
                "--in", "edit_records_20.jsonl", "--pool", "pool.jsonl",
                "--out", "o.jsonl", "--concurrency", "8") == 0
@@ -221,6 +267,50 @@ def test_cli_import_does_not_load_numpy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+_REPORT_MODULES = ("import sys; from dialogforge.cli import main; code = main(sys.argv[1:]); "
+                   "print(sorted(m for m in sys.modules if m.split('.')[0] == 'dialogforge')); "
+                   "print('concurrent.futures' in sys.modules); sys.exit(code)")
+_SHARED_LAYERS = ["dialogforge", "dialogforge.cli", "dialogforge.dialogue", "dialogforge.io",
+                  "dialogforge.stream", "dialogforge.taxonomy"]
+_SYNTHESIS_LAYERS = ["dialogforge.atomic_ops", "dialogforge.stage_a", "dialogforge.stage_b",
+                     "dialogforge.stage_c", "dialogforge.util"]
+
+
+@pytest.fixture(scope="module")
+def footprint_dir(tmp_path_factory):
+    """The bundled fixtures, their stage-a dialogues and those dialogues' streams."""
+    root = tmp_path_factory.mktemp("footprint")
+    for name in ("edit_records_20.jsonl", "t2i_records_20.jsonl", "pool.jsonl"):
+        shutil.copy(DATA / name, root / name)
+    (root / "streams").mkdir()
+    (root / "w.json").write_text(json.dumps({"t2i": 1.0}))
+    with contextlib.redirect_stdout(StringIO()):
+        assert main(["synthesize", "--stage", "a", "--task", "t_i_0_0",
+                     "--in", str(root / "t2i_records_20.jsonl"),
+                     "--out", str(root / "d.jsonl")]) == 0
+        assert main(["serialize", "--in", str(root / "d.jsonl"),
+                     "--out", str(root / "streams" / "t2i.jsonl")]) == 0
+    return root
+
+
+@pytest.mark.parametrize("argv, layers", [
+    ("synthesize --stages a,b,c --task t_i_i1_1 --in edit_records_20.jsonl --pool pool.jsonl "
+     "--out o.jsonl", _SYNTHESIS_LAYERS),
+    ("validate --in d.jsonl", []),
+    ("serialize --in d.jsonl --out s.jsonl", []),
+    ("mask --in streams/t2i.jsonl --out m.jsonl", []),
+    ("stats --in d.jsonl --out st.json", []),
+    ("pack --config w.json --in-dir streams --n 40 --out p.jsonl --stats p.json",
+     ["dialogforge.packing", "dialogforge.util"]),
+], ids=["synthesize", "validate", "serialize", "mask", "stats", "pack"])
+def test_each_subcommand_loads_only_its_layers(footprint_dir, argv, layers):
+    out = subprocess.run([sys.executable, "-c", _REPORT_MODULES, *argv.split()],
+                         cwd=footprint_dir, env=_child_env(), check=True, capture_output=True,
+                         text=True).stdout.splitlines()
+    assert out[-2] == repr(sorted(_SHARED_LAYERS + layers))
+    assert out[-1] == "False"  # a mock run, or none, starts no thread pool
 
 
 _REPORT_PEAK = ("import sys; from dialogforge.cli import main; code = main(sys.argv[1:]); "
@@ -286,8 +376,8 @@ def test_bad_dialogue_midway_exits_3_after_the_records_before_it(workdir, capsys
     Path("out").mkdir()
     Path("out/o.jsonl").write_bytes(b"previous output\n")
     calls = []
-    monkeypatch.setattr(cli, "insert_distractors",
-                        lambda d, *args, _fn=cli.insert_distractors, **kwargs:
+    monkeypatch.setattr(stage_b, "insert_distractors",
+                        lambda d, *args, _fn=stage_b.insert_distractors, **kwargs:
                         calls.append(d.id) or _fn(d, *args, **kwargs))
     capsys.readouterr()
     assert run("synthesize", "--stage", "b", "--in", "bad.jsonl", "--pool", "pool.jsonl",
@@ -317,6 +407,32 @@ def test_deeply_nested_json_line_exits_3_with_path_line(workdir, capsys, argv, b
     Path(bad).write_text("[" * 200_000 + "\n")
     assert run(*argv.split()) == 3
     assert capsys.readouterr().err == f"i/o error: {bad}:1: JSON nested too deeply\n"
+
+
+@pytest.mark.parametrize("argv", [
+    "synthesize --stage a --task t_i_0_0 --in t2i_records_20.jsonl --out x.jsonl",
+    "serialize --in d.jsonl --out x.jsonl",
+    "mask --in s.jsonl --out x.jsonl",
+    "stats --in d.jsonl --out x.jsonl",
+    "pack --in-dir streams --n 5 --out x.jsonl --stats x.json",
+], ids=["synthesize", "serialize", "mask", "stats", "pack"])
+def test_deeply_nested_config_file_exits_2_naming_it(workdir, capsys, argv):
+    Path("cfg.json").write_text("[" * 200_000 + "\n")
+    assert run(*argv.split(), "--config", "cfg.json") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.endswith(" cfg.json: JSON nested too deeply\n")
+    assert not Path("x.jsonl").exists()
+
+
+@pytest.mark.parametrize("n", ["0", "-5"])
+def test_pack_fewer_than_one_draw_exits_2_before_reading_streams(workdir, capsys, n):
+    Path("streams").mkdir()
+    Path("streams/t2i.jsonl").write_text("not json\n")  # reading it would exit 3
+    Path("w.json").write_text(json.dumps({"t2i": 1.0}))
+    assert run("pack", "--config", "w.json", "--in-dir", "streams", "--n", n,
+               "--out", "p.jsonl", "--stats", "p.json") == 2
+    assert capsys.readouterr().err == f"config error: --n must be >= 1, not {n}\n"
+    assert not Path("p.jsonl").exists() and not Path("p.json").exists()
 
 
 def test_stage_b_without_pool_exits_2(workdir):

@@ -557,7 +557,9 @@ def test_block_oracle_checks_image_ids(backend):
 
 def test_mask_first_block_sees_only_itself():
     s = parts_stream(("user_text", [1]), ("text", [1]), ("end", []))
-    first, second = mask_intervals(s)[:2]
+    line = json.loads(mask_intervals(s))
+    assert (line["dialogue_id"], line["total_len"]) == (s.dialogue_id, s.total_len)
+    first, second = line["rows"][:2]
     # a 1x1 block: no context, causal within means the single position sees itself
     assert first["context"] == [] and first["within"] == "causal"
     assert (first["start"], first["end"]) == (0, 1)

@@ -1,9 +1,9 @@
+import concurrent.futures
 import threading
 import time
 
 import pytest
 
-from dialogforge import util
 from dialogforge.atomic_ops import BackendUnavailable, OpKind, OpRequest, invoke, mock_complete
 from dialogforge.util import run_records
 
@@ -72,12 +72,12 @@ def test_run_records_reads_at_most_four_items_per_worker_ahead(concurrency):
 def test_run_records_uses_one_executor_and_none_when_serial(monkeypatch):
     made = []
 
-    class Counted(util.ThreadPoolExecutor):
+    class Counted(concurrent.futures.ThreadPoolExecutor):
         def __init__(self, *args, **kwargs):
             made.append(self)
             super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(util, "ThreadPoolExecutor", Counted)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Counted)
     assert list(run_records(lambda x: x + 1, range(50), 1)) == list(range(1, 51))
     assert made == []
     threads = set()
