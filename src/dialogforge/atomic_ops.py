@@ -2,11 +2,12 @@
 
 Ten operations cover query synthesis from captions, Q&A generation,
 subject-driven composition queries, history-dependent query rewriting, and
-caption-grounded question answering. Each operation renders a prompt carrying
-a distinct header line, sends it to a completion backend, and parses the
-tagged-line reply (``QUERY:`` / ``Q:`` / ``A:``). The mock backend recognizes
-the header, extracts the substituted inputs, and answers by fixed string
-rules, so the whole pipeline runs offline and deterministically.
+caption-grounded question answering. ``invoke(kind, inputs, seed, backend)``
+runs one: it renders a prompt carrying a distinct header line, sends it to a
+completion backend, and returns the fields of the tagged-line reply
+(``QUERY:`` / ``Q:`` / ``A:``). The mock backend recognizes the header,
+extracts the substituted inputs, and answers by fixed string rules, so the
+whole pipeline runs offline and deterministically.
 """
 
 from __future__ import annotations
@@ -123,52 +124,28 @@ OPS: dict[OpKind, OpSpec] = {
 }
 
 
-@dataclass(frozen=True)
-class OpRequest:
-    kind: OpKind
-    inputs: Mapping[str, str]
-    seed: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "inputs", dict(self.inputs))
-
-    def validate(self) -> None:
-        for key in OPS[self.kind].inputs:
-            value = self.inputs.get(key)
-            if value is None or not value.strip():
-                raise MissingInput(f"{self.kind.value}: required input {key!r} absent or blank")
-
-
-@dataclass(frozen=True)
-class OpResponse:
-    kind: OpKind
-    fields: Mapping[str, str]
-    raw: str
-
-    def __post_init__(self):
-        object.__setattr__(self, "fields", dict(self.fields))
-
-
 class CompletionBackend(Protocol):
     def complete(self, prompt: str, seed: int) -> str: ...
 
 
-def render_prompt(req: OpRequest) -> str:
+def render_prompt(kind: OpKind, inputs: Mapping[str, str]) -> str:
     """Deterministic prompt: header line, instruction, one tagged line per input.
 
     Raises:
         MissingInput: a required input key is absent or blank.
     """
-    req.validate()
-    spec = OPS[req.kind]
-    lines = [f"{_HEADER_PREFIX}{req.kind.value}", spec.instruction]
+    spec = OPS[kind]
+    lines = [f"{_HEADER_PREFIX}{kind.value}", spec.instruction]
     for key in spec.inputs:
-        lines.append(f"INPUT {key}: {req.inputs[key]}")
+        value = inputs.get(key)
+        if value is None or not value.strip():
+            raise MissingInput(f"{kind.value}: required input {key!r} absent or blank")
+        lines.append(f"INPUT {key}: {value}")
     return "\n".join(lines)
 
 
-def parse_response(kind: OpKind, raw: str) -> OpResponse:
-    """Extract the kind's required tagged lines; first occurrence of each tag wins.
+def parse_response(kind: OpKind, raw: str) -> dict[str, str]:
+    """The kind's required tagged lines of ``raw``, by output key; first occurrence wins.
 
     Raises:
         UnparseableResponse: a required tag is missing or its payload is empty.
@@ -180,33 +157,33 @@ def parse_response(kind: OpKind, raw: str) -> OpResponse:
         for key, tag in tags.items():
             if key not in found and stripped.startswith(tag):
                 found[key] = stripped[len(tag):].strip()
-    fields: dict[str, str] = {}
     for key, tag in tags.items():
         if key not in found:
             raise UnparseableResponse(f"{kind.value}: tag {tag!r} not found in reply")
         if not found[key]:
             raise UnparseableResponse(f"{kind.value}: tag {tag!r} has an empty payload")
-        fields[key] = found[key]
-    return OpResponse(kind=kind, fields=fields, raw=raw)
+    return {key: found[key] for key in tags}
 
 
-def invoke(req: OpRequest, backend: CompletionBackend, retries: int = 2) -> OpResponse:
-    """render -> complete -> parse, retrying with seed+attempt on failure.
+def invoke(kind: OpKind, inputs: Mapping[str, str], seed: int, backend: CompletionBackend,
+           retries: int = 2) -> dict[str, str]:
+    """render -> complete -> parse, retrying with seed+attempt on failure; returns the fields.
 
     Raises:
+        MissingInput: a required input key is absent or blank; nothing is sent.
         BackendUnavailable / UnparseableResponse: all attempts failed; the
         last attempt's error is raised.
     """
-    prompt = render_prompt(req)
+    prompt = render_prompt(kind, inputs)
     last_err: Exception | None = None
     for attempt in range(retries + 1):
         try:
-            raw = backend.complete(prompt, req.seed + attempt)
+            raw = backend.complete(prompt, seed + attempt)
         except BackendUnavailable as err:
             last_err = err
             continue
         try:
-            return parse_response(req.kind, raw)
+            return parse_response(kind, raw)
         except UnparseableResponse as err:
             last_err = err
     assert last_err is not None

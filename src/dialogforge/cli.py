@@ -121,13 +121,12 @@ _CONFIG_TYPES = {f.name: _json_types(_HINTS[f.name]) for f in fields(PipelineCon
 
 def _read_json(path: str, what: str) -> Any:
     """The JSON value of the file at ``path``; ``what`` names it in a ``ConfigError``."""
+    with open(path, "rb") as f:
+        data = f.read()
     try:
-        with open(path, "r", encoding="utf-8") as f:
-            return json.load(f)
-    except json.JSONDecodeError as err:
-        raise ConfigError(f"{what} {path}: {err}") from err
-    except RecursionError:
-        raise ConfigError(f"{what} {path}: JSON nested too deeply") from None
+        return io.parse_json(data)
+    except ValueError as err:
+        raise ConfigError(f"{what} {path}: {err}") from None
 
 
 def _load_config(args: argparse.Namespace) -> PipelineConfig:
@@ -172,14 +171,14 @@ def _write_manifest(args: argparse.Namespace, argv: Sequence[str], cfg: Pipeline
     ``inputs`` are the ``_digests`` of the inputs, taken before the run wrote
     anything: an output may replace its input.
     """
-    io.write_json(args.manifest or f"{args.out}.manifest.json", {
+    io.write_lines(args.manifest or f"{args.out}.manifest.json", [io.dumps({
         "command": args.command,
         "argv": list(argv),
         "config": asdict(cfg),
         "inputs": inputs,
         "outputs": _digests(outputs),
         "counts": counts,
-    })
+    })])
 
 
 def _read_dialogues(path: str, signature: str | None = None) -> Iterator[Dialogue]:
@@ -373,7 +372,7 @@ def cmd_pack(args: argparse.Namespace, argv: Sequence[str]) -> int:
 
     packs, stats = pack_corpus(sampling, corpora, args.n, cfg.l_min, cfg.l_max, cfg.seed)
     io.write_jsonl(args.out, (pack_to_record(p) for p in packs))
-    io.write_json(args.stats, stats)
+    io.write_lines(args.stats, [io.dumps(stats)])
     _write_manifest(args, argv, cfg, inputs, [args.out, args.stats],
                     {"packs": len(packs), "samples": stats["sample_count"]})
     print(f"pack: {len(packs)} packs ({stats['underfull_count']} underfull) -> {args.out}")
@@ -410,8 +409,7 @@ def cmd_stats(args: argparse.Namespace, argv: Sequence[str]) -> int:
     }
     text = json.dumps(result, indent=2, sort_keys=False)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as f:
-            f.write(text + "\n")
+        io.write_lines(args.out, [text])
     else:
         print(text)
     return 0

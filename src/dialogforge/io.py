@@ -49,23 +49,38 @@ def write_jsonl(path: str | Path, objs: Iterable[Any]) -> int:
     return write_lines(path, map(dumps, objs))
 
 
-def read_jsonl(path: str | Path) -> Iterator[Any]:
-    """Parse one JSON value per non-blank line.
+def parse_json(data: bytes) -> Any:
+    """The JSON value of the UTF-8 text ``data``.
 
     Raises:
-        MalformedLine: a line is not JSON, or nests deeper than the parser
-            can recurse; the message leads with ``path:line``.
+        ValueError: ``data`` is not UTF-8 or not JSON, nests deeper than the
+            parser can recurse, or holds an integer too long to convert; the
+            message says which, without naming where ``data`` came from.
     """
-    with open(path, "r", encoding="utf-8") as f:
+    try:
+        return json.loads(data.decode("utf-8"))
+    except json.JSONDecodeError as err:
+        at = f"column {err.colno}" if err.lineno == 1 else f"line {err.lineno}, column {err.colno}"
+        raise ValueError(f"{err.msg} ({at})") from None
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
+
+
+def read_jsonl(path: str | Path) -> Iterator[Any]:
+    """``parse_json`` of each non-blank line; a line ends at each newline byte.
+
+    Raises:
+        MalformedLine: a line fails ``parse_json``; the message leads with
+            ``path:line``.
+    """
+    with open(path, "rb") as f:
         for lineno, line in enumerate(f, 1):
-            line = line.strip()
-            if line:
+            if line.strip():
                 try:
-                    yield json.loads(line)
-                except json.JSONDecodeError as err:
-                    raise MalformedLine(f"{path}:{lineno}: {err.msg} (column {err.colno})") from None
-                except RecursionError:
-                    raise MalformedLine(f"{path}:{lineno}: JSON nested too deeply") from None
+                    value = parse_json(line)
+                except ValueError as err:
+                    raise MalformedLine(f"{path}:{lineno}: {err}") from None
+                yield value
 
 
 def read_records(path: str | Path, decode: Callable[[Any], T]) -> Iterator[T]:
@@ -80,16 +95,10 @@ def read_records(path: str | Path, decode: Callable[[Any], T]) -> Iterator[T]:
             rec = decode(obj)
         except (KeyError, TypeError, ValueError, AttributeError) as err:
             detail = f"missing key {err}" if isinstance(err, KeyError) else str(err)
-            with open(path, "r", encoding="utf-8") as f:  # the k-th value's line, on failure only
+            with open(path, "rb") as f:  # the k-th value's line, on failure only
                 lineno = [n for n, line in enumerate(f, 1) if line.strip()][k]
             raise MalformedLine(f"{path}:{lineno}: {detail}") from None
         yield rec
-
-
-def write_json(path: str | Path, obj: Any) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(dumps(obj))
-        f.write("\n")
 
 
 def sha256_file(path: str | Path) -> str:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Any, Callable
 
-from .atomic_ops import CompletionBackend, OpKind, OpRequest, invoke
+from .atomic_ops import CompletionBackend, OpKind, invoke
 from .dialogue import (
     Dialogue,
     ImageRef,
@@ -119,11 +119,6 @@ def _uploaded(img: ImageRef) -> Segment:
     return Segment(image=replace(img, source=ImageSource.UPLOADED))
 
 
-def _op_text(backend: CompletionBackend, kind: OpKind, inputs: dict[str, str],
-             seed: int, retries: int, key: str = "query") -> str:
-    return invoke(OpRequest(kind, inputs, seed), backend, retries).fields[key]
-
-
 def _user(text: str, op: OpKind | None = None, upload: Segment | None = None) -> Turn:
     prov = Provenance(Stage.A, op_kind=op.value) if op else Provenance(Stage.SOURCE)
     segments = (Segment(text=text),) if upload is None else (Segment(text=text), upload)
@@ -141,7 +136,7 @@ def _assistant_text(text: str, op: OpKind) -> Turn:
 def _generation_round(img: ImageRef, backend: CompletionBackend, seed: int,
                       retries: int) -> Round:
     """A request written from the image's caption, answered by the image."""
-    query = _op_text(backend, OpKind.CAPTION2QUERY, {"caption": img.caption}, seed, retries)
+    query = invoke(OpKind.CAPTION2QUERY, {"caption": img.caption}, seed, backend, retries)["query"]
     return Round(_user(query, OpKind.CAPTION2QUERY), _assistant_image(_generated(img)))
 
 
@@ -155,15 +150,11 @@ def build_t_i_0_0(rec: T2IRecord, backend: CompletionBackend, *,
 def build_t_i_t1_1(rec: T2IRecord, backend: CompletionBackend, *,
                    seed: int = 0, retries: int = 2) -> Dialogue:
     """Q&A about the subject, then a generic request that leans on that text history."""
-    resp = invoke(
-        OpRequest(OpKind.CAPTION2QA_Q, {"caption": rec.image.caption},
-                  derive_seed(seed, rec.id, "caption2qa_q")),
-        backend, retries,
-    )
+    qa = invoke(OpKind.CAPTION2QA_Q, {"caption": rec.image.caption},
+                derive_seed(seed, rec.id, "caption2qa_q"), backend, retries)
     rounds = (
-        Round(_user(resp.fields["q"], OpKind.CAPTION2QA_Q),
-              _assistant_text(resp.fields["a"], OpKind.CAPTION2QA_Q)),
-        Round(_user(resp.fields["query"], OpKind.CAPTION2QA_Q),
+        Round(_user(qa["q"], OpKind.CAPTION2QA_Q), _assistant_text(qa["a"], OpKind.CAPTION2QA_Q)),
+        Round(_user(qa["query"], OpKind.CAPTION2QA_Q),
               _assistant_image(_generated(rec.image))),
     )
     return Dialogue(f"{rec.id}.t_i_t1_1.{seed}", rounds, (0,))
@@ -195,8 +186,8 @@ def build_t_i_in_1(rec: SubjectRecord, backend: CompletionBackend, *,
     a, b = rec.subjects
     first = _generation_round(a, backend, derive_seed(seed, rec.id, "caption2query.0"), retries)
     second = _generation_round(b, backend, derive_seed(seed, rec.id, "caption2query.1"), retries)
-    compose = _op_text(backend, OpKind.DRIVE_HS, {"caption_a": a.caption, "caption_b": b.caption},
-                       derive_seed(seed, rec.id, "drive_hs"), retries)
+    compose = invoke(OpKind.DRIVE_HS, {"caption_a": a.caption, "caption_b": b.caption},
+                     derive_seed(seed, rec.id, "drive_hs"), backend, retries)["query"]
     rounds = (first, second, Round(_user(compose, OpKind.DRIVE_HS),
                                    _assistant_image(_generated(rec.composed_image))))
     return Dialogue(f"{rec.id}.t_i_in_1.{seed}", rounds, (0, 1))
@@ -207,8 +198,8 @@ def build_ti_i_i1_1(rec: SubjectRecord, backend: CompletionBackend, *,
     """One generated subject combined with a newly uploaded one."""
     history, upload = rec.subjects
     first = _generation_round(history, backend, derive_seed(seed, rec.id, "caption2query"), retries)
-    combine = _op_text(backend, OpKind.DRIVE_I_H, {"caption_history": history.caption},
-                       derive_seed(seed, rec.id, "drive_i_h"), retries)
+    combine = invoke(OpKind.DRIVE_I_H, {"caption_history": history.caption},
+                     derive_seed(seed, rec.id, "drive_i_h"), backend, retries)["query"]
     rounds = (first, Round(_user(combine, OpKind.DRIVE_I_H, upload=_uploaded(upload)),
                            _assistant_image(_generated(rec.composed_image))))
     return Dialogue(f"{rec.id}.ti_i_i1_1.{seed}", rounds, (0,))

@@ -5,7 +5,8 @@ after the last dependency-source round, and the final user query is rewritten
 by the signature-appropriate history-dependent operation so it stays
 unambiguous across the noise. The pre-rewrite query is kept in the final
 turn's provenance, which makes the transformation reversible for audits.
-``insert_distractors`` runs the stage on one dialogue.
+``insert_distractors``, the module's one entry point, runs the stage on one
+dialogue.
 """
 
 from __future__ import annotations
@@ -13,9 +14,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Any
+from typing import Any, Callable
 
-from .atomic_ops import CompletionBackend, OpKind, OpRequest, invoke
+from .atomic_ops import CompletionBackend, OpKind, invoke
 from .dialogue import (
     Dialogue,
     Provenance,
@@ -36,15 +37,11 @@ from .util import derive_seed
 
 
 class WrongDepth(ValueError):
-    """Input dialogue is not a depth-one dialogue with dependency targets."""
+    """Input dialogue has dependency depth n, not one."""
 
 
 class PoolExhausted(ValueError):
     """Fewer distinct pool entries than requested distractors."""
-
-
-class PlanMismatch(ValueError):
-    """An insertion plan that does not fit the dialogue it is applied to."""
 
 
 class DistractorCategory(Enum):
@@ -90,61 +87,19 @@ def entry_from_record(obj: dict[str, Any]) -> DistractorEntry:
     )
 
 
-@dataclass(frozen=True)
-class InsertionPlan:
-    k: int
-    picks: tuple[tuple[int, DistractorCategory], ...]  # (pool index, category)
-    insert_position: int
-    entries: tuple[DistractorEntry, ...]  # materialized picks, in pick order
-
-
-# input signature -> operation that makes the final query history-dependent
-_DEP_OPS = {
-    "t_i_i1_1": OpKind.QUERY2DEP_Q,
-    "t_i_t1_1": OpKind.CAPTION2QA_Q_DEP,
-    "t_i_in_1": OpKind.DRIVE_HS_DEP,
-    "ti_i_i1_1": OpKind.DRIVE_I_H_DEP,
+# input signature -> (operation that makes the final query history-dependent,
+# its inputs from the dialogue and the original final query)
+_REWRITES: dict[str, tuple[OpKind, Callable[[Dialogue, str], dict[str, str]]]] = {
+    "t_i_i1_1": (OpKind.QUERY2DEP_Q, lambda d, query: {
+        "query": query, "target_caption": image_caption(d, d.dep_target_rounds[0])}),
+    "t_i_t1_1": (OpKind.CAPTION2QA_Q_DEP, lambda d, query: {
+        "caption": image_caption(d, d.last_round_index)}),
+    "t_i_in_1": (OpKind.DRIVE_HS_DEP, lambda d, query: {
+        "caption_a": image_caption(d, d.dep_target_rounds[0]),
+        "caption_b": image_caption(d, d.dep_target_rounds[1])}),
+    "ti_i_i1_1": (OpKind.DRIVE_I_H_DEP, lambda d, query: {
+        "caption_history": image_caption(d, d.dep_target_rounds[0])}),
 }
-
-
-def plan_insertion(d: Dialogue, pool: DistractorPool, k: int, seed: int) -> InsertionPlan:
-    """Pick k distinct pool entries (seeded, without replacement) and the splice point.
-
-    Raises:
-        WrongDepth: input is not depth one or has no targets.
-        PoolExhausted: k exceeds the pool size.
-        ValueError: k < 1.
-    """
-    if d.signature.depth is not DepthKind.ONE:
-        raise WrongDepth(f"dialogue {d.id!r} has depth {d.signature.depth.value!r}, need '1'")
-    if not d.dep_target_rounds:
-        raise WrongDepth(f"dialogue {d.id!r} has no dependency targets")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if k > len(pool.entries):
-        raise PoolExhausted(f"need {k} distractors, pool holds {len(pool.entries)}")
-    rng = random.Random(seed)
-    indices = rng.sample(range(len(pool.entries)), k)
-    return InsertionPlan(
-        k=k,
-        picks=tuple((i, pool.entries[i].category) for i in indices),
-        insert_position=max(d.dep_target_rounds) + 1,
-        entries=tuple(pool.entries[i] for i in indices),
-    )
-
-
-def _rewrite_inputs(d: Dialogue, op: OpKind, original: str) -> dict[str, str]:
-    targets = d.dep_target_rounds
-    if op is OpKind.QUERY2DEP_Q:
-        return {"query": original, "target_caption": image_caption(d, targets[0])}
-    if op is OpKind.CAPTION2QA_Q_DEP:
-        return {"caption": image_caption(d, d.last_round_index)}
-    if op is OpKind.DRIVE_HS_DEP:
-        return {"caption_a": image_caption(d, targets[0]),
-                "caption_b": image_caption(d, targets[1])}
-    if op is OpKind.DRIVE_I_H_DEP:
-        return {"caption_history": image_caption(d, targets[0])}
-    raise PlanMismatch(f"no rewrite inputs for {op.value!r}")
 
 
 def _as_distractor(turn: Turn) -> Turn:
@@ -152,39 +107,44 @@ def _as_distractor(turn: Turn) -> Turn:
                    provenance=replace(turn.provenance, stage=Stage.DISTRACTOR))
 
 
-def apply_insertion(d: Dialogue, plan: InsertionPlan, backend: CompletionBackend, *,
-                    seed: int = 0, retries: int = 2) -> Dialogue:
-    """Splice the planned distractors and rewrite the final query.
+def insert_distractors(d: Dialogue, pool: DistractorPool, k_range: tuple[int, int], seed: int,
+                       backend: CompletionBackend, *, retries: int = 2) -> Dialogue:
+    """Stage b for one dialogue: splice in k distractors and rewrite the final query.
 
-    Everything before the splice point and every non-final turn stays
-    byte-identical; target indices are unchanged because insertion happens
-    after the last target, so the depth becomes n and the farthest separation
-    grows by k.
+    ``k_range`` is ``(k_min, k_max)``; k is drawn from it by the id's seed, and
+    k distinct pool entries are picked by it too. They are spliced right after
+    the last target round, so every earlier turn and every non-final turn stays
+    byte-identical and target indices do not move: the depth becomes n and the
+    farthest separation grows by k. A dialogue without any dependency passes
+    through unchanged, annotated as skipped.
 
     Raises:
-        PlanMismatch: plan does not fit this dialogue or its signature has no
-        history-dependent rewrite operation.
+        WrongDepth: the dialogue's depth is n.
+        ValueError: k < 1, or the signature has no history-dependent rewrite.
+        PoolExhausted: k exceeds the pool size.
+        MissingCaption: a caption the rewrite needs is absent.
         InvalidTarget, AmbiguousDependency, UnclassifiableModality: the output
         has no signature (see ``Dialogue``).
     """
+    if d.signature.dep is DependencyModality.NONE or d.signature.depth is DepthKind.ZERO:
+        return with_annotation(d, "stage_b_skipped")
+    k = random.Random(derive_seed(seed, d.id, "k")).randint(*k_range)
+    if d.signature.depth is not DepthKind.ONE:
+        raise WrongDepth(f"dialogue {d.id!r} has depth {d.signature.depth.value!r}, need '1'")
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if k > len(pool.entries):
+        raise PoolExhausted(f"need {k} distractors, pool holds {len(pool.entries)}")
     sig_str = format_signature(d.signature)
-    if sig_str not in _DEP_OPS:
-        raise PlanMismatch(f"no history-dependent rewrite for signature {sig_str!r}")
-    if not d.dep_target_rounds or plan.insert_position != max(d.dep_target_rounds) + 1:
-        raise PlanMismatch("insert position must immediately follow the last target round")
-    if plan.insert_position > d.last_round_index:
-        raise PlanMismatch("insert position is past the final round")
-    if plan.k != len(plan.entries) or plan.k != len(plan.picks) or plan.k < 1:
-        raise PlanMismatch("plan pick count disagrees with k")
+    if sig_str not in _REWRITES:
+        raise ValueError(f"no history-dependent rewrite for signature {sig_str!r}")
+    entries = random.Random(derive_seed(seed, d.id, "plan")).sample(pool.entries, k)
 
-    op = _DEP_OPS[sig_str]
+    op, rewrite_inputs = _REWRITES[sig_str]
     final = d.rounds[-1]
     original = final.user.text_content()
-    rewritten = invoke(
-        OpRequest(op, _rewrite_inputs(d, op, original), derive_seed(seed, d.id, "dep_rewrite")),
-        backend, retries,
-    ).fields["query"]
-
+    rewritten = invoke(op, rewrite_inputs(d, original), derive_seed(seed, d.id, "dep_rewrite"),
+                       backend, retries)["query"]
     rewritten_user = Turn(
         role=Role.USER,
         segments=tuple(Segment(text=rewritten) if s.is_text else s for s in final.user.segments),
@@ -192,23 +152,9 @@ def apply_insertion(d: Dialogue, plan: InsertionPlan, backend: CompletionBackend
         is_distractor=False,
     )
     distractor_rounds = tuple(
-        Round(_as_distractor(e.user), _as_distractor(e.assistant)) for e in plan.entries
+        Round(_as_distractor(e.user), _as_distractor(e.assistant)) for e in entries
     )
-    p = plan.insert_position
-    rounds = d.rounds[:p] + distractor_rounds + d.rounds[p:-1] + (Round(rewritten_user, final.assistant),)
-
+    p = max(d.dep_target_rounds) + 1
+    rounds = (d.rounds[:p] + distractor_rounds + d.rounds[p:-1]
+              + (Round(rewritten_user, final.assistant),))
     return Dialogue(d.id, rounds, d.dep_target_rounds, d.annotations)
-
-
-def insert_distractors(d: Dialogue, pool: DistractorPool, k_range: tuple[int, int], seed: int,
-                       backend: CompletionBackend, *, retries: int = 2) -> Dialogue:
-    """Stage b for one dialogue: insert k distractors, k drawn from ``k_range`` by the id's seed.
-
-    ``k_range`` is ``(k_min, k_max)`` with ``1 <= k_min <= k_max``. A dialogue
-    without any dependency passes through unchanged, annotated as skipped.
-    """
-    if d.signature.dep is DependencyModality.NONE or d.signature.depth is DepthKind.ZERO:
-        return with_annotation(d, "stage_b_skipped")
-    k = random.Random(derive_seed(seed, d.id, "k")).randint(*k_range)
-    plan = plan_insertion(d, pool, k, derive_seed(seed, d.id, "plan"))
-    return apply_insertion(d, plan, backend, seed=seed, retries=retries)

@@ -20,7 +20,6 @@ from dialogforge.atomic_ops import (
     OPS,
     MockBackend,
     OpKind,
-    OpRequest,
     invoke,
 )
 from dialogforge.cli import main as cli_main
@@ -33,8 +32,8 @@ from dialogforge.fixtures import (
 )
 from dialogforge.packing import SamplingConfig, pack_greedy, sample_stream
 from dialogforge.stage_a import BUILDERS
-from dialogforge.stage_b import apply_insertion, insert_distractors, plan_insertion
-from dialogforge.stage_c import interleave_output
+from dialogforge.stage_b import insert_distractors
+from dialogforge.stage_c import interleave
 from dialogforge.stream import (
     BlockKind,
     loss_summary,
@@ -109,9 +108,9 @@ def test_atomic_op_coverage():
     for kind in OpKind:
         req_inputs = {k: inputs[k] for k in OPS[kind].inputs}
         for seed in range(1000):
-            resp = invoke(OpRequest(kind, req_inputs, seed), BACKEND, retries=0)
-            assert set(resp.fields) == set(OPS[kind].outputs)
-            assert all(v.strip() for v in resp.fields.values())
+            fields = invoke(kind, req_inputs, seed, BACKEND, retries=0)
+            assert set(fields) == set(OPS[kind].outputs)
+            assert all(v.strip() for v in fields.values())
 
 
 @criterion(3, "stage a: 500-record fixture, zero violations, inferred == declared")
@@ -141,7 +140,7 @@ def test_stage_b_depth_law():
     for d in eligible:
         nearest_in = min(d.last_round_index - t for t in d.dep_target_rounds)
         for k in range(1, 9):
-            out = apply_insertion(d, plan_insertion(d, pool, k, seed=1000 + k), BACKEND, seed=4)
+            out = insert_distractors(d, pool, (k, k), 1000 + k, BACKEND)
             assert out.dep_depth_value == d.dep_depth_value + k
             nearest_out = min(out.last_round_index - t for t in out.dep_target_rounds)
             assert nearest_out == nearest_in + k
@@ -156,12 +155,12 @@ def test_stage_c_transform():
     pool = make_distractor_pool(4, 501)
     dialogues = [d for task in BUILDERS for d in corpus[task]]
     dialogues += [
-        apply_insertion(d, plan_insertion(d, pool, 2, seed=7), BACKEND, seed=5)
+        insert_distractors(d, pool, (2, 2), 7, BACKEND)
         for d in dialogues if d.dep_target_rounds
     ]
     seen = set()
     for d in dialogues:
-        out = interleave_output(d, BACKEND, seed=6)
+        out = interleave(d, BACKEND, seed=6)
         assert out.signature.output.value == "ti"
         assert out.signature.input is d.signature.input
         assert out.signature.dep is d.signature.dep
@@ -184,7 +183,7 @@ def pipeline_corpus_1000():
     assert len(out) == 1000
     # interleave half of them for output-modality diversity
     rng = random.Random(603)
-    return [interleave_output(d, BACKEND, seed=604) if rng.random() < 0.5 else d
+    return [interleave(d, BACKEND, seed=604) if rng.random() < 0.5 else d
             for d in out]
 
 

@@ -388,39 +388,58 @@ def test_bad_dialogue_midway_exits_3_after_the_records_before_it(workdir, capsys
     assert Path("out/o.jsonl").read_bytes() == b"previous output\n"
 
 
-@pytest.mark.parametrize("argv, bad", [
-    ("validate --in bad.jsonl", "bad.jsonl"),
-    ("serialize --in bad.jsonl --out x.jsonl", "bad.jsonl"),
-    ("stats --in bad.jsonl", "bad.jsonl"),
-    ("mask --in bad.jsonl --out x.jsonl", "bad.jsonl"),
-    ("synthesize --stage a --task t_i_0_0 --in bad.jsonl --out x.jsonl", "bad.jsonl"),
-    ("synthesize --stage c --in bad.jsonl --out x.jsonl", "bad.jsonl"),
+NESTED = b"[" * 200_000 + b"\n"
+
+
+@pytest.mark.parametrize("argv, bad, content, detail", [
+    ("validate --in bad.jsonl", "bad.jsonl", NESTED, "JSON nested too deeply"),
+    ("serialize --in bad.jsonl --out x.jsonl", "bad.jsonl", NESTED, "JSON nested too deeply"),
+    ("stats --in bad.jsonl", "bad.jsonl", NESTED, "JSON nested too deeply"),
+    ("mask --in bad.jsonl --out x.jsonl", "bad.jsonl", NESTED, "JSON nested too deeply"),
+    ("synthesize --stage a --task t_i_0_0 --in bad.jsonl --out x.jsonl", "bad.jsonl", NESTED,
+     "JSON nested too deeply"),
+    ("synthesize --stage c --in bad.jsonl --out x.jsonl", "bad.jsonl", NESTED,
+     "JSON nested too deeply"),
     ("synthesize --stage b --in t2i_records_20.jsonl --pool bad.jsonl --out x.jsonl",
-     "bad.jsonl"),
+     "bad.jsonl", NESTED, "JSON nested too deeply"),
     ("pack --config w.json --in-dir streams --n 5 --out p.jsonl --stats p.json",
-     "streams/t2i.jsonl"),
+     "streams/t2i.jsonl", NESTED, "JSON nested too deeply"),
+    # a UTF-16 file starts with the byte-order mark \xff\xfe
+    ("validate --in bad.jsonl", "bad.jsonl", '{"id": "x"}\n'.encode("utf-16"),
+     "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+    # over the integer digit limit; Python 3.10 has none and fails to decode the value instead
+    ("validate --in bad.jsonl", "bad.jsonl", b"5" * 5000 + b"\n", None),
 ], ids=["validate", "serialize", "stats", "mask", "synthesize-a", "synthesize-c",
-        "synthesize-pool", "pack"])
-def test_deeply_nested_json_line_exits_3_with_path_line(workdir, capsys, argv, bad):
+        "synthesize-pool", "pack", "validate-utf16", "validate-long-integer"])
+def test_deeply_nested_json_line_exits_3_with_path_line(workdir, capsys, argv, bad, content,
+                                                        detail):
+    """Also other lines that do not parse: each exits 3 with one ``path:line`` line."""
     Path("streams").mkdir()
     Path("w.json").write_text(json.dumps({"t2i": 1.0}))
-    Path(bad).write_text("[" * 200_000 + "\n")
+    Path(bad).write_bytes(content)
     assert run(*argv.split()) == 3
-    assert capsys.readouterr().err == f"i/o error: {bad}:1: JSON nested too deeply\n"
+    err = capsys.readouterr().err
+    assert err.startswith(f"i/o error: {bad}:1: ") and err.count("\n") == 1
+    assert detail is None or err == f"i/o error: {bad}:1: {detail}\n"
 
 
-@pytest.mark.parametrize("argv", [
-    "synthesize --stage a --task t_i_0_0 --in t2i_records_20.jsonl --out x.jsonl",
-    "serialize --in d.jsonl --out x.jsonl",
-    "mask --in s.jsonl --out x.jsonl",
-    "stats --in d.jsonl --out x.jsonl",
-    "pack --in-dir streams --n 5 --out x.jsonl --stats x.json",
-], ids=["synthesize", "serialize", "mask", "stats", "pack"])
-def test_deeply_nested_config_file_exits_2_naming_it(workdir, capsys, argv):
-    Path("cfg.json").write_text("[" * 200_000 + "\n")
+@pytest.mark.parametrize("argv, content, detail", [
+    ("synthesize --stage a --task t_i_0_0 --in t2i_records_20.jsonl --out x.jsonl", NESTED,
+     "JSON nested too deeply"),
+    ("serialize --in d.jsonl --out x.jsonl", NESTED, "JSON nested too deeply"),
+    ("mask --in s.jsonl --out x.jsonl", NESTED, "JSON nested too deeply"),
+    ("stats --in d.jsonl --out x.jsonl", NESTED, "JSON nested too deeply"),
+    ("pack --in-dir streams --n 5 --out x.jsonl --stats x.json", NESTED,
+     "JSON nested too deeply"),
+    ("serialize --in d.jsonl --out x.jsonl", b'{"seed": 1}\xff',
+     "'utf-8' codec can't decode byte 0xff in position 11: invalid start byte"),
+], ids=["synthesize", "serialize", "mask", "stats", "pack", "serialize-not-utf8"])
+def test_deeply_nested_config_file_exits_2_naming_it(workdir, capsys, argv, content, detail):
+    """Also a config file that is not UTF-8: each exits 2 with one line naming the file."""
+    Path("cfg.json").write_bytes(content)
     assert run(*argv.split(), "--config", "cfg.json") == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error: ") and err.endswith(" cfg.json: JSON nested too deeply\n")
+    assert err.startswith("config error: ") and err.endswith(f" cfg.json: {detail}\n")
     assert not Path("x.jsonl").exists()
 
 

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from dialogue_reference import pool_from_t2i_dialogues, restore_stage_a_view, structural_equal
 from hypothesis import given, settings
@@ -24,16 +26,14 @@ from dialogforge.stage_a import (
 from dialogforge.stage_b import (
     DistractorCategory,
     DistractorPool,
-    PlanMismatch,
     PoolExhausted,
     WrongDepth,
-    apply_insertion,
     entry_from_record,
     entry_to_record,
     insert_distractors,
-    plan_insertion,
 )
 from dialogforge.taxonomy import DepthKind, format_signature
+from dialogforge.util import derive_seed
 
 
 @pytest.fixture(scope="module")
@@ -78,43 +78,40 @@ def test_pool_from_t2i_dialogues(backend):
     assert DistractorPool(tuple(entries)).validate().ok
 
 
-def test_plan_insertion(edit_dialogue, pool):
-    plan = plan_insertion(edit_dialogue, pool, 2, seed=5)
-    assert plan.k == 2
-    assert len(plan.picks) == 2
-    assert len({i for i, _ in plan.picks}) == 2  # without replacement
-    assert plan.insert_position == 1
-    assert plan.entries == tuple(pool.entries[i] for i, _ in plan.picks)
-    assert plan == plan_insertion(edit_dialogue, pool, 2, seed=5)
-    assert plan != plan_insertion(edit_dialogue, pool, 2, seed=6)
+def test_plan_insertion(edit_dialogue, pool, backend):
+    out = insert_distractors(edit_dialogue, pool, (2, 2), 5, backend)
+    indices = random.Random(derive_seed(5, edit_dialogue.id, "plan")).sample(
+        range(len(pool.entries)), 2)
+    assert len(set(indices)) == 2  # without replacement
+
+    def spliced(d):  # the two rounds right after the one target round
+        return [(r.user.segments, r.assistant.segments) for r in d.rounds[1:3]]
+
+    assert spliced(out) == [(pool.entries[i].user.segments, pool.entries[i].assistant.segments)
+                            for i in indices]
+    assert out == insert_distractors(edit_dialogue, pool, (2, 2), 5, backend)
+    assert spliced(out) != spliced(insert_distractors(edit_dialogue, pool, (2, 2), 6, backend))
 
 
 def test_plan_rejects_wrong_depth(pool, backend, edit_dialogue):
-    deep = apply_insertion(edit_dialogue, plan_insertion(edit_dialogue, pool, 1, 0), backend)
+    deep = insert_distractors(edit_dialogue, pool, (1, 1), 0, backend)
     with pytest.raises(WrongDepth):
-        plan_insertion(deep, pool, 1, seed=0)
+        insert_distractors(deep, pool, (1, 1), 0, backend)
 
 
-def test_plan_rejects_k_zero(edit_dialogue, pool):
-    with pytest.raises(ValueError):
-        plan_insertion(edit_dialogue, pool, 0, seed=0)
+def test_plan_rejects_k_zero(edit_dialogue, pool, backend):
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        insert_distractors(edit_dialogue, pool, (0, 0), 0, backend)
 
 
-def test_plan_pool_exhausted(edit_dialogue, pool):
+def test_plan_pool_exhausted(edit_dialogue, pool, backend):
+    k = len(pool.entries) + 1
     with pytest.raises(PoolExhausted):
-        plan_insertion(edit_dialogue, pool, len(pool.entries) + 1, seed=0)
-
-
-def test_apply_rejects_foreign_plan(backend, pool):
-    d_short, d_long = depth1_dialogues(backend)[1], depth1_dialogues(backend)[2]
-    plan_for_long = plan_insertion(d_long, pool, 2, seed=0)  # splice point 2
-    with pytest.raises(PlanMismatch):
-        apply_insertion(d_short, plan_for_long, backend)
+        insert_distractors(edit_dialogue, pool, (k, k), 0, backend)
 
 
 def test_apply_insertion_edit(edit_dialogue, pool, backend):
-    plan = plan_insertion(edit_dialogue, pool, 3, seed=9)
-    out = apply_insertion(edit_dialogue, plan, backend, seed=2)
+    out = insert_distractors(edit_dialogue, pool, (3, 3), 2, backend)
     assert format_signature(out.signature) == "t_i_i1_n"
     assert out.dep_depth_value == 4  # 1 + 3
     assert out.id == edit_dialogue.id
@@ -145,7 +142,7 @@ def test_apply_insertion_edit(edit_dialogue, pool, backend):
 ])
 def test_apply_uses_signature_specific_op(backend, pool, index, expected_op, expected_sig):
     d = depth1_dialogues(backend)[index]
-    out = apply_insertion(d, plan_insertion(d, pool, 2, seed=1), backend, seed=3)
+    out = insert_distractors(d, pool, (2, 2), 3, backend)
     assert format_signature(out.signature) == expected_sig
     assert out.rounds[-1].user.provenance.op_kind == expected_op
     assert validate_dialogue(out).ok
@@ -155,7 +152,7 @@ def test_depth_arithmetic_all_signatures(backend, pool):
     for d in depth1_dialogues(backend):
         for k in range(1, 9):
             big_pool = make_distractor_pool(4, 7)  # 12 entries >= k
-            out = apply_insertion(d, plan_insertion(d, big_pool, k, seed=k), backend)
+            out = insert_distractors(d, big_pool, (k, k), k, backend)
             assert out.dep_depth_value == d.dep_depth_value + k
             assert out.signature.depth is DepthKind.N
             # nearest-target separation grows by exactly k as well
@@ -166,13 +163,13 @@ def test_depth_arithmetic_all_signatures(backend, pool):
 
 def test_strip_and_restore_round_trip(backend, pool):
     for d in depth1_dialogues(backend):
-        out = apply_insertion(d, plan_insertion(d, pool, 3, seed=8), backend)
+        out = insert_distractors(d, pool, (3, 3), 8, backend)
         assert structural_equal(restore_stage_a_view(out), d)
 
 
 def test_no_distractor_is_ever_a_target(backend, pool):
     for d in depth1_dialogues(backend):
-        out = apply_insertion(d, plan_insertion(d, pool, 4, seed=2), backend)
+        out = insert_distractors(d, pool, (4, 4), 2, backend)
         for t in out.dep_target_rounds:
             assert not out.rounds[t].user.is_distractor
 
@@ -180,18 +177,32 @@ def test_no_distractor_is_ever_a_target(backend, pool):
 def test_stage_b_chain_passes_through_and_rejects(backend, pool):
     t2i = build_t_i_0_0(t2i_record_from_obj(make_t2i_records(1, 51)[0]), backend)
     d1 = depth1_dialogues(backend)[1]
-    deep = apply_insertion(d1, plan_insertion(d1, pool, 1, 0), backend)
+    deep = insert_distractors(d1, pool, (1, 1), 0, backend)
+    # an interleaved depth-one dialogue: its signature has no history-dependent rewrite
+    ac = dialogue_from_record(next(synthesize_records(
+        make_edit_records(1, 53), ["a", "c"], backend, PipelineConfig(seed=3), [],
+        task="t_i_i1_1")))
+    assert format_signature(ac.signature) == "t_ti_i1_1"
     rejects = []
-    records = list(synthesize_records([t2i, d1, deep], ["b"], backend, PipelineConfig(seed=99),
-                                      rejects, pool=pool))
+    records = list(synthesize_records([t2i, d1, deep, ac], ["b"], backend,
+                                      PipelineConfig(seed=99), rejects, pool=pool))
     outputs = [dialogue_from_record(rec) for rec in records]
     assert len(outputs) == 2
     assert outputs[0].id == t2i.id
     assert outputs[0].annotations == ("stage_b_skipped",)
     assert structural_equal(outputs[0], t2i)
     assert outputs[1].signature.depth is DepthKind.N
-    assert rejects == [{"stage": "b", "id": deep.id, "error": rejects[0]["error"]}]
-    assert "depth 'n'" in rejects[0]["error"]
+    assert rejects == [
+        {"stage": "b", "id": deep.id, "error": f"dialogue {deep.id!r} has depth 'n', need '1'"},
+        {"stage": "b", "id": ac.id,
+         "error": "no history-dependent rewrite for signature 't_ti_i1_1'"},
+    ]
+    # a pool smaller than the drawn k
+    rejects = []
+    small = DistractorPool(pool.entries[:2])
+    assert list(synthesize_records([d1], ["b"], backend, PipelineConfig(k_min=3, k_max=3),
+                                   rejects, pool=small)) == []
+    assert rejects == [{"stage": "b", "id": d1.id, "error": "need 3 distractors, pool holds 2"}]
 
 
 def test_insert_distractors_k_in_range(backend, pool):
@@ -207,6 +218,6 @@ def test_insert_distractors_k_in_range(backend, pool):
 def test_depth_law_property(backend, k, seed):
     d = build_t_i_i1_1(edit_record_from_obj(make_edit_records(1, 61)[0]), backend)
     big_pool = make_distractor_pool(3, 13)
-    out = apply_insertion(d, plan_insertion(d, big_pool, k, seed), backend)
+    out = insert_distractors(d, big_pool, (k, k), seed, backend)
     assert out.dep_depth_value == 1 + k
     assert structural_equal(restore_stage_a_view(out), d)

@@ -22,8 +22,8 @@ from dialogforge.stage_a import (
     t2i_record_from_obj,
     edit_record_from_obj,
 )
-from dialogforge.stage_b import apply_insertion, plan_insertion
-from dialogforge.stage_c import AlreadyInterleaved, interleave, interleave_output
+from dialogforge.stage_b import insert_distractors
+from dialogforge.stage_c import interleave
 from dialogforge.taxonomy import OutputModality, format_signature
 
 
@@ -48,12 +48,12 @@ def all_image_output_dialogues(backend):
     deep = []
     for d in dialogues:
         if d.dep_target_rounds:
-            deep.append(apply_insertion(d, plan_insertion(d, pool, 2, seed=5), backend))
+            deep.append(insert_distractors(d, pool, (2, 2), 5, backend))
     return dialogues + deep  # 6 basic + 4 long-range signatures
 
 
 def test_interleave_t2i(t2i_dialogue, backend):
-    out = interleave_output(t2i_dialogue, backend, seed=1)
+    out = interleave(t2i_dialogue, backend, seed=1)
     assert format_signature(out.signature) == "t_ti_0_0"
     assert validate_dialogue(out).ok
     # image first, answer after
@@ -68,7 +68,7 @@ def test_interleave_t2i(t2i_dialogue, backend):
 
 def test_interleave_grounded_in_final_caption(t2i_dialogue, backend):
     caption = t2i_dialogue.rounds[-1].assistant.images()[0].caption
-    out = interleave_output(t2i_dialogue, backend, seed=1)
+    out = interleave(t2i_dialogue, backend, seed=1)
     assert caption in out.rounds[-1].user.segments[1].text
     assert caption in out.rounds[-1].assistant.segments[1].text
 
@@ -76,17 +76,11 @@ def test_interleave_grounded_in_final_caption(t2i_dialogue, backend):
 def test_interleave_upload_stays_last(backend):
     rec = edit_record_from_obj(make_edit_records(1, 72)[0])
     d = build_ti_i_0_0(rec, backend, seed=1)
-    out = interleave_output(d, backend, seed=1)
+    out = interleave(d, backend, seed=1)
     # question lands between the instruction and the upload
     kinds = ["image" if s.is_image else "text" for s in out.rounds[-1].user.segments]
     assert kinds == ["text", "text", "image"]
     assert format_signature(out.signature) == "ti_ti_0_0"
-
-
-def test_interleave_rejects_interleaved_input(t2i_dialogue, backend):
-    once = interleave_output(t2i_dialogue, backend)
-    with pytest.raises(AlreadyInterleaved):
-        interleave_output(once, backend)
 
 
 def test_interleave_missing_caption(t2i_dialogue, backend):
@@ -97,12 +91,12 @@ def test_interleave_missing_caption(t2i_dialogue, backend):
     d = dataclasses.replace(t2i_dialogue,
                             rounds=(dataclasses.replace(final, assistant=asst),))
     with pytest.raises(MissingCaption):
-        interleave_output(d, backend)
+        interleave(d, backend)
 
 
 def test_interleave_only_touches_final_round(backend):
     d = build_t_i_i1_1(edit_record_from_obj(make_edit_records(1, 73)[0]), backend, seed=2)
-    out = interleave_output(d, backend, seed=2)
+    out = interleave(d, backend, seed=2)
     assert out.rounds[:-1] == d.rounds[:-1]
     assert len(out.rounds) == len(d.rounds)
     added = sum(len(r.user.segments) + len(r.assistant.segments) for r in out.rounds) - \
@@ -112,7 +106,7 @@ def test_interleave_only_touches_final_round(backend):
 
 def test_signature_transform_is_output_only(backend):
     for d in all_image_output_dialogues(backend):
-        out = interleave_output(d, backend, seed=9)
+        out = interleave(d, backend, seed=9)
         assert out.signature.output is OutputModality.TI
         assert out.signature.input is d.signature.input
         assert out.signature.dep is d.signature.dep
@@ -151,7 +145,7 @@ def test_interleave_seeded_selection(backend):
 
 
 def test_interleave_annotates_already_interleaved(backend):
-    d = interleave_output(
+    d = interleave(
         build_t_i_0_0(t2i_record_from_obj(make_t2i_records(1, 77)[0]), backend), backend)
     out = interleave(d, backend, apply_fraction=1.0, seed=3)
     assert out.annotations == ("stage_c_skipped",)

@@ -25,7 +25,7 @@ from dialogforge.dialogue import (
 )
 from dialogforge.fixtures import make_t2i_records
 from dialogforge.stage_a import build_t_i_0_0, t2i_record_from_obj
-from dialogforge.stage_c import interleave_output
+from dialogforge.stage_c import interleave
 from dialogforge.stream import (
     BlockKind,
     EmptyText,
@@ -106,7 +106,7 @@ def test_grammar_requires_replay_after_noised_image():
 
 
 def test_serialize_interleaved_order(backend):
-    d = interleave_output(t2i_dialogue(backend), backend)
+    d = interleave(t2i_dialogue(backend), backend)
     s = serialize(d)
     kinds = [b.kind for b in s.blocks]
     # noised image blocks come before the answer text

@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from dialogforge.atomic_ops import BackendUnavailable, OpKind, OpRequest, invoke, mock_complete
+from dialogforge.atomic_ops import BackendUnavailable, OpKind, invoke, mock_complete
 from dialogforge.util import run_records
 
 
@@ -17,9 +17,9 @@ class SlowFirst:
 
 def test_run_records_preserves_order():
     captions = ["first", "second", "third", "fourth"]
-    reqs = [OpRequest(OpKind.CAPTION2QUERY, {"caption": c}, 0) for c in captions]
-    outputs = list(run_records(lambda r: invoke(r, SlowFirst()), reqs, 4))
-    assert [r.fields["query"] for r in outputs] == [
+    outputs = list(run_records(
+        lambda c: invoke(OpKind.CAPTION2QUERY, {"caption": c}, 0, SlowFirst()), captions, 4))
+    assert [fields["query"] for fields in outputs] == [
         f"Please generate an image of {c}" for c in captions
     ]
 
