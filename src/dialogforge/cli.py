@@ -10,6 +10,12 @@ Each subcommand loads only the layers it runs: the data layers (``io``,
 the stages and ``util`` only where ``synthesize`` needs them, and ``packing``
 only in ``pack``.
 
+``validate``, ``serialize``, ``mask``, ``stats`` and mock-backend
+``synthesize`` turn each ``--in`` line into its output line, reject, violation
+lines or stats with ``io.map_lines``, which runs chunks of the file in one
+forked worker per CPU and yields in input order. Remote ``synthesize`` runs
+``--concurrency`` threads instead, and ``pack`` runs in this process.
+
 Exit codes: 0 success, 1 validation violations, 2 configuration error,
 3 I/O error or an input the stream layer rejects, 4 backend failure.
 """
@@ -23,7 +29,7 @@ import sys
 import typing
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
 
 from . import io
 from .dialogue import (
@@ -62,7 +68,7 @@ class PipelineConfig:
     backend: str = "mock"
     backend_url: str | None = None
     seed: int = 0
-    concurrency: int = 8  # remote backend only; mock stages run serially
+    concurrency: int = 8  # remote calls in flight; mock runs use one process per CPU
     retries: int = 2
     k_min: int = 1
     k_max: int = 3
@@ -181,46 +187,48 @@ def _write_manifest(args: argparse.Namespace, argv: Sequence[str], cfg: Pipeline
     })])
 
 
-def _read_dialogues(path: str, signature: str | None = None) -> Iterator[Dialogue]:
-    """The dialogues of ``path`` one at a time, only those with ``signature`` if given.
+def _dialogue_reader(path: str, signature: str | None = None
+                     ) -> Callable[[int, bytes], Dialogue | None]:
+    """``read(lineno, line)``: the dialogue on line ``lineno`` of ``path``, or None
+    when ``signature`` is given and the dialogue's is another.
 
     Raises:
         ConfigError: ``signature`` is not a task signature; raised by the call
             itself, before ``path`` is read.
     """
-    dialogues = io.read_records(path, dialogue_from_record)
-    if not signature:
-        return dialogues
-    try:
-        wanted = parse_signature(signature)
-    except SignatureError as err:
-        raise ConfigError(f"--signature: {err}") from None
-    return (d for d in dialogues if d.signature == wanted)
+    wanted = None
+    if signature:
+        try:
+            wanted = parse_signature(signature)
+        except SignatureError as err:
+            raise ConfigError(f"--signature: {err}") from None
+
+    def read(lineno: int, line: bytes) -> Dialogue | None:
+        d = io.decode_line(path, lineno, line, dialogue_from_record)
+        return d if wanted is None or d.signature == wanted else None
+
+    return read
 
 
-def synthesize_records(items: Iterable[Any], stages: Sequence[str], backend: CompletionBackend,
-                       cfg: PipelineConfig, rejects: list[dict[str, Any]], *,
-                       task: str | None = None, pool: DistractorPool | None = None,
-                       concurrency: int = 1) -> Iterator[dict[str, Any]]:
-    """Run each of ``items`` through ``stages``; yield the dialogue records in input order.
+def record_synthesizer(stages: Sequence[str], backend: CompletionBackend, cfg: PipelineConfig,
+                       *, task: str | None = None, pool: DistractorPool | None = None
+                       ) -> Callable[[int, Any], Dialogue | dict[str, Any]]:
+    """``one(index, item)``: ``item`` run through ``stages``, or that stage's reject.
 
-    ``items`` are ingest records for ``task`` when ``stages`` starts with a,
-    dialogues otherwise. An item a stage refuses is appended to ``rejects``
-    instead, as that stage's reject: ``{stage, index, error, record}`` for
-    stage a (``index`` counts the items), ``{stage, id, error}`` for stages b
-    and c. ``BackendUnavailable`` propagates.
+    ``item`` is an ingest record for ``task`` when ``stages`` starts with a, a
+    dialogue otherwise, and ``index`` counts the items. A stage's reject is
+    ``{stage, index, error, record}`` for stage a, ``{stage, id, error}`` for
+    stages b and c. ``BackendUnavailable`` propagates.
     """
     from .atomic_ops import BackendUnavailable
     from .stage_a import BUILDERS
     from .stage_b import insert_distractors
     from .stage_c import interleave
-    from .util import run_records
 
     if "a" in stages:
         parse, build = BUILDERS[task]
 
-    def one(indexed: tuple[int, Any]) -> Dialogue | dict[str, Any]:
-        index, d = indexed
+    def one(index: int, d: Any) -> Dialogue | dict[str, Any]:
         stage = stages[0]
         try:
             if stage == "a":
@@ -241,9 +249,40 @@ def synthesize_records(items: Iterable[Any], stages: Sequence[str], backend: Com
             return {"stage": stage, "id": d.id, "error": str(err)}
         return d
 
-    for out in run_records(one, enumerate(items), concurrency):
+    return one
+
+
+def synthesize_records(items: Iterable[Any], stages: Sequence[str], backend: CompletionBackend,
+                       cfg: PipelineConfig, rejects: list[dict[str, Any]], *,
+                       task: str | None = None, pool: DistractorPool | None = None,
+                       concurrency: int = 1) -> Iterator[dict[str, Any]]:
+    """Run each of ``items`` through ``stages``; yield the dialogue records in input order.
+
+    Each item goes through ``record_synthesizer``; a reject is appended to
+    ``rejects`` instead, at most ``concurrency`` items are in flight.
+    """
+    from .util import run_records
+
+    one = record_synthesizer(stages, backend, cfg, task=task, pool=pool)
+    for out in run_records(lambda item: one(*item), enumerate(items), concurrency):
         if isinstance(out, Dialogue):
             yield dialogue_to_record(out)
+        else:
+            rejects.append(out)
+
+
+def _synthesized_lines(path: str, decode: Callable[[Any], Any] | None,
+                       one: Callable[[int, Any], Dialogue | dict[str, Any]],
+                       rejects: list[dict[str, Any]]) -> Iterator[str]:
+    """The output line of ``one`` on each ``decode``d line of ``path``, run by
+    ``io.map_lines``; a reject is appended to ``rejects`` instead."""
+    def line(index: int, lineno: int, raw: bytes) -> str | dict[str, Any]:
+        out = one(index, io.decode_line(path, lineno, raw, decode))
+        return io.dumps(dialogue_to_record(out)) if isinstance(out, Dialogue) else out
+
+    for out in io.map_lines(path, line):
+        if isinstance(out, str):
+            yield out
         else:
             rejects.append(out)
 
@@ -277,15 +316,19 @@ def cmd_synthesize(args: argparse.Namespace, argv: Sequence[str]) -> int:
         if not report.ok:
             first = report.violations[0]
             raise ConfigError(f"distractor pool {args.pool}: entry {first.where}: {first.detail}")
-    items = io.read_jsonl(args.in_path) if "a" in stages else _read_dialogues(args.in_path)
+    decode = None if "a" in stages else dialogue_from_record
     backend = cfg.make_backend()
-    # The mock stages are CPU-bound, so threads only add overhead there.
-    concurrency = cfg.concurrency if cfg.backend == "remote" else 1
     rejects: list[dict[str, Any]] = []
+    if cfg.backend == "remote":  # I/O-bound: threads, each with its own connection
+        items = io.read_records(args.in_path, decode)
+        lines = map(io.dumps, synthesize_records(items, stages, backend, cfg, rejects,
+                                                 task=args.task, pool=pool,
+                                                 concurrency=cfg.concurrency))
+    else:  # CPU-bound: forked workers, one per CPU
+        one = record_synthesizer(stages, backend, cfg, task=args.task, pool=pool)
+        lines = _synthesized_lines(args.in_path, decode, one, rejects)
     try:
-        written = io.write_jsonl(args.out, synthesize_records(
-            items, stages, backend, cfg, rejects,
-            task=args.task, pool=pool, concurrency=concurrency))
+        written = io.write_lines(args.out, lines)
     except BackendUnavailable as err:
         print(f"backend failure: {err}", file=sys.stderr)
         return 4
@@ -301,14 +344,20 @@ def cmd_synthesize(args: argparse.Namespace, argv: Sequence[str]) -> int:
 
 def cmd_validate(args: argparse.Namespace, argv: Sequence[str]) -> int:
     del argv
+    read = _dialogue_reader(args.in_path, args.signature)
+
+    def violations(index: int, lineno: int, line: bytes) -> list[str]:
+        d = read(lineno, line)
+        if d is None:
+            return []
+        return [f"{d.id}: {v.rule}{'' if v.where is None else f' (round {v.where})'}: {v.detail}"
+                for v in validate_dialogue(d).violations]
+
     bad = 0
-    for d in _read_dialogues(args.in_path, args.signature):
-        report = validate_dialogue(d)
-        if not report.ok:
+    for lines in io.map_lines(args.in_path, violations):
+        if lines:
             bad += 1
-            for v in report.violations:
-                where = "" if v.where is None else f" (round {v.where})"
-                print(f"{d.id}: {v.rule}{where}: {v.detail}")
+            print("\n".join(lines))
     print(f"validate: {bad} dialogues with violations")
     return 0 if bad == 0 else 1
 
@@ -316,9 +365,15 @@ def cmd_validate(args: argparse.Namespace, argv: Sequence[str]) -> int:
 def cmd_serialize(args: argparse.Namespace, argv: Sequence[str]) -> int:
     cfg = _load_config(args)
     stream_cfg = cfg.stream_config()
+    read = _dialogue_reader(args.in_path, args.signature)
     inputs = _digests([args.in_path])
-    written = io.write_jsonl(args.out, (stream_to_record(serialize(d, stream_cfg))
-                                        for d in _read_dialogues(args.in_path, args.signature)))
+
+    def stream_line(index: int, lineno: int, line: bytes) -> str | None:
+        d = read(lineno, line)
+        return None if d is None else io.dumps(stream_to_record(serialize(d, stream_cfg)))
+
+    written = io.write_lines(args.out, (s for s in io.map_lines(args.in_path, stream_line)
+                                        if s is not None))
     _write_manifest(args, argv, cfg, inputs, [args.out], {"written": written})
     print(f"serialize: {written} streams -> {args.out}")
     return 0
@@ -327,8 +382,11 @@ def cmd_serialize(args: argparse.Namespace, argv: Sequence[str]) -> int:
 def cmd_mask(args: argparse.Namespace, argv: Sequence[str]) -> int:
     cfg = _load_config(args)
     inputs = _digests([args.in_path])
-    written = io.write_lines(args.out, map(mask_intervals,
-                                           io.read_records(args.in_path, stream_from_record)))
+
+    def mask_line(index: int, lineno: int, line: bytes) -> str:
+        return mask_intervals(io.decode_line(args.in_path, lineno, line, stream_from_record))
+
+    written = io.write_lines(args.out, io.map_lines(args.in_path, mask_line))
     _write_manifest(args, argv, cfg, inputs, [args.out], {"written": written})
     print(f"mask: {written} masks -> {args.out}")
     return 0
@@ -349,11 +407,16 @@ def cmd_pack(args: argparse.Namespace, argv: Sequence[str]) -> int:
     except ValueError as err:
         raise ConfigError(f"sampling config {args.sampling_config}: {err}") from err
 
+    seen: set[str] = set()  # the dialogue ids of the stream file being read
+
     def sample(rec: Any) -> tuple[str, int]:
         s = stream_from_record(rec)
         if s.total_len > cfg.l_max:
             raise ValueError(f"stream {s.dialogue_id!r}: total_len {s.total_len} "
                              f"is over l_max {cfg.l_max}")
+        if s.dialogue_id in seen:
+            raise ValueError(f"stream {s.dialogue_id!r}: dialogue_id repeats an earlier stream's")
+        seen.add(s.dialogue_id)
         return s.dialogue_id, s.total_len
 
     in_dir = Path(args.in_dir)
@@ -366,6 +429,7 @@ def cmd_pack(args: argparse.Namespace, argv: Sequence[str]) -> int:
         if not path.exists():
             raise ConfigError(f"category {category!r}: no stream file at {path}")
         inputs[str(path)] = io.sha256_file(path)
+        seen.clear()
         corpora[category] = list(io.read_records(path, sample))
         if not corpora[category]:
             raise ConfigError(f"category {category!r}: stream file {path} is empty")
@@ -383,23 +447,34 @@ def cmd_stats(args: argparse.Namespace, argv: Sequence[str]) -> int:
     del argv
     cfg = _load_config(args)
     stream_cfg = cfg.stream_config()
+    read = _dialogue_reader(args.in_path, args.signature)
+
+    def record_stats(index: int, lineno: int, line: bytes) -> tuple[Any, ...] | None:
+        d = read(lineno, line)
+        if d is None:
+            return None
+        summary = loss_summary(serialize(d, stream_cfg))
+        return (format_signature(d.signature),
+                str(d.dep_depth_value) if d.dep_depth_value is not None else "0",
+                sum(1 for r in d.rounds if r.user.is_distractor),
+                summary.ce_positions, summary.mse_positions, summary.none_positions,
+                summary.total)
+
     signatures: dict[str, int] = {}
     depths: dict[str, int] = {}
     distractor_rounds = 0
     loss = {"ce": 0, "mse": 0, "none": 0, "total": 0}
     n = 0
-    for d in _read_dialogues(args.in_path, args.signature):
+    for rec in io.map_lines(args.in_path, record_stats):
+        if rec is None:
+            continue
+        sig, depth_key, distractors, *positions = rec
         n += 1
-        sig = format_signature(d.signature)
         signatures[sig] = signatures.get(sig, 0) + 1
-        depth_key = str(d.dep_depth_value) if d.dep_depth_value is not None else "0"
         depths[depth_key] = depths.get(depth_key, 0) + 1
-        distractor_rounds += sum(1 for r in d.rounds if r.user.is_distractor)
-        summary = loss_summary(serialize(d, stream_cfg))
-        loss["ce"] += summary.ce_positions
-        loss["mse"] += summary.mse_positions
-        loss["none"] += summary.none_positions
-        loss["total"] += summary.total
+        distractor_rounds += distractors
+        for key, count in zip(loss, positions):
+            loss[key] += count
     result = {
         "dialogues": n,
         "signatures": {k: signatures[k] for k in sorted(signatures)},

@@ -1,14 +1,21 @@
-"""JSONL reading/writing with byte-deterministic output."""
+"""JSONL reading and writing with byte-deterministic output, and ``map_lines``: an
+order-preserving map over the lines of a file that runs chunks of it in forked workers."""
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import os
+import threading
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, TypeVar
+from typing import Any, BinaryIO, Callable, Iterable, Iterator, TypeVar
 
 T = TypeVar("T")
+R = TypeVar("R")
+
+# Non-blank lines per unit of work that ``map_lines`` hands a worker.
+CHUNK_LINES = 128
 
 
 class MalformedLine(ValueError):
@@ -66,39 +73,161 @@ def parse_json(data: bytes) -> Any:
         raise ValueError("JSON nested too deeply") from None
 
 
-def read_jsonl(path: str | Path) -> Iterator[Any]:
-    """``parse_json`` of each non-blank line; a line ends at each newline byte.
+def numbered_lines(path: str | Path) -> Iterator[tuple[int, int, bytes]]:
+    """``(index, lineno, line)`` of each non-blank line; a line ends at each newline byte.
 
-    Raises:
-        MalformedLine: a line fails ``parse_json``; the message leads with
-            ``path:line``.
+    ``index`` counts the non-blank lines from 0, ``lineno`` all lines from 1.
     """
     with open(path, "rb") as f:
+        index = 0
         for lineno, line in enumerate(f, 1):
             if line.strip():
-                try:
-                    value = parse_json(line)
-                except ValueError as err:
-                    raise MalformedLine(f"{path}:{lineno}: {err}") from None
-                yield value
+                yield index, lineno, line
+                index += 1
 
 
-def read_records(path: str | Path, decode: Callable[[Any], T]) -> Iterator[T]:
-    """``decode`` each value of ``read_jsonl(path)``.
+def decode_line(path: str | Path, lineno: int, line: bytes,
+                decode: Callable[[Any], T] | None = None) -> Any:
+    """``parse_json`` of ``line``, then ``decode`` of its value if given.
 
     Raises:
-        MalformedLine: a line is not JSON, or ``decode`` fails on its value; the
-            message leads with ``path:line``, blank lines counted.
+        MalformedLine: ``line`` fails ``parse_json``, or ``decode`` fails on its
+            value; the message leads with ``path:lineno``.
     """
-    for k, obj in enumerate(read_jsonl(path)):
+    try:
+        value = parse_json(line)
+    except ValueError as err:
+        raise MalformedLine(f"{path}:{lineno}: {err}") from None
+    if decode is None:
+        return value
+    try:
+        return decode(value)
+    except (KeyError, TypeError, ValueError, AttributeError) as err:
+        detail = f"missing key {err}" if isinstance(err, KeyError) else str(err)
+        raise MalformedLine(f"{path}:{lineno}: {detail}") from None
+
+
+def read_records(path: str | Path, decode: Callable[[Any], T] | None = None) -> Iterator[Any]:
+    """``decode_line`` of each of ``numbered_lines(path)``, with ``decode`` if given."""
+    for _, lineno, line in numbered_lines(path):
+        yield decode_line(path, lineno, line, decode)
+
+
+def read_jsonl(path: str | Path) -> Iterator[Any]:
+    """The JSON value of each non-blank line of ``path``: ``read_records`` without ``decode``."""
+    return read_records(path)
+
+
+def _workers(path: str | Path) -> int:
+    """How many processes ``map_lines`` forks for ``path``; 1 means none.
+
+    One per CPU of this process's affinity set, and no more than ``path`` has
+    chunks; none where ``os.fork`` is missing or another thread is running,
+    since a forked copy of a running thread's locks could deadlock.
+    """
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    if threading.active_count() > 1:
+        return 1
+    cpus = len(os.sched_getaffinity(0))
+    if cpus == 1:
+        return 1
+    seen = sum(1 for _ in itertools.islice(numbered_lines(path), cpus * CHUNK_LINES))
+    return min(cpus, -(-seen // CHUNK_LINES))
+
+
+def map_lines(path: str | Path, fn: Callable[[int, int, bytes], R]) -> Iterator[R]:
+    """Yield ``fn(index, lineno, line)`` for each of ``numbered_lines(path)``, in input order.
+
+    With more than one CPU and more than one chunk of ``CHUNK_LINES`` lines,
+    forked workers run the chunks (see ``_workers``): worker ``w`` of ``n``
+    reads ``path`` itself, runs every chunk ``c`` with ``c % n == w`` and
+    sends each chunk's results through its own pipe, so this process holds at
+    most one chunk's results at a time. ``fn`` runs in a worker, so what it
+    changes outside its result is lost, and its results and exceptions must
+    pickle.
+
+    Raises:
+        Exception: the first one ``fn`` raises, in input order, after the
+            results of the lines before it.
+        OSError: a worker ended without reporting a chunk.
+    """
+    workers = _workers(path)
+    if workers == 1:
+        for item in numbered_lines(path):
+            yield fn(*item)
+        return
+    import pickle
+    import signal
+
+    pids: list[int] = []
+    pipes: list[BinaryIO] = []
+    try:
+        for w in range(workers):
+            r, wfd = os.pipe()
+            pipes.append(open(r, "rb"))
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(wfd)
+                raise
+            if pid == 0:
+                code = 1
+                try:
+                    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent ends the workers
+                    for f in pipes:
+                        f.close()
+                    _serve(path, fn, w, workers, open(wfd, "wb"))
+                    code = 0
+                finally:
+                    os._exit(code)
+            pids.append(pid)
+            os.close(wfd)
+        for chunk in itertools.count():
+            try:
+                report = pickle.load(pipes[chunk % workers])
+            except (EOFError, pickle.UnpicklingError):  # the worker died before its report
+                first = chunk * CHUNK_LINES + 1
+                raise OSError(f"{path}: worker {pids[chunk % workers]} ended without reporting "
+                              f"non-blank lines {first}-{first + CHUNK_LINES - 1}") from None
+            if report is None:
+                return
+            results, err = report
+            yield from results
+            if err is not None:
+                raise err
+    finally:
+        for f in pipes:
+            f.close()
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _serve(path: str | Path, fn: Callable[[int, int, bytes], Any], w: int, workers: int,
+           out: BinaryIO) -> None:
+    """Worker ``w`` of ``map_lines``: write one pickled report per chunk of its share.
+
+    A report is ``(results, None)``, or ``(results so far, exception)`` for the
+    chunk where ``fn`` raised, which is the last; ``None`` follows the last chunk.
+    """
+    import pickle
+
+    def send(report: Any) -> None:
+        out.write(pickle.dumps(report, pickle.HIGHEST_PROTOCOL))
+        out.flush()
+
+    mine = (item for item in numbered_lines(path) if item[0] // CHUNK_LINES % workers == w)
+    for _, chunk in itertools.groupby(mine, key=lambda item: item[0] // CHUNK_LINES):
+        results = []
         try:
-            rec = decode(obj)
-        except (KeyError, TypeError, ValueError, AttributeError) as err:
-            detail = f"missing key {err}" if isinstance(err, KeyError) else str(err)
-            with open(path, "rb") as f:  # the k-th value's line, on failure only
-                lineno = [n for n, line in enumerate(f, 1) if line.strip()][k]
-            raise MalformedLine(f"{path}:{lineno}: {detail}") from None
-        yield rec
+            for item in chunk:
+                results.append(fn(*item))
+        except Exception as err:  # noqa: BLE001 - the parent raises it in input order
+            send((results, err))
+            return
+        send((results, None))
+    send(None)
 
 
 def sha256_file(path: str | Path) -> str:

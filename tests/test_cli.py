@@ -366,7 +366,8 @@ def test_chain_lets_backend_unavailable_through(concurrency):
         list(chain)
 
 
-def test_bad_dialogue_midway_exits_3_after_the_records_before_it(workdir, capsys, monkeypatch):
+def _bad_dialogue_midway():
+    """bad.jsonl: 300 stage-a dialogues, line 150 without rounds; out/o.jsonl: an old output."""
     io.write_jsonl("r300.jsonl", make_edit_records(300, 5))
     run("synthesize", "--stage", "a", "--task", "t_i_i1_1", "--in", "r300.jsonl",
         "--out", "d.jsonl", "--seed", "1")
@@ -375,6 +376,12 @@ def test_bad_dialogue_midway_exits_3_after_the_records_before_it(workdir, capsys
     io.write_jsonl("bad.jsonl", records)
     Path("out").mkdir()
     Path("out/o.jsonl").write_bytes(b"previous output\n")
+
+
+def test_bad_dialogue_midway_exits_3_after_the_records_before_it(workdir, capsys, monkeypatch):
+    # stage-b calls are counted in this process, so the run must not fork workers
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    _bad_dialogue_midway()
     calls = []
     monkeypatch.setattr(stage_b, "insert_distractors",
                         lambda d, *args, _fn=stage_b.insert_distractors, **kwargs:
@@ -386,6 +393,23 @@ def test_bad_dialogue_midway_exits_3_after_the_records_before_it(workdir, capsys
     assert len(calls) == 149  # the records before the bad line went through stage b
     assert os.listdir("out") == ["o.jsonl"]
     assert Path("out/o.jsonl").read_bytes() == b"previous output\n"
+
+
+def test_bad_dialogue_midway_exits_3_under_workers(workdir, capsys, monkeypatch):
+    forks = []
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(os, "fork", lambda _fork=os.fork: forks.append(1) or _fork())
+    _bad_dialogue_midway()
+    forks.clear()
+    capsys.readouterr()
+    assert run("synthesize", "--stage", "b", "--in", "bad.jsonl", "--pool", "pool.jsonl",
+               "--out", "out/o.jsonl") == 3
+    assert capsys.readouterr().err == "i/o error: bad.jsonl:150: missing key 'rounds'\n"
+    assert len(forks) == 2  # two CPUs, and the 300 lines make three chunks of 128
+    assert os.listdir("out") == ["o.jsonl"]
+    assert Path("out/o.jsonl").read_bytes() == b"previous output\n"
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 NESTED = b"[" * 200_000 + b"\n"
@@ -553,6 +577,23 @@ def test_pack_command(workdir):
     assert all(p["total"] <= 16000 for p in packs)
     stats = json.loads(Path("stats.json").read_text())
     assert stats["sample_count"] == 200
+
+
+def test_pack_refuses_a_repeated_dialogue_id(workdir, capsys):
+    run("synthesize", "--stage", "a", "--task", "t_i_0_0",
+        "--in", "t2i_records_20.jsonl", "--out", "d.jsonl", "--seed", "1")
+    Path("streams").mkdir()
+    run("serialize", "--in", "d.jsonl", "--out", "s.jsonl")
+    lines = Path("s.jsonl").read_text().splitlines(keepends=True)
+    Path("streams/t2i.jsonl").write_text("".join(lines[:5] + ["\n"] + lines[2:3] + lines[5:]))
+    Path("weights.json").write_text(json.dumps({"t2i": 1.0}))
+    capsys.readouterr()
+    assert run("pack", "--config", "weights.json", "--in-dir", "streams", "--n", "50",
+               "--out", "packs.jsonl", "--stats", "stats.json") == 3
+    sid = json.loads(lines[2])["dialogue_id"]
+    assert capsys.readouterr().err == (f"i/o error: streams/t2i.jsonl:7: stream {sid!r}: "
+                                       "dialogue_id repeats an earlier stream's\n")
+    assert not Path("packs.jsonl").exists()
 
 
 def test_stats_depth_histogram(workdir):
