@@ -346,15 +346,19 @@ def cmd_validate(args: argparse.Namespace, argv: Sequence[str]) -> int:
     del argv
     read = _dialogue_reader(args.in_path, args.signature)
 
-    def violations(index: int, lineno: int, line: bytes) -> list[str]:
+    def violations(index: int, lineno: int, line: bytes) -> tuple[str, list[str]] | None:
         d = read(lineno, line)
         if d is None:
-            return []
-        return [f"{d.id}: {v.rule}{'' if v.where is None else f' (round {v.where})'}: {v.detail}"
-                for v in validate_dialogue(d).violations]
+            return None
+        return d.id, [f"{d.id}: {v.rule}{'' if v.where is None else f' (round {v.where})'}: "
+                      f"{v.detail}" for v in validate_dialogue(d).violations]
 
     bad = 0
-    for lines in io.map_lines(args.in_path, violations):
+    ids: set[str] = set()  # workers see one chunk each, so the corpus rule runs here
+    for dialogue_id, lines in filter(None, io.map_lines(args.in_path, violations)):
+        if dialogue_id in ids:
+            lines.append(f"{dialogue_id}: id-unique: an earlier dialogue has this id")
+        ids.add(dialogue_id)
         if lines:
             bad += 1
             print("\n".join(lines))

@@ -3,11 +3,14 @@
 A dialogue is an ordered list of (user, assistant) rounds plus dependency
 annotations tying the final user request to earlier rounds. Values are frozen
 after construction; the transformation stages always build new dialogues.
-The constructor derives a dialogue's signature and ``dep_depth_value`` from
-its content and raises when the content has none, so neither is ever stored
-apart from what it describes, and records do not carry them. The remaining
-structural rules are checked by ``validate_dialogue``, which reports
-violations as data rather than raising.
+
+Each fact is stored once. The constructor derives a dialogue's signature and
+``dep_depth_value`` from its content and raises when the content has none. A
+turn's role is the slot it fills in its round, so an image in a user turn is
+an upload and one in an assistant turn a generated image, and a turn is a
+distractor exactly when its provenance says so. Records carry none of these.
+The remaining structural rules are checked by ``validate_dialogue``, which
+reports violations as data rather than raising.
 
 Depth bookkeeping: ``dep_depth_value`` records how far back the *farthest*
 dependency target sits (in rounds), while the signature's depth kind is
@@ -67,13 +70,9 @@ class MissingCaption(ValueError):
     """An operation needed an image caption that is absent or blank."""
 
 
-class ImageSource(Enum):
-    DATASET = "dataset"
-    UPLOADED = "uploaded"
-    GENERATED = "generated"
-
-
 class Role(Enum):
+    """The slot a turn fills in its round; the stream grammar labels each part with it."""
+
     USER = "user"
     ASSISTANT = "assistant"
 
@@ -89,7 +88,6 @@ class Stage(Enum):
 @dataclass(frozen=True)
 class ImageRef:
     id: str
-    source: ImageSource
     uri: str
     width: int
     height: int
@@ -126,13 +124,21 @@ class Provenance:
 
 @dataclass(frozen=True)
 class Turn:
-    role: Role
+    """Segments and where they came from.
+
+    A turn's role is the slot of its ``Round`` that holds it, and it is a
+    distractor when its provenance stage is ``Stage.DISTRACTOR``.
+    """
+
     segments: tuple[Segment, ...]
     provenance: Provenance
-    is_distractor: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "segments", tuple(self.segments))
+
+    @property
+    def is_distractor(self) -> bool:
+        return self.provenance.stage is Stage.DISTRACTOR
 
     def text_content(self) -> str:
         """All text segments joined with single spaces, in order."""
@@ -202,26 +208,21 @@ class ValidationReport:
 
 def validate_round_turns(user: Turn, assistant: Turn, report: ValidationReport,
                          where: int | None = None) -> None:
-    """Turn-level checks for one round; shared with distractor-pool validation."""
-    if user.role is not Role.USER:
-        report.add("round-roles", f"user slot holds role {user.role.value!r}", where)
-    if assistant.role is not Role.ASSISTANT:
-        report.add("round-roles", f"assistant slot holds role {assistant.role.value!r}", where)
-
-    for turn in (user, assistant):
+    """Turn-level checks for one round, each turn named by its slot; shared with
+    distractor-pool validation."""
+    for slot, turn in (("user", user), ("assistant", assistant)):
         if not turn.segments:
-            report.add("empty-segments", f"{turn.role.value} turn has no segments", where)
+            report.add("empty-segments", f"{slot} turn has no segments", where)
             continue
         for seg in turn.segments:
             if seg.is_text and not seg.text.strip():
-                report.add("empty-text", f"{turn.role.value} turn has a blank text segment", where)
+                report.add("empty-text", f"{slot} turn has a blank text segment", where)
             if seg.is_image and (seg.image.width <= 0 or seg.image.height <= 0):
                 report.add("image-dims", f"image {seg.image.id!r} has non-positive dimensions", where)
         images = turn.images()
         if len(images) > 1:  # the stream grammar holds one upload or one generated image
-            report.add(f"{turn.role.value}-image-count",
-                       f"{turn.role.value} turn carries {len(images)} images", where)
-        if turn.role is Role.ASSISTANT:
+            report.add(f"{slot}-image-count", f"{slot} turn carries {len(images)} images", where)
+        if slot == "assistant":
             seen_text = False
             for seg in turn.segments:
                 if seg.is_text:
@@ -230,13 +231,6 @@ def validate_round_turns(user: Turn, assistant: Turn, report: ValidationReport,
                     report.add("assistant-image-order",
                                "assistant image segment appears after text", where)
                     break
-        for img in images:
-            if img.source is ImageSource.GENERATED and turn.role is not Role.ASSISTANT:
-                report.add("generated-placement",
-                           f"generated image {img.id!r} in a user turn", where)
-            if img.source is ImageSource.UPLOADED and turn.role is not Role.USER:
-                report.add("uploaded-placement",
-                           f"uploaded image {img.id!r} in an assistant turn", where)
 
 
 def validate_dialogue(d: Dialogue) -> ValidationReport:
@@ -327,7 +321,6 @@ def _classify(rounds: tuple[Round, ...], targets: tuple[int, ...]) -> TaskSignat
 def image_to_obj(img: ImageRef) -> dict[str, Any]:
     obj: dict[str, Any] = {
         "id": img.id,
-        "source": img.source.value,
         "uri": img.uri,
         "width": img.width,
         "height": img.height,
@@ -340,7 +333,6 @@ def image_to_obj(img: ImageRef) -> dict[str, Any]:
 # The decoders check the value types later code computes with, so that a bad
 # record is refused where it is read (the CLI's exit 3 with path:line).
 
-_image_source = enum_decoder(ImageSource)
 _stage = enum_decoder(Stage)
 
 
@@ -353,7 +345,6 @@ def image_from_obj(obj: dict[str, Any]) -> ImageRef:
                         f"not {width!r} and {height!r}")
     return ImageRef(
         id=obj["id"],
-        source=_image_source(obj["source"]),
         uri=obj["uri"],
         width=width,
         height=height,
@@ -383,31 +374,26 @@ def turn_to_obj(turn: Turn) -> dict[str, Any]:
         prov["original_text"] = turn.provenance.original_text
     return {
         "segments": [_segment_to_obj(s) for s in turn.segments],
-        "is_distractor": turn.is_distractor,
         "provenance": prov,
     }
 
 
-def turn_from_obj(obj: dict[str, Any], role: Role) -> Turn:
+def turn_from_obj(obj: dict[str, Any], slot: str) -> Turn:
+    """Decode the turn in round slot ``slot``, which names it in errors."""
     if not isinstance(obj, dict):
-        raise TypeError(f"{role.value} turn must be an object, not {obj!r}")
+        raise TypeError(f"{slot} turn must be an object, not {obj!r}")
     prov = obj["provenance"]
     if not isinstance(prov, dict):
-        raise TypeError(f"{role.value} turn: provenance must be an object, not {prov!r}")
+        raise TypeError(f"{slot} turn: provenance must be an object, not {prov!r}")
     if not isinstance(obj["segments"], list):
-        raise TypeError(f"{role.value} turn: segments must be a list")
-    if type(obj["is_distractor"]) is not bool:
-        raise TypeError(f"{role.value} turn: is_distractor must be true or false, "
-                        f"not {obj['is_distractor']!r}")
+        raise TypeError(f"{slot} turn: segments must be a list")
     return Turn(
-        role=role,
         segments=tuple(_segment_from_obj(s) for s in obj["segments"]),
         provenance=Provenance(
             stage=_stage(prov["stage"]),
             op_kind=prov.get("op_kind"),
             original_text=prov.get("original_text"),
         ),
-        is_distractor=obj["is_distractor"],
     )
 
 
@@ -424,7 +410,11 @@ def dialogue_to_record(d: Dialogue) -> dict[str, Any]:
 
 
 def dialogue_from_record(rec: dict[str, Any]) -> Dialogue:
-    """Decode one record, ignoring the ``signature`` and ``dep_depth_value`` older ones hold."""
+    """Decode one record.
+
+    Older records also hold ``signature`` and ``dep_depth_value``, an
+    ``is_distractor`` per turn and a ``source`` per image; all are ignored.
+    """
     if not isinstance(rec["rounds"], list):
         raise TypeError(f"dialogue {rec['id']!r}: rounds must be a list")
     targets = rec["dep_target_rounds"]
@@ -436,8 +426,8 @@ def dialogue_from_record(rec: dict[str, Any]) -> Dialogue:
         if not isinstance(r, dict):
             raise TypeError(f"dialogue {rec['id']!r}: round {i} must be an object, not {r!r}")
         try:
-            rounds.append(Round(user=turn_from_obj(r["user"], Role.USER),
-                                assistant=turn_from_obj(r["assistant"], Role.ASSISTANT)))
+            rounds.append(Round(user=turn_from_obj(r["user"], "user"),
+                                assistant=turn_from_obj(r["assistant"], "assistant")))
         except TypeError as err:
             raise TypeError(f"dialogue {rec['id']!r}: round {i}: {err}") from err
     annotations = rec.get("annotations", [])

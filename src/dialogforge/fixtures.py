@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 from typing import Any
 
-from .dialogue import ImageRef, ImageSource, Provenance, Role, Segment, Stage, Turn
+from .dialogue import ImageRef, Provenance, Segment, Stage, Turn
 from .stage_b import DistractorCategory, DistractorEntry, DistractorPool
 
 _ADJECTIVES = ["golden", "white", "sleepy", "tiny", "ancient", "bright", "wooden",
@@ -39,7 +39,7 @@ def make_caption(rng: random.Random) -> str:
 def make_image_obj(rng: random.Random, image_id: str, caption: str | None = None) -> dict[str, Any]:
     obj = {
         "id": image_id,
-        "source": ImageSource.DATASET.value,
+        "source": "dataset",
         "uri": f"data/images/{image_id}.png",
         "width": rng.choice(_DIMS),
         "height": rng.choice(_DIMS),
@@ -98,9 +98,8 @@ def make_subject_records(n: int, seed: int) -> list[dict[str, Any]]:
     return records
 
 
-def _image_ref(rng: random.Random, image_id: str, source: ImageSource,
-               caption: str) -> ImageRef:
-    return ImageRef(id=image_id, source=source, uri=f"data/images/{image_id}.png",
+def _image_ref(rng: random.Random, image_id: str, caption: str) -> ImageRef:
+    return ImageRef(id=image_id, uri=f"data/images/{image_id}.png",
                     width=rng.choice(_DIMS), height=rng.choice(_DIMS), caption=caption)
 
 
@@ -111,26 +110,26 @@ def make_distractor_pool(n_per_category: int, seed: int) -> DistractorPool:
     prov = Provenance(Stage.SOURCE)
     for i in range(n_per_category):
         caption = make_caption(rng)
-        img = _image_ref(rng, f"pool-t2i-{i:04d}", ImageSource.GENERATED, caption)
+        img = _image_ref(rng, f"pool-t2i-{i:04d}", caption)
         entries.append(DistractorEntry(
             DistractorCategory.T2I,
-            Turn(Role.USER, (Segment(text=f"Please generate an image of {caption}"),), prov),
-            Turn(Role.ASSISTANT, (Segment(image=img),), prov),
+            Turn((Segment(text=f"Please generate an image of {caption}"),), prov),
+            Turn((Segment(image=img),), prov),
         ))
     for i in range(n_per_category):
         caption = make_caption(rng)
-        img = _image_ref(rng, f"pool-und-{i:04d}", ImageSource.UPLOADED, caption)
+        img = _image_ref(rng, f"pool-und-{i:04d}", caption)
         entries.append(DistractorEntry(
             DistractorCategory.IMAGE_UNDERSTANDING,
-            Turn(Role.USER, (Segment(text=rng.choice(_QUESTIONS)), Segment(image=img)), prov),
-            Turn(Role.ASSISTANT, (Segment(text=f"It looks like {caption}."),), prov),
+            Turn((Segment(text=rng.choice(_QUESTIONS)), Segment(image=img)), prov),
+            Turn((Segment(text=f"It looks like {caption}."),), prov),
         ))
     for i in range(n_per_category):
         q, a = rng.choice(_CHAT)
         entries.append(DistractorEntry(
             DistractorCategory.TEXT_CHAT,
-            Turn(Role.USER, (Segment(text=q),), prov),
-            Turn(Role.ASSISTANT, (Segment(text=a),), prov),
+            Turn((Segment(text=q),), prov),
+            Turn((Segment(text=a),), prov),
         ))
     return DistractorPool(tuple(entries))
 

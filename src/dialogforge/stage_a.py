@@ -2,9 +2,10 @@
 
 Each builder covers one task signature with dependency depth 0 or 1. Images
 are passed through as references: a record's dataset image becomes the
-generated (assistant) or uploaded (user) image of the dialogue fiction, id
-preserved so input and output corpora stay joinable. A record keeps each
-caption once, on its image, where ``_dataset_image`` fills it in or checks it.
+generated image of the dialogue fiction where an assistant turn holds it and
+the uploaded one where a user turn does, id preserved so input and output
+corpora stay joinable. A record keeps each caption once, on its image, where
+``_dataset_image`` fills it in or checks it.
 """
 
 from __future__ import annotations
@@ -16,9 +17,7 @@ from .atomic_ops import CompletionBackend, OpKind, invoke
 from .dialogue import (
     Dialogue,
     ImageRef,
-    ImageSource,
     Provenance,
-    Role,
     Round,
     Segment,
     Stage,
@@ -61,8 +60,8 @@ def _require(obj: dict[str, Any], key: str) -> Any:
 
 def _dataset_image(obj: dict[str, Any], caption: str) -> ImageRef:
     img = image_from_obj(obj)
-    if img.source is not ImageSource.DATASET:
-        raise RecordError(f"image {img.id!r} must be dataset-sourced, got {img.source.value!r}")
+    if obj.get("source") != "dataset":
+        raise RecordError(f"image {img.id!r} must be dataset-sourced, got {obj.get('source')!r}")
     if img.caption is None:
         img = replace(img, caption=caption)
     elif img.caption != caption:
@@ -111,33 +110,25 @@ def subject_record_from_obj(obj: dict[str, Any]) -> SubjectRecord:
                          composed_image=composed)
 
 
-def _generated(img: ImageRef) -> Segment:
-    return Segment(image=replace(img, source=ImageSource.GENERATED))
-
-
-def _uploaded(img: ImageRef) -> Segment:
-    return Segment(image=replace(img, source=ImageSource.UPLOADED))
-
-
-def _user(text: str, op: OpKind | None = None, upload: Segment | None = None) -> Turn:
+def _user(text: str, op: OpKind | None = None, upload: ImageRef | None = None) -> Turn:
     prov = Provenance(Stage.A, op_kind=op.value) if op else Provenance(Stage.SOURCE)
-    segments = (Segment(text=text),) if upload is None else (Segment(text=text), upload)
-    return Turn(Role.USER, segments, prov)
+    upload_segment = () if upload is None else (Segment(image=upload),)
+    return Turn((Segment(text=text),) + upload_segment, prov)
 
 
-def _assistant_image(seg: Segment) -> Turn:
-    return Turn(Role.ASSISTANT, (seg,), Provenance(Stage.SOURCE))
+def _assistant_image(img: ImageRef) -> Turn:
+    return Turn((Segment(image=img),), Provenance(Stage.SOURCE))
 
 
 def _assistant_text(text: str, op: OpKind) -> Turn:
-    return Turn(Role.ASSISTANT, (Segment(text=text),), Provenance(Stage.A, op_kind=op.value))
+    return Turn((Segment(text=text),), Provenance(Stage.A, op_kind=op.value))
 
 
 def _generation_round(img: ImageRef, backend: CompletionBackend, seed: int,
                       retries: int) -> Round:
     """A request written from the image's caption, answered by the image."""
     query = invoke(OpKind.CAPTION2QUERY, {"caption": img.caption}, seed, backend, retries)["query"]
-    return Round(_user(query, OpKind.CAPTION2QUERY), _assistant_image(_generated(img)))
+    return Round(_user(query, OpKind.CAPTION2QUERY), _assistant_image(img))
 
 
 def build_t_i_0_0(rec: T2IRecord, backend: CompletionBackend, *,
@@ -154,8 +145,7 @@ def build_t_i_t1_1(rec: T2IRecord, backend: CompletionBackend, *,
                 derive_seed(seed, rec.id, "caption2qa_q"), backend, retries)
     rounds = (
         Round(_user(qa["q"], OpKind.CAPTION2QA_Q), _assistant_text(qa["a"], OpKind.CAPTION2QA_Q)),
-        Round(_user(qa["query"], OpKind.CAPTION2QA_Q),
-              _assistant_image(_generated(rec.image))),
+        Round(_user(qa["query"], OpKind.CAPTION2QA_Q), _assistant_image(rec.image)),
     )
     return Dialogue(f"{rec.id}.t_i_t1_1.{seed}", rounds, (0,))
 
@@ -164,8 +154,8 @@ def build_ti_i_0_0(rec: EditRecord, backend: CompletionBackend, *,
                    seed: int = 0, retries: int = 2) -> Dialogue:
     """Single-round edit: instruction plus uploaded image in, edited image out; no backend call."""
     return Dialogue(f"{rec.id}.ti_i_0_0.{seed}", (Round(
-        _user(rec.instruction, upload=_uploaded(rec.source_image)),
-        _assistant_image(_generated(rec.target_image)),
+        _user(rec.instruction, upload=rec.source_image),
+        _assistant_image(rec.target_image),
     ),))
 
 
@@ -175,7 +165,7 @@ def build_t_i_i1_1(rec: EditRecord, backend: CompletionBackend, *,
     rounds = (
         _generation_round(rec.source_image, backend,
                           derive_seed(seed, rec.id, "caption2query"), retries),
-        Round(_user(rec.instruction), _assistant_image(_generated(rec.target_image))),
+        Round(_user(rec.instruction), _assistant_image(rec.target_image)),
     )
     return Dialogue(f"{rec.id}.t_i_i1_1.{seed}", rounds, (0,))
 
@@ -189,7 +179,7 @@ def build_t_i_in_1(rec: SubjectRecord, backend: CompletionBackend, *,
     compose = invoke(OpKind.DRIVE_HS, {"caption_a": a.caption, "caption_b": b.caption},
                      derive_seed(seed, rec.id, "drive_hs"), backend, retries)["query"]
     rounds = (first, second, Round(_user(compose, OpKind.DRIVE_HS),
-                                   _assistant_image(_generated(rec.composed_image))))
+                                   _assistant_image(rec.composed_image)))
     return Dialogue(f"{rec.id}.t_i_in_1.{seed}", rounds, (0, 1))
 
 
@@ -200,8 +190,8 @@ def build_ti_i_i1_1(rec: SubjectRecord, backend: CompletionBackend, *,
     first = _generation_round(history, backend, derive_seed(seed, rec.id, "caption2query"), retries)
     combine = invoke(OpKind.DRIVE_I_H, {"caption_history": history.caption},
                      derive_seed(seed, rec.id, "drive_i_h"), backend, retries)["query"]
-    rounds = (first, Round(_user(combine, OpKind.DRIVE_I_H, upload=_uploaded(upload)),
-                           _assistant_image(_generated(rec.composed_image))))
+    rounds = (first, Round(_user(combine, OpKind.DRIVE_I_H, upload=upload),
+                           _assistant_image(rec.composed_image)))
     return Dialogue(f"{rec.id}.ti_i_i1_1.{seed}", rounds, (0,))
 
 

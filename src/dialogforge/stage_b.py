@@ -20,7 +20,6 @@ from .atomic_ops import CompletionBackend, OpKind, invoke
 from .dialogue import (
     Dialogue,
     Provenance,
-    Role,
     Round,
     Segment,
     Stage,
@@ -82,8 +81,8 @@ def entry_to_record(entry: DistractorEntry) -> dict[str, Any]:
 def entry_from_record(obj: dict[str, Any]) -> DistractorEntry:
     return DistractorEntry(
         category=DistractorCategory(obj["category"]),
-        user=turn_from_obj(obj["user"], Role.USER),
-        assistant=turn_from_obj(obj["assistant"], Role.ASSISTANT),
+        user=turn_from_obj(obj["user"], "user"),
+        assistant=turn_from_obj(obj["assistant"], "assistant"),
     )
 
 
@@ -103,8 +102,7 @@ _REWRITES: dict[str, tuple[OpKind, Callable[[Dialogue, str], dict[str, str]]]] =
 
 
 def _as_distractor(turn: Turn) -> Turn:
-    return replace(turn, is_distractor=True,
-                   provenance=replace(turn.provenance, stage=Stage.DISTRACTOR))
+    return replace(turn, provenance=replace(turn.provenance, stage=Stage.DISTRACTOR))
 
 
 def insert_distractors(d: Dialogue, pool: DistractorPool, k_range: tuple[int, int], seed: int,
@@ -146,10 +144,8 @@ def insert_distractors(d: Dialogue, pool: DistractorPool, k_range: tuple[int, in
     rewritten = invoke(op, rewrite_inputs(d, original), derive_seed(seed, d.id, "dep_rewrite"),
                        backend, retries)["query"]
     rewritten_user = Turn(
-        role=Role.USER,
         segments=tuple(Segment(text=rewritten) if s.is_text else s for s in final.user.segments),
         provenance=Provenance(Stage.B, op_kind=op.value, original_text=original),
-        is_distractor=False,
     )
     distractor_rounds = tuple(
         Round(_as_distractor(e.user), _as_distractor(e.assistant)) for e in entries

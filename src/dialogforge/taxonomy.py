@@ -8,7 +8,6 @@ which leaves exactly 36 valid combinations.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from enum import Enum
 
@@ -102,16 +101,3 @@ def parse_signature(s: str) -> TaskSignature:
             f"dependency {sig.dep.value!r} is incompatible with depth {sig.depth.value!r} in {s!r}"
         )
     return sig
-
-
-def enumerate_valid_signatures() -> list[TaskSignature]:
-    """All 36 valid signatures, in lexicographic order of their string forms."""
-    sigs = []
-    for inp, out, dep, kind in itertools.product(
-        InputModality, OutputModality, DependencyModality, DepthKind
-    ):
-        sig = TaskSignature(inp, out, dep, kind)
-        if sig.is_consistent:
-            sigs.append(sig)
-    sigs.sort(key=format_signature)
-    return sigs

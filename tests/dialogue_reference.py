@@ -3,19 +3,19 @@
 The library has no use for these: ``restore_stage_a_view`` undoes stage b for
 the reversibility properties, ``structural_equal`` compares dialogues without
 their provenance, ``pool_from_t2i_dialogues`` reuses text-to-image dialogues
-as distractors, and ``make_random_dialogue`` draws block layouts for the
-stream and mask properties.
+as distractors, ``make_random_dialogue`` draws block layouts for the stream
+and mask properties, and ``enumerate_valid_signatures`` lists every label a
+dialogue can have.
 """
 
+import itertools
 import random
 from dataclasses import replace
 
 from dialogforge.dialogue import (
     Dialogue,
     ImageRef,
-    ImageSource,
     Provenance,
-    Role,
     Round,
     Segment,
     Stage,
@@ -23,6 +23,14 @@ from dialogforge.dialogue import (
 )
 from dialogforge.fixtures import _NOUNS, make_caption
 from dialogforge.stage_b import DistractorCategory, DistractorEntry
+from dialogforge.taxonomy import (
+    DependencyModality,
+    DepthKind,
+    InputModality,
+    OutputModality,
+    TaskSignature,
+    format_signature,
+)
 
 
 def restore_stage_a_view(d: Dialogue) -> Dialogue:
@@ -47,7 +55,8 @@ def restore_stage_a_view(d: Dialogue) -> Dialogue:
 
 
 def structural_equal(a: Dialogue, b: Dialogue) -> bool:
-    """Content equality ignoring provenance and annotations.
+    """Content equality ignoring annotations and provenance, save whether a turn
+    is a distractor.
 
     The signature and depth follow from the content, so they need no comparing.
     """
@@ -59,10 +68,10 @@ def _structure_key(d: Dialogue):
         if s.is_text:
             return ("text", s.text)
         img = s.image
-        return ("image", img.id, img.source.value, img.uri, img.width, img.height, img.caption)
+        return ("image", img.id, img.uri, img.width, img.height, img.caption)
 
     def turn_key(t: Turn):
-        return (t.role.value, t.is_distractor, tuple(seg_key(s) for s in t.segments))
+        return (t.is_distractor, tuple(seg_key(s) for s in t.segments))
 
     return (
         d.id,
@@ -97,8 +106,8 @@ def make_random_dialogue(rng: random.Random, dialogue_id: str, *,
     def words(k: int) -> str:
         return " ".join(rng.choice(_NOUNS) for _ in range(k))
 
-    def image(image_id: str, source: ImageSource, caption: str | None) -> ImageRef:
-        return ImageRef(id=image_id, source=source, uri=f"data/images/{image_id}.png",
+    def image(image_id: str, caption: str | None) -> ImageRef:
+        return ImageRef(id=image_id, uri=f"data/images/{image_id}.png",
                         width=rng.choice(dims), height=rng.choice(dims), caption=caption)
 
     rounds = []
@@ -106,18 +115,29 @@ def make_random_dialogue(rng: random.Random, dialogue_id: str, *,
     for ri in range(n_rounds):
         user_segs: list[Segment] = [Segment(text=words(rng.randint(1, max_words)))]
         if rng.random() < 0.3:
-            user_segs.append(Segment(image=image(f"{dialogue_id}-u{ri}", ImageSource.UPLOADED,
-                                                 None)))
+            user_segs.append(Segment(image=image(f"{dialogue_id}-u{ri}", None)))
         shape = rng.choice(["image", "image_text"] if ri == n_rounds - 1
                            else ["image", "text", "image_text"])
         asst_segs: list[Segment] = []
         if shape in ("image", "image_text"):
-            asst_segs.append(Segment(image=image(f"{dialogue_id}-a{ri}", ImageSource.GENERATED,
-                                                 make_caption(rng))))
+            asst_segs.append(Segment(image=image(f"{dialogue_id}-a{ri}", make_caption(rng))))
         if shape in ("text", "image_text"):
             asst_segs.append(Segment(text=words(rng.randint(1, max_words))))
         rounds.append(Round(
-            Turn(Role.USER, tuple(user_segs), prov),
-            Turn(Role.ASSISTANT, tuple(asst_segs), prov),
+            Turn(tuple(user_segs), prov),
+            Turn(tuple(asst_segs), prov),
         ))
     return Dialogue(id=dialogue_id, rounds=tuple(rounds))
+
+
+def enumerate_valid_signatures() -> list[TaskSignature]:
+    """All 36 valid signatures, in lexicographic order of their string forms."""
+    sigs = []
+    for inp, out, dep, kind in itertools.product(
+        InputModality, OutputModality, DependencyModality, DepthKind
+    ):
+        sig = TaskSignature(inp, out, dep, kind)
+        if sig.is_consistent:
+            sigs.append(sig)
+    sigs.sort(key=format_signature)
+    return sigs

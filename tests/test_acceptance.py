@@ -13,7 +13,12 @@ import time
 from pathlib import Path
 
 import numpy as np
-from dialogue_reference import make_random_dialogue, restore_stage_a_view, structural_equal
+from dialogue_reference import (
+    enumerate_valid_signatures,
+    make_random_dialogue,
+    restore_stage_a_view,
+    structural_equal,
+)
 from mask_reference import dense_mask, mask_oracle
 
 from dialogforge.atomic_ops import (
@@ -40,11 +45,7 @@ from dialogforge.stream import (
     serialize,
     validate_stream,
 )
-from dialogforge.taxonomy import (
-    enumerate_valid_signatures,
-    format_signature,
-    parse_signature,
-)
+from dialogforge.taxonomy import format_signature, parse_signature
 
 DATA = Path(__file__).parent / "data"
 BACKEND = MockBackend()

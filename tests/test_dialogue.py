@@ -7,10 +7,8 @@ from dialogforge.dialogue import (
     AmbiguousDependency,
     Dialogue,
     ImageRef,
-    ImageSource,
     InvalidTarget,
     Provenance,
-    Role,
     Round,
     Segment,
     Stage,
@@ -25,18 +23,16 @@ from dialogforge.taxonomy import DepthKind, format_signature, parse_signature
 PROV = Provenance(Stage.SOURCE)
 
 
-def image(img_id, source=ImageSource.GENERATED, caption="a golden retriever reading a book",
-          w=512, h=384):
-    return ImageRef(id=img_id, source=source, uri=f"img/{img_id}.png",
-                    width=w, height=h, caption=caption)
+def image(img_id, caption="a golden retriever reading a book", w=512, h=384):
+    return ImageRef(id=img_id, uri=f"img/{img_id}.png", width=w, height=h, caption=caption)
 
 
-def user(*segments, distractor=False):
-    return Turn(Role.USER, tuple(segments), PROV, is_distractor=distractor)
+def user(*segments):
+    return Turn(tuple(segments), PROV)
 
 
-def assistant(*segments, distractor=False):
-    return Turn(Role.ASSISTANT, tuple(segments), PROV, is_distractor=distractor)
+def assistant(*segments):
+    return Turn(tuple(segments), PROV)
 
 
 def text(s):
@@ -99,18 +95,10 @@ def test_content_without_a_signature_cannot_be_built():
         Dialogue("d", ())
 
 
-def test_validate_role_swap():
-    d = Dialogue(
-        id="d",
-        rounds=(Round(assistant(text("hi")), assistant(Segment(image=image("g")))),),
-    )
-    assert "round-roles" in validate_dialogue(d).rules()
-
-
 def test_validate_empty_text_and_segments():
     d = Dialogue(
         id="d",
-        rounds=(Round(user(text("  ")), Turn(Role.ASSISTANT, (), PROV)),
+        rounds=(Round(user(text("  ")), assistant()),
                 Round(user(text("draw it")), assistant(Segment(image=image("g"))))),
     )
     report = validate_dialogue(d)
@@ -122,8 +110,7 @@ def test_validate_user_image_count():
     d = Dialogue(
         id="d",
         rounds=(Round(
-            user(text("combine"), Segment(image=image("u0", ImageSource.UPLOADED)),
-                 Segment(image=image("u1", ImageSource.UPLOADED))),
+            user(text("combine"), Segment(image=image("u0")), Segment(image=image("u1"))),
             assistant(Segment(image=image("g"))),
         ),),
     )
@@ -149,19 +136,6 @@ def test_validate_assistant_image_after_text():
     assert "assistant-image-order" in validate_dialogue(d).rules()
 
 
-def test_validate_source_placement():
-    d = Dialogue(
-        id="d",
-        rounds=(Round(
-            user(text("go"), Segment(image=image("u", ImageSource.GENERATED))),
-            assistant(Segment(image=image("g", ImageSource.UPLOADED))),
-        ),),
-    )
-    rules = validate_dialogue(d).rules()
-    assert "generated-placement" in rules
-    assert "uploaded-placement" in rules
-
-
 def test_validate_duplicate_image_ids():
     d = Dialogue(
         id="d",
@@ -172,6 +146,28 @@ def test_validate_duplicate_image_ids():
         dep_target_rounds=(0,),
     )
     assert "image-id-unique" in validate_dialogue(d).rules()
+
+
+@pytest.mark.parametrize("stage", list(Stage), ids=[s.value for s in Stage])
+def test_a_turn_is_a_distractor_when_its_provenance_says_so(stage):
+    turn = Turn((text("hi"),), Provenance(stage))
+    assert turn.is_distractor is (stage is Stage.DISTRACTOR)
+
+
+def test_validate_distractor_target():
+    noise = Provenance(Stage.DISTRACTOR)
+    d = Dialogue(
+        id="d",
+        rounds=(
+            Round(user(text("a")), assistant(Segment(image=image("g0")))),
+            Round(Turn((text("b"),), noise), Turn((Segment(image=image("g1")),), noise)),
+            Round(user(text("c")), assistant(Segment(image=image("g2")))),
+        ),
+        dep_target_rounds=(0, 1),
+    )
+    report = validate_dialogue(d)
+    assert [(v.rule, v.where, v.detail) for v in report.violations] == [
+        ("distractor-target", 1, "target round 1 is a distractor")]
 
 
 def test_validate_nonpositive_dims():
@@ -305,14 +301,17 @@ def test_record_field_order():
     rec = dialogue_to_record(edit_dialogue())
     assert list(rec) == ["id", "dep_target_rounds", "rounds"]
     turn = rec["rounds"][0]["user"]
-    assert list(turn) == ["segments", "is_distractor", "provenance"]
+    assert list(turn) == ["segments", "provenance"]
+    assert list(turn["segments"][0]) == ["text"]
+    assert list(rec["rounds"][0]["assistant"]["segments"][0]["image"]) == [
+        "id", "uri", "width", "height", "caption"]
 
 
 def test_structural_equal_ignores_provenance():
     d1 = edit_dialogue()
     rounds = d1.rounds[:-1] + (
         Round(
-            Turn(Role.USER, d1.rounds[-1].user.segments, Provenance(Stage.B, op_kind="x")),
+            Turn(d1.rounds[-1].user.segments, Provenance(Stage.B, op_kind="x")),
             d1.rounds[-1].assistant,
         ),
     )

@@ -30,27 +30,27 @@ TASKS = {
 # Re-record (``python tests/test_golden.py``) only for an intended output change.
 GOLDEN = {
     "dialogues/t_i_0_0.jsonl":
-        "9b728b64d1300a55a8e86f8e504e7251a58d59f4e05b279ca7c0a7d6ccec1409",
+        "58422ea272b4f44d8597a70cdc31c2e8047c220e247c07164c7538671de531ea",
     "dialogues/t_i_0_0.jsonl.rejects.jsonl":
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "dialogues/t_i_i1_1.jsonl":
-        "49f23a213bebe4ab2f910dda8cfeced5f3a59be7c22f850572038493b9df6619",
+        "2ea7a32f72ec3d40a15de0200ed6aeba2e7ccb98a3f2709d1cdeaaf52817df10",
     "dialogues/t_i_i1_1.jsonl.rejects.jsonl":
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "dialogues/t_i_in_1.jsonl":
-        "4ae5784246bf253f3dbc19d8109280acfe4c52169ad249e6811c20d2f4630643",
+        "dde76dbb49a030768f709e36a54c34c2f641d0bfd1e750630d5af6c39497d95f",
     "dialogues/t_i_in_1.jsonl.rejects.jsonl":
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "dialogues/t_i_t1_1.jsonl":
-        "55d89707ec2c57ed46482a1145ccd6aeeff984609134ef1f2552708cf85e9b50",
+        "90c8b8ea06530d83c874a7efb249878f69cd5a5fdf140ddb557353d8cee91ca4",
     "dialogues/t_i_t1_1.jsonl.rejects.jsonl":
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "dialogues/ti_i_0_0.jsonl":
-        "11bf6e561367ba9d2b457200a7c766b0a9f105ef4c17c927f59c5e52e1331523",
+        "de31cd7b831696b0fa259a865ae7969390ec882cff52ee8d95c82bc2a06e22e4",
     "dialogues/ti_i_0_0.jsonl.rejects.jsonl":
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "dialogues/ti_i_i1_1.jsonl":
-        "01dfaace987ac9baa2d9b6fe812d49d357c7aa76910214e8979c9e54f0e8db63",
+        "55a853a382f3880837f4a9ee664096f5738338410cfad2ac41de67a1f7337cdb",
     "dialogues/ti_i_i1_1.jsonl.rejects.jsonl":
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "masks/t_i_0_0.jsonl":

@@ -5,11 +5,7 @@ import pytest
 
 from dialogforge.atomic_ops import MissingInput
 from dialogforge.cli import PipelineConfig, synthesize_records
-from dialogforge.dialogue import (
-    ImageSource,
-    Stage,
-    validate_dialogue,
-)
+from dialogforge.dialogue import Stage, validate_dialogue
 from dialogforge.fixtures import make_edit_records, make_subject_records, make_t2i_records
 from dialogforge.stage_a import (
     BUILDERS,
@@ -51,8 +47,8 @@ def test_t_i_0_0(t2i_rec, backend):
     assert validate_dialogue(d).ok
     assert d.rounds[-1].user.text_content() == f"Please generate an image of {t2i_rec.image.caption}"
     assert d.id == f"{t2i_rec.id}.t_i_0_0.7"
+    assert d.rounds[0].user.images() == []  # the record's image is generated, not uploaded
     img = d.rounds[0].assistant.images()[0]
-    assert img.source is ImageSource.GENERATED
     assert img.id == t2i_rec.image.id
     assert img.caption == t2i_rec.image.caption
 
@@ -77,8 +73,8 @@ def test_ti_i_0_0(edit_rec, backend):
     assert format_signature(d.signature) == "ti_i_0_0"
     assert validate_dialogue(d).ok
     user = d.rounds[-1].user
-    assert len(user.images()) == 1
-    assert user.images()[0].source is ImageSource.UPLOADED
+    assert [img.id for img in user.images()] == [edit_rec.source_image.id]  # uploaded
+    assert [img.id for img in d.rounds[-1].assistant.images()] == [edit_rec.target_image.id]
     assert user.segments[0].text == edit_rec.instruction
     assert user.provenance.stage is Stage.SOURCE
 
@@ -121,8 +117,9 @@ def test_ti_i_i1_1(subj_rec, backend):
     assert d.dep_target_rounds == (0,)
     assert d.dep_depth_value == 1
     assert validate_dialogue(d).ok
-    assert len(d.rounds[-1].user.images()) == 1
-    assert d.rounds[-1].user.images()[0].source is ImageSource.UPLOADED
+    # the history subject is generated in round 0; the other is uploaded with the request
+    assert [img.id for img in d.rounds[0].assistant.images()] == [subj_rec.subjects[0].id]
+    assert [img.id for img in d.rounds[-1].user.images()] == [subj_rec.subjects[1].id]
 
 
 def test_image_ids_appear_exactly_once(subj_rec, backend):
@@ -152,10 +149,16 @@ def test_record_parsing_rejects_bad_shapes():
         subject_record_from_obj(srec)
 
 
-def test_record_parsing_rejects_non_dataset_image():
+@pytest.mark.parametrize("source", ["generated", "uploaded", None, "absent"])
+def test_record_parsing_rejects_non_dataset_image(source):
     rec = make_t2i_records(1, 4)[0]
-    rec["image"]["source"] = "generated"
-    with pytest.raises(RecordError):
+    if source == "absent":
+        del rec["image"]["source"]
+    else:
+        rec["image"]["source"] = source
+    got = None if source == "absent" else source
+    with pytest.raises(RecordError, match=f"image 't2i-00000-img' must be dataset-sourced, "
+                                          f"got {got!r}$"):
         t2i_record_from_obj(rec)
 
 

@@ -15,7 +15,6 @@ from dialogforge import io
 from dialogforge.dialogue import (
     Dialogue,
     ImageRef,
-    ImageSource,
     Provenance,
     Role,
     Round,
@@ -118,13 +117,12 @@ def test_serialize_interleaved_order(backend):
 
 
 def test_serialize_upload_blocks(backend):
-    img = ImageRef("up0", ImageSource.UPLOADED, "img/up0.png", 64, 64)
+    img = ImageRef("up0", "img/up0.png", 64, 64)
     d = Dialogue(
         id="d",
         rounds=(Round(
-            Turn(Role.USER, (Segment(text="make it blue"), Segment(image=img)), PROV),
-            Turn(Role.ASSISTANT, (Segment(image=ImageRef("g0", ImageSource.GENERATED,
-                                                         "img/g0.png", 64, 64, "a cat")),), PROV),
+            Turn((Segment(text="make it blue"), Segment(image=img)), PROV),
+            Turn((Segment(image=ImageRef("g0", "img/g0.png", 64, 64, "a cat")),), PROV),
         ),),
     )
     s = serialize(d)
@@ -151,21 +149,20 @@ def test_serialize_empty_text(backend):
     pytest.param(0, (), id="empty-assistant"),
 ])
 def test_serialize_refuses_rounds_the_grammar_cannot_express(user_images, assistant_segments):
-    def img(i, source):
-        return Segment(image=ImageRef(f"i{i}", source, f"img/i{i}.png", 32, 32, "a cat"))
+    def img(i):
+        return Segment(image=ImageRef(f"i{i}", f"img/i{i}.png", 32, 32, "a cat"))
 
-    asst = tuple(Segment(text="here") if kind == "text" else img(10 + j, ImageSource.GENERATED)
+    asst = tuple(Segment(text="here") if kind == "text" else img(10 + j)
                  for j, kind in enumerate(assistant_segments))
     # the broken round comes first: a final round without an image has no signature
     d = Dialogue(
         id="d",
         rounds=(Round(
-            Turn(Role.USER, (Segment(text="go"),) + tuple(
-                img(j, ImageSource.UPLOADED) for j in range(user_images)), PROV),
-            Turn(Role.ASSISTANT, asst, PROV),
+            Turn((Segment(text="go"),) + tuple(img(j) for j in range(user_images)), PROV),
+            Turn(asst, PROV),
         ), Round(
-            Turn(Role.USER, (Segment(text="again"),), PROV),
-            Turn(Role.ASSISTANT, (img(20, ImageSource.GENERATED),), PROV),
+            Turn((Segment(text="again"),), PROV),
+            Turn((img(20),), PROV),
         )),
     )
     with pytest.raises(InvalidStream, match="round 0"):

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 from hypothesis import given
+from dialogue_reference import enumerate_valid_signatures
 from hypothesis import strategies as st
 
 from dialogforge.taxonomy import (
@@ -12,7 +13,6 @@ from dialogforge.taxonomy import (
     MalformedSignature,
     OutputModality,
     TaskSignature,
-    enumerate_valid_signatures,
     format_signature,
     parse_signature,
 )

@@ -295,3 +295,22 @@ def test_worker_that_dies_ends_the_run_with_exit_3(cpus, tmp_path, monkeypatch, 
     assert os.listdir("out") == ["o.jsonl"]
     assert Path("out/o.jsonl").read_bytes() == b"previous output\n"
     assert_no_child_left()
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_validate_reports_a_repeated_id_in_a_later_chunk(cpus, tmp_path, monkeypatch, capsys, n):
+    _inputs(tmp_path / "w")
+    monkeypatch.chdir(tmp_path / "w")
+    run(*_CHAIN[1].split())
+    lines = Path("a.jsonl").read_text().splitlines(keepends=True)
+    # line 2 is in chunk 0 and its copy, line 17, in chunk 5: another worker's at n = 2
+    Path("dup.jsonl").write_text("".join(lines[:16] + lines[1:2] + lines[16:]))
+    repeated = io.parse_json(lines[1].encode())["id"]
+    forks = cpus(n)
+    capsys.readouterr()
+    assert run("validate", "--in", "dup.jsonl") == 1
+    assert len(forks) == (n if n > 1 else 0)
+    assert capsys.readouterr().out == (f"{repeated}: id-unique: an earlier dialogue has this id\n"
+                                       "validate: 1 dialogues with violations\n")
+    assert run("validate", "--in", "a.jsonl") == 0
+    assert_no_child_left()
