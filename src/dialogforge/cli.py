@@ -10,11 +10,12 @@ Each subcommand loads only the layers it runs: the data layers (``io``,
 the stages and ``util`` only where ``synthesize`` needs them, and ``packing``
 only in ``pack``.
 
-``validate``, ``serialize``, ``mask``, ``stats`` and mock-backend
-``synthesize`` turn each ``--in`` line into its output line, reject, violation
-lines or stats with ``io.map_lines``, which runs chunks of the file in one
-forked worker per CPU and yields in input order. Remote ``synthesize`` runs
-``--concurrency`` threads instead, and ``pack`` runs in this process.
+``validate``, ``serialize``, ``mask``, ``stats`` and ``synthesize`` turn each
+``--in`` line into its output line, reject, violation lines or stats with
+``io.map_lines``, which yields in input order. It runs chunks of the file in
+one forked worker per CPU, except for remote ``synthesize``, whose backend calls
+wait on the network: it runs them on one pool of ``--concurrency`` threads.
+``pack`` runs in this process.
 
 Exit codes: 0 success, 1 validation violations, 2 configuration error,
 3 I/O error or an input the stream layer rejects, 4 backend failure.
@@ -29,7 +30,7 @@ import sys
 import typing
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
 
 from . import io
 from .dialogue import (
@@ -57,6 +58,8 @@ if TYPE_CHECKING:
 
 ENV_BACKEND_URL = "DF_BACKEND_URL"
 ENV_SEED = "DF_SEED"
+# Remote calls in flight at most: each holds a thread and a connection.
+MAX_CONCURRENCY = 256
 
 
 class ConfigError(ValueError):
@@ -98,8 +101,11 @@ class PipelineConfig:
             raise ConfigError("apply_fraction must lie in [0, 1]")
         if not 0 < self.l_min <= self.l_max:
             raise ConfigError(f"invalid length bounds [{self.l_min}, {self.l_max}]")
-        if self.concurrency < 1 or self.retries < 0:
-            raise ConfigError("concurrency must be >= 1 and retries >= 0")
+        if not 1 <= self.concurrency <= MAX_CONCURRENCY:
+            raise ConfigError(f"concurrency must lie in [1, {MAX_CONCURRENCY}], "
+                              f"not {self.concurrency}")
+        if self.retries < 0:
+            raise ConfigError("retries must be >= 0")
         if min(self.vit_patch, self.vae_patch, self.max_image_units) < 1:
             raise ConfigError("patch sizes and the image-unit cap must be positive")
 
@@ -252,35 +258,16 @@ def record_synthesizer(stages: Sequence[str], backend: CompletionBackend, cfg: P
     return one
 
 
-def synthesize_records(items: Iterable[Any], stages: Sequence[str], backend: CompletionBackend,
-                       cfg: PipelineConfig, rejects: list[dict[str, Any]], *,
-                       task: str | None = None, pool: DistractorPool | None = None,
-                       concurrency: int = 1) -> Iterator[dict[str, Any]]:
-    """Run each of ``items`` through ``stages``; yield the dialogue records in input order.
-
-    Each item goes through ``record_synthesizer``; a reject is appended to
-    ``rejects`` instead, at most ``concurrency`` items are in flight.
-    """
-    from .util import run_records
-
-    one = record_synthesizer(stages, backend, cfg, task=task, pool=pool)
-    for out in run_records(lambda item: one(*item), enumerate(items), concurrency):
-        if isinstance(out, Dialogue):
-            yield dialogue_to_record(out)
-        else:
-            rejects.append(out)
-
-
 def _synthesized_lines(path: str, decode: Callable[[Any], Any] | None,
                        one: Callable[[int, Any], Dialogue | dict[str, Any]],
-                       rejects: list[dict[str, Any]]) -> Iterator[str]:
+                       rejects: list[dict[str, Any]], threads: int) -> Iterator[str]:
     """The output line of ``one`` on each ``decode``d line of ``path``, run by
-    ``io.map_lines``; a reject is appended to ``rejects`` instead."""
+    ``io.map_lines`` with ``threads``; a reject is appended to ``rejects`` instead."""
     def line(index: int, lineno: int, raw: bytes) -> str | dict[str, Any]:
         out = one(index, io.decode_line(path, lineno, raw, decode))
         return io.dumps(dialogue_to_record(out)) if isinstance(out, Dialogue) else out
 
-    for out in io.map_lines(path, line):
+    for out in io.map_lines(path, line, threads):
         if isinstance(out, str):
             yield out
         else:
@@ -318,15 +305,12 @@ def cmd_synthesize(args: argparse.Namespace, argv: Sequence[str]) -> int:
             raise ConfigError(f"distractor pool {args.pool}: entry {first.where}: {first.detail}")
     decode = None if "a" in stages else dialogue_from_record
     backend = cfg.make_backend()
+    one = record_synthesizer(stages, backend, cfg, task=args.task, pool=pool)
     rejects: list[dict[str, Any]] = []
-    if cfg.backend == "remote":  # I/O-bound: threads, each with its own connection
-        items = io.read_records(args.in_path, decode)
-        lines = map(io.dumps, synthesize_records(items, stages, backend, cfg, rejects,
-                                                 task=args.task, pool=pool,
-                                                 concurrency=cfg.concurrency))
-    else:  # CPU-bound: forked workers, one per CPU
-        one = record_synthesizer(stages, backend, cfg, task=args.task, pool=pool)
-        lines = _synthesized_lines(args.in_path, decode, one, rejects)
+    # remote calls are I/O-bound: threads, each with its own connection;
+    # mock runs are CPU-bound: forked workers, one per CPU
+    threads = cfg.concurrency if cfg.backend == "remote" else 0
+    lines = _synthesized_lines(args.in_path, decode, one, rejects, threads)
     try:
         written = io.write_lines(args.out, lines)
     except BackendUnavailable as err:

@@ -1,8 +1,10 @@
-"""JSONL reading and writing with byte-deterministic output, and ``map_lines``: an
-order-preserving map over the lines of a file that runs chunks of it in forked workers."""
+"""JSONL reading and writing with byte-deterministic output, and ``map_lines``: the
+order-preserving map over the lines of a file that every per-line subcommand runs on,
+in forked workers for CPU-bound work or on threads for I/O-bound work."""
 
 from __future__ import annotations
 
+import collections
 import hashlib
 import itertools
 import json
@@ -122,7 +124,7 @@ def _workers(path: str | Path) -> int:
     """How many processes ``map_lines`` forks for ``path``; 1 means none.
 
     One per CPU of this process's affinity set, and no more than ``path`` has
-    chunks; none where ``os.fork`` is missing or another thread is running,
+    chunks (at least one); none where ``os.fork`` is missing or another thread is running,
     since a forked copy of a running thread's locks could deadlock.
     """
     if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
@@ -133,26 +135,48 @@ def _workers(path: str | Path) -> int:
     if cpus == 1:
         return 1
     seen = sum(1 for _ in itertools.islice(numbered_lines(path), cpus * CHUNK_LINES))
-    return min(cpus, -(-seen // CHUNK_LINES))
+    return max(1, min(cpus, -(-seen // CHUNK_LINES)))
 
 
-def map_lines(path: str | Path, fn: Callable[[int, int, bytes], R]) -> Iterator[R]:
+def map_lines(path: str | Path, fn: Callable[[int, int, bytes], R],
+              threads: int = 0) -> Iterator[R]:
     """Yield ``fn(index, lineno, line)`` for each of ``numbered_lines(path)``, in input order.
 
-    With more than one CPU and more than one chunk of ``CHUNK_LINES`` lines,
-    forked workers run the chunks (see ``_workers``): worker ``w`` of ``n``
-    reads ``path`` itself, runs every chunk ``c`` with ``c % n == w`` and
-    sends each chunk's results through its own pipe, so this process holds at
-    most one chunk's results at a time. ``fn`` runs in a worker, so what it
-    changes outside its result is lost, and its results and exceptions must
-    pickle.
+    ``threads`` picks the strategy. At 0, for CPU-bound ``fn``, forked workers
+    run chunks of ``CHUNK_LINES`` lines where ``_workers`` allows more than one:
+    worker ``w`` of ``n`` reads ``path`` itself, runs every chunk ``c`` with
+    ``c % n == w`` and sends each chunk's results through its own pipe, so this
+    process holds at most one chunk's results at a time. ``fn`` runs in a
+    worker, so what it changes outside its result is lost, and its results and
+    exceptions must pickle.
+
+    Above 1, for I/O-bound ``fn``, one pool of ``threads`` threads of this
+    process serves the whole run, so what each thread keeps (a connection, say)
+    lasts the run. ``path`` is read at most ``4 * threads`` lines ahead of what
+    was yielded, and calls not yet started are cancelled if the caller stops.
+    At 1, or where no worker is forked, ``fn`` runs in this thread.
 
     Raises:
         Exception: the first one ``fn`` raises, in input order, after the
             results of the lines before it.
         OSError: a worker ended without reporting a chunk.
     """
-    workers = _workers(path)
+    if threads > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
+        pool = ThreadPoolExecutor(max_workers=threads)
+        pending = collections.deque()
+        try:
+            for item in numbered_lines(path):
+                pending.append(pool.submit(fn, *item))
+                if len(pending) >= 4 * threads:
+                    yield pending.popleft().result()
+            while pending:
+                yield pending.popleft().result()
+        finally:
+            pool.shutdown(cancel_futures=True)
+        return
+    workers = 1 if threads else _workers(path)
     if workers == 1:
         for item in numbered_lines(path):
             yield fn(*item)

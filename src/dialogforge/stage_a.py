@@ -58,7 +58,18 @@ def _require(obj: dict[str, Any], key: str) -> Any:
     return obj[key]
 
 
-def _dataset_image(obj: dict[str, Any], caption: str) -> ImageRef:
+def _object(value: Any, key: str) -> dict[str, Any]:
+    """``value``, read from record key ``key``, if it is a JSON object."""
+    if not isinstance(value, dict):
+        raise RecordError(f"record key {key!r} must be an object, not {value!r}")
+    return value
+
+
+def _dataset_image(record: dict[str, Any], key: str, caption: str,
+                   path: str = "") -> ImageRef:
+    """The dataset image at ``record[key]``, its caption filled in from ``caption``
+    or checked against it. ``path`` prefixes ``key`` in a reject of a nested record."""
+    obj = _object(_require(record, key), path + key)
     img = image_from_obj(obj)
     if obj.get("source") != "dataset":
         raise RecordError(f"image {img.id!r} must be dataset-sourced, got {obj.get('source')!r}")
@@ -73,7 +84,7 @@ def t2i_record_from_obj(obj: dict[str, Any]) -> T2IRecord:
     caption = _require(obj, "caption")
     if not isinstance(caption, str) or not caption.strip():
         raise RecordError("t2i record needs a non-empty caption")
-    image = _dataset_image(_require(obj, "image"), caption)
+    image = _dataset_image(obj, "image", caption)
     return T2IRecord(id=obj.get("id") or image.id, image=image)
 
 
@@ -82,8 +93,8 @@ def edit_record_from_obj(obj: dict[str, Any]) -> EditRecord:
         value = _require(obj, key)
         if not isinstance(value, str) or not value.strip():
             raise RecordError(f"edit record needs a non-empty {key}")
-    source = _dataset_image(_require(obj, "source_image"), obj["source_caption"])
-    target = _dataset_image(_require(obj, "target_image"), obj["target_caption"])
+    source = _dataset_image(obj, "source_image", obj["source_caption"])
+    target = _dataset_image(obj, "target_image", obj["target_caption"])
     if source.id == target.id:
         raise RecordError("edit record source and target images must have distinct ids")
     return EditRecord(id=obj.get("id") or target.id, instruction=obj["instruction"],
@@ -95,17 +106,18 @@ def subject_record_from_obj(obj: dict[str, Any]) -> SubjectRecord:
     if not isinstance(subjects_obj, list) or len(subjects_obj) != 2:
         raise RecordError("subject record needs exactly two subjects")
     subjects = []
-    for s in subjects_obj:
+    for k, s in enumerate(subjects_obj):
+        s = _object(s, f"subjects[{k}]")
         caption = _require(s, "caption")
         if not isinstance(caption, str) or not caption.strip():
             raise RecordError("subject needs a non-empty caption")
-        subjects.append(_dataset_image(_require(s, "image"), caption))
+        subjects.append(_dataset_image(s, "image", caption, f"subjects[{k}]."))
     if subjects[0].id == subjects[1].id:
         raise RecordError("subject images must have distinct ids")
     composed_caption = _require(obj, "composed_caption")
     if not isinstance(composed_caption, str) or not composed_caption.strip():
         raise RecordError("subject record needs a non-empty composed_caption")
-    composed = _dataset_image(_require(obj, "composed_image"), composed_caption)
+    composed = _dataset_image(obj, "composed_image", composed_caption)
     return SubjectRecord(id=obj.get("id") or composed.id, subjects=tuple(subjects),
                          composed_image=composed)
 

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dialogforge import io
 from dialogforge.atomic_ops import (
     OPS,
     BackendUnavailable,
@@ -29,7 +30,6 @@ from dialogforge.atomic_ops import (
     render_prompt,
 )
 from dialogforge.cli import main
-from dialogforge.util import run_records
 
 DATA = Path(__file__).parent / "data"
 CAPTION = "A golden retriever is running on the grass"
@@ -360,27 +360,35 @@ def test_remote_keeps_one_connection_per_thread(loopback):
     assert server.connections == 1 and len(server.seen) == 20
 
 
-def test_remote_concurrent_replies_in_input_order(loopback):
+def _numbered(tmp_path, n):
+    """A file of ``n`` lines, ``0`` to ``n - 1``, for ``io.map_lines`` to run over."""
+    path = tmp_path / "lines.jsonl"
+    path.write_text("".join(f"{i}\n" for i in range(n)))
+    return path
+
+
+def test_remote_concurrent_replies_in_input_order(loopback, tmp_path):
     server = loopback.server()
     backend = loopback.backend(server.url)
     prompts = [_caption_prompt(i) for i in range(40)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        outputs = list(run_records(lambda i: backend.complete(prompts[i], i), range(40), 2))
+        outputs = list(io.map_lines(_numbered(tmp_path, 40),
+                                    lambda i, lineno, line: backend.complete(prompts[i], i), 2))
     finally:
         sys.setswitchinterval(interval)
     assert outputs == [mock_complete(p, i) for i, p in enumerate(prompts)]
     assert server.connections <= 2
 
 
-def test_remote_close_reaches_connections_of_exited_threads(loopback):
+def test_remote_close_reaches_connections_of_exited_threads(loopback, tmp_path):
     server = loopback.server()
     backend = RemoteBackend(url=server.url, timeout=5)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", ResourceWarning)
-        outputs = list(run_records(lambda i: backend.complete(_caption_prompt(i), i),
-                                   range(8), 2))
+        outputs = list(io.map_lines(_numbered(tmp_path, 8), lambda i, lineno, line:
+                                    backend.complete(_caption_prompt(i), i), 2))
         # the pool's threads have exited: only close() can release their connections
         backend.close()
         del backend
@@ -389,7 +397,9 @@ def test_remote_close_reaches_connections_of_exited_threads(loopback):
     assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
-def test_remote_synthesize_keeps_one_connection_per_worker_for_the_whole_run(loopback, tmp_path):
+@pytest.mark.parametrize("concurrency", [1, 2, 4])
+def test_remote_synthesize_keeps_one_connection_per_worker_for_the_whole_run(loopback, tmp_path,
+                                                                           concurrency):
     server = loopback.server()
     records = (DATA / "edit_records_20.jsonl").read_text().splitlines(keepends=True)
     (tmp_path / "in.jsonl").write_text("".join(records[:6]))
@@ -398,10 +408,10 @@ def test_remote_synthesize_keeps_one_connection_per_worker_for_the_whole_run(loo
     with contextlib.redirect_stdout(StringIO()):
         assert main([*argv, "--out", str(tmp_path / "mock.jsonl")]) == 0
         assert main([*argv, "--out", str(tmp_path / "remote.jsonl"), "--backend", "remote",
-                     "--backend-url", server.url, "--concurrency", "2"]) == 0
+                     "--backend-url", server.url, "--concurrency", str(concurrency)]) == 0
     assert (tmp_path / "remote.jsonl").read_bytes() == (tmp_path / "mock.jsonl").read_bytes()
     assert len(server.seen) >= 18  # every stage called the backend
-    assert server.connections <= 2
+    assert server.connections <= concurrency
 
 
 def test_remote_resends_once_on_a_closed_keep_alive_connection(loopback):

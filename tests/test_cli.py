@@ -6,6 +6,7 @@ import random
 import shutil
 import subprocess
 import sys
+import threading
 import weakref
 from io import StringIO
 from pathlib import Path
@@ -357,13 +358,12 @@ def test_chain_rejects_come_in_input_order(workdir):
     assert len(read_dialogues("d.jsonl")) + len(rejects) == 12
 
 
-@pytest.mark.parametrize("concurrency", [1, 4])
-def test_chain_lets_backend_unavailable_through(concurrency):
-    chain = cli.synthesize_records(make_edit_records(6, 2), ["a", "b", "c"], _ClosingBackend(5),
-                                   cli.PipelineConfig(), [], task="t_i_i1_1",
-                                   pool=make_distractor_pool(2, 3), concurrency=concurrency)
+@pytest.mark.parametrize("threads", [1, 4])
+def test_chain_lets_backend_unavailable_through(synthesize, threads):
     with pytest.raises(BackendUnavailable):
-        list(chain)
+        synthesize(make_edit_records(6, 2), ["a", "b", "c"], _ClosingBackend(5),
+                   cli.PipelineConfig(), task="t_i_i1_1", pool=make_distractor_pool(2, 3),
+                   threads=threads)
 
 
 def _bad_dialogue_midway():
@@ -509,6 +509,21 @@ def test_remote_bad_url_exits_2_before_reading(workdir, capsys, url):
                "--backend", "remote", "--backend-url", url) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and repr(url) in err
+
+
+@pytest.mark.parametrize("backend", ["mock", "remote"])
+def test_concurrency_over_the_maximum_exits_2_before_any_thread(workdir, capsys, backend):
+    threads = threading.active_count()
+    argv = ["synthesize", "--stage", "a", "--task", "t_i_0_0", "--in", "t2i_records_20.jsonl",
+            "--out", "x.jsonl", "--backend", backend, "--backend-url", "http://127.0.0.1:9/c"]
+    assert run(*argv, "--concurrency", "100000") == 2
+    assert threading.active_count() == threads
+    assert capsys.readouterr().err == (
+        f"config error: concurrency must lie in [1, {cli.MAX_CONCURRENCY}], not 100000\n")
+    assert not Path("x.jsonl").exists()
+    if backend == "mock":  # the maximum itself is accepted; a mock run starts no thread
+        assert run(*argv, "--concurrency", str(cli.MAX_CONCURRENCY)) == 0
+        assert threading.active_count() == threads
 
 
 def test_validate_and_filter(workdir):

@@ -1,10 +1,13 @@
 import copy
 import dataclasses
+import functools
+import operator
 
 import pytest
 
+from dialogforge import io
 from dialogforge.atomic_ops import MissingInput
-from dialogforge.cli import PipelineConfig, synthesize_records
+from dialogforge.cli import PipelineConfig
 from dialogforge.dialogue import Stage, validate_dialogue
 from dialogforge.fixtures import make_edit_records, make_subject_records, make_t2i_records
 from dialogforge.stage_a import (
@@ -162,28 +165,41 @@ def test_record_parsing_rejects_non_dataset_image(source):
         t2i_record_from_obj(rec)
 
 
-def _stage_a(raw, task, backend, seed, concurrency=1):
-    """Stage a over ``raw`` through the synthesize chain: (dialogue records, rejects)."""
-    rejects = []
-    records = list(synthesize_records(raw, ["a"], backend, PipelineConfig(seed=seed), rejects,
-                                      task=task, concurrency=concurrency))
-    return records, rejects
+@pytest.mark.parametrize("make_records, task, path, value, error", [
+    (make_t2i_records, "t_i_0_0", ["image"], 5, "record key 'image' must be an object, not 5"),
+    (make_subject_records, "t_i_in_1", ["subjects", 1], 5,
+     "record key 'subjects[1]' must be an object, not 5"),
+    (make_subject_records, "t_i_in_1", ["subjects", 0, "image"], 5,
+     "record key 'subjects[0].image' must be an object, not 5"),
+    (make_edit_records, "t_i_i1_1", ["source_image"], "img.png",
+     "record key 'source_image' must be an object, not 'img.png'"),
+], ids=["image", "subject", "subject-image", "source_image"])
+def test_stage_a_reject_names_a_key_that_is_not_an_object(backend, synthesize, make_records,
+                                                          task, path, value, error):
+    rec = make_records(1, 4)[0]
+    *parents, last = path
+    functools.reduce(operator.getitem, parents, rec)[last] = value
+    records, rejects = synthesize([rec], ["a"], backend, PipelineConfig(), task=task)
+    assert records == []
+    assert rejects == [{"stage": "a", "index": 0, "error": error, "record": rec}]
 
 
-def test_stage_a_chain_keeps_order_and_rejects(backend):
+def test_stage_a_chain_keeps_order_and_rejects(backend, synthesize):
     raw = make_t2i_records(5, 21)
     raw[2] = {"caption": "", "image": raw[2]["image"]}  # one broken record
-    outputs, rejects = _stage_a(raw, "t_i_0_0", backend, seed=1, concurrency=4)
+    outputs, rejects = synthesize(raw, ["a"], backend, PipelineConfig(seed=1), task="t_i_0_0",
+                                  threads=4)
     assert len(outputs) == 4
     assert rejects == [{"stage": "a", "index": 2, "error": rejects[0]["error"], "record": raw[2]}]
     assert ([d["id"].split(".")[0] for d in outputs]
             == [r["id"] for i, r in enumerate(raw) if i != 2])
 
 
-def test_stage_a_chain_deterministic(backend):
+def test_stage_a_chain_deterministic(backend, synthesize):
     raw = make_subject_records(6, 9)
-    assert (_stage_a(raw, "ti_i_i1_1", backend, seed=5, concurrency=1)
-            == _stage_a(raw, "ti_i_i1_1", backend, seed=5, concurrency=4))
+    cfg = PipelineConfig(seed=5)
+    assert (synthesize(raw, ["a"], backend, cfg, task="ti_i_i1_1", threads=1)
+            == synthesize(raw, ["a"], backend, cfg, task="ti_i_i1_1", threads=4))
 
 
 def test_every_builder_is_registered():
@@ -191,14 +207,10 @@ def test_every_builder_is_registered():
                              "t_i_in_1", "ti_i_i1_1"}
 
 
-def test_stage_a_chain_refuses_an_unknown_task_before_any_record(backend):
+def test_stage_a_chain_refuses_an_unknown_task_before_any_record(backend, synthesize,
+                                                                 monkeypatch):
     read = []
-
-    def records():
-        for rec in make_t2i_records(3, 14):
-            read.append(rec)
-            yield rec
-
+    monkeypatch.setattr(io, "numbered_lines", lambda path: read.append(path) or iter(()))
     with pytest.raises(KeyError, match="t_i_i1_n"):
-        _stage_a(records(), "t_i_i1_n", backend, seed=0)
+        synthesize(make_t2i_records(3, 14), ["a"], backend, PipelineConfig(), task="t_i_i1_n")
     assert read == []

@@ -5,7 +5,7 @@ from dialogue_reference import pool_from_t2i_dialogues, restore_stage_a_view, st
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dialogforge.cli import PipelineConfig, synthesize_records
+from dialogforge.cli import PipelineConfig
 from dialogforge.dialogue import Stage, dialogue_from_record, validate_dialogue
 from dialogforge.fixtures import (
     make_distractor_pool,
@@ -174,18 +174,17 @@ def test_no_distractor_is_ever_a_target(backend, pool):
             assert not out.rounds[t].user.is_distractor
 
 
-def test_stage_b_chain_passes_through_and_rejects(backend, pool):
+def test_stage_b_chain_passes_through_and_rejects(backend, pool, synthesize):
     t2i = build_t_i_0_0(t2i_record_from_obj(make_t2i_records(1, 51)[0]), backend)
     d1 = depth1_dialogues(backend)[1]
     deep = insert_distractors(d1, pool, (1, 1), 0, backend)
     # an interleaved depth-one dialogue: its signature has no history-dependent rewrite
-    ac = dialogue_from_record(next(synthesize_records(
-        make_edit_records(1, 53), ["a", "c"], backend, PipelineConfig(seed=3), [],
-        task="t_i_i1_1")))
+    [ac], _ = synthesize(make_edit_records(1, 53), ["a", "c"], backend, PipelineConfig(seed=3),
+                         task="t_i_i1_1")
+    ac = dialogue_from_record(ac)
     assert format_signature(ac.signature) == "t_ti_i1_1"
-    rejects = []
-    records = list(synthesize_records([t2i, d1, deep, ac], ["b"], backend,
-                                      PipelineConfig(seed=99), rejects, pool=pool))
+    records, rejects = synthesize([t2i, d1, deep, ac], ["b"], backend, PipelineConfig(seed=99),
+                                  pool=pool)
     outputs = [dialogue_from_record(rec) for rec in records]
     assert len(outputs) == 2
     assert outputs[0].id == t2i.id
@@ -198,10 +197,10 @@ def test_stage_b_chain_passes_through_and_rejects(backend, pool):
          "error": "no history-dependent rewrite for signature 't_ti_i1_1'"},
     ]
     # a pool smaller than the drawn k
-    rejects = []
     small = DistractorPool(pool.entries[:2])
-    assert list(synthesize_records([d1], ["b"], backend, PipelineConfig(k_min=3, k_max=3),
-                                   rejects, pool=small)) == []
+    records, rejects = synthesize([d1], ["b"], backend, PipelineConfig(k_min=3, k_max=3),
+                                  pool=small)
+    assert records == []
     assert rejects == [{"stage": "b", "id": d1.id, "error": "need 3 distractors, pool holds 2"}]
 
 

@@ -3,7 +3,7 @@ import dataclasses
 import pytest
 from dialogue_reference import structural_equal
 
-from dialogforge.cli import PipelineConfig, synthesize_records
+from dialogforge.cli import PipelineConfig
 from dialogforge.dialogue import (
     MissingCaption,
     validate_dialogue,
@@ -154,7 +154,7 @@ def test_interleave_annotates_already_interleaved(backend):
 
 @pytest.mark.parametrize("make_records", [make_edit_records, make_t2i_records,
                                           make_subject_records])
-def test_chain_outputs_do_not_depend_on_concurrency(backend, make_records):
+def test_chain_outputs_do_not_depend_on_concurrency(backend, synthesize, make_records):
     raw = make_records(12, 91)
     raw.insert(5, {"id": "broken"})  # every record parser rejects it
     parse = BUILDERS[{make_edit_records: "t_i_i1_1", make_t2i_records: "t_i_0_0",
@@ -162,14 +162,10 @@ def test_chain_outputs_do_not_depend_on_concurrency(backend, make_records):
     pool = make_distractor_pool(3, 92)
     cfg = PipelineConfig(seed=5, apply_fraction=0.5)
 
-    def chain(concurrency):
-        runs = []
-        for task in (task for task, (p, _) in BUILDERS.items() if p is parse):
-            rejects = []
-            records = list(synthesize_records(raw, ["a", "b", "c"], backend, cfg, rejects,
-                                              task=task, pool=pool, concurrency=concurrency))
-            runs.append((records, rejects))
-        return runs
+    def chain(threads):
+        return [synthesize(raw, ["a", "b", "c"], backend, cfg, task=task, pool=pool,
+                           threads=threads)
+                for task, (p, _) in BUILDERS.items() if p is parse]
 
     serial = chain(1)
     assert len(serial) == 2

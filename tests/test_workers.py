@@ -3,18 +3,22 @@
 The ``cpus`` fixture makes ``map_lines`` see a chosen CPU count and cut 3-line
 chunks, so the bundled 20-record fixtures span seven chunks; it counts the
 workers forked, so a run that fell back to this process cannot pass as a
-parallel one.
+parallel one. The runner's promises are checked for each strategy it has
+(``STRATEGIES``): forked workers, this thread, and a pool of threads.
 """
 
+import concurrent.futures
 import os
 import shutil
 import signal
 import threading
+import time
 from pathlib import Path
 
 import pytest
 
 from dialogforge import cli, io
+from dialogforge.atomic_ops import BackendUnavailable, OpKind, invoke, mock_complete
 from dialogforge.fixtures import make_distractor_pool
 from dialogforge.stage_b import entry_to_record
 
@@ -151,6 +155,144 @@ def test_map_lines_runs_in_this_process(cpus, lines_file, monkeypatch, case):
         if thread.is_alive():
             thread.join()
     assert {pid for *_, pid in out} == {os.getpid()} and forks == []
+
+
+# ``threads`` for ``map_lines``, with two CPUs: two forked workers, none, or four threads.
+STRATEGIES = pytest.mark.parametrize("threads", [0, 1, 4], ids=["fork", "serial", "threads"])
+
+
+class SlowFirst:
+    def complete(self, prompt, seed):
+        if prompt.endswith("INPUT caption: c0"):  # the caption is the prompt's last line
+            time.sleep(0.2)
+        return mock_complete(prompt, seed)
+
+
+@STRATEGIES
+def test_map_lines_keeps_input_order_when_later_lines_finish_first(cpus, lines_file, threads):
+    forks = cpus(2)
+
+    def query(index, lineno, line):
+        fields = invoke(OpKind.CAPTION2QUERY, {"caption": f"c{int(line)}"}, 0, SlowFirst())
+        return fields, time.monotonic()
+
+    outputs = list(io.map_lines(lines_file, query, threads))
+    assert [fields["query"] for fields, _ in outputs] == [
+        f"Please generate an image of c{k}" for k in range(20)]
+    # Line 0 is slowed; only in this thread does every later line finish after it.
+    finished_after_line_0 = all(t >= outputs[0][1] for _, t in outputs[1:])
+    assert finished_after_line_0 == (threads == 1)
+    assert len(forks) == (2 if threads == 0 else 0)
+    assert_no_child_left()
+
+
+@STRATEGIES
+def test_map_lines_raises_the_first_error_in_input_order(cpus, lines_file, threads):
+    cpus(2)
+
+    def fn(index, lineno, line):
+        if index == 1:  # in the first chunk; 4 is in the second, another worker's
+            time.sleep(0.05)
+            raise ValueError("bad 1")
+        if index == 4:
+            raise ValueError("bad 4")
+        return index * 10
+
+    outputs = []
+    with pytest.raises(ValueError, match="bad 1"):
+        for out in io.map_lines(lines_file, fn, threads):
+            outputs.append(out)
+    assert outputs == [0]
+    assert_no_child_left()
+
+
+@STRATEGIES
+def test_map_lines_lets_backend_unavailable_through(cpus, lines_file, threads):
+    cpus(2)
+
+    def fn(index, lineno, line):
+        if index == 2:
+            raise BackendUnavailable("down")
+        return index
+
+    with pytest.raises(BackendUnavailable):
+        list(io.map_lines(lines_file, fn, threads))
+    assert_no_child_left()
+
+
+@STRATEGIES
+def test_map_lines_reads_at_most_four_lines_per_thread_ahead(cpus, lines_file, monkeypatch,
+                                                             threads):
+    """Forked workers read the file themselves; this process reads only the
+    lines ``_workers`` counts, at most one chunk per CPU."""
+    cpus(2)
+    read = [0]
+    numbered_lines = io.numbered_lines
+
+    def counted(path):
+        for item in numbered_lines(path):
+            read[0] += 1
+            yield item
+
+    monkeypatch.setattr(io, "numbered_lines", counted)
+    ahead = 4 * threads if threads else 2 * io.CHUNK_LINES
+    yielded = 0
+    for out in io.map_lines(lines_file, lambda index, lineno, line: 2 * int(line), threads):
+        assert out == 2 * yielded
+        yielded += 1
+        assert read[0] - yielded <= ahead
+    assert yielded == 20 and read[0] == (20 if threads else ahead)
+    assert_no_child_left()
+
+
+@STRATEGIES
+def test_map_lines_uses_one_pool_per_run_and_none_without_threads(cpus, lines_file, monkeypatch,
+                                                                  threads):
+    forks = cpus(2)
+    made = []
+
+    class Counted(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            made.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Counted)
+    out = list(io.map_lines(lines_file, lambda *item: (int(item[2]), os.getpid(),
+                                                       threading.get_ident()), threads))
+    assert [v for v, _, _ in out] == list(range(20))
+    runners = {(pid, ident) for _, pid, ident in out}
+    if threads > 1:
+        assert len(made) == 1 and len(runners) <= threads and forks == []
+    elif threads == 1:
+        assert made == [] and runners == {(os.getpid(), threading.get_ident())} and forks == []
+    else:
+        assert made == [] and len(runners) == len(forks) == 2
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("threads", [0, 2], ids=["fork", "threads"])
+def test_map_lines_stopped_early_starts_no_further_call(cpus, lines_file, tmp_path, threads):
+    forks = cpus(2)
+    log = tmp_path / "started"
+
+    def fn(index, lineno, line):
+        with open(log, "a") as f:
+            f.write(f"{index}\n")
+        if index:
+            time.sleep(0.2)
+        return index
+
+    outputs = io.map_lines(lines_file, fn, threads)
+    assert next(outputs) == 0
+    outputs.close()
+    started = sorted(map(int, log.read_text().split()))
+    time.sleep(0.3)
+    assert sorted(map(int, log.read_text().split())) == started
+    if threads:  # lines 1 and 2 held both threads; 3 to 7 waited in the queue
+        assert started == [0, 1, 2]
+    else:  # each worker was on its first or second chunk
+        assert len(forks) == 2 and len(started) < 12
+    assert_no_child_left()
 
 
 # --- subcommands ----------------------------------------------------------------
@@ -314,3 +456,28 @@ def test_validate_reports_a_repeated_id_in_a_later_chunk(cpus, tmp_path, monkeyp
                                        "validate: 1 dialogues with violations\n")
     assert run("validate", "--in", "a.jsonl") == 0
     assert_no_child_left()
+
+
+@pytest.mark.parametrize("body", ["", "\n \n\n"], ids=["empty", "blank-lines"])
+def test_every_subcommand_maps_an_input_without_records_to_no_line(cpus, tmp_path, monkeypatch,
+                                                                   capsys, body):
+    monkeypatch.chdir(tmp_path)
+    Path("in.jsonl").write_text(body)
+    forks = cpus(2)
+    summaries = []
+    for argv in ("synthesize --stage a --task t_i_0_0 --in in.jsonl --out d.jsonl",
+                 "validate --in in.jsonl",
+                 "serialize --in in.jsonl --out s.jsonl",
+                 "mask --in in.jsonl --out m.jsonl",
+                 "stats --in in.jsonl --out st.json"):
+        assert run(*argv.split()) == 0, argv
+        out, err = capsys.readouterr()
+        assert err == ""
+        summaries.append(out)
+    assert summaries[:4] == ["synthesize: 0 dialogues, 0 rejects -> d.jsonl\n",
+                             "validate: 0 dialogues with violations\n",
+                             "serialize: 0 streams -> s.jsonl\n", "mask: 0 masks -> m.jsonl\n"]
+    for name in ("d.jsonl", "d.jsonl.rejects.jsonl", "s.jsonl", "m.jsonl"):
+        assert Path(name).read_bytes() == b""
+    assert io.parse_json(Path("st.json").read_bytes())["dialogues"] == 0
+    assert forks == []
