@@ -43,6 +43,7 @@ from .stream import (
     EmptyText,
     InvalidStream,
     StreamConfig,
+    TokenStream,
     UnitOverflow,
     loss_summary,
     mask_intervals,
@@ -216,6 +217,14 @@ def _dialogue_reader(path: str, signature: str | None = None
     return read
 
 
+def _serialize_line(path: str, lineno: int, d: Dialogue, cfg: StreamConfig) -> TokenStream:
+    """``serialize(d, cfg)``; the stream layer's refusal of it is led by ``path:lineno``."""
+    try:
+        return serialize(d, cfg)
+    except (EmptyText, UnitOverflow, InvalidStream) as err:
+        raise type(err)(f"{path}:{lineno}: {err}") from None
+
+
 def record_synthesizer(stages: Sequence[str], backend: CompletionBackend, cfg: PipelineConfig,
                        *, task: str | None = None, pool: DistractorPool | None = None
                        ) -> Callable[[int, Any], Dialogue | dict[str, Any]]:
@@ -358,7 +367,8 @@ def cmd_serialize(args: argparse.Namespace, argv: Sequence[str]) -> int:
 
     def stream_line(index: int, lineno: int, line: bytes) -> str | None:
         d = read(lineno, line)
-        return None if d is None else io.dumps(stream_to_record(serialize(d, stream_cfg)))
+        return None if d is None else io.dumps(stream_to_record(
+            _serialize_line(args.in_path, lineno, d, stream_cfg)))
 
     written = io.write_lines(args.out, (s for s in io.map_lines(args.in_path, stream_line)
                                         if s is not None))
@@ -441,7 +451,7 @@ def cmd_stats(args: argparse.Namespace, argv: Sequence[str]) -> int:
         d = read(lineno, line)
         if d is None:
             return None
-        summary = loss_summary(serialize(d, stream_cfg))
+        summary = loss_summary(_serialize_line(args.in_path, lineno, d, stream_cfg))
         return (format_signature(d.signature),
                 str(d.dep_depth_value) if d.dep_depth_value is not None else "0",
                 sum(1 for r in d.rounds if r.user.is_distractor),
@@ -504,8 +514,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synthesize", help="run pipeline stages a, b, c")
-    p.add_argument("--stage", dest="stages", default=None, help="single stage: a, b, or c")
-    p.add_argument("--stages", dest="stages", help="comma-separated stages, e.g. a,b,c")
+    p.add_argument("--stages", "--stage", dest="stages", default=None,
+                   help="comma-separated stages in order, e.g. a or a,b,c")
     p.add_argument("--task", help="stage-a task signature, e.g. t_i_i1_1")
     p.add_argument("--in", dest="in_path", required=True, help="records or dialogues JSONL")
     p.add_argument("--out", required=True, help="output dialogues JSONL")
@@ -577,7 +587,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"i/o error: {err}", file=sys.stderr)
         return 3
     except (InvalidStream, UnitOverflow, EmptyText) as err:
-        print(f"stream error: {args.in_path}: {err}", file=sys.stderr)
+        print(f"stream error: {err}", file=sys.stderr)
         return 3
 
 

@@ -1,12 +1,11 @@
 """Weighted category sampling and best-fit-decreasing sequence packing.
 
 Draws are seeded and sequential, so a (config, corpora, n, seed) tuple pins
-the output bytes. Samples are whole and never truncated. ``best_fit_order``
-plans best-fit-decreasing (BFD) packs: longest sample first, each into the
-open pack with the least room that still holds it. ``pack_greedy`` (next-fit)
-then builds exactly those packs from that order, flagging any that close
-light as underfull, and ``pack_corpus`` writes them in a seeded order so the
-pack file carries no length curriculum.
+the output bytes. Samples are whole and never truncated. ``pack_greedy``
+builds best-fit-decreasing (BFD) packs: longest sample first, each into the
+open pack with the least room that still holds it, flagging packs that end
+light as underfull. ``pack_corpus`` packs the draws and writes the packs in
+a seeded order so the pack file carries no length curriculum.
 """
 
 from __future__ import annotations
@@ -88,7 +87,13 @@ class Pack:
 
 
 def pack_greedy(samples: Sequence[tuple[str, int]], l_min: int, l_max: int) -> list[Pack]:
-    """Next-fit in input order: only the open pack is tried, closed packs never reopen.
+    """Best-fit-decreasing packs of ``samples``, in the order they opened.
+
+    Samples are placed longest first, equal lengths in input order. Each goes
+    into the open pack with the least room that still holds it, the earliest
+    such pack on a tie, or opens a new one. A pack lists its samples in the
+    order they were placed. Every sample is checked before any is placed, so
+    an error names the first bad sample in input order.
 
     Raises:
         SampleTooLong: a sample longer than l_max can never be packed.
@@ -96,59 +101,30 @@ def pack_greedy(samples: Sequence[tuple[str, int]], l_min: int, l_max: int) -> l
     """
     if l_min > l_max:
         raise ValueError(f"l_min {l_min} exceeds l_max {l_max}")
-    packs: list[Pack] = []
-    ids: list[str] = []
-    lens: list[int] = []
-    total = 0
-
-    def close():
-        nonlocal ids, lens, total
-        if ids:
-            packs.append(Pack(
-                pack_id=f"pack-{len(packs):05d}",
-                sample_ids=tuple(ids),
-                lengths=tuple(lens),
-                total=total,
-                underfull=total < l_min,
-            ))
-            ids, lens, total = [], [], 0
-
+    lengths = [length for _, length in samples]
     for sid, length in samples:
         if length > l_max:
             raise SampleTooLong(f"sample {sid!r} has length {length} > l_max {l_max}")
         if length < 1:
             raise ValueError(f"sample {sid!r} has non-positive length {length}")
-        if total + length > l_max:
-            close()
-        ids.append(sid)
-        lens.append(length)
-        total += length
-    close()
-    return packs
-
-
-def best_fit_order(lengths: Sequence[int], l_max: int) -> list[int]:
-    """Best-fit-decreasing plan: sample indices grouped pack by pack, packs in opening order.
-
-    Samples are taken longest first, equal lengths in input order. Each goes
-    into the open pack with the least room that still holds it, the earliest
-    such pack on a tie, or opens a new one. Next-fit over the returned order
-    closes exactly these packs: a pack's first sample fitted no earlier pack
-    when it was placed, and rooms only shrink after that.
-    """
     rooms: list[tuple[int, int]] = []  # (room left, pack number), ascending
-    packs: list[list[int]] = []
+    members: list[list[tuple[str, int]]] = []
     for i in sorted(range(len(lengths)), key=lengths.__getitem__, reverse=True):
         length = lengths[i]
         at = bisect.bisect_left(rooms, (length,))
         if at < len(rooms):
             room, number = rooms.pop(at)
         else:
-            room, number = l_max, len(packs)
-            packs.append([])
-        packs[number].append(i)
+            room, number = l_max, len(members)
+            members.append([])
+        members[number].append(samples[i])
         bisect.insort(rooms, (room - length, number))
-    return [i for pack in packs for i in pack]
+    packs = []
+    for number, member in enumerate(members):
+        ids, lens = zip(*member)
+        total = sum(lens)
+        packs.append(Pack(f"pack-{number:05d}", ids, lens, total, total < l_min))
+    return packs
 
 
 def pack_to_record(p: Pack) -> dict[str, Any]:
@@ -164,17 +140,15 @@ def pack_to_record(p: Pack) -> dict[str, Any]:
 def pack_corpus(cfg: SamplingConfig, corpora: Mapping[str, Sequence[tuple[str, int]]],
                 n_draws: int, l_min: int, l_max: int,
                 seed: int) -> tuple[list[Pack], dict[str, Any]]:
-    """Seeded draws packed best-fit-decreasing, in a seeded pack order, plus run stats.
+    """Seeded draws packed by ``pack_greedy``, in a seeded pack order, plus run stats.
 
-    ``pack_greedy`` runs over the draws in ``best_fit_order``, so it builds the
-    BFD packs. They open longest sample first; shuffling them with an rng
-    derived from ``seed`` (apart from the draw rng) keeps any prefix of the
-    pack file a fair sample of the weights. ``pack_id``s follow file order.
+    The packs open longest sample first; shuffling them with an rng derived
+    from ``seed`` (apart from the draw rng) keeps any prefix of the pack file
+    a fair sample of the weights. ``pack_id``s follow file order.
     """
     draws = sample_stream(cfg, corpora, n_draws, seed)
     items = [(sid, length) for _, (sid, length) in draws]
-    order = best_fit_order([length for _, length in items], l_max)
-    packs = pack_greedy([items[i] for i in order], l_min, l_max)
+    packs = pack_greedy(items, l_min, l_max)
     random.Random(derive_seed(seed, "pack-order")).shuffle(packs)
     packs = [replace(p, pack_id=f"pack-{n:05d}") for n, p in enumerate(packs)]
 

@@ -1,10 +1,10 @@
-"""Best-fit-decreasing packs for tests: the plain scan the library's plan is held against.
+"""Best-fit-decreasing packs for tests: the plain scan the library's packer is held against.
 
-``packing.best_fit_order`` keeps a sorted list of rooms and returns a draw
-order. ``bfd_packs`` states the same rule literally: take samples longest
-first (equal lengths in input order) and scan every open pack for the
-fullest one that still holds the sample, the earliest on a tie, else open a
-new pack. It costs O(n * packs) and returns the packs as index lists.
+``packing.pack_greedy`` keeps a sorted list of rooms and returns ``Pack``s.
+``bfd_packs`` states the same rule literally: take samples longest first
+(equal lengths in input order) and scan every open pack for the fullest one
+that still holds the sample, the earliest on a tie, else open a new pack. It
+costs O(n * packs) and returns the packs as index lists, in opening order.
 """
 
 

@@ -20,6 +20,7 @@ from dialogue_reference import (
     structural_equal,
 )
 from mask_reference import dense_mask, mask_oracle
+from pack_reference import bfd_packs
 
 from dialogforge.atomic_ops import (
     OPS,
@@ -254,7 +255,12 @@ def test_packer():
     packs = pack_greedy(samples, l_min, l_max)
     assert all(p.total <= l_max for p in packs)
     assert sum(p.total for p in packs) == sum(n for _, n in samples)
-    assert [sid for p in packs for sid in p.sample_ids] == [sid for sid, _ in samples]
+    index = {sid: i for i, (sid, _) in enumerate(samples)}
+    assert ([[index[sid] for sid in p.sample_ids] for p in packs]
+            == bfd_packs([n for _, n in samples], l_max))
+    packed = collections.Counter(s for p in packs for s in zip(p.sample_ids, p.lengths))
+    assert packed == collections.Counter(samples)
+    assert sum(p.total <= l_max / 2 for p in packs) <= 1
 
     sorted_packs = pack_greedy(sorted(samples, key=lambda x: x[1], reverse=True), l_min, l_max)
     assert sum(p.underfull for p in sorted_packs) <= 1

@@ -21,7 +21,7 @@ from mask_reference import dense_from_rows, mask_oracle
 import dialogforge
 from dialogforge import cli, io, stage_b
 from dialogforge.atomic_ops import BackendUnavailable, MockBackend
-from dialogforge.cli import main
+from dialogforge.cli import build_parser, main
 from dialogforge.dialogue import dialogue_from_record
 from dialogforge.fixtures import (
     make_distractor_pool,
@@ -780,7 +780,21 @@ def test_image_unit_overflow_exits_3(workdir, capsys, command):
     assert run(command, "--in", "d.jsonl", "--out", "o.jsonl", "--max-image-units", "5") == 3
     err = capsys.readouterr().err.strip()
     assert len(err.splitlines()) == 1
-    assert "d.jsonl" in err and repr(first_id) in err
+    assert err.startswith("stream error: d.jsonl:1: ") and repr(first_id) in err
+
+
+@pytest.mark.parametrize("command", ["serialize", "stats"])
+def test_empty_text_span_names_its_line(workdir, capsys, command):
+    run("synthesize", "--stage", "a", "--task", "t_i_0_0",
+        "--in", "t2i_records_20.jsonl", "--out", "d.jsonl", "--seed", "1")
+    dialogues = list(io.read_jsonl("d.jsonl"))
+    dialogues[1]["rounds"][0]["user"]["segments"] = [{"text": "   "}]
+    io.write_jsonl("bad.jsonl", dialogues)
+    capsys.readouterr()
+    assert run(command, "--in", "bad.jsonl", "--out", "o.jsonl") == 3
+    err = capsys.readouterr().err.strip()
+    assert err == (f"stream error: bad.jsonl:2: dialogue {dialogues[1]['id']!r}: "
+                   f"round 0 has an empty text span")
 
 
 @pytest.mark.parametrize("cfg, code", [
@@ -802,6 +816,17 @@ def test_config_file_keys_and_types(workdir, capsys, cfg, code):
     assert ("config error:" in capsys.readouterr().err) == (code == 2)
 
 
+def test_stage_is_another_spelling_of_stages(capsys):
+    parser = build_parser()
+    for flag in ("--stage", "--stages"):
+        args = parser.parse_args(["synthesize", flag, "a,b", "--in", "r.jsonl", "--out", "d.jsonl"])
+        assert args.stages == "a,b"
+    with pytest.raises(SystemExit):
+        parser.parse_args(["synthesize", "--help"])
+    out = capsys.readouterr().out
+    assert "--stages STAGES, --stage STAGES" in out and "single stage" not in out
+
+
 def _second_image(turn):
     """The turn record with a copy of its first image appended under a new id."""
     image = next(s["image"] for s in turn["segments"] if "image" in s)
@@ -818,10 +843,11 @@ def test_two_image_assistant_turn_is_refused(workdir, capsys):
     capsys.readouterr()
     assert run("validate", "--in", "d.jsonl") == 1
     assert "assistant-image-count" in capsys.readouterr().out
-    assert run("serialize", "--in", "d.jsonl", "--out", "s.jsonl") == 3
-    err = capsys.readouterr().err.strip()
-    assert err.startswith("stream error:") and len(err.splitlines()) == 1
-    assert repr(dialogues[2]["id"]) in err
+    for command in ("serialize", "stats"):
+        assert run(command, "--in", "d.jsonl", "--out", "s.jsonl") == 3
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("stream error: d.jsonl:3: ") and len(err.splitlines()) == 1
+        assert repr(dialogues[2]["id"]) in err
 
     pool = list(io.read_jsonl("pool.jsonl"))
     pool[0]["assistant"] = _second_image(pool[0]["assistant"])

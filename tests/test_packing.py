@@ -13,7 +13,6 @@ from dialogforge.packing import (
     Pack,
     SampleTooLong,
     SamplingConfig,
-    best_fit_order,
     pack_corpus,
     pack_greedy,
     pack_to_record,
@@ -78,11 +77,19 @@ def test_sampling_with_replacement_within_category():
 
 
 def test_pack_greedy_hand_case():
-    # first fit: 3+3 fits under 7, the third 3 opens a new, underfull pack
+    # 3+3 fits under 7, the third 3 opens a new, underfull pack
     packs = pack_greedy([("s0", 3), ("s1", 3), ("s2", 3)], l_min=5, l_max=7)
     assert [p.lengths for p in packs] == [(3, 3), (3,)]
     assert [p.underfull for p in packs] == [False, True]
     assert [p.pack_id for p in packs] == ["pack-00000", "pack-00001"]
+
+
+def test_pack_greedy_places_longest_first():
+    # next-fit in input order would close (a, b) and (c, d)
+    packs = pack_greedy([("a", 4), ("b", 6), ("c", 3), ("d", 5)], l_min=1, l_max=10)
+    assert [p.sample_ids for p in packs] == [("b", "a"), ("d", "c")]
+    assert [p.lengths for p in packs] == [(6, 4), (5, 3)]
+    assert [p.total for p in packs] == [10, 8]
 
 
 def test_pack_exact_fit():
@@ -102,6 +109,8 @@ def test_pack_bad_bounds_and_lengths():
         pack_greedy([], l_min=8, l_max=7)
     with pytest.raises(ValueError):
         pack_greedy([("s0", 0)], l_min=1, l_max=7)
+    with pytest.raises(ValueError, match="'s1' has non-positive"):  # the first in input order
+        pack_greedy([("s0", 3), ("s1", 0), ("s2", 8)], l_min=1, l_max=7)
 
 
 @settings(max_examples=200)
@@ -111,9 +120,11 @@ def test_pack_conservation_and_capacity(lengths):
     packs = pack_greedy(samples, l_min=48, l_max=64)
     assert all(p.total <= 64 for p in packs)
     assert all(p.total == sum(p.lengths) for p in packs)
-    packed = [sid for p in packs for sid in p.sample_ids]
-    assert packed == [sid for sid, _ in samples]  # every draw exactly once, in order
+    assert [[int(sid[1:]) for sid in p.sample_ids] for p in packs] == bfd_packs(lengths, 64)
+    packed = collections.Counter(s for p in packs for s in zip(p.sample_ids, p.lengths))
+    assert packed == collections.Counter(samples)  # every draw exactly once
     assert sum(p.total for p in packs) == sum(lengths)
+    assert sum(p.total <= 64 / 2 for p in packs) <= 1
 
 
 def test_sorted_desc_leaves_one_underfull_at_most():
@@ -167,18 +178,14 @@ bounded_lengths = st.integers(1, 200).flatmap(
 
 @settings(max_examples=200)
 @given(case=bounded_lengths)
-def test_best_fit_order_is_a_permutation(case):
+def test_pack_greedy_builds_the_reference_packs(case):
     lengths, l_max = case
-    assert sorted(best_fit_order(lengths, l_max)) == list(range(len(lengths)))
-
-
-@settings(max_examples=200)
-@given(case=bounded_lengths)
-def test_next_fit_over_best_fit_order_closes_the_reference_packs(case):
-    lengths, l_max = case
-    order = best_fit_order(lengths, l_max)
-    packs = pack_greedy([(str(i), lengths[i]) for i in order], l_min=l_max, l_max=l_max)
-    assert [[int(sid) for sid in p.sample_ids] for p in packs] == bfd_packs(lengths, l_max)
+    packs = pack_greedy([(str(i), n) for i, n in enumerate(lengths)], l_min=l_max, l_max=l_max)
+    indices = [[int(sid) for sid in p.sample_ids] for p in packs]
+    assert indices == bfd_packs(lengths, l_max)
+    assert sorted(i for pack in indices for i in pack) == list(range(len(lengths)))
+    assert [p.lengths for p in packs] == [tuple(lengths[i] for i in pack) for pack in indices]
+    assert [p.pack_id for p in packs] == [f"pack-{i:05d}" for i in range(len(packs))]
 
 
 @st.composite
