@@ -269,18 +269,27 @@ def record_synthesizer(stages: Sequence[str], backend: CompletionBackend, cfg: P
 
 def _synthesized_lines(path: str, decode: Callable[[Any], Any] | None,
                        one: Callable[[int, Any], Dialogue | dict[str, Any]],
-                       rejects: list[dict[str, Any]], threads: int) -> Iterator[str]:
+                       rejects: list[dict[str, Any]], threads: int, stage: str) -> Iterator[str]:
     """The output line of ``one`` on each ``decode``d line of ``path``, run by
-    ``io.map_lines`` with ``threads``; a reject is appended to ``rejects`` instead."""
-    def line(index: int, lineno: int, raw: bytes) -> str | dict[str, Any]:
-        out = one(index, io.decode_line(path, lineno, raw, decode))
-        return io.dumps(dialogue_to_record(out)) if isinstance(out, Dialogue) else out
+    ``io.map_lines`` with ``threads``; a reject is appended to ``rejects`` instead.
 
+    A dialogue whose id an earlier line's dialogue has is the reject
+    ``{stage, id, error}`` of ``stage``, the last stage run.
+    """
+    def line(index: int, lineno: int, raw: bytes) -> tuple[str, str] | dict[str, Any]:
+        out = one(index, io.decode_line(path, lineno, raw, decode))
+        return (out.id, io.dumps(dialogue_to_record(out))) if isinstance(out, Dialogue) else out
+
+    ids: set[str] = set()  # workers see one chunk each, so the id check runs here
     for out in io.map_lines(path, line, threads):
-        if isinstance(out, str):
-            yield out
-        else:
+        if isinstance(out, dict):
             rejects.append(out)
+        elif out[0] in ids:
+            rejects.append({"stage": stage, "id": out[0],
+                            "error": "duplicate-id: an earlier dialogue has this id"})
+        else:
+            ids.add(out[0])
+            yield out[1]
 
 
 def cmd_synthesize(args: argparse.Namespace, argv: Sequence[str]) -> int:
@@ -319,7 +328,7 @@ def cmd_synthesize(args: argparse.Namespace, argv: Sequence[str]) -> int:
     # remote calls are I/O-bound: threads, each with its own connection;
     # mock runs are CPU-bound: forked workers, one per CPU
     threads = cfg.concurrency if cfg.backend == "remote" else 0
-    lines = _synthesized_lines(args.in_path, decode, one, rejects, threads)
+    lines = _synthesized_lines(args.in_path, decode, one, rejects, threads, stages[-1])
     try:
         written = io.write_lines(args.out, lines)
     except BackendUnavailable as err:
@@ -549,7 +558,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(fn=cmd_mask)
 
-    p = sub.add_parser("pack", help="weighted sampling + best-fit-decreasing packing")
+    p = sub.add_parser("pack", help="weighted sampling + packing with no sample twice in a pack")
     p.add_argument("--config", dest="sampling_config", required=True,
                    help="JSON map of category -> weight")
     p.add_argument("--in-dir", dest="in_dir", required=True,
@@ -591,5 +600,20 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 3
 
 
+def run() -> None:
+    """The ``dialogforge`` script and ``python -m dialogforge.cli``: ``main``, then
+    flush stdout and stderr and end the process with ``os._exit``.
+
+    Every output file is closed by the time ``main`` returns, so the exit skips
+    only the interpreter's teardown, which frees every object one by one. An
+    exception from ``main``, ``SystemExit`` from argparse among them, ends the
+    process the usual way. Callers in the same process use ``main``.
+    """
+    code = main()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

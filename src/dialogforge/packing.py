@@ -1,20 +1,24 @@
-"""Weighted category sampling and best-fit-decreasing sequence packing.
+"""Weighted category sampling and sequence packing with no sample twice in a pack.
 
 Draws are seeded and sequential, so a (config, corpora, n, seed) tuple pins
 the output bytes. Samples are whole and never truncated. ``pack_greedy``
-builds best-fit-decreasing (BFD) packs: longest sample first, each into the
-open pack with the least room that still holds it, flagging packs that end
-light as underfull. ``pack_corpus`` packs the draws and writes the packs in
-a seeded order so the pack file carries no length curriculum.
-"""
+places samples best-fit-decreasing, longest first, each into the fullest open
+pack that has room for it and does not hold its id; it then repairs the
+emptiest packs with exact subset sums until the pack count reaches
+``ceil(sum of lengths / l_max)``, stops gaining or spends its work budget.
+Packs that end light are flagged underfull. ``pack_corpus`` packs the draws
+and writes the packs in a seeded order so the pack file carries no length
+curriculum."""
 
 from __future__ import annotations
 
 import bisect
+import collections
+import itertools
 import math
 import random
 from dataclasses import dataclass, replace
-from typing import Any, Mapping, Sequence, TypeVar
+from typing import Any, Iterable, Mapping, Sequence, TypeVar
 
 from .util import derive_seed
 
@@ -86,14 +90,40 @@ class Pack:
     underfull: bool
 
 
-def pack_greedy(samples: Sequence[tuple[str, int]], l_min: int, l_max: int) -> list[Pack]:
-    """Best-fit-decreasing packs of ``samples``, in the order they opened.
+# The repair's settings. Pass k pools the packs at most half full, or the
+# REPAIR_POOL_SIZES[k % 4] emptiest packs if that is more, and visits the
+# REPAIR_VISITS packs with most room after those. Each pooled draw and each
+# subset-sum candidate costs max(l_max + 1, 2**16) of REPAIR_BUDGET: the width
+# of a candidate's bitset, or at short l_max about the interpreter's work per
+# candidate. No pass or sum starts once the budget is spent, and a visit whose
+# sum would hold more than REPAIR_SUM_BITS bits of bitsets is skipped (8 MB).
+REPAIR_POOL_SIZES = (6, 10, 3, 14)
+REPAIR_VISITS = 100
+REPAIR_BUDGET = 50_000 << 16  # 50,000 candidates and pooled draws at the default l_max
+REPAIR_SUM_BITS = 1024 << 16
 
-    Samples are placed longest first, equal lengths in input order. Each goes
-    into the open pack with the least room that still holds it, the earliest
-    such pack on a tie, or opens a new one. A pack lists its samples in the
-    order they were placed. Every sample is checked before any is placed, so
-    an error names the first bad sample in input order.
+
+def pack_greedy(samples: Sequence[tuple[str, int]], l_min: int, l_max: int) -> list[Pack]:
+    """Packs of ``samples`` in which no id appears twice, in the order they opened.
+
+    Two phases, both deterministic. *Placement* is best-fit-decreasing:
+    samples go longest first (equal lengths id by id, ids in the order of their
+    first sample, an id's samples in input order), each into the fullest open
+    pack that still has room for it and does not hold its id (the earliest on a
+    tie), or into a new pack. So a stream drawn m times lands in m packs.
+
+    *Repair* then takes passes, while there are more packs than ``ceil(sum of
+    lengths / l_max)``, until a cycle of ``REPAIR_POOL_SIZES`` passes gains
+    nothing or ``REPAIR_BUDGET`` is spent. A pass pools the samples of the
+    emptiest packs (``_Packs.repair`` says which), lets each visited pack take
+    the fullest subset of its own samples and the pool's that fits ``l_max``
+    with no id twice, places the rest of the pool by the placement rule, and
+    is kept only if it closed a pack.
+
+    A pack lists its samples in the order they joined it. Packs keep their
+    opening order; a kept pass drops the pooled packs and appends any it
+    opened. Every sample is checked before any is placed, so an error names
+    the first bad sample in input order.
 
     Raises:
         SampleTooLong: a sample longer than l_max can never be packed.
@@ -101,30 +131,207 @@ def pack_greedy(samples: Sequence[tuple[str, int]], l_min: int, l_max: int) -> l
     """
     if l_min > l_max:
         raise ValueError(f"l_min {l_min} exceeds l_max {l_max}")
-    lengths = [length for _, length in samples]
     for sid, length in samples:
         if length > l_max:
             raise SampleTooLong(f"sample {sid!r} has length {length} > l_max {l_max}")
         if length < 1:
             raise ValueError(f"sample {sid!r} has non-positive length {length}")
-    rooms: list[tuple[int, int]] = []  # (room left, pack number), ascending
-    members: list[list[tuple[str, int]]] = []
-    for i in sorted(range(len(lengths)), key=lengths.__getitem__, reverse=True):
-        length = lengths[i]
-        at = bisect.bisect_left(rooms, (length,))
-        if at < len(rooms):
-            room, number = rooms.pop(at)
-        else:
-            room, number = l_max, len(members)
-            members.append([])
-        members[number].append(samples[i])
-        bisect.insort(rooms, (room - length, number))
+    lengths = [length for _, length in samples]
+    state = _Packs([sid for sid, _ in samples], lengths, l_max)
+    state.place(range(len(lengths)))
+    state.repair()
     packs = []
-    for number, member in enumerate(members):
-        ids, lens = zip(*member)
+    for member in filter(None, state.members):
+        ids, lens = zip(*(samples[i] for i in member))
         total = sum(lens)
-        packs.append(Pack(f"pack-{number:05d}", ids, lens, total, total < l_min))
+        packs.append(Pack(f"pack-{len(packs):05d}", ids, lens, total, total < l_min))
     return packs
+
+
+class _Packs:
+    """``pack_greedy``'s packs of draw indices, numbered in opening order.
+
+    ``members[q]`` lists pack q's draws, empty once the pack is gone, and
+    ``held[q]`` their ids. ``rooms`` holds ``(room left, q)`` for every live
+    pack, ascending. During a repair pass, ``saved`` keeps ``(room, members,
+    held)`` of each pack numbered below ``base`` that the pass changed, so a
+    pass that closes nothing can be undone.
+    """
+
+    def __init__(self, ids: list[str], lengths: list[int], l_max: int):
+        self.ids, self.lengths, self.l_max = ids, lengths, l_max
+        self.members: list[list[int]] = []
+        self.held: list[set[str]] = []
+        self.rooms: list[tuple[int, int]] = []
+        self.saved: dict[int, tuple[int, list[int], set[str]]] = {}
+        self.base = 0
+
+    def _save(self, q: int, room: int) -> None:
+        if q not in self.saved:
+            self.saved[q] = (room, list(self.members[q]), set(self.held[q]))
+
+    def _drop_room(self, q: int) -> None:
+        room = self.l_max - sum(self.lengths[i] for i in self.members[q])
+        del self.rooms[bisect.bisect_left(self.rooms, (room, q))]
+
+    def place(self, draws: Iterable[int]) -> None:
+        """Place ``draws`` longest first; equal lengths stream by stream, streams
+        in the order of their earliest draw among ``draws``, a stream's copies
+        in draw order.
+
+        Each draw goes into the fullest live pack that has room for it and does
+        not hold its id, the earliest opened on a tie, else into a new pack. The
+        copies of a stream follow each other, and each copy makes its pack hold
+        the id, so the copies take the fullest packs that fit and lack the id,
+        one each, found in one walk over ``rooms``.
+        """
+        rooms, held = self.rooms, self.held
+        streams: dict[tuple[str, int], list[int]] = {}
+        for i in sorted(draws):
+            streams.setdefault((self.ids[i], self.lengths[i]), []).append(i)
+        for (sid, length), copies in sorted(streams.items(), key=lambda s: (-s[0][1], s[1][0])):
+            found = []  # where in rooms the packs that take a copy are
+            at = bisect.bisect_left(rooms, (length,))
+            while at < len(rooms) and len(found) < len(copies):
+                if sid not in held[rooms[at][1]]:
+                    found.append(at)
+                at += 1
+            fits = [rooms[at] for at in found]
+            for at in reversed(found):
+                del rooms[at]
+            for room, q in fits:
+                if q < self.base:
+                    self._save(q, room)
+            for _ in range(len(copies) - len(fits)):
+                fits.append((self.l_max, len(self.members)))
+                self.members.append([])
+                held.append(set())
+            for i, (room, q) in zip(copies, fits):
+                self.members[q].append(i)
+                held[q].add(sid)
+                bisect.insort(rooms, (room - length, q))
+
+    def repair(self) -> None:
+        """Repair passes, as ``pack_greedy`` says, each kept only if it closed a pack.
+
+        Pass k ranks the live packs by room, most first, the later opened first
+        on a tie. It pools the samples of the first ``max(REPAIR_POOL_SIZES[k %
+        len(REPAIR_POOL_SIZES)], packs at most half full)`` packs, in rank and
+        then pack order, and visits the next ``REPAIR_VISITS`` in rank order.
+        A pass that would pool every pack is skipped as one without gain: it
+        would only place every draw again. A visited pack's candidates are its
+        own samples, then the first pool sample of each id it lacks. It takes
+        ``_fullest`` of them if that is fuller than it is, and its samples left
+        out join the end of the pool. Then ``place`` places the rest of the pool.
+        """
+        ids, lengths, l_max, rooms = self.ids, self.lengths, self.l_max, self.rooms
+        bound = -(-sum(lengths) // l_max)
+        unit = max(l_max + 1, 1 << 16)
+        spent = fails = passes = 0
+        while len(rooms) > bound and fails < len(REPAIR_POOL_SIZES) and spent < REPAIR_BUDGET:
+            size = REPAIR_POOL_SIZES[passes % len(REPAIR_POOL_SIZES)]
+            passes += 1
+            before = len(rooms)
+            self.saved, self.base = {}, len(self.members)
+            half_full = len(rooms) - bisect.bisect_left(rooms, (l_max - l_max // 2,))
+            cut = len(rooms) - min(len(rooms), max(size, half_full))
+            if cut == 0:  # pooling every pack places all draws again, as placement did
+                fails += 1
+                continue
+            # id -> its pooled draws as (place in the pool order, draw), in order
+            pool: dict[str, collections.deque[tuple[int, int]]] = {}
+            order = itertools.count()
+
+            def join(i: int) -> None:
+                pool.setdefault(ids[i], collections.deque()).append((next(order), i))
+
+            for room, q in reversed(rooms[cut:]):
+                self._save(q, room)
+                spent += len(self.members[q]) * unit
+                for i in self.members[q]:
+                    join(i)
+                self.members[q], self.held[q] = [], set()
+            visits = rooms[max(0, cut - REPAIR_VISITS):cut]
+            del rooms[cut:]
+            for room, q in reversed(visits):
+                if not pool or not room or spent >= REPAIR_BUDGET:
+                    break
+                own = self.members[q]
+                firsts = sorted(draws[0] for sid, draws in pool.items() if sid not in self.held[q])
+                items = own + [i for _, i in firsts]
+                if len(items) * (l_max + 1) > REPAIR_SUM_BITS:
+                    continue
+                spent += len(items) * unit
+                best, chosen = _fullest([lengths[i] for i in items], l_max)
+                if best > l_max - room:
+                    self._save(q, room)
+                    for j in chosen[bisect.bisect_left(chosen, len(own)):]:
+                        draws = pool[ids[items[j]]]
+                        draws.popleft()
+                        if not draws:
+                            del pool[ids[items[j]]]
+                    kept = set(chosen)
+                    for j, i in enumerate(own):
+                        if j not in kept:
+                            join(i)
+                    take = [items[j] for j in chosen]
+                    self.members[q], self.held[q] = take, {ids[i] for i in take}
+                    del rooms[bisect.bisect_left(rooms, (room, q))]
+                    bisect.insort(rooms, (l_max - best, q))
+            self.place([i for draws in pool.values() for _, i in draws])
+            if len(rooms) < before:
+                fails = 0
+                continue
+            fails += 1
+            for q in range(self.base, len(self.members)):
+                self._drop_room(q)
+            for q, (room, members, held) in self.saved.items():
+                if self.members[q]:
+                    self._drop_room(q)
+                self.members[q], self.held[q] = members, held
+                bisect.insort(rooms, (room, q))
+            del self.members[self.base:], self.held[self.base:]
+
+
+def _fullest(lengths: list[int], cap: int) -> tuple[int, list[int]]:
+    """The largest subset sum of ``lengths`` that is at most ``cap``, and the
+    ascending indices of one subset with it.
+
+    An exact subset sum over bitsets, where bit s says some subset sums to s.
+    Walking back from the last length, a length is taken only when the sum
+    still wanted is out of reach without it. A run of equal adjacent lengths
+    is added at once, and the walk takes the first m of a run, m the fewest
+    copies that leave the wanted sum within reach of the runs before it: what
+    the walk over single lengths would take.
+    """
+    mask = (1 << cap + 1) - 1
+    runs: list[tuple[int, int, int]] = []  # (first index, length, copies)
+    for j, length in enumerate(lengths):
+        if runs and runs[-1][1] == length:
+            runs[-1] = (runs[-1][0], length, runs[-1][2] + 1)
+        else:
+            runs.append((j, length, 1))
+    reach = [1]  # reach[k]: the sums of subsets of the first k runs
+    for _, length, copies in runs:
+        bits, step = reach[-1], 1
+        while copies:  # 1, 2, 4, ... copies at a time make every count up to copies
+            step = min(step, copies)
+            bits |= (bits << step * length) & mask
+            copies -= step
+            step *= 2
+        reach.append(bits)
+        if bits >> cap:  # cap itself is reached; later runs are never taken
+            break
+    best = want = reach[-1].bit_length() - 1
+    chosen: list[int] = []
+    for k in range(len(reach) - 2, -1, -1):
+        first, length, _ = runs[k]
+        m = 0
+        while not reach[k] >> want - m * length & 1:
+            m += 1
+        chosen[:0] = range(first, first + m)
+        want -= m * length
+    return best, chosen
 
 
 def pack_to_record(p: Pack) -> dict[str, Any]:

@@ -30,7 +30,7 @@ def synthesize(tmp_path):
         io.write_jsonl(path, items if decode is None else map(dialogue_to_record, items))
         one = cli.record_synthesizer(stages, backend, cfg, task=task, pool=pool)
         rejects = []
-        lines = cli._synthesized_lines(path, decode, one, rejects, threads)
+        lines = cli._synthesized_lines(path, decode, one, rejects, threads, stages[-1])
         return [json.loads(line) for line in lines], rejects
 
     return run

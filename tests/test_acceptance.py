@@ -20,7 +20,7 @@ from dialogue_reference import (
     structural_equal,
 )
 from mask_reference import dense_mask, mask_oracle
-from pack_reference import bfd_packs
+from pack_reference import reference_packs
 
 from dialogforge.atomic_ops import (
     OPS,
@@ -246,7 +246,8 @@ def test_sampler_ratios():
     assert time.monotonic() - start < 5.0
 
 
-@criterion(9, "packer: hard cap respected, conservation holds, sorted run leaves <=1 underfull")
+@criterion(9, "packer: hard cap respected, conservation holds, no pack repeats a sample, "
+              "sorted run leaves <=1 underfull")
 def test_packer():
     rng = random.Random(9)
     samples = [(f"s{i}", rng.randint(200, 3000)) for i in range(5000)]
@@ -257,10 +258,17 @@ def test_packer():
     assert sum(p.total for p in packs) == sum(n for _, n in samples)
     index = {sid: i for i, (sid, _) in enumerate(samples)}
     assert ([[index[sid] for sid in p.sample_ids] for p in packs]
-            == bfd_packs([n for _, n in samples], l_max))
+            == reference_packs(*zip(*samples), l_max))
     packed = collections.Counter(s for p in packs for s in zip(p.sample_ids, p.lengths))
     assert packed == collections.Counter(samples)
     assert sum(p.total <= l_max / 2 for p in packs) <= 1
+
+    twice = samples[:1000] * 2  # every stream drawn twice
+    twice_packs = pack_greedy(twice, l_min, l_max)
+    assert all(len(set(p.sample_ids)) == len(p.sample_ids) for p in twice_packs)
+    assert collections.Counter(s for p in twice_packs for s in zip(p.sample_ids, p.lengths)) \
+        == collections.Counter(twice)
+    assert all(p.total <= l_max for p in twice_packs)
 
     sorted_packs = pack_greedy(sorted(samples, key=lambda x: x[1], reverse=True), l_min, l_max)
     assert sum(p.underfull for p in sorted_packs) <= 1

@@ -314,6 +314,37 @@ def test_each_subcommand_loads_only_its_layers(footprint_dir, argv, layers):
     assert out[-1] == "False"  # a mock run, or none, starts no thread pool
 
 
+def _in_process(argv):
+    """``main(argv)``'s exit code, stdout and stderr, run in this process."""
+    out, err = StringIO(), StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_the_script_exits_at_once_and_all_it_printed_arrives(footprint_dir, tmp_path):
+    # every copy after the first repeats 20 ids: over 64 KB of id-unique lines
+    lines = (footprint_dir / "d.jsonl").read_bytes()
+    (tmp_path / "repeats.jsonl").write_bytes(lines * 60)
+    cases = {
+        0: ["stats", "--in", str(footprint_dir / "d.jsonl")],
+        1: ["validate", "--in", str(tmp_path / "repeats.jsonl")],
+        2: ["serialize", "--in", str(footprint_dir / "d.jsonl"), "--out", str(tmp_path / "s"),
+            "--vit-patch", "0"],
+        3: ["validate", "--in", str(tmp_path / "missing.jsonl")],
+    }
+    env = _child_env()
+    env.pop("PYTHONUNBUFFERED", None)  # buffered, as stdout to a pipe is by default
+    for code, argv in cases.items():
+        child = subprocess.run([sys.executable, "-m", "dialogforge.cli", *argv],
+                               env=env, capture_output=True, text=True)
+        assert (child.returncode, child.stdout, child.stderr) == _in_process(argv)
+        assert child.returncode == code
+        assert child.stderr if code >= 2 else not child.stderr
+        if code == 1:
+            assert len(child.stdout) > 65536  # more than a pipe buffer
+
+
 _REPORT_PEAK = ("import sys; from dialogforge.cli import main; code = main(sys.argv[1:]); "
                 "print(next(line for line in open('/proc/self/status') "
                 "if line.startswith('VmHWM:')).split()[1]); sys.exit(code)")
@@ -336,6 +367,24 @@ def test_synthesize_memory_does_not_grow_with_the_corpus(tmp_path):
         assert f"synthesize: {n} dialogues, 0 rejects" in out
         peak_kb[n] = int(out.splitlines()[-1])
     assert peak_kb[4000] - peak_kb[500] <= 3 * 1024, peak_kb
+
+
+def test_a_record_given_twice_is_a_duplicate_id_reject_and_the_chain_runs_on(workdir):
+    first = Path("t2i_records_20.jsonl").read_text().splitlines(keepends=True)[0]
+    Path("twice.jsonl").write_text(first * 2)
+    assert run("synthesize", "--stage", "a", "--task", "t_i_0_0", "--in", "twice.jsonl",
+               "--out", "d.jsonl") == 0
+    assert [d.id for d in read_dialogues("d.jsonl")] == ["t2i-00000.t_i_0_0.0"]
+    assert list(io.read_jsonl("d.jsonl.rejects.jsonl")) == [
+        {"stage": "a", "id": "t2i-00000.t_i_0_0.0",
+         "error": "duplicate-id: an earlier dialogue has this id"}]
+    assert run("validate", "--in", "d.jsonl") == 0
+    Path("streams").mkdir()
+    assert run("serialize", "--in", "d.jsonl", "--out", "streams/t.jsonl") == 0
+    Path("w.json").write_text('{"t": 1.0}')
+    assert run("pack", "--config", "w.json", "--in-dir", "streams", "--n", "3",
+               "--out", "p.jsonl", "--stats", "p.json") == 0
+    assert [p["sample_ids"] for p in io.read_jsonl("p.jsonl")] == [["t2i-00000.t_i_0_0.0"]] * 3
 
 
 def test_chain_rejects_come_in_input_order(workdir):

@@ -68,7 +68,7 @@ GOLDEN = {
     "pack_stats.json":
         "7e98e3b71b8ac450e6f36efea9883a5d01ed9714a1009c1d18b2e946888ef9d5",
     "packs.jsonl":
-        "d22fd9c8cdd73211bfb2c62c79da04c367369f47703c5354e4b9c803bbc0b588",
+        "3b5dcd67dd2465d46907232dfdf89e442c1a21aa427020796ed80e31fa2a32b1",
     "stats.json":
         "00435a127c4b327341f05e30e3a875950e68f8fdd3b0ac2552020fc4fd310052",
     "streams/t_i_0_0.jsonl":

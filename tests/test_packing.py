@@ -1,18 +1,21 @@
 import collections
+import itertools
 import json
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from pack_reference import bfd_packs
+from pack_reference import placed_packs, reference_packs
 
+from dialogforge import packing
 from dialogforge.packing import (
     AllZeroWeights,
     EmptyCategory,
     Pack,
     SampleTooLong,
     SamplingConfig,
+    _fullest,
     pack_corpus,
     pack_greedy,
     pack_to_record,
@@ -77,11 +80,23 @@ def test_sampling_with_replacement_within_category():
 
 
 def test_pack_greedy_hand_case():
-    # 3+3 fits under 7, the third 3 opens a new, underfull pack
+    # 3+3 fits under 7, the third 3 opens a new, underfull pack; 2 packs is the bound
     packs = pack_greedy([("s0", 3), ("s1", 3), ("s2", 3)], l_min=5, l_max=7)
     assert [p.lengths for p in packs] == [(3, 3), (3,)]
     assert [p.underfull for p in packs] == [False, True]
     assert [p.pack_id for p in packs] == ["pack-00000", "pack-00001"]
+
+
+def test_two_draws_of_one_stream_go_to_two_packs():
+    packs = pack_greedy([("x", 5), ("x", 5)], l_min=1, l_max=10)
+    assert [p.sample_ids for p in packs] == [("x",), ("x",)]
+
+
+def test_a_copy_skips_the_pack_that_holds_its_stream():
+    # y, then x fill 7 of 10; the second x would fit there but opens its own pack,
+    # and no repair can close a pack that holds only another copy of x
+    packs = pack_greedy([("x", 3), ("x", 3), ("y", 4)], l_min=1, l_max=10)
+    assert [p.sample_ids for p in packs] == [("y", "x"), ("x",)]
 
 
 def test_pack_greedy_places_longest_first():
@@ -90,6 +105,19 @@ def test_pack_greedy_places_longest_first():
     assert [p.sample_ids for p in packs] == [("b", "a"), ("d", "c")]
     assert [p.lengths for p in packs] == [(6, 4), (5, 3)]
     assert [p.total for p in packs] == [10, 8]
+
+
+def test_repair_closes_a_pack_that_placement_left_open():
+    # placement: (b8 c3) (a6 d3) (d3) (d3), four packs over a bound of ceil(26 / 12) = 3.
+    # Pooling every pack closes nothing; the third pass pools the three emptiest,
+    # (b c) takes the fullest subset c+d+a = 12 of its own and the pool's, b and
+    # the last two d are placed again, and a pack is gone.
+    samples = [("a", 6), ("b", 8), ("c", 3), ("d", 3), ("d", 3), ("d", 3)]
+    assert [[samples[i][0] for i in p] for p in placed_packs(*zip(*samples), 12)] == [
+        ["b", "c"], ["a", "d"], ["d"], ["d"]]
+    packs = pack_greedy(samples, l_min=1, l_max=12)
+    assert [p.sample_ids for p in packs] == [("c", "d", "a"), ("b", "d"), ("d",)]
+    assert [p.total for p in packs] == [12, 11, 3]
 
 
 def test_pack_exact_fit():
@@ -113,18 +141,29 @@ def test_pack_bad_bounds_and_lengths():
         pack_greedy([("s0", 3), ("s1", 0), ("s2", 8)], l_min=1, l_max=7)
 
 
+def assert_pack_properties(samples, packs, l_max):
+    """What every ``pack_greedy`` result keeps, whatever the ids repeat."""
+    assert all(len(set(p.sample_ids)) == len(p.sample_ids) for p in packs)  # no id twice
+    packed = collections.Counter(s for p in packs for s in zip(p.sample_ids, p.lengths))
+    assert packed == collections.Counter(samples)  # every draw exactly once
+    assert all(p.total == sum(p.lengths) <= l_max for p in packs)
+    ids, lengths = [s for s, _ in samples], [n for _, n in samples]
+    assert len(packs) <= len(placed_packs(ids, lengths, l_max))
+    light = [set(p.sample_ids) for p in packs if p.total <= l_max / 2]
+    assert all(a & b for a, b in itertools.combinations(light, 2))
+
+
 @settings(max_examples=200)
 @given(lengths=st.lists(st.integers(1, 64), max_size=60))
 def test_pack_conservation_and_capacity(lengths):
     samples = [(f"s{i}", n) for i, n in enumerate(lengths)]
     packs = pack_greedy(samples, l_min=48, l_max=64)
-    assert all(p.total <= 64 for p in packs)
-    assert all(p.total == sum(p.lengths) for p in packs)
-    assert [[int(sid[1:]) for sid in p.sample_ids] for p in packs] == bfd_packs(lengths, 64)
-    packed = collections.Counter(s for p in packs for s in zip(p.sample_ids, p.lengths))
-    assert packed == collections.Counter(samples)  # every draw exactly once
+    ids = [s for s, _ in samples]
+    assert ([[int(sid[1:]) for sid in p.sample_ids] for p in packs]
+            == reference_packs(ids, lengths, 64))
+    assert_pack_properties(samples, packs, 64)
     assert sum(p.total for p in packs) == sum(lengths)
-    assert sum(p.total <= 64 / 2 for p in packs) <= 1
+    assert sum(p.total <= 64 / 2 for p in packs) <= 1  # ids are unique
 
 
 def test_sorted_desc_leaves_one_underfull_at_most():
@@ -132,6 +171,9 @@ def test_sorted_desc_leaves_one_underfull_at_most():
     samples = sorted(((f"s{i}", rng.randint(200, 3000)) for i in range(2000)),
                      key=lambda x: x[1], reverse=True)
     packs = pack_greedy(samples, l_min=62464, l_max=65536)
+    index = {sid: i for i, (sid, _) in enumerate(samples)}
+    assert ([[index[sid] for sid in p.sample_ids] for p in packs]
+            == reference_packs(*zip(*samples), 65536))
     assert sum(p.underfull for p in packs) <= 1
     assert all(not p.underfull for p in packs[:-1])
 
@@ -182,10 +224,66 @@ def test_pack_greedy_builds_the_reference_packs(case):
     lengths, l_max = case
     packs = pack_greedy([(str(i), n) for i, n in enumerate(lengths)], l_min=l_max, l_max=l_max)
     indices = [[int(sid) for sid in p.sample_ids] for p in packs]
-    assert indices == bfd_packs(lengths, l_max)
+    assert indices == reference_packs([str(i) for i in range(len(lengths))], lengths, l_max)
     assert sorted(i for pack in indices for i in pack) == list(range(len(lengths)))
     assert [p.lengths for p in packs] == [tuple(lengths[i] for i in pack) for pack in indices]
     assert [p.pack_id for p in packs] == [f"pack-{i:05d}" for i in range(len(packs))]
+
+
+@st.composite
+def repeated_draws(draw):
+    """Draws from a few streams, each stream with one length, as ``pack_corpus`` makes them."""
+    l_max = draw(st.integers(1, 120))
+    streams = draw(st.lists(st.integers(1, l_max), min_size=1, max_size=12))
+    picks = draw(st.lists(st.integers(0, len(streams) - 1), max_size=80))
+    return [(f"s{k}", streams[k]) for k in picks], l_max
+
+
+@settings(max_examples=300)
+@given(case=repeated_draws())
+def test_pack_greedy_builds_the_reference_packs_from_repeated_draws(case):
+    samples, l_max = case
+    packs = pack_greedy(samples, l_min=1, l_max=l_max)
+    ids, lengths = [s for s, _ in samples], [n for _, n in samples]
+    assert ([list(p.sample_ids) for p in packs]
+            == [[ids[i] for i in pack] for pack in reference_packs(ids, lengths, l_max)])
+    assert_pack_properties(samples, packs, l_max)
+
+
+@settings(max_examples=100)
+@given(case=repeated_draws(), budget=st.integers(0, 1 << 20), sum_bits=st.integers(0, 4000))
+# budgets that end the repair inside a pass, where the pooled draws or every
+# candidate must count, and a largest sum that lets no visit run
+@example(case=([("s1", 15), ("s5", 9), ("s5", 9), ("s2", 6), ("s0", 12), ("s5", 9)], 30),
+         budget=1 << 16, sum_bits=1 << 20)
+@example(case=([("s3", 10), ("s0", 3), ("s2", 17), ("s3", 10), ("s2", 17), ("s0", 3), ("s1", 15),
+                ("s1", 15), ("s0", 3)], 28), budget=8 << 16, sum_bits=1 << 20)
+@example(case=([("a", 6), ("b", 8), ("c", 3), ("d", 3), ("d", 3), ("d", 3)], 12),
+         budget=1 << 30, sum_bits=0)
+def test_repair_keeps_to_its_budget_and_its_largest_sum(case, budget, sum_bits):
+    samples, l_max = case
+    ids, lengths = [s for s, _ in samples], [n for _, n in samples]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(packing, "REPAIR_BUDGET", budget)
+        mp.setattr(packing, "REPAIR_SUM_BITS", sum_bits)
+        packs = pack_greedy(samples, l_min=1, l_max=l_max)
+        assert ([list(p.sample_ids) for p in packs]
+                == [[ids[i] for i in pack] for pack in reference_packs(ids, lengths, l_max)])
+    assert_pack_properties(samples, packs, l_max)
+
+
+@settings(max_examples=200)
+@given(lengths=st.lists(st.integers(1, 9), max_size=10), cap=st.integers(0, 60))
+def test_fullest_is_the_largest_subset_sum_and_the_latest_items_it_can_avoid(lengths, cap):
+    # few distinct lengths, so runs of equal lengths are common
+    best, chosen = _fullest(lengths, cap)
+    subsets = [c for r in range(len(lengths) + 1)
+               for c in itertools.combinations(range(len(lengths)), r)
+               if sum(lengths[i] for i in c) <= cap]
+    assert best == max(sum(lengths[i] for i in c) for c in subsets)
+    # among the fullest subsets, the one whose indices, largest first, are least
+    fullest = [c for c in subsets if sum(lengths[i] for i in c) == best]
+    assert chosen == list(min(fullest, key=lambda c: sorted(c, reverse=True)))
 
 
 @st.composite
@@ -206,8 +304,8 @@ def test_pack_corpus_packs_every_draw_once_within_l_max(run):
     packs, stats = pack_corpus(cfg, corpora, n, l_max // 2, l_max, seed)
     drawn = collections.Counter(sid for _, (sid, _) in sample_stream(cfg, corpora, n, seed))
     assert collections.Counter(sid for p in packs for sid in p.sample_ids) == drawn
-    assert all(p.total == sum(p.lengths) <= l_max for p in packs)
-    assert sum(p.total <= l_max / 2 for p in packs) <= 1
+    assert_pack_properties([draw for _, draw in sample_stream(cfg, corpora, n, seed)],
+                           packs, l_max)
     assert [p.pack_id for p in packs] == [f"pack-{i:05d}" for i in range(len(packs))]
     assert stats["pack_count"] == len(packs) and stats["sample_count"] == n
 

@@ -284,6 +284,11 @@ def test_map_lines_stopped_early_starts_no_further_call(cpus, lines_file, tmp_pa
 
     outputs = io.map_lines(lines_file, fn, threads)
     assert next(outputs) == 0
+    # the thread that ran line 0 takes line 2 next; wait for it, since which of
+    # that pickup and close comes first is up to the scheduler
+    deadline = time.monotonic() + 5
+    while threads and "2\n" not in log.read_text() and time.monotonic() < deadline:
+        time.sleep(0.01)
     outputs.close()
     started = sorted(map(int, log.read_text().split()))
     time.sleep(0.3)
@@ -455,6 +460,31 @@ def test_validate_reports_a_repeated_id_in_a_later_chunk(cpus, tmp_path, monkeyp
     assert capsys.readouterr().out == (f"{repeated}: id-unique: an earlier dialogue has this id\n"
                                        "validate: 1 dialogues with violations\n")
     assert run("validate", "--in", "a.jsonl") == 0
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_synthesize_rejects_a_repeated_id_in_a_later_chunk(cpus, tmp_path, monkeypatch, capsys,
+                                                          n):
+    _inputs(tmp_path / "w")
+    monkeypatch.chdir(tmp_path / "w")
+    run(*_CHAIN[0].split())
+    lines = Path("in.jsonl").read_text().splitlines(keepends=True)
+    # record 1 again after line 16, in chunk 5: another worker's at n = 2; then record 2
+    Path("dup.jsonl").write_text("".join(lines[:16] + lines[1:2] + lines[16:] + lines[2:3]))
+    forks = cpus(n)
+    assert run(*_CHAIN[0].replace("in.jsonl", "dup.jsonl").replace("abc", "o").split()) == 0
+    assert len(forks) == (n if n > 1 else 0)
+    assert capsys.readouterr().out.endswith("synthesize: 18 dialogues, 4 rejects -> o.jsonl\n")
+    assert Path("o.jsonl").read_bytes() == Path("abc.jsonl").read_bytes()
+    ids = [rec["id"] for rec in io.read_jsonl("abc.jsonl")]  # records 0-3 made lines 0-3
+    duplicate = "duplicate-id: an earlier dialogue has this id"
+    assert [(r["stage"], r.get("index", r.get("id")), r["error"])
+            for r in io.read_jsonl("o.jsonl.rejects.jsonl")] == [
+        ("a", 4, "record is missing key 'instruction'"),
+        ("a", 11, "record is missing key 'instruction'"),
+        ("c", ids[1], duplicate), ("c", ids[2], duplicate)]
+    assert run("validate", "--in", "o.jsonl") == 0
     assert_no_child_left()
 
 
