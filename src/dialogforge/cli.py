@@ -1,9 +1,10 @@
 """Command-line pipeline: synthesize, validate, serialize, mask, pack, stats.
 
-All randomness flows from one root seed through per-record derived seeds, and
-every writing command drops a manifest next to its output (argv, config,
-input/output hashes, counts), so reruns are reproducible byte for byte under
-the mock backend.
+All randomness flows from one root seed through per-record derived seeds, so
+reruns are reproducible byte for byte under the mock backend. ``synthesize``,
+``serialize``, ``mask`` and ``pack`` drop a manifest next to their output
+(argv, config, input/output hashes, counts); ``stats --out`` writes its JSON
+with none.
 
 Each subcommand loads only the layers it runs: the data layers (``io``,
 ``dialogue``, ``stream``, ``taxonomy``) load with this module, the backend,

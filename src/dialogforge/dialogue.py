@@ -336,19 +336,24 @@ def image_to_obj(img: ImageRef) -> dict[str, Any]:
 _stage = enum_decoder(Stage)
 
 
-def image_from_obj(obj: dict[str, Any]) -> ImageRef:
+def image_from_obj(obj: Any) -> ImageRef:
+    if not isinstance(obj, dict):
+        raise TypeError(f"image must be an object, not {obj!r}")
     if type(obj["id"]) is not str:
         raise TypeError(f"image id must be a string, not {obj['id']!r}")
     width, height = obj["width"], obj["height"]
     if type(width) is not int or type(height) is not int:
         raise TypeError(f"image {obj['id']!r}: width and height must be integers, "
                         f"not {width!r} and {height!r}")
+    caption = obj.get("caption")
+    if caption is not None and type(caption) is not str:
+        raise TypeError(f"image {obj['id']!r}: caption must be a string, not {caption!r}")
     return ImageRef(
         id=obj["id"],
         uri=obj["uri"],
         width=width,
         height=height,
-        caption=obj.get("caption"),
+        caption=caption,
     )
 
 
@@ -358,7 +363,10 @@ def _segment_to_obj(seg: Segment) -> dict[str, Any]:
     return {"image": image_to_obj(seg.image)}
 
 
-def _segment_from_obj(obj: dict[str, Any]) -> Segment:
+def _segment_from_obj(obj: Any) -> Segment:
+    if not isinstance(obj, dict) or ("text" in obj) == ("image" in obj):
+        raise TypeError(f"segment must be an object with exactly one of text and image, "
+                        f"not {obj!r}")
     if "text" in obj:
         if not isinstance(obj["text"], str):
             raise TypeError(f"text segment must be a string, not {obj['text']!r}")

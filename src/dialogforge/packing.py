@@ -141,38 +141,26 @@ def pack_greedy(samples: Sequence[tuple[str, int]], l_min: int, l_max: int) -> l
     state.place(range(len(lengths)))
     state.repair()
     packs = []
-    for member in filter(None, state.members):
-        ids, lens = zip(*(samples[i] for i in member))
+    for pack in filter(None, state.packs):
+        ids, lens = zip(*(samples[i] for i in pack.values()))
         total = sum(lens)
         packs.append(Pack(f"pack-{len(packs):05d}", ids, lens, total, total < l_min))
     return packs
 
 
 class _Packs:
-    """``pack_greedy``'s packs of draw indices, numbered in opening order.
+    """``pack_greedy``'s packs, numbered in opening order.
 
-    ``members[q]`` lists pack q's draws, empty once the pack is gone, and
-    ``held[q]`` their ids. ``rooms`` holds ``(room left, q)`` for every live
-    pack, ascending. During a repair pass, ``saved`` keeps ``(room, members,
-    held)`` of each pack numbered below ``base`` that the pass changed, so a
-    pass that closes nothing can be undone.
+    ``packs[q]`` maps each draw in pack q to its draw index by the draw's id, in
+    the order the draws joined; a pack holds no id twice, so the id is a key,
+    and a pack that is gone is empty. ``rooms`` holds ``(room left, q)`` for
+    every live pack, ascending.
     """
 
     def __init__(self, ids: list[str], lengths: list[int], l_max: int):
         self.ids, self.lengths, self.l_max = ids, lengths, l_max
-        self.members: list[list[int]] = []
-        self.held: list[set[str]] = []
+        self.packs: list[dict[str, int]] = []
         self.rooms: list[tuple[int, int]] = []
-        self.saved: dict[int, tuple[int, list[int], set[str]]] = {}
-        self.base = 0
-
-    def _save(self, q: int, room: int) -> None:
-        if q not in self.saved:
-            self.saved[q] = (room, list(self.members[q]), set(self.held[q]))
-
-    def _drop_room(self, q: int) -> None:
-        room = self.l_max - sum(self.lengths[i] for i in self.members[q])
-        del self.rooms[bisect.bisect_left(self.rooms, (room, q))]
 
     def place(self, draws: Iterable[int]) -> None:
         """Place ``draws`` longest first; equal lengths stream by stream, streams
@@ -185,7 +173,7 @@ class _Packs:
         the id, so the copies take the fullest packs that fit and lack the id,
         one each, found in one walk over ``rooms``.
         """
-        rooms, held = self.rooms, self.held
+        packs, rooms = self.packs, self.rooms
         streams: dict[tuple[str, int], list[int]] = {}
         for i in sorted(draws):
             streams.setdefault((self.ids[i], self.lengths[i]), []).append(i)
@@ -193,26 +181,22 @@ class _Packs:
             found = []  # where in rooms the packs that take a copy are
             at = bisect.bisect_left(rooms, (length,))
             while at < len(rooms) and len(found) < len(copies):
-                if sid not in held[rooms[at][1]]:
+                if sid not in packs[rooms[at][1]]:
                     found.append(at)
                 at += 1
             fits = [rooms[at] for at in found]
             for at in reversed(found):
                 del rooms[at]
-            for room, q in fits:
-                if q < self.base:
-                    self._save(q, room)
             for _ in range(len(copies) - len(fits)):
-                fits.append((self.l_max, len(self.members)))
-                self.members.append([])
-                held.append(set())
+                fits.append((self.l_max, len(packs)))
+                packs.append({})
             for i, (room, q) in zip(copies, fits):
-                self.members[q].append(i)
-                held[q].add(sid)
+                packs[q][sid] = i
                 bisect.insort(rooms, (room - length, q))
 
     def repair(self) -> None:
-        """Repair passes, as ``pack_greedy`` says, each kept only if it closed a pack.
+        """Repair passes, as ``pack_greedy`` says, each run on a copy of the packs
+        and rooms that replaces them only if it closed a pack.
 
         Pass k ranks the live packs by room, most first, the later opened first
         on a tie. It pools the samples of the first ``max(REPAIR_POOL_SIZES[k %
@@ -224,20 +208,22 @@ class _Packs:
         ``_fullest`` of them if that is fuller than it is, and its samples left
         out join the end of the pool. Then ``place`` places the rest of the pool.
         """
-        ids, lengths, l_max, rooms = self.ids, self.lengths, self.l_max, self.rooms
+        ids, lengths, l_max = self.ids, self.lengths, self.l_max
         bound = -(-sum(lengths) // l_max)
         unit = max(l_max + 1, 1 << 16)
         spent = fails = passes = 0
-        while len(rooms) > bound and fails < len(REPAIR_POOL_SIZES) and spent < REPAIR_BUDGET:
+        while len(self.rooms) > bound and fails < len(REPAIR_POOL_SIZES) and spent < REPAIR_BUDGET:
             size = REPAIR_POOL_SIZES[passes % len(REPAIR_POOL_SIZES)]
             passes += 1
-            before = len(rooms)
-            self.saved, self.base = {}, len(self.members)
-            half_full = len(rooms) - bisect.bisect_left(rooms, (l_max - l_max // 2,))
-            cut = len(rooms) - min(len(rooms), max(size, half_full))
+            before = len(self.rooms)
+            half_full = before - bisect.bisect_left(self.rooms, (l_max - l_max // 2,))
+            cut = before - min(before, max(size, half_full))
             if cut == 0:  # pooling every pack places all draws again, as placement did
                 fails += 1
                 continue
+            kept = self.packs, self.rooms
+            packs = self.packs = [dict(p) for p in self.packs]
+            rooms = self.rooms = list(self.rooms)
             # id -> its pooled draws as (place in the pool order, draw), in order
             pool: dict[str, collections.deque[tuple[int, int]]] = {}
             order = itertools.count()
@@ -245,52 +231,42 @@ class _Packs:
             def join(i: int) -> None:
                 pool.setdefault(ids[i], collections.deque()).append((next(order), i))
 
-            for room, q in reversed(rooms[cut:]):
-                self._save(q, room)
-                spent += len(self.members[q]) * unit
-                for i in self.members[q]:
+            for _, q in reversed(rooms[cut:]):
+                spent += len(packs[q]) * unit
+                for i in packs[q].values():
                     join(i)
-                self.members[q], self.held[q] = [], set()
+                packs[q] = {}
             visits = rooms[max(0, cut - REPAIR_VISITS):cut]
             del rooms[cut:]
             for room, q in reversed(visits):
                 if not pool or not room or spent >= REPAIR_BUDGET:
                     break
-                own = self.members[q]
-                firsts = sorted(draws[0] for sid, draws in pool.items() if sid not in self.held[q])
+                own = list(packs[q].values())
+                firsts = sorted(draws[0] for sid, draws in pool.items() if sid not in packs[q])
                 items = own + [i for _, i in firsts]
                 if len(items) * (l_max + 1) > REPAIR_SUM_BITS:
                     continue
                 spent += len(items) * unit
                 best, chosen = _fullest([lengths[i] for i in items], l_max)
                 if best > l_max - room:
-                    self._save(q, room)
                     for j in chosen[bisect.bisect_left(chosen, len(own)):]:
                         draws = pool[ids[items[j]]]
                         draws.popleft()
                         if not draws:
                             del pool[ids[items[j]]]
-                    kept = set(chosen)
+                    taken = set(chosen)
                     for j, i in enumerate(own):
-                        if j not in kept:
+                        if j not in taken:
                             join(i)
-                    take = [items[j] for j in chosen]
-                    self.members[q], self.held[q] = take, {ids[i] for i in take}
+                    packs[q] = {ids[items[j]]: items[j] for j in chosen}
                     del rooms[bisect.bisect_left(rooms, (room, q))]
                     bisect.insort(rooms, (l_max - best, q))
             self.place([i for draws in pool.values() for _, i in draws])
             if len(rooms) < before:
                 fails = 0
-                continue
-            fails += 1
-            for q in range(self.base, len(self.members)):
-                self._drop_room(q)
-            for q, (room, members, held) in self.saved.items():
-                if self.members[q]:
-                    self._drop_room(q)
-                self.members[q], self.held[q] = members, held
-                bisect.insort(rooms, (room, q))
-            del self.members[self.base:], self.held[self.base:]
+            else:
+                fails += 1
+                self.packs, self.rooms = kept
 
 
 def _fullest(lengths: list[int], cap: int) -> tuple[int, list[int]]:

@@ -1,10 +1,11 @@
 """The packer's rule written plainly: the oracle ``packing.pack_greedy`` is held against.
 
-``pack_greedy`` keeps a sorted list of rooms, per-pack id sets and an undo log,
-and returns ``Pack``s. Here every step scans lists: ``placed_packs`` is the
-placement phase alone, ``reference_packs`` adds the repair passes, and both
-return packs as lists of input indices in opening order. The repair's settings
-are the library's constants, read at each call.
+``pack_greedy`` keeps a sorted list of rooms and one id-keyed dict per pack,
+runs each repair pass on a copy of them, and returns ``Pack``s. Here every step
+scans lists: ``placed_packs`` is the placement phase alone, ``reference_packs``
+adds the repair passes, and both return packs as lists of input indices in
+opening order. The repair's settings are the library's constants, read at each
+call.
 """
 
 from dialogforge import packing

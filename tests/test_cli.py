@@ -1,3 +1,4 @@
+import collections
 import concurrent.futures
 import contextlib
 import json
@@ -156,8 +157,11 @@ def test_chain_writes_streams_masks_and_packs_that_agree(tmp_path_factory, task,
     io.write_jsonl(root / "pool.jsonl",
                    (entry_to_record(e) for e in make_distractor_pool(2, seed + 1).entries))
     (root / "streams").mkdir()
-    (root / "w.json").write_text(json.dumps({"chain": 1.0}))
+    # A second category holds the same dialogues serialized at the other patch,
+    # so a dialogue id can be drawn at two lengths.
+    (root / "w.json").write_text(json.dumps({"chain": 1.0, "other": 1.0}))
     d, streams, masks = root / "d.jsonl", root / "streams" / "chain.jsonl", root / "m.jsonl"
+    other = root / "streams" / "other.jsonl"
     packs, stats = root / "p.jsonl", root / "p.json"
     # Patches at least half the largest fixture image keep every stream within
     # the 512 positions of the brute-force mask oracle.
@@ -165,25 +169,29 @@ def test_chain_writes_streams_masks_and_packs_that_agree(tmp_path_factory, task,
         assert main(["synthesize", "--stages", "a,b,c", "--task", task, "--seed", str(seed),
                      "--in", str(root / "in.jsonl"), "--pool", str(root / "pool.jsonl"),
                      "--out", str(d)]) == 0
-        assert main(["serialize", "--in", str(d), "--out", str(streams),
-                     "--vit-patch", str(patch), "--vae-patch", str(patch)]) == 0
+        for out, size in ((streams, patch), (other, 768 - patch)):
+            assert main(["serialize", "--in", str(d), "--out", str(out),
+                         "--vit-patch", str(size), "--vae-patch", str(size)]) == 0
         assert main(["mask", "--in", str(streams), "--out", str(masks)]) == 0
         assert main(["pack", "--config", str(root / "w.json"), "--in-dir", str(root / "streams"),
                      "--n", str(draws), "--l-min", "256", "--l-max", "512", "--seed", str(seed),
                      "--out", str(packs), "--stats", str(stats)]) == 0
-    lengths = {}
+    lengths = collections.defaultdict(set)  # id -> its lengths at the two patches
     for rec, mask in zip(io.read_jsonl(streams), io.read_jsonl(masks), strict=True):
         s = stream_from_record(rec)
         assert validate_stream(s).ok and stream_to_record(s) == rec
         assert (mask["dialogue_id"], mask["total_len"]) == (s.dialogue_id, s.total_len)
         assert np.array_equal(dense_from_rows(mask["rows"], s.total_len), mask_oracle(s))
-        lengths[s.dialogue_id] = s.total_len
+        lengths[s.dialogue_id].add(s.total_len)
+    for rec in io.read_jsonl(other):
+        lengths[rec["dialogue_id"]].add(rec["total_len"])
     assert len(lengths) == n
     pack_stats = json.loads(stats.read_text())
     packed = list(io.read_jsonl(packs))
     assert sum(len(p["sample_ids"]) for p in packed) == pack_stats["sample_count"] == draws
     for p in packed:
-        assert p["lengths"] == [lengths[i] for i in p["sample_ids"]]
+        assert len(set(p["sample_ids"])) == len(p["sample_ids"])
+        assert all(n in lengths[i] for i, n in zip(p["sample_ids"], p["lengths"], strict=True))
         assert p["total"] == sum(p["lengths"]) <= 512
         assert p["underfull"] == (p["total"] < 256)
     assert sum(p["total"] for p in packed) == pack_stats["token_count"]
@@ -965,12 +973,20 @@ def test_record_missing_key_exits_3_with_path_line(workdir, capsys, argv, source
     assert err.endswith(f"bad.jsonl:3: missing key '{key}'") and len(err.splitlines()) == 1
 
 
+def _image_segment(rec):
+    return next(seg for seg in rec["rounds"][0]["assistant"]["segments"] if "image" in seg)
+
+
 def _set_width(rec, value):
-    next(seg for seg in rec["rounds"][0]["assistant"]["segments"] if "image" in seg)["image"]["width"] = value
+    _image_segment(rec)["image"]["width"] = value
 
 
 def _set_text(rec, value):
     next(seg for seg in rec["rounds"][0]["user"]["segments"] if "text" in seg)["text"] = value
+
+
+def _set_user_segment(rec, value):
+    rec["rounds"][0]["user"]["segments"][0] = value
 
 
 @pytest.mark.parametrize("mutate, needle", [
@@ -978,6 +994,16 @@ def _set_text(rec, value):
     pytest.param(lambda rec: _set_width(rec, True), "width", id="width-bool"),
     pytest.param(lambda rec: _set_width(rec, 64.0), "width", id="width-float"),
     pytest.param(lambda rec: _set_text(rec, 5), "text", id="text-int"),
+    pytest.param(lambda rec: _image_segment(rec)["image"].update(caption=5), "caption",
+                 id="caption-int"),
+    pytest.param(lambda rec: _image_segment(rec)["image"].update(caption=["x"]), "caption",
+                 id="caption-list"),
+    pytest.param(lambda rec: _set_user_segment(rec, 5), "segment", id="segment-int"),
+    pytest.param(lambda rec: _set_user_segment(rec, {"text": "hi", **_image_segment(rec)}),
+                 "segment", id="segment-text-and-image"),
+    pytest.param(lambda rec: _set_user_segment(rec, {}), "segment", id="segment-empty"),
+    pytest.param(lambda rec: _image_segment(rec).update(image=5), "image must be an object",
+                 id="image-int"),
     pytest.param(lambda rec: rec["rounds"][0]["user"].update(segments={}), "segments",
                  id="segments-dict"),
     pytest.param(lambda rec: rec.update(rounds={}), "rounds", id="rounds-dict"),

@@ -232,11 +232,15 @@ def test_pack_greedy_builds_the_reference_packs(case):
 
 @st.composite
 def repeated_draws(draw):
-    """Draws from a few streams, each stream with one length, as ``pack_corpus`` makes them."""
+    """Draws from a few streams, as ``pack_corpus`` makes them. Some ids have a
+    second stream at another length, as when two category files hold one id."""
     l_max = draw(st.integers(1, 120))
-    streams = draw(st.lists(st.integers(1, l_max), min_size=1, max_size=12))
+    lengths = draw(st.lists(st.integers(1, l_max), min_size=1, max_size=12))
+    seconds = draw(st.lists(st.tuples(st.integers(0, len(lengths) - 1), st.integers(1, l_max)),
+                            max_size=4))
+    streams = [(f"s{k}", n) for k, n in [*enumerate(lengths), *seconds]]
     picks = draw(st.lists(st.integers(0, len(streams) - 1), max_size=80))
-    return [(f"s{k}", streams[k]) for k in picks], l_max
+    return [streams[k] for k in picks], l_max
 
 
 @settings(max_examples=300)

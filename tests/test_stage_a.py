@@ -173,7 +173,11 @@ def test_record_parsing_rejects_non_dataset_image(source):
      "record key 'subjects[0].image' must be an object, not 5"),
     (make_edit_records, "t_i_i1_1", ["source_image"], "img.png",
      "record key 'source_image' must be an object, not 'img.png'"),
-], ids=["image", "subject", "subject-image", "source_image"])
+    (make_t2i_records, "t_i_0_0", ["image", "caption"], 5,
+     "image 't2i-00000-img': caption must be a string, not 5"),
+    (make_edit_records, "t_i_i1_1", ["target_image", "caption"], ["x"],
+     "image 'edit-00000-tgt': caption must be a string, not ['x']"),
+], ids=["image", "subject", "subject-image", "source_image", "caption-int", "caption-list"])
 def test_stage_a_reject_names_a_key_that_is_not_an_object(backend, synthesize, make_records,
                                                           task, path, value, error):
     rec = make_records(1, 4)[0]
