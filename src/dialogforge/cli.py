@@ -447,7 +447,8 @@ def cmd_pack(args: argparse.Namespace, argv: Sequence[str]) -> int:
     io.write_lines(args.stats, [io.dumps(stats)])
     _write_manifest(args, argv, cfg, inputs, [args.out, args.stats],
                     {"packs": len(packs), "samples": stats["sample_count"]})
-    print(f"pack: {len(packs)} packs ({stats['underfull_count']} underfull) -> {args.out}")
+    print(f"pack: {len(packs)} packs (bound {stats['lower_bound']}, "
+          f"{stats['underfull_count']} underfull) -> {args.out}")
     return 0
 
 

@@ -2,18 +2,19 @@
 
 Draws are seeded and sequential, so a (config, corpora, n, seed) tuple pins
 the output bytes. Samples are whole and never truncated. ``pack_greedy``
-places samples best-fit-decreasing, longest first, each into the fullest open
-pack that has room for it and does not hold its id; it then repairs the
-emptiest packs with exact subset sums until the pack count reaches
-``ceil(sum of lengths / l_max)``, stops gaining or spends its work budget.
-Packs that end light are flagged underfull. ``pack_corpus`` packs the draws
-and writes the packs in a seeded order so the pack file carries no length
-curriculum."""
+fills one pack at a time, never with two samples of one id: first a copy of
+each stream that needs one in every pack left, then the copies that leave the
+pack's room usable. It then repairs the emptiest packs with exact subset sums
+until the pack count reaches ``ceil(sum of lengths / l_max)``, stops gaining
+or spends its work budget. Packs that end light are flagged underfull.
+``pack_corpus`` packs the draws and writes the packs in a seeded order so the
+pack file carries no length curriculum."""
 
 from __future__ import annotations
 
 import bisect
 import collections
+import heapq
 import itertools
 import math
 import random
@@ -106,19 +107,24 @@ REPAIR_SUM_BITS = 1024 << 16
 def pack_greedy(samples: Sequence[tuple[str, int]], l_min: int, l_max: int) -> list[Pack]:
     """Packs of ``samples`` in which no id appears twice, in the order they opened.
 
-    Two phases, both deterministic. *Placement* is best-fit-decreasing:
-    samples go longest first (equal lengths id by id, ids in the order of their
-    first sample, an id's samples in input order), each into the fullest open
-    pack that still has room for it and does not hold its id (the earliest on a
-    tie), or into a new pack. So a stream drawn m times lands in m packs.
+    Two phases, both deterministic. *Placement* fills one pack at a time, as
+    ``_Packs.fill`` says, never with a sample whose id the pack holds. A pack
+    first takes a sample of each stream (an id at a length) with at least as
+    many samples left as the packs the samples left would fill. Then, with
+    room r, it takes a sample of length r, else the longest that leaves room
+    for the shortest sample it could still take, else the longest that fits;
+    equal lengths go to the stream with most samples left, the one first in
+    the input on a tie. So a stream drawn m times lands in m packs, spread
+    over the run rather than left to the last packs.
 
     *Repair* then takes passes, while there are more packs than ``ceil(sum of
     lengths / l_max)``, until a cycle of ``REPAIR_POOL_SIZES`` passes gains
     nothing or ``REPAIR_BUDGET`` is spent. A pass pools the samples of the
     emptiest packs (``_Packs.repair`` says which), lets each visited pack take
     the fullest subset of its own samples and the pool's that fits ``l_max``
-    with no id twice, places the rest of the pool by the placement rule, and
-    is kept only if it closed a pack.
+    with no id twice, places the rest of the pool by the placement rule (into
+    the live packs that have room, fullest first, then new ones), and is kept
+    only if it closed a pack.
 
     A pack lists its samples in the order they joined it. Packs keep their
     opening order; a kept pass drops the pooled packs and appends any it
@@ -138,7 +144,7 @@ def pack_greedy(samples: Sequence[tuple[str, int]], l_min: int, l_max: int) -> l
             raise ValueError(f"sample {sid!r} has non-positive length {length}")
     lengths = [length for _, length in samples]
     state = _Packs([sid for sid, _ in samples], lengths, l_max)
-    state.place(range(len(lengths)))
+    state.fill(range(len(lengths)))
     state.repair()
     packs = []
     for pack in filter(None, state.packs):
@@ -154,49 +160,145 @@ class _Packs:
     ``packs[q]`` maps each draw in pack q to its draw index by the draw's id, in
     the order the draws joined; a pack holds no id twice, so the id is a key,
     and a pack that is gone is empty. ``rooms`` holds ``(room left, q)`` for
-    every live pack, ascending.
+    every live pack, ascending. ``owned`` holds the packs whose dicts may change
+    in place: a repair pass shares the others with the packs it may go back to.
     """
 
     def __init__(self, ids: list[str], lengths: list[int], l_max: int):
         self.ids, self.lengths, self.l_max = ids, lengths, l_max
         self.packs: list[dict[str, int]] = []
         self.rooms: list[tuple[int, int]] = []
+        self.owned: set[int] = set()
 
-    def place(self, draws: Iterable[int]) -> None:
-        """Place ``draws`` longest first; equal lengths stream by stream, streams
-        in the order of their earliest draw among ``draws``, a stream's copies
-        in draw order.
+    def fill(self, draws: Iterable[int]) -> None:
+        """Place ``draws``, filling one pack at a time: first the live packs that
+        have room for the shortest draw, fullest first (the earliest opened on
+        a tie), then new packs.
 
-        Each draw goes into the fullest live pack that has room for it and does
-        not hold its id, the earliest opened on a tie, else into a new pack. The
-        copies of a stream follow each other, and each copy makes its pack hold
-        the id, so the copies take the fullest packs that fit and lack the id,
-        one each, found in one walk over ``rooms``.
+        A stream is an id at a length. A pack first takes one copy of each
+        stream that has at least as many copies left as the packs its draws
+        left would fill (``ceil(length left / l_max)``), if it fits and the pack
+        lacks its id, most copies first: such a stream needs a copy in every
+        pack from here on. Then, while it can, the pack with room r takes one
+        copy of a stream whose id it lacks: of length r if there is one; else
+        of the longest length that still leaves room for the shortest such
+        copy; else of the longest length that fits. Among equal lengths it
+        takes the stream with most copies left. Ties go to the stream drawn
+        first, and a stream's copies go in draw order.
         """
-        packs, rooms = self.packs, self.rooms
-        streams: dict[tuple[str, int], list[int]] = {}
-        for i in sorted(draws):
+        packs, rooms, owned, l_max = self.packs, self.rooms, self.owned, self.l_max
+        streams: dict[tuple[str, int], list[int]] = {}  # a stream's copies left, the last first
+        for i in sorted(draws, reverse=True):
             streams.setdefault((self.ids[i], self.lengths[i]), []).append(i)
-        for (sid, length), copies in sorted(streams.items(), key=lambda s: (-s[0][1], s[1][0])):
-            found = []  # where in rooms the packs that take a copy are
-            at = bisect.bisect_left(rooms, (length,))
-            while at < len(rooms) and len(found) < len(copies):
-                if sid not in packs[rooms[at][1]]:
-                    found.append(at)
-                at += 1
-            fits = [rooms[at] for at in found]
-            for at in reversed(found):
-                del rooms[at]
-            for _ in range(len(copies) - len(fits)):
-                fits.append((self.l_max, len(packs)))
+        copies = {c[-1]: c for c in streams.values()}  # the same lists by first draw
+        tokens = sum(length * len(c) for (_, length), c in streams.items())  # left to place
+        # length -> a heap of (-copies left, first draw, id) of its streams with copies left
+        heaps: dict[int, list[tuple[int, int, str]]] = {}
+        for (sid, length), c in streams.items():
+            heaps.setdefault(length, []).append((-len(c), c[-1], sid))
+        for heap in heaps.values():
+            heapq.heapify(heap)
+        lengths = sorted(heaps)  # the lengths whose heaps are not empty
+        # (-copies, first draw, id, length) of every stream, the copies as last counted
+        most = [(-len(c), c[-1], sid, length) for (sid, length), c in streams.items()]
+        heapq.heapify(most)
+        pack: dict[str, int] = {}
+        held: list[tuple[int, tuple[int, int, str]]] = []  # set aside: the pack holds their id
+
+        def top(length: int) -> tuple[int, int, str] | None:
+            """The stream of ``length`` the pack would take, setting aside those
+            whose id it holds; a heap left empty drops its length."""
+            heap = heaps[length]
+            while heap and heap[0][2] in pack:
+                held.append((length, heapq.heappop(heap)))
+            if heap:
+                return heap[0]
+            del lengths[bisect.bisect_left(lengths, length)]
+            return None
+
+        def longest(hi: int) -> int | None:
+            """The longest of ``lengths[:hi]`` with a stream the pack may take."""
+            while hi:
+                hi -= 1
+                length = lengths[hi]
+                if heaps[length][0][2] not in pack or top(length):
+                    return length
+            return None
+
+        def take(length: int, k: int) -> None:
+            """Move the next copy of the stream at ``heaps[length][k]`` into pack q."""
+            nonlocal pack, room, tokens
+            if q not in owned:
+                pack = packs[q] = dict(pack)
+                owned.add(q)
+            heap = heaps[length]
+            _, first, sid = heap[k]
+            stream = copies[first]
+            pack[sid] = stream.pop()
+            room -= length
+            tokens -= length
+            if k:  # out of the middle of the heap
+                if stream:
+                    heap[k] = (-len(stream), first, sid)
+                else:
+                    heap[k] = heap[-1]
+                    heap.pop()
+                heapq.heapify(heap)
+            elif stream:
+                heapq.heapreplace(heap, (-len(stream), first, sid))
+            else:
+                heapq.heappop(heap)
+            if not heap:
+                del lengths[bisect.bisect_left(lengths, length)]
+
+        reopen = iter(rooms[bisect.bisect_left(rooms, (lengths[0],)):] if lengths else ())
+        while lengths:
+            room, q = next(reopen, (l_max, len(packs)))
+            if q == len(packs):
                 packs.append({})
-            for i, (room, q) in zip(copies, fits):
-                packs[q][sid] = i
-                bisect.insort(rooms, (room - length, q))
+                owned.add(q)
+            else:
+                del rooms[bisect.bisect_left(rooms, (room, q))]
+            pack = packs[q]
+            due = -(-tokens // l_max)  # the packs the draws left would fill
+            urgent = []
+            while most and -most[0][0] >= due:
+                n, first, sid, length = heapq.heappop(most)
+                if len(copies[first]) == -n:
+                    urgent.append((n, first, sid, length))
+                elif copies[first]:
+                    heapq.heappush(most, (-len(copies[first]), first, sid, length))
+            for n, first, sid, length in urgent:
+                if sid not in pack and length <= room:
+                    take(length, heaps[length].index((n, first, sid)))
+                if copies[first]:
+                    heapq.heappush(most, (-len(copies[first]), first, sid, length))
+            while lengths:
+                short = lengths[0]  # the shortest the pack may take, once its top is checked
+                if heaps[short][0][2] in pack and not top(short):
+                    continue
+                if short > room:
+                    break
+                exact = heaps.get(room)
+                if exact and (exact[0][2] not in pack or top(room)):
+                    take(room, 0)
+                    continue
+                length = (longest(bisect.bisect_right(lengths, room - short))
+                          or longest(bisect.bisect_right(lengths, room)))
+                if length is None:
+                    break
+                take(length, 0)
+            for length, entry in held:
+                if not heaps[length]:
+                    bisect.insort(lengths, length)
+                heapq.heappush(heaps[length], entry)
+            held.clear()
+            bisect.insort(rooms, (room, q))
 
     def repair(self) -> None:
-        """Repair passes, as ``pack_greedy`` says, each run on a copy of the packs
-        and rooms that replaces them only if it closed a pack.
+        """Repair passes, as ``pack_greedy`` says, each run on a copy of the list
+        of packs and of ``rooms`` that replaces them only if it closed a pack.
+        The copy shares each pack's dict until the pass changes that pack.
 
         Pass k ranks the live packs by room, most first, the later opened first
         on a tie. It pools the samples of the first ``max(REPAIR_POOL_SIZES[k %
@@ -206,7 +308,7 @@ class _Packs:
         would only place every draw again. A visited pack's candidates are its
         own samples, then the first pool sample of each id it lacks. It takes
         ``_fullest`` of them if that is fuller than it is, and its samples left
-        out join the end of the pool. Then ``place`` places the rest of the pool.
+        out join the end of the pool. Then ``fill`` places the rest of the pool.
         """
         ids, lengths, l_max = self.ids, self.lengths, self.l_max
         bound = -(-sum(lengths) // l_max)
@@ -222,8 +324,9 @@ class _Packs:
                 fails += 1
                 continue
             kept = self.packs, self.rooms
-            packs = self.packs = [dict(p) for p in self.packs]
+            packs = self.packs = list(self.packs)
             rooms = self.rooms = list(self.rooms)
+            self.owned = set()
             # id -> its pooled draws as (place in the pool order, draw), in order
             pool: dict[str, collections.deque[tuple[int, int]]] = {}
             order = itertools.count()
@@ -259,9 +362,10 @@ class _Packs:
                         if j not in taken:
                             join(i)
                     packs[q] = {ids[items[j]]: items[j] for j in chosen}
+                    self.owned.add(q)
                     del rooms[bisect.bisect_left(rooms, (room, q))]
                     bisect.insort(rooms, (l_max - best, q))
-            self.place([i for draws in pool.values() for _, i in draws])
+            self.fill([i for draws in pool.values() for _, i in draws])
             if len(rooms) < before:
                 fails = 0
             else:
@@ -343,6 +447,7 @@ def pack_corpus(cfg: SamplingConfig, corpora: Mapping[str, Sequence[tuple[str, i
     token_total = sum(p.total for p in packs)
     stats = {
         "pack_count": len(packs),
+        "lower_bound": -(-token_total // l_max),
         "sample_count": len(items),
         "token_count": token_total,
         "mean_fill": (token_total / len(packs) / l_max) if packs else 0.0,

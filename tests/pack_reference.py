@@ -8,38 +8,70 @@ opening order. The repair's settings are the library's constants, read at each
 call.
 """
 
+import collections
+import itertools
+
 from dialogforge import packing
 
 
-def place(order: list[int], packs: list[list[int]], ids: list[str], lengths: list[int],
-          l_max: int) -> None:
-    """Each sample of ``order`` into the fullest pack of ``packs`` that has room
-    for it and no sample with its id, the earliest on a tie, else a new pack."""
-    for i in order:
-        best = None
-        for p, pack in enumerate(packs):
-            total = sum(lengths[j] for j in pack)
-            if (total + lengths[i] <= l_max and all(ids[j] != ids[i] for j in pack)
-                    and (best is None or total > best[0])):
-                best = total, p
-        if best is None:
-            packs.append([i])
-        else:
-            packs[best[1]].append(i)
+def fill(draws: list[int], packs: list[list[int]], ids: list[str], lengths: list[int],
+         l_max: int) -> None:
+    """Place ``draws``: the packs of ``packs``, fullest first (the earliest on a
+    tie), then new packs, each filled in turn. A stream is an id at a length.
+    A pack first takes a copy of each stream with at least as many copies left
+    as ``ceil(length left / l_max)``, if it fits and the pack lacks the id, most
+    copies first. Then, while it can, a copy of a stream whose id it lacks: of
+    length equal to its room; else of the longest length that leaves room for
+    the shortest such copy; else of the longest that fits; among equal lengths,
+    of the stream with most copies left. Ties go to the stream drawn first, and
+    a stream's copies go in draw order."""
+    left = sorted(draws)
+    first = {}  # stream -> its first draw
+    for i in left:
+        first.setdefault((ids[i], lengths[i]), i)
 
+    def copies(stream: tuple[str, int]) -> int:
+        return sum(1 for j in left if (ids[j], lengths[j]) == stream)
 
-def placement_order(indices: list[int], ids: list[str], lengths: list[int]) -> list[int]:
-    """Longest first; equal lengths by stream, streams in the order of their
-    earliest draw among ``indices``, a stream's copies in draw order."""
-    earliest: dict[tuple[str, int], int] = {}
-    for i in sorted(indices):
-        earliest.setdefault((ids[i], lengths[i]), i)
-    return sorted(indices, key=lambda i: (-lengths[i], earliest[ids[i], lengths[i]], i))
+    order = sorted(range(len(packs)), key=lambda p: (l_max - sum(lengths[i] for i in packs[p]), p))
+    for p in itertools.chain(order, itertools.count(len(packs))):
+        if not left:
+            break
+        if p == len(packs):
+            packs.append([])
+        pack = packs[p]
+
+        def room() -> int:
+            return l_max - sum(lengths[i] for i in pack)
+
+        def put(stream: tuple[str, int]) -> None:
+            i = min(j for j in left if (ids[j], lengths[j]) == stream)
+            pack.append(i)
+            left.remove(i)
+
+        due = -(-sum(lengths[i] for i in left) // l_max)
+        counts = collections.Counter((ids[i], lengths[i]) for i in left)
+        for stream in sorted((s for s, n in counts.items() if n >= due),
+                             key=lambda s: (-counts[s], first[s])):
+            if all(ids[j] != stream[0] for j in pack) and stream[1] <= room():
+                put(stream)
+        while True:
+            held, r = {ids[j] for j in pack}, room()
+            lacked = [i for i in left if ids[i] not in held]
+            fits = [i for i in lacked if lengths[i] <= r]
+            if not fits:
+                break
+            shortest = min(lengths[i] for i in lacked)
+            choice = ([i for i in fits if lengths[i] == r]
+                      or [i for i in fits if lengths[i] <= r - shortest] or fits)
+            length = max(lengths[i] for i in choice)
+            put(min({(ids[i], length) for i in choice if lengths[i] == length},
+                    key=lambda s: (-copies(s), first[s])))
 
 
 def placed_packs(ids: list[str], lengths: list[int], l_max: int) -> list[list[int]]:
     packs: list[list[int]] = []
-    place(placement_order(list(range(len(lengths))), ids, lengths), packs, ids, lengths, l_max)
+    fill(list(range(len(lengths))), packs, ids, lengths, l_max)
     return packs
 
 
@@ -98,7 +130,7 @@ def reference_packs(ids: list[str], lengths: list[int], l_max: int) -> list[list
                 pool = [i for i in pool + trial[p] if i not in take]
                 trial[p] = take
         trial = [pack for p, pack in enumerate(trial) if p not in pooled]
-        place(placement_order(pool, ids, lengths), trial, ids, lengths, l_max)
+        fill(pool, trial, ids, lengths, l_max)
         if len(trial) < len(packs):
             packs, fails = trial, 0
         else:

@@ -66,9 +66,9 @@ GOLDEN = {
     "masks/ti_i_i1_1.jsonl":
         "6a988fda3e1dc6e24f696f7d3d4258d4672d7a87dc630937f7b1ccdcd73e7861",
     "pack_stats.json":
-        "7e98e3b71b8ac450e6f36efea9883a5d01ed9714a1009c1d18b2e946888ef9d5",
+        "633e9ecbec933369c32fcd6ecda8c2d5bcd5f1fb0aadf4ae25b6b9382ac6af7e",
     "packs.jsonl":
-        "3b5dcd67dd2465d46907232dfdf89e442c1a21aa427020796ed80e31fa2a32b1",
+        "d00b522405a737f19de02abcd7da2fe594a8e356185f10b994f5f02505bbf5a7",
     "stats.json":
         "00435a127c4b327341f05e30e3a875950e68f8fdd3b0ac2552020fc4fd310052",
     "streams/t_i_0_0.jsonl":

@@ -93,31 +93,36 @@ def test_two_draws_of_one_stream_go_to_two_packs():
 
 
 def test_a_copy_skips_the_pack_that_holds_its_stream():
-    # y, then x fill 7 of 10; the second x would fit there but opens its own pack,
+    # the 10 tokens would fill one pack, so x (two copies) and y go first: x,
+    # then y fill 7 of 10; the second x would fit there but opens its own pack,
     # and no repair can close a pack that holds only another copy of x
     packs = pack_greedy([("x", 3), ("x", 3), ("y", 4)], l_min=1, l_max=10)
-    assert [p.sample_ids for p in packs] == [("y", "x"), ("x",)]
+    assert [p.sample_ids for p in packs] == [("x", "y"), ("x",)]
 
 
 def test_pack_greedy_places_longest_first():
-    # next-fit in input order would close (a, b) and (c, d)
+    # next-fit in input order would close (a, b) and (c, d); the fill takes b6,
+    # the longest that leaves room for the shortest, c3, then a4 fills the pack.
+    # The 8 tokens left would fill one pack, so c and d go in in draw order.
     packs = pack_greedy([("a", 4), ("b", 6), ("c", 3), ("d", 5)], l_min=1, l_max=10)
-    assert [p.sample_ids for p in packs] == [("b", "a"), ("d", "c")]
-    assert [p.lengths for p in packs] == [(6, 4), (5, 3)]
+    assert [p.sample_ids for p in packs] == [("b", "a"), ("c", "d")]
+    assert [p.lengths for p in packs] == [(6, 4), (3, 5)]
     assert [p.total for p in packs] == [10, 8]
 
 
 def test_repair_closes_a_pack_that_placement_left_open():
-    # placement: (b8 c3) (a6 d3) (d3) (d3), four packs over a bound of ceil(26 / 12) = 3.
-    # Pooling every pack closes nothing; the third pass pools the three emptiest,
-    # (b c) takes the fullest subset c+d+a = 12 of its own and the pool's, b and
-    # the last two d are placed again, and a pack is gone.
-    samples = [("a", 6), ("b", 8), ("c", 3), ("d", 3), ("d", 3), ("d", 3)]
+    # placement: b10 would leave too little room for the shortest, a3, so the
+    # first pack takes c6 and a3; d's two copies then open a pack each, since b10
+    # leaves no room for d, and b10 opens a fourth, over a bound of ceil(29 / 12)
+    # = 3. Pooling every pack closes nothing; the third pass pools the three
+    # emptiest, (b) takes the fullest subset d+c = 11 of its own and the pool's,
+    # the rest, d a b, is placed again as (d a) (b), and a pack is gone.
+    samples = [("a", 3), ("b", 10), ("d", 5), ("d", 5), ("c", 6)]
     assert [[samples[i][0] for i in p] for p in placed_packs(*zip(*samples), 12)] == [
-        ["b", "c"], ["a", "d"], ["d"], ["d"]]
+        ["c", "a"], ["d"], ["d"], ["b"]]
     packs = pack_greedy(samples, l_min=1, l_max=12)
-    assert [p.sample_ids for p in packs] == [("c", "d", "a"), ("b", "d"), ("d",)]
-    assert [p.total for p in packs] == [12, 11, 3]
+    assert [p.sample_ids for p in packs] == [("d", "c"), ("d", "a"), ("b",)]
+    assert [p.total for p in packs] == [11, 8, 10]
 
 
 def test_pack_exact_fit():
@@ -184,6 +189,7 @@ def test_pack_corpus_stats():
             "b": [(f"b-{i}", 50) for i in range(5)]}
     packs, stats = pack_corpus(cfg, corp, 100, l_min=90, l_max=100, seed=11)
     assert stats["pack_count"] == len(packs)
+    assert stats["lower_bound"] == -(-stats["token_count"] // 100) <= len(packs)
     assert stats["sample_count"] == 100
     assert stats["token_count"] == sum(p.total for p in packs)
     assert 0 < stats["mean_fill"] <= 1
@@ -254,15 +260,28 @@ def test_pack_greedy_builds_the_reference_packs_from_repeated_draws(case):
     assert_pack_properties(samples, packs, l_max)
 
 
+@settings(max_examples=300)
+@given(case=repeated_draws())
+def test_placement_closes_a_pack_only_when_no_copy_it_lacks_fits(case):
+    samples, l_max = case
+    ids, lengths = [s for s, _ in samples], [n for _, n in samples]
+    state = packing._Packs(ids, lengths, l_max)
+    state.fill(range(len(samples)))
+    for k, pack in enumerate(state.packs):
+        room = l_max - sum(lengths[i] for i in pack.values())
+        later = [i for opened in state.packs[k + 1:] for i in opened.values()]
+        assert all(ids[i] in pack or lengths[i] > room for i in later)
+
+
 @settings(max_examples=100)
 @given(case=repeated_draws(), budget=st.integers(0, 1 << 20), sum_bits=st.integers(0, 4000))
 # budgets that end the repair inside a pass, where the pooled draws or every
 # candidate must count, and a largest sum that lets no visit run
-@example(case=([("s1", 15), ("s5", 9), ("s5", 9), ("s2", 6), ("s0", 12), ("s5", 9)], 30),
+@example(case=([("s1", 8), ("s1", 8), ("s0", 16), ("s4", 5), ("s3", 22)], 26),
          budget=1 << 16, sum_bits=1 << 20)
-@example(case=([("s3", 10), ("s0", 3), ("s2", 17), ("s3", 10), ("s2", 17), ("s0", 3), ("s1", 15),
-                ("s1", 15), ("s0", 3)], 28), budget=8 << 16, sum_bits=1 << 20)
-@example(case=([("a", 6), ("b", 8), ("c", 3), ("d", 3), ("d", 3), ("d", 3)], 12),
+@example(case=([("s0", 17), ("s2", 6), ("s1", 7), ("s0", 17), ("s0", 17), ("s0", 17), ("s2", 6),
+                ("s3", 9)], 20), budget=8 << 16, sum_bits=1 << 20)
+@example(case=([("a", 3), ("b", 10), ("d", 5), ("d", 5), ("c", 6)], 12),
          budget=1 << 30, sum_bits=0)
 def test_repair_keeps_to_its_budget_and_its_largest_sum(case, budget, sum_bits):
     samples, l_max = case
