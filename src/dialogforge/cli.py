@@ -1,22 +1,24 @@
 """Command-line pipeline: synthesize, validate, serialize, mask, pack, stats.
 
 All randomness flows from one root seed through per-record derived seeds, so
-reruns are reproducible byte for byte under the mock backend. ``synthesize``,
-``serialize``, ``mask`` and ``pack`` drop a manifest next to their output
-(argv, config, input/output hashes, counts); ``stats --out`` writes its JSON
-with none.
+reruns are reproducible byte for byte under the mock backend.
 
 Each subcommand loads only the layers it runs: the data layers (``io``,
 ``dialogue``, ``stream``, ``taxonomy``) load with this module, the backend,
 the stages and ``util`` only where ``synthesize`` needs them, and ``packing``
 only in ``pack``.
 
-``validate``, ``serialize``, ``mask``, ``stats`` and ``synthesize`` turn each
-``--in`` line into its output line, reject, violation lines or stats with
-``io.map_lines``, which yields in input order. It runs chunks of the file in
-one forked worker per CPU, except for remote ``synthesize``, whose backend calls
-wait on the network: it runs them on one pool of ``--concurrency`` threads.
-``pack`` runs in this process.
+``synthesize``, ``validate``, ``serialize``, ``mask`` and ``stats`` read
+``--in`` through one reader, ``_read``, which maps its lines with
+``io.map_lines`` and yields in input order: chunks of the file run in one forked
+worker per CPU, except for remote ``synthesize``, whose backend calls wait on
+the network and run on one pool of ``--concurrency`` threads. ``pack`` reads its
+stream files in this process.
+
+``synthesize``, ``serialize``, ``mask`` and ``pack`` end through one manifest
+writer, ``_finish``: it writes a manifest next to the output (argv, config,
+input/output hashes, counts) and prints the ``<command>: ... -> <out>`` line.
+``stats --out`` writes its JSON with none.
 
 Exit codes: 0 success, 1 validation violations, 2 configuration error,
 3 I/O error or an input the stream layer rejects, 4 backend failure.
@@ -44,7 +46,6 @@ from .stream import (
     EmptyText,
     InvalidStream,
     StreamConfig,
-    TokenStream,
     UnitOverflow,
     loss_summary,
     mask_intervals,
@@ -177,28 +178,14 @@ def _digests(paths: Sequence[str]) -> dict[str, str]:
     return {p: io.sha256_file(p) for p in paths}
 
 
-def _write_manifest(args: argparse.Namespace, argv: Sequence[str], cfg: PipelineConfig,
-                    inputs: dict[str, str], outputs: Sequence[str],
-                    counts: dict[str, int]) -> None:
-    """Write the run's manifest to ``--manifest``, default ``<out>.manifest.json``.
+def _read(path: str, decode: Callable[[Any], Any] | None, fn: Callable[[int, Any], Any], *,
+          signature: str | None = None, threads: int = 0) -> Iterator[Any]:
+    """``fn(index, item)`` for each non-blank line of ``path``, in input order, run by
+    ``io.map_lines`` with ``threads``; ``index`` counts those lines and ``item`` is
+    the line's ``io.decode_line`` with ``decode``.
 
-    ``inputs`` are the ``_digests`` of the inputs, taken before the run wrote
-    anything: an output may replace its input.
-    """
-    io.write_lines(args.manifest or f"{args.out}.manifest.json", [io.dumps({
-        "command": args.command,
-        "argv": list(argv),
-        "config": asdict(cfg),
-        "inputs": inputs,
-        "outputs": _digests(outputs),
-        "counts": counts,
-    })])
-
-
-def _dialogue_reader(path: str, signature: str | None = None
-                     ) -> Callable[[int, bytes], Dialogue | None]:
-    """``read(lineno, line)``: the dialogue on line ``lineno`` of ``path``, or None
-    when ``signature`` is given and the dialogue's is another.
+    With ``signature``, a dialogue whose signature is another is skipped; so is
+    a None result. The stream layer's refusal of an item is led by ``path:lineno``.
 
     Raises:
         ConfigError: ``signature`` is not a task signature; raised by the call
@@ -211,25 +198,44 @@ def _dialogue_reader(path: str, signature: str | None = None
         except SignatureError as err:
             raise ConfigError(f"--signature: {err}") from None
 
-    def read(lineno: int, line: bytes) -> Dialogue | None:
-        d = io.decode_line(path, lineno, line, dialogue_from_record)
-        return d if wanted is None or d.signature == wanted else None
+    def line(index: int, lineno: int, raw: bytes) -> Any:
+        item = io.decode_line(path, lineno, raw, decode)
+        if wanted is not None and item.signature != wanted:
+            return None
+        try:
+            return fn(index, item)
+        except (EmptyText, UnitOverflow, InvalidStream) as err:
+            raise type(err)(f"{path}:{lineno}: {err}") from None
 
-    return read
+    return (out for out in io.map_lines(path, line, threads) if out is not None)
 
 
-def _serialize_line(path: str, lineno: int, d: Dialogue, cfg: StreamConfig) -> TokenStream:
-    """``serialize(d, cfg)``; the stream layer's refusal of it is led by ``path:lineno``."""
-    try:
-        return serialize(d, cfg)
-    except (EmptyText, UnitOverflow, InvalidStream) as err:
-        raise type(err)(f"{path}:{lineno}: {err}") from None
+def _finish(args: argparse.Namespace, argv: Sequence[str], cfg: PipelineConfig,
+            inputs: dict[str, str], outputs: Sequence[str], counts: dict[str, int],
+            summary: str) -> int:
+    """Write the manifest to ``--manifest`` (default ``<out>.manifest.json``), print
+    ``<command>: <summary> -> <out>`` and return 0: the end of each writing subcommand.
+
+    ``inputs`` are the ``_digests`` of the inputs, taken before the run wrote
+    anything: an output may replace its input.
+    """
+    io.write_lines(args.manifest or f"{args.out}.manifest.json", [io.dumps({
+        "command": args.command,
+        "argv": list(argv),
+        "config": asdict(cfg),
+        "inputs": inputs,
+        "outputs": _digests(outputs),
+        "counts": counts,
+    })])
+    print(f"{args.command}: {summary} -> {args.out}")
+    return 0
 
 
 def record_synthesizer(stages: Sequence[str], backend: CompletionBackend, cfg: PipelineConfig,
                        *, task: str | None = None, pool: DistractorPool | None = None
-                       ) -> Callable[[int, Any], Dialogue | dict[str, Any]]:
-    """``one(index, item)``: ``item`` run through ``stages``, or that stage's reject.
+                       ) -> Callable[[int, Any], tuple[str, str] | dict[str, Any]]:
+    """``one(index, item)``: ``(id, line)`` of the dialogue ``item`` becomes in
+    ``stages``, ``line`` its record as written, or that stage's reject.
 
     ``item`` is an ingest record for ``task`` when ``stages`` starts with a, a
     dialogue otherwise, and ``index`` counts the items. A stage's reject is
@@ -244,7 +250,7 @@ def record_synthesizer(stages: Sequence[str], backend: CompletionBackend, cfg: P
     if "a" in stages:
         parse, build = BUILDERS[task]
 
-    def one(index: int, d: Any) -> Dialogue | dict[str, Any]:
+    def one(index: int, d: Any) -> tuple[str, str] | dict[str, Any]:
         stage = stages[0]
         try:
             if stage == "a":
@@ -263,26 +269,22 @@ def record_synthesizer(stages: Sequence[str], backend: CompletionBackend, cfg: P
             if stage == "a":
                 return {"stage": "a", "index": index, "error": str(err), "record": d}
             return {"stage": stage, "id": d.id, "error": str(err)}
-        return d
+        return d.id, io.dumps(dialogue_to_record(d))
 
     return one
 
 
 def _synthesized_lines(path: str, decode: Callable[[Any], Any] | None,
-                       one: Callable[[int, Any], Dialogue | dict[str, Any]],
+                       one: Callable[[int, Any], tuple[str, str] | dict[str, Any]],
                        rejects: list[dict[str, Any]], threads: int, stage: str) -> Iterator[str]:
-    """The output line of ``one`` on each ``decode``d line of ``path``, run by
-    ``io.map_lines`` with ``threads``; a reject is appended to ``rejects`` instead.
+    """The line of ``one`` on each ``decode``d line of ``path``, run by ``_read``
+    with ``threads``; a reject is appended to ``rejects`` instead.
 
     A dialogue whose id an earlier line's dialogue has is the reject
     ``{stage, id, error}`` of ``stage``, the last stage run.
     """
-    def line(index: int, lineno: int, raw: bytes) -> tuple[str, str] | dict[str, Any]:
-        out = one(index, io.decode_line(path, lineno, raw, decode))
-        return (out.id, io.dumps(dialogue_to_record(out))) if isinstance(out, Dialogue) else out
-
     ids: set[str] = set()  # workers see one chunk each, so the id check runs here
-    for out in io.map_lines(path, line, threads):
+    for out in _read(path, decode, one, threads=threads):
         if isinstance(out, dict):
             rejects.append(out)
         elif out[0] in ids:
@@ -339,26 +341,22 @@ def cmd_synthesize(args: argparse.Namespace, argv: Sequence[str]) -> int:
         backend.close()
     rejects_path = args.rejects or f"{args.out}.rejects.jsonl"
     io.write_jsonl(rejects_path, rejects)
-    counts = {"written": written, "rejected": len(rejects)}
-    _write_manifest(args, argv, cfg, inputs, [args.out, rejects_path], counts)
-    print(f"synthesize: {written} dialogues, {len(rejects)} rejects -> {args.out}")
-    return 0
+    return _finish(args, argv, cfg, inputs, [args.out, rejects_path],
+                   {"written": written, "rejected": len(rejects)},
+                   f"{written} dialogues, {len(rejects)} rejects")
 
 
 def cmd_validate(args: argparse.Namespace, argv: Sequence[str]) -> int:
     del argv
-    read = _dialogue_reader(args.in_path, args.signature)
 
-    def violations(index: int, lineno: int, line: bytes) -> tuple[str, list[str]] | None:
-        d = read(lineno, line)
-        if d is None:
-            return None
+    def violations(index: int, d: Dialogue) -> tuple[str, list[str]]:
         return d.id, [f"{d.id}: {v.rule}{'' if v.where is None else f' (round {v.where})'}: "
                       f"{v.detail}" for v in validate_dialogue(d).violations]
 
     bad = 0
     ids: set[str] = set()  # workers see one chunk each, so the corpus rule runs here
-    for dialogue_id, lines in filter(None, io.map_lines(args.in_path, violations)):
+    for dialogue_id, lines in _read(args.in_path, dialogue_from_record, violations,
+                                    signature=args.signature):
         if dialogue_id in ids:
             lines.append(f"{dialogue_id}: id-unique: an earlier dialogue has this id")
         ids.add(dialogue_id)
@@ -372,32 +370,21 @@ def cmd_validate(args: argparse.Namespace, argv: Sequence[str]) -> int:
 def cmd_serialize(args: argparse.Namespace, argv: Sequence[str]) -> int:
     cfg = _load_config(args)
     stream_cfg = cfg.stream_config()
-    read = _dialogue_reader(args.in_path, args.signature)
+    streams = _read(args.in_path, dialogue_from_record,
+                    lambda index, d: io.dumps(stream_to_record(serialize(d, stream_cfg))),
+                    signature=args.signature)
     inputs = _digests([args.in_path])
-
-    def stream_line(index: int, lineno: int, line: bytes) -> str | None:
-        d = read(lineno, line)
-        return None if d is None else io.dumps(stream_to_record(
-            _serialize_line(args.in_path, lineno, d, stream_cfg)))
-
-    written = io.write_lines(args.out, (s for s in io.map_lines(args.in_path, stream_line)
-                                        if s is not None))
-    _write_manifest(args, argv, cfg, inputs, [args.out], {"written": written})
-    print(f"serialize: {written} streams -> {args.out}")
-    return 0
+    written = io.write_lines(args.out, streams)
+    return _finish(args, argv, cfg, inputs, [args.out], {"written": written},
+                   f"{written} streams")
 
 
 def cmd_mask(args: argparse.Namespace, argv: Sequence[str]) -> int:
     cfg = _load_config(args)
+    masks = _read(args.in_path, stream_from_record, lambda index, s: mask_intervals(s))
     inputs = _digests([args.in_path])
-
-    def mask_line(index: int, lineno: int, line: bytes) -> str:
-        return mask_intervals(io.decode_line(args.in_path, lineno, line, stream_from_record))
-
-    written = io.write_lines(args.out, io.map_lines(args.in_path, mask_line))
-    _write_manifest(args, argv, cfg, inputs, [args.out], {"written": written})
-    print(f"mask: {written} masks -> {args.out}")
-    return 0
+    written = io.write_lines(args.out, masks)
+    return _finish(args, argv, cfg, inputs, [args.out], {"written": written}, f"{written} masks")
 
 
 def cmd_pack(args: argparse.Namespace, argv: Sequence[str]) -> int:
@@ -445,24 +432,19 @@ def cmd_pack(args: argparse.Namespace, argv: Sequence[str]) -> int:
     packs, stats = pack_corpus(sampling, corpora, args.n, cfg.l_min, cfg.l_max, cfg.seed)
     io.write_jsonl(args.out, (pack_to_record(p) for p in packs))
     io.write_lines(args.stats, [io.dumps(stats)])
-    _write_manifest(args, argv, cfg, inputs, [args.out, args.stats],
-                    {"packs": len(packs), "samples": stats["sample_count"]})
-    print(f"pack: {len(packs)} packs (bound {stats['lower_bound']}, "
-          f"{stats['underfull_count']} underfull) -> {args.out}")
-    return 0
+    return _finish(args, argv, cfg, inputs, [args.out, args.stats],
+                   {"packs": len(packs), "samples": stats["sample_count"]},
+                   f"{len(packs)} packs (bound {stats['lower_bound']}, "
+                   f"{stats['underfull_count']} underfull)")
 
 
 def cmd_stats(args: argparse.Namespace, argv: Sequence[str]) -> int:
     del argv
     cfg = _load_config(args)
     stream_cfg = cfg.stream_config()
-    read = _dialogue_reader(args.in_path, args.signature)
 
-    def record_stats(index: int, lineno: int, line: bytes) -> tuple[Any, ...] | None:
-        d = read(lineno, line)
-        if d is None:
-            return None
-        summary = loss_summary(_serialize_line(args.in_path, lineno, d, stream_cfg))
+    def record_stats(index: int, d: Dialogue) -> tuple[Any, ...]:
+        summary = loss_summary(serialize(d, stream_cfg))
         return (format_signature(d.signature),
                 str(d.dep_depth_value) if d.dep_depth_value is not None else "0",
                 sum(1 for r in d.rounds if r.user.is_distractor),
@@ -473,19 +455,15 @@ def cmd_stats(args: argparse.Namespace, argv: Sequence[str]) -> int:
     depths: dict[str, int] = {}
     distractor_rounds = 0
     loss = {"ce": 0, "mse": 0, "none": 0, "total": 0}
-    n = 0
-    for rec in io.map_lines(args.in_path, record_stats):
-        if rec is None:
-            continue
-        sig, depth_key, distractors, *positions = rec
-        n += 1
+    for sig, depth_key, distractors, *positions in _read(
+            args.in_path, dialogue_from_record, record_stats, signature=args.signature):
         signatures[sig] = signatures.get(sig, 0) + 1
         depths[depth_key] = depths.get(depth_key, 0) + 1
         distractor_rounds += distractors
         for key, count in zip(loss, positions):
             loss[key] += count
     result = {
-        "dialogues": n,
+        "dialogues": sum(signatures.values()),
         "signatures": {k: signatures[k] for k in sorted(signatures)},
         "depth_values": {k: depths[k] for k in sorted(depths, key=lambda x: (len(x), x))},
         "distractor_rounds": distractor_rounds,

@@ -35,10 +35,14 @@ def write_lines(path: str | Path, lines: Iterable[str]) -> int:
     The lines go to a temp file beside ``path``, renamed onto it once ``lines``
     is exhausted. If ``lines`` raises part way (say, a lazily read input has a
     bad record), the temp file is removed and a file already at ``path`` keeps
-    its bytes; ``path`` may also be the file ``lines`` reads from.
+    its bytes; ``path`` may also be the file ``lines`` reads from. An ``OSError``
+    from opening the temp file names ``path``, the file the caller asked for.
     """
     tmp = f"{path}.{os.getpid()}.tmp"
-    f = open(tmp, "w", encoding="utf-8", newline="\n")
+    try:
+        f = open(tmp, "w", encoding="utf-8", newline="\n")
+    except OSError as err:
+        raise OSError(err.errno, err.strerror, str(path)) from None
     n = 0
     try:
         with f:

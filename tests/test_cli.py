@@ -609,6 +609,14 @@ def test_validate_reports_violations(workdir, capsys):
                  id="synthesize-task"),
     pytest.param("synthesize --stages a,c --task t_i_i1_n --in t2i_records_20.jsonl "
                  "--out x.jsonl", id="synthesize-deep-task"),
+    # a config error is found before --in is read, so a missing --in does not hide it
+    pytest.param("serialize --in missing.jsonl --out x.jsonl --signature bogus",
+                 id="serialize-signature-missing-in"),
+    pytest.param("validate --in missing.jsonl --signature bogus",
+                 id="validate-signature-missing-in"),
+    pytest.param("stats --in missing.jsonl --signature bogus", id="stats-signature-missing-in"),
+    pytest.param("synthesize --stage a --task bogus --in missing.jsonl --out x.jsonl",
+                 id="synthesize-task-missing-in"),
 ])
 def test_unknown_task_or_signature_exits_2_before_any_output(workdir, capsys, argv):
     run("synthesize", "--stage", "a", "--task", "t_i_0_0",
@@ -618,6 +626,30 @@ def test_unknown_task_or_signature_exits_2_before_any_output(workdir, capsys, ar
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("config error:") and len(err.splitlines()) == 1
     assert not Path("x.jsonl").exists() and not Path("x.jsonl.rejects.jsonl").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param("synthesize --stage a --task t_i_0_0 --in t2i_records_20.jsonl "
+                 "--out nodir/x.jsonl", id="out"),
+    pytest.param("synthesize --stage a --task t_i_0_0 --in t2i_records_20.jsonl "
+                 "--out x.jsonl --rejects nodir/r.jsonl", id="rejects"),
+    pytest.param("serialize --in d.jsonl --out x.jsonl --manifest nodir/m.json", id="manifest"),
+    pytest.param("pack --config weights.json --in-dir streams --n 50 --out x.jsonl "
+                 "--stats nodir/ps.json", id="pack-stats"),
+    pytest.param("stats --in d.jsonl --out nodir/st.json", id="stats-out"),
+])
+def test_an_output_in_a_missing_directory_is_named_as_given(workdir, capsys, argv):
+    run("synthesize", "--stage", "a", "--task", "t_i_0_0",
+        "--in", "t2i_records_20.jsonl", "--out", "d.jsonl", "--seed", "1")
+    Path("streams").mkdir()
+    run("serialize", "--in", "d.jsonl", "--out", "streams/t2i.jsonl")
+    Path("weights.json").write_text(json.dumps({"t2i": 1.0}))
+    capsys.readouterr()
+    assert run(*argv.split()) == 3
+    target = argv.split()[-1]
+    assert capsys.readouterr().err == (
+        f"i/o error: [Errno 2] No such file or directory: '{target}'\n")
+    assert not Path("nodir").exists() and not list(workdir.rglob("*.tmp"))
 
 
 def test_serialize_and_mask(workdir):
