@@ -3,10 +3,10 @@
 All randomness flows from one root seed through per-record derived seeds, so
 reruns are reproducible byte for byte under the mock backend.
 
-Each subcommand loads only the layers it runs: the data layers (``io``,
-``dialogue``, ``stream``, ``taxonomy``) load with this module, the backend,
-the stages and ``util`` only where ``synthesize`` needs them, and ``packing``
-only in ``pack``.
+Each subcommand loads only the layers it runs: ``io`` and ``stream`` load with
+this module, and each subcommand imports the layer functions it runs, so
+``dialogue`` and ``taxonomy`` load where dialogues are read, ``packing`` in
+``pack``, and the backend and the stages named in ``--stages`` in ``synthesize``.
 
 ``synthesize``, ``validate``, ``serialize``, ``mask`` and ``stats`` read
 ``--in`` through one reader, ``_read``, which maps its lines with
@@ -15,10 +15,11 @@ worker per CPU, except for remote ``synthesize``, whose backend calls wait on
 the network and run on one pool of ``--concurrency`` threads. ``pack`` reads its
 stream files in this process.
 
-``synthesize``, ``serialize``, ``mask`` and ``pack`` end through one manifest
-writer, ``_finish``: it writes a manifest next to the output (argv, config,
-input/output hashes, counts) and prints the ``<command>: ... -> <out>`` line.
-``stats --out`` writes its JSON with none.
+``synthesize``, ``serialize``, ``mask`` and ``pack`` write through one
+``io.Outputs`` and end through one manifest writer, ``_finish``: it writes a
+manifest next to the output (argv, config, input/output hashes, counts), only
+then renames every output into place, and prints the ``<command>: ... -> <out>``
+line. ``stats --out`` writes its JSON with none.
 
 Exit codes: 0 success, 1 validation violations, 2 configuration error,
 3 I/O error or an input the stream layer rejects, 4 backend failure.
@@ -36,27 +37,11 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
 
 from . import io
-from .dialogue import (
-    Dialogue,
-    dialogue_from_record,
-    dialogue_to_record,
-    validate_dialogue,
-)
-from .stream import (
-    EmptyText,
-    InvalidStream,
-    StreamConfig,
-    UnitOverflow,
-    loss_summary,
-    mask_intervals,
-    serialize,
-    stream_from_record,
-    stream_to_record,
-)
-from .taxonomy import SignatureError, format_signature, parse_signature
+from .stream import EmptyText, InvalidStream, StreamConfig, UnitOverflow
 
 if TYPE_CHECKING:
     from .atomic_ops import CompletionBackend, MockBackend, RemoteBackend
+    from .dialogue import Dialogue
     from .stage_b import DistractorPool
 
 ENV_BACKEND_URL = "DF_BACKEND_URL"
@@ -193,6 +178,7 @@ def _read(path: str, decode: Callable[[Any], Any] | None, fn: Callable[[int, Any
     """
     wanted = None
     if signature:
+        from .taxonomy import SignatureError, parse_signature
         try:
             wanted = parse_signature(signature)
         except SignatureError as err:
@@ -210,11 +196,13 @@ def _read(path: str, decode: Callable[[Any], Any] | None, fn: Callable[[int, Any
     return (out for out in io.map_lines(path, line, threads) if out is not None)
 
 
-def _finish(args: argparse.Namespace, argv: Sequence[str], cfg: PipelineConfig,
-            inputs: dict[str, str], outputs: Sequence[str], counts: dict[str, int],
+def _finish(outs: io.Outputs, args: argparse.Namespace, argv: Sequence[str],
+            cfg: PipelineConfig, inputs: dict[str, str], counts: dict[str, int],
             summary: str) -> int:
-    """Write the manifest to ``--manifest`` (default ``<out>.manifest.json``), print
-    ``<command>: <summary> -> <out>`` and return 0: the end of each writing subcommand.
+    """Stage the manifest of ``outs`` in it at ``--manifest`` (default
+    ``<out>.manifest.json``), commit ``outs``, print ``<command>: <summary> -> <out>``
+    and return 0: the end of each writing subcommand. A path staged twice has
+    the digest of its last file.
 
     ``inputs`` are the ``_digests`` of the inputs, taken before the run wrote
     anything: an output may replace its input.
@@ -224,9 +212,10 @@ def _finish(args: argparse.Namespace, argv: Sequence[str], cfg: PipelineConfig,
         "argv": list(argv),
         "config": asdict(cfg),
         "inputs": inputs,
-        "outputs": _digests(outputs),
+        "outputs": {path: io.sha256_file(tmp) for tmp, path in outs.staged},
         "counts": counts,
-    })])
+    })], outs)
+    outs.commit()
     print(f"{args.command}: {summary} -> {args.out}")
     return 0
 
@@ -243,12 +232,15 @@ def record_synthesizer(stages: Sequence[str], backend: CompletionBackend, cfg: P
     stages b and c. ``BackendUnavailable`` propagates.
     """
     from .atomic_ops import BackendUnavailable
-    from .stage_a import BUILDERS
-    from .stage_b import insert_distractors
-    from .stage_c import interleave
+    from .dialogue import dialogue_to_record
 
     if "a" in stages:
+        from .stage_a import BUILDERS
         parse, build = BUILDERS[task]
+    if "b" in stages:
+        from .stage_b import insert_distractors
+    if "c" in stages:
+        from .stage_c import interleave
 
     def one(index: int, d: Any) -> tuple[str, str] | dict[str, Any]:
         stage = stages[0]
@@ -297,8 +289,7 @@ def _synthesized_lines(path: str, decode: Callable[[Any], Any] | None,
 
 def cmd_synthesize(args: argparse.Namespace, argv: Sequence[str]) -> int:
     from .atomic_ops import BackendUnavailable
-    from .stage_a import BUILDERS
-    from .stage_b import DistractorPool, entry_from_record
+    from .dialogue import dialogue_from_record
 
     cfg = _load_config(args)
     if args.stages is None:
@@ -308,15 +299,18 @@ def cmd_synthesize(args: argparse.Namespace, argv: Sequence[str]) -> int:
         raise ConfigError(f"stages must be drawn from a,b,c: {args.stages!r}")
     if stages != sorted(stages) or len(set(stages)) != len(stages):
         raise ConfigError("stages must be in order and unique, e.g. a,b,c")
-    if "a" in stages and args.task not in BUILDERS:
-        raise ConfigError(f"stage a needs --task, one of {', '.join(BUILDERS)}: "
-                          f"{args.task!r}")
+    if "a" in stages:
+        from .stage_a import BUILDERS
+        if args.task not in BUILDERS:
+            raise ConfigError(f"stage a needs --task, one of {', '.join(BUILDERS)}: "
+                              f"{args.task!r}")
     if "b" in stages and not args.pool:
         raise ConfigError("stage b needs --pool <jsonl>")
 
     inputs = _digests([args.in_path, args.pool] if "b" in stages else [args.in_path])
     pool = None
     if "b" in stages:
+        from .stage_b import DistractorPool, entry_from_record
         pool = DistractorPool(tuple(io.read_records(args.pool, entry_from_record)))
         if not pool.entries:
             raise ConfigError(f"distractor pool {args.pool} is empty")
@@ -332,21 +326,23 @@ def cmd_synthesize(args: argparse.Namespace, argv: Sequence[str]) -> int:
     # mock runs are CPU-bound: forked workers, one per CPU
     threads = cfg.concurrency if cfg.backend == "remote" else 0
     lines = _synthesized_lines(args.in_path, decode, one, rejects, threads, stages[-1])
-    try:
-        written = io.write_lines(args.out, lines)
-    except BackendUnavailable as err:
-        print(f"backend failure: {err}", file=sys.stderr)
-        return 4
-    finally:
-        backend.close()
-    rejects_path = args.rejects or f"{args.out}.rejects.jsonl"
-    io.write_jsonl(rejects_path, rejects)
-    return _finish(args, argv, cfg, inputs, [args.out, rejects_path],
-                   {"written": written, "rejected": len(rejects)},
-                   f"{written} dialogues, {len(rejects)} rejects")
+    with io.Outputs() as outs:
+        try:
+            written = io.write_lines(args.out, lines, outs)
+        except BackendUnavailable as err:
+            print(f"backend failure: {err}", file=sys.stderr)
+            return 4
+        finally:
+            backend.close()
+        io.write_jsonl(args.rejects or f"{args.out}.rejects.jsonl", rejects, outs)
+        return _finish(outs, args, argv, cfg, inputs,
+                       {"written": written, "rejected": len(rejects)},
+                       f"{written} dialogues, {len(rejects)} rejects")
 
 
 def cmd_validate(args: argparse.Namespace, argv: Sequence[str]) -> int:
+    from .dialogue import dialogue_from_record, validate_dialogue
+
     del argv
 
     def violations(index: int, d: Dialogue) -> tuple[str, list[str]]:
@@ -368,27 +364,35 @@ def cmd_validate(args: argparse.Namespace, argv: Sequence[str]) -> int:
 
 
 def cmd_serialize(args: argparse.Namespace, argv: Sequence[str]) -> int:
+    from .dialogue import dialogue_from_record
+    from .stream import serialize, stream_to_record
+
     cfg = _load_config(args)
     stream_cfg = cfg.stream_config()
     streams = _read(args.in_path, dialogue_from_record,
                     lambda index, d: io.dumps(stream_to_record(serialize(d, stream_cfg))),
                     signature=args.signature)
     inputs = _digests([args.in_path])
-    written = io.write_lines(args.out, streams)
-    return _finish(args, argv, cfg, inputs, [args.out], {"written": written},
-                   f"{written} streams")
+    with io.Outputs() as outs:
+        written = io.write_lines(args.out, streams, outs)
+        return _finish(outs, args, argv, cfg, inputs, {"written": written},
+                       f"{written} streams")
 
 
 def cmd_mask(args: argparse.Namespace, argv: Sequence[str]) -> int:
+    from .stream import mask_intervals, stream_from_record
+
     cfg = _load_config(args)
     masks = _read(args.in_path, stream_from_record, lambda index, s: mask_intervals(s))
     inputs = _digests([args.in_path])
-    written = io.write_lines(args.out, masks)
-    return _finish(args, argv, cfg, inputs, [args.out], {"written": written}, f"{written} masks")
+    with io.Outputs() as outs:
+        written = io.write_lines(args.out, masks, outs)
+        return _finish(outs, args, argv, cfg, inputs, {"written": written}, f"{written} masks")
 
 
 def cmd_pack(args: argparse.Namespace, argv: Sequence[str]) -> int:
     from .packing import SamplingConfig, pack_corpus, pack_to_record
+    from .stream import stream_from_record
 
     cfg = _load_config(args)
     if args.n < 1:
@@ -430,15 +434,20 @@ def cmd_pack(args: argparse.Namespace, argv: Sequence[str]) -> int:
             raise ConfigError(f"category {category!r}: stream file {path} is empty")
 
     packs, stats = pack_corpus(sampling, corpora, args.n, cfg.l_min, cfg.l_max, cfg.seed)
-    io.write_jsonl(args.out, (pack_to_record(p) for p in packs))
-    io.write_lines(args.stats, [io.dumps(stats)])
-    return _finish(args, argv, cfg, inputs, [args.out, args.stats],
-                   {"packs": len(packs), "samples": stats["sample_count"]},
-                   f"{len(packs)} packs (bound {stats['lower_bound']}, "
-                   f"{stats['underfull_count']} underfull)")
+    with io.Outputs() as outs:
+        io.write_jsonl(args.out, (pack_to_record(p) for p in packs), outs)
+        io.write_lines(args.stats, [io.dumps(stats)], outs)
+        return _finish(outs, args, argv, cfg, inputs,
+                       {"packs": len(packs), "samples": stats["sample_count"]},
+                       f"{len(packs)} packs (bound {stats['lower_bound']}, "
+                       f"{stats['underfull_count']} underfull)")
 
 
 def cmd_stats(args: argparse.Namespace, argv: Sequence[str]) -> int:
+    from .dialogue import dialogue_from_record
+    from .stream import loss_summary, serialize
+    from .taxonomy import format_signature
+
     del argv
     cfg = _load_config(args)
     stream_cfg = cfg.stream_config()

@@ -70,13 +70,6 @@ class MissingCaption(ValueError):
     """An operation needed an image caption that is absent or blank."""
 
 
-class Role(Enum):
-    """The slot a turn fills in its round; the stream grammar labels each part with it."""
-
-    USER = "user"
-    ASSISTANT = "assistant"
-
-
 class Stage(Enum):
     A = "a"
     B = "b"

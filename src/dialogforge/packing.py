@@ -6,7 +6,8 @@ fills one pack at a time, never with two samples of one id: first a copy of
 each stream that needs one in every pack left, then the copies that leave the
 pack's room usable. It then repairs the emptiest packs with exact subset sums
 until the pack count reaches ``ceil(sum of lengths / l_max)``, stops gaining
-or spends its work budget. Packs that end light are flagged underfull.
+or spends its work budget, and ends at once where no pass can close a pack, as
+each would be rolled back. Packs that end light are flagged underfull.
 ``pack_corpus`` packs the draws and writes the packs in a seeded order so the
 pack file carries no length curriculum."""
 
@@ -119,8 +120,9 @@ def pack_greedy(samples: Sequence[tuple[str, int]], l_min: int, l_max: int) -> l
 
     *Repair* then takes passes, while there are more packs than ``ceil(sum of
     lengths / l_max)``, until a cycle of ``REPAIR_POOL_SIZES`` passes gains
-    nothing or ``REPAIR_BUDGET`` is spent. A pass pools the samples of the
-    emptiest packs (``_Packs.repair`` says which), lets each visited pack take
+    nothing, ``REPAIR_BUDGET`` is spent or no pass can close a pack. A pass
+    pools the samples of the emptiest packs (``_Packs.repair`` says which), lets
+    each visited pack take
     the fullest subset of its own samples and the pool's that fits ``l_max``
     with no id twice, places the rest of the pool by the placement rule (into
     the live packs that have room, fullest first, then new ones), and is kept
@@ -309,17 +311,22 @@ class _Packs:
         own samples, then the first pool sample of each id it lacks. It takes
         ``_fullest`` of them if that is fuller than it is, and its samples left
         out join the end of the pool. Then ``fill`` places the rest of the pool.
+
+        Before the first pass and each one after a pass that closed a pack, the
+        repair ends if ``_may_close`` is false for every pool size: each pass
+        from there would fail and be rolled back, so the packs are the same.
         """
         ids, lengths, l_max = self.ids, self.lengths, self.l_max
         bound = -(-sum(lengths) // l_max)
         unit = max(l_max + 1, 1 << 16)
         spent = fails = passes = 0
         while len(self.rooms) > bound and fails < len(REPAIR_POOL_SIZES) and spent < REPAIR_BUDGET:
+            if not fails and not any(map(self._may_close, REPAIR_POOL_SIZES)):
+                break  # every pass from here fails and is rolled back
             size = REPAIR_POOL_SIZES[passes % len(REPAIR_POOL_SIZES)]
             passes += 1
             before = len(self.rooms)
-            half_full = before - bisect.bisect_left(self.rooms, (l_max - l_max // 2,))
-            cut = before - min(before, max(size, half_full))
+            cut = self._cut(size)
             if cut == 0:  # pooling every pack places all draws again, as placement did
                 fails += 1
                 continue
@@ -371,6 +378,27 @@ class _Packs:
             else:
                 fails += 1
                 self.packs, self.rooms = kept
+
+    def _cut(self, size: int) -> int:
+        """The first place in ``rooms`` that a repair pass of pool size ``size`` pools."""
+        rooms, l_max = self.rooms, self.l_max
+        half_full = len(rooms) - bisect.bisect_left(rooms, (l_max - l_max // 2,))
+        return max(0, len(rooms) - max(size, half_full))
+
+    def _may_close(self, size: int) -> bool:
+        """Whether a repair pass of pool size ``size`` could close a pack: only if
+        the rooms of the packs it pools, of the packs it visits and of the other
+        packs with room for the shortest draw in those reach ``l_max``. To close
+        one, it must fit the pooled draws into one pack fewer than they filled
+        and what the other packs take: a visited pack at most its room, and any
+        other only draws that fit its room."""
+        rooms, cut = self.rooms, self._cut(size)
+        if cut == 0:
+            return False
+        visited = max(0, cut - REPAIR_VISITS)
+        shortest = min(self.lengths[i] for _, q in rooms[visited:] for i in self.packs[q].values())
+        others = bisect.bisect_left(rooms, (shortest,), 0, visited)
+        return sum(room for room, _ in rooms[others:]) >= self.l_max
 
 
 def _fullest(lengths: list[int], cap: int) -> tuple[int, list[int]]:

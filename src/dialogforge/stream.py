@@ -31,13 +31,15 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from enum import Enum
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
-from .dialogue import Dialogue, Role, ValidationReport
 from .io import dumps
 
+if TYPE_CHECKING:
+    from .dialogue import Dialogue, ValidationReport
+
 __all__ = [
-    "SpecialToken", "BlockKind", "LossTag", "TokenBlock", "TokenStream",
+    "Role", "SpecialToken", "BlockKind", "LossTag", "TokenBlock", "TokenStream",
     "StreamConfig", "serialize", "validate_stream",
     "mask_intervals", "loss_summary",
     "LossSummary", "stream_to_record", "stream_from_record",
@@ -55,6 +57,13 @@ class UnitOverflow(ValueError):
 
 class InvalidStream(ValueError):
     """Parts that break the grammar, or a round the grammar cannot express."""
+
+
+class Role(Enum):
+    """The slot a turn fills in its round; the grammar labels each part with it."""
+
+    USER = "user"
+    ASSISTANT = "assistant"
 
 
 class SpecialToken(Enum):
@@ -343,6 +352,7 @@ def _entries(s: TokenStream) -> list[list[Any]]:
 
 def validate_stream(s: TokenStream) -> ValidationReport:
     """The ``_walk`` faults of ``s``'s parts, each with its part index; violations are data."""
+    from .dialogue import ValidationReport
     report = ValidationReport()
     _walk(_entries(s), s.total_len, report.add)
     return report

@@ -12,8 +12,7 @@ from __future__ import annotations
 
 from typing import Iterator, Sequence
 
-from dialogforge.dialogue import Role
-from dialogforge.stream import BlockKind, LossTag, SpecialToken, TokenBlock
+from dialogforge.stream import BlockKind, LossTag, Role, SpecialToken, TokenBlock
 
 _CLEAN_IMAGE = (
     (BlockKind.SPECIAL, SpecialToken.V_S, LossTag.NONE),

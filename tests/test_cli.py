@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from mask_reference import dense_from_rows, mask_oracle
 
 import dialogforge
-from dialogforge import cli, io, stage_b
+from dialogforge import cli, dialogue, io, stage_b, stream
 from dialogforge.atomic_ops import BackendUnavailable, MockBackend
 from dialogforge.cli import build_parser, main
 from dialogforge.dialogue import dialogue_from_record
@@ -280,11 +280,15 @@ def test_cli_import_does_not_load_numpy():
 
 _REPORT_MODULES = ("import sys; from dialogforge.cli import main; code = main(sys.argv[1:]); "
                    "print(sorted(m for m in sys.modules if m.split('.')[0] == 'dialogforge')); "
+                   "print('hashlib' in sys.modules); "
                    "print('concurrent.futures' in sys.modules); sys.exit(code)")
-_SHARED_LAYERS = ["dialogforge", "dialogforge.cli", "dialogforge.dialogue", "dialogforge.io",
-                  "dialogforge.stream", "dialogforge.taxonomy"]
-_SYNTHESIS_LAYERS = ["dialogforge.atomic_ops", "dialogforge.stage_a", "dialogforge.stage_b",
-                     "dialogforge.stage_c", "dialogforge.util"]
+_READ_LAYERS = ["dialogforge", "dialogforge.cli", "dialogforge.io", "dialogforge.stream"]
+_DIALOGUE_LAYERS = sorted(_READ_LAYERS + ["dialogforge.dialogue", "dialogforge.taxonomy"])
+
+
+def _synthesis_layers(*stages):
+    return sorted(_DIALOGUE_LAYERS + ["dialogforge.atomic_ops", "dialogforge.util"]
+                  + [f"dialogforge.stage_{s}" for s in stages])
 
 
 @pytest.fixture(scope="module")
@@ -304,21 +308,27 @@ def footprint_dir(tmp_path_factory):
     return root
 
 
-@pytest.mark.parametrize("argv, layers", [
+# (argv, every dialogforge module the run loads, whether it loads hashlib)
+@pytest.mark.parametrize("argv, layers, hashes", [
     ("synthesize --stages a,b,c --task t_i_i1_1 --in edit_records_20.jsonl --pool pool.jsonl "
-     "--out o.jsonl", _SYNTHESIS_LAYERS),
-    ("validate --in d.jsonl", []),
-    ("serialize --in d.jsonl --out s.jsonl", []),
-    ("mask --in streams/t2i.jsonl --out m.jsonl", []),
-    ("stats --in d.jsonl --out st.json", []),
+     "--out o.jsonl", _synthesis_layers("a", "b", "c"), True),
+    ("synthesize --stage a --task t_i_0_0 --in t2i_records_20.jsonl --out o.jsonl",
+     _synthesis_layers("a"), True),
+    ("synthesize --stage c --in d.jsonl --out o.jsonl", _synthesis_layers("c"), True),
+    ("validate --in d.jsonl", _DIALOGUE_LAYERS, False),
+    ("serialize --in d.jsonl --out s.jsonl", _DIALOGUE_LAYERS, True),
+    ("mask --in streams/t2i.jsonl --out m.jsonl", _READ_LAYERS, True),
+    ("stats --in d.jsonl --out st.json", _DIALOGUE_LAYERS, False),
     ("pack --config w.json --in-dir streams --n 40 --out p.jsonl --stats p.json",
-     ["dialogforge.packing", "dialogforge.util"]),
-], ids=["synthesize", "validate", "serialize", "mask", "stats", "pack"])
-def test_each_subcommand_loads_only_its_layers(footprint_dir, argv, layers):
+     sorted(_READ_LAYERS + ["dialogforge.packing", "dialogforge.util"]), True),
+], ids=["synthesize", "synthesize-a", "synthesize-c", "validate", "serialize", "mask", "stats",
+        "pack"])
+def test_each_subcommand_loads_only_its_layers(footprint_dir, argv, layers, hashes):
     out = subprocess.run([sys.executable, "-c", _REPORT_MODULES, *argv.split()],
                          cwd=footprint_dir, env=_child_env(), check=True, capture_output=True,
                          text=True).stdout.splitlines()
-    assert out[-2] == repr(sorted(_SHARED_LAYERS + layers))
+    assert out[-3] == repr(layers)
+    assert out[-2] == repr(hashes)  # only a command that writes a manifest hashes
     assert out[-1] == "False"  # a mock run, or none, starts no thread pool
 
 
@@ -650,6 +660,29 @@ def test_an_output_in_a_missing_directory_is_named_as_given(workdir, capsys, arg
     assert capsys.readouterr().err == (
         f"i/o error: [Errno 2] No such file or directory: '{target}'\n")
     assert not Path("nodir").exists() and not list(workdir.rglob("*.tmp"))
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param("synthesize --stage a --task t_i_0_0 --in t2i_records_20.jsonl --out x.jsonl "
+                 "--rejects nodir/r.jsonl", id="rejects"),
+    pytest.param("synthesize --stage a --task t_i_0_0 --in t2i_records_20.jsonl --out x.jsonl "
+                 "--manifest nodir/m.json", id="manifest"),
+    pytest.param("pack --config weights.json --in-dir streams --n 50 --out x.jsonl "
+                 "--stats nodir/ps.json", id="pack-stats"),
+])
+def test_a_run_that_fails_on_a_later_output_leaves_every_file_as_it_was(workdir, capsys, argv):
+    run("synthesize", "--stage", "a", "--task", "t_i_0_0",
+        "--in", "t2i_records_20.jsonl", "--out", "d.jsonl", "--seed", "1")
+    Path("streams").mkdir()
+    run("serialize", "--in", "d.jsonl", "--out", "streams/t2i.jsonl")
+    Path("weights.json").write_text(json.dumps({"t2i": 1.0}))
+    Path("x.jsonl").write_bytes(b"previous output\n")
+    before = {p: p.read_bytes() for p in workdir.rglob("*") if p.is_file()}
+    capsys.readouterr()
+    assert run(*argv.split()) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("i/o error: ") and "nodir" in err
+    assert {p: p.read_bytes() for p in workdir.rglob("*") if p.is_file()} == before
 
 
 def test_serialize_and_mask(workdir):
@@ -1156,8 +1189,9 @@ def test_stream_subcommands_hold_one_record_at_a_time(workdir, monkeypatch):
             return obj
         return decode_and_watch
 
-    monkeypatch.setattr(cli, "dialogue_from_record", watched(cli.dialogue_from_record))
-    monkeypatch.setattr(cli, "stream_from_record", watched(cli.stream_from_record))
+    # each subcommand imports its decoder from the defining module when it runs
+    monkeypatch.setattr(dialogue, "dialogue_from_record", watched(dialogue.dialogue_from_record))
+    monkeypatch.setattr(stream, "stream_from_record", watched(stream.stream_from_record))
     for argv in ("validate --in d.jsonl", "serialize --in d.jsonl --out s.jsonl",
                  "mask --in s.jsonl --out m.jsonl", "stats --in d.jsonl --out st.json"):
         peak[0] = 0

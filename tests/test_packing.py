@@ -273,6 +273,52 @@ def test_placement_closes_a_pack_only_when_no_copy_it_lacks_fits(case):
         assert all(ids[i] in pack or lengths[i] > room for i in later)
 
 
+@st.composite
+def nearly_full_packs(draw):
+    """Packs a few tokens short of ``l_max`` and a few light draws: the shape in
+    which no repair pass can close a pack, as the pooled and visited packs and
+    the packs with room for their shortest draw have under ``l_max`` of room."""
+    l_max = draw(st.integers(8, 120))
+    full = draw(st.lists(st.integers(max(1, l_max - 3), l_max), min_size=1, max_size=40))
+    light = draw(st.lists(st.integers(1, l_max), min_size=1, max_size=3))
+    samples = [*((f"f{k}", n) for k, n in enumerate(full)),
+               *((f"l{k}", n) for k, n in enumerate(light))]
+    return draw(st.permutations(samples)), l_max
+
+
+@settings(max_examples=300)
+@given(case=st.one_of(repeated_draws(), nearly_full_packs()), visits=st.integers(0, 6))
+@example(case=([("f0", 9), ("f1", 9), ("f2", 9), ("f3", 9), ("l0", 4)], 10), visits=1)
+def test_pack_greedy_builds_the_reference_packs_where_the_repair_stops_early(case, visits):
+    # the reference runs every repair pass, the stop proves them futile first
+    samples, l_max = case
+    ids, lengths = [s for s, _ in samples], [n for _, n in samples]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(packing, "REPAIR_VISITS", visits)
+        packs = pack_greedy(samples, l_min=1, l_max=l_max)
+        assert ([list(p.sample_ids) for p in packs]
+                == [[ids[i] for i in pack] for pack in reference_packs(ids, lengths, l_max)])
+    assert_pack_properties(samples, packs, l_max)
+
+
+def test_repair_that_no_pass_can_close_ends_before_its_first_pass(monkeypatch):
+    # 200 packs of 998 and one of 300 over a bound of 200: pooling at most 14
+    # packs and visiting 100 finds 700 + 113 * 2 = 926 of room, short of 1000, and
+    # no pack outside has room for a draw of 300
+    samples = [(f"f{k}", 998) for k in range(200)] + [("light", 300)]
+    ids, lengths = [s for s, _ in samples], [n for _, n in samples]
+    state = packing._Packs(ids, lengths, 1000)
+    state.fill(range(len(samples)))
+    assert len(state.rooms) == 201 > -(-sum(lengths) // 1000)
+    assert not any(map(state._may_close, packing.REPAIR_POOL_SIZES))
+    calls = []
+    fullest = packing._fullest
+    monkeypatch.setattr(packing, "_fullest", lambda *a: calls.append(a) or fullest(*a))
+    packs = pack_greedy(samples, l_min=1, l_max=1000)
+    assert calls == []
+    assert [list(p.sample_ids) for p in packs] == [["light"]] + [[f"f{k}"] for k in range(200)]
+
+
 @settings(max_examples=100)
 @given(case=repeated_draws(), budget=st.integers(0, 1 << 20), sum_bits=st.integers(0, 4000))
 # budgets that end the repair inside a pass, where the pooled draws or every

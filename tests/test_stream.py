@@ -16,7 +16,6 @@ from dialogforge.dialogue import (
     Dialogue,
     ImageRef,
     Provenance,
-    Role,
     Round,
     Segment,
     Stage,
@@ -30,6 +29,7 @@ from dialogforge.stream import (
     EmptyText,
     InvalidStream,
     LossTag,
+    Role,
     SpecialToken,
     StreamConfig,
     TokenStream,
