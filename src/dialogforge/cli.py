@@ -4,9 +4,8 @@ All randomness flows from one root seed through per-record derived seeds, so
 reruns are reproducible byte for byte under the mock backend.
 
 Each subcommand loads only the layers it runs: ``io`` and ``stream`` load with
-this module, and each subcommand imports the layer functions it runs, so
-``dialogue`` and ``taxonomy`` load where dialogues are read, ``packing`` in
-``pack``, and the backend and the stages named in ``--stages`` in ``synthesize``.
+this module, ``dialogue`` and ``taxonomy`` where dialogues are read, ``packing``
+in ``pack``, and the backend and the stages named in ``--stages`` in ``synthesize``.
 
 ``synthesize``, ``validate``, ``serialize``, ``mask`` and ``stats`` read
 ``--in`` through one reader, ``_read``, which maps its lines with
@@ -15,11 +14,10 @@ worker per CPU, except for remote ``synthesize``, whose backend calls wait on
 the network and run on one pool of ``--concurrency`` threads. ``pack`` reads its
 stream files in this process.
 
-``synthesize``, ``serialize``, ``mask`` and ``pack`` write through one
-``io.Outputs`` and end through one manifest writer, ``_finish``: it writes a
-manifest next to the output (argv, config, input/output hashes, counts), only
-then renames every output into place, and prints the ``<command>: ... -> <out>``
-line. ``stats --out`` writes its JSON with none.
+``synthesize``, ``serialize``, ``mask`` and ``pack`` end through one manifest
+writer, ``_finish``: it writes a manifest next to the output (argv, config,
+input/output hashes, counts), renames every staged output into place and prints
+the ``<command>: ... -> <out>`` line. ``stats --out`` writes its JSON with none.
 
 Exit codes: 0 success, 1 validation violations, 2 configuration error,
 3 I/O error or an input the stream layer rejects, 4 backend failure.
@@ -37,7 +35,8 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
 
 from . import io
-from .stream import EmptyText, InvalidStream, StreamConfig, UnitOverflow
+from .stream import (EmptyText, InvalidStream, StreamConfig, UnitOverflow, loss_summary,
+                     mask_intervals, serialize, stream_from_record, stream_to_record)
 
 if TYPE_CHECKING:
     from .atomic_ops import CompletionBackend, MockBackend, RemoteBackend
@@ -196,13 +195,10 @@ def _read(path: str, decode: Callable[[Any], Any] | None, fn: Callable[[int, Any
     return (out for out in io.map_lines(path, line, threads) if out is not None)
 
 
-def _finish(outs: io.Outputs, args: argparse.Namespace, argv: Sequence[str],
-            cfg: PipelineConfig, inputs: dict[str, str], counts: dict[str, int],
-            summary: str) -> int:
-    """Stage the manifest of ``outs`` in it at ``--manifest`` (default
-    ``<out>.manifest.json``), commit ``outs``, print ``<command>: <summary> -> <out>``
-    and return 0: the end of each writing subcommand. A path staged twice has
-    the digest of its last file.
+def _finish(args: argparse.Namespace, argv: Sequence[str], cfg: PipelineConfig,
+            inputs: dict[str, str], counts: dict[str, int], summary: str) -> int:
+    """Stage the manifest at ``--manifest`` (default ``<out>.manifest.json``), rename each
+    output in ``args.staged`` into place, print ``<command>: <summary> -> <out>``, return 0.
 
     ``inputs`` are the ``_digests`` of the inputs, taken before the run wrote
     anything: an output may replace its input.
@@ -212,10 +208,12 @@ def _finish(outs: io.Outputs, args: argparse.Namespace, argv: Sequence[str],
         "argv": list(argv),
         "config": asdict(cfg),
         "inputs": inputs,
-        "outputs": {path: io.sha256_file(tmp) for tmp, path in outs.staged},
+        "outputs": {path: io.sha256_file(tmp) for tmp, path in args.staged},
         "counts": counts,
-    })], outs)
-    outs.commit()
+    })], args.staged)
+    while args.staged:
+        os.replace(*args.staged[0])
+        del args.staged[0]
     print(f"{args.command}: {summary} -> {args.out}")
     return 0
 
@@ -326,18 +324,16 @@ def cmd_synthesize(args: argparse.Namespace, argv: Sequence[str]) -> int:
     # mock runs are CPU-bound: forked workers, one per CPU
     threads = cfg.concurrency if cfg.backend == "remote" else 0
     lines = _synthesized_lines(args.in_path, decode, one, rejects, threads, stages[-1])
-    with io.Outputs() as outs:
-        try:
-            written = io.write_lines(args.out, lines, outs)
-        except BackendUnavailable as err:
-            print(f"backend failure: {err}", file=sys.stderr)
-            return 4
-        finally:
-            backend.close()
-        io.write_jsonl(args.rejects or f"{args.out}.rejects.jsonl", rejects, outs)
-        return _finish(outs, args, argv, cfg, inputs,
-                       {"written": written, "rejected": len(rejects)},
-                       f"{written} dialogues, {len(rejects)} rejects")
+    try:
+        written = io.write_lines(args.out, lines, args.staged)
+    except BackendUnavailable as err:
+        print(f"backend failure: {err}", file=sys.stderr)
+        return 4
+    finally:
+        backend.close()
+    io.write_jsonl(args.rejects or f"{args.out}.rejects.jsonl", rejects, args.staged)
+    return _finish(args, argv, cfg, inputs, {"written": written, "rejected": len(rejects)},
+                   f"{written} dialogues, {len(rejects)} rejects")
 
 
 def cmd_validate(args: argparse.Namespace, argv: Sequence[str]) -> int:
@@ -365,7 +361,6 @@ def cmd_validate(args: argparse.Namespace, argv: Sequence[str]) -> int:
 
 def cmd_serialize(args: argparse.Namespace, argv: Sequence[str]) -> int:
     from .dialogue import dialogue_from_record
-    from .stream import serialize, stream_to_record
 
     cfg = _load_config(args)
     stream_cfg = cfg.stream_config()
@@ -373,26 +368,20 @@ def cmd_serialize(args: argparse.Namespace, argv: Sequence[str]) -> int:
                     lambda index, d: io.dumps(stream_to_record(serialize(d, stream_cfg))),
                     signature=args.signature)
     inputs = _digests([args.in_path])
-    with io.Outputs() as outs:
-        written = io.write_lines(args.out, streams, outs)
-        return _finish(outs, args, argv, cfg, inputs, {"written": written},
-                       f"{written} streams")
+    written = io.write_lines(args.out, streams, args.staged)
+    return _finish(args, argv, cfg, inputs, {"written": written}, f"{written} streams")
 
 
 def cmd_mask(args: argparse.Namespace, argv: Sequence[str]) -> int:
-    from .stream import mask_intervals, stream_from_record
-
     cfg = _load_config(args)
     masks = _read(args.in_path, stream_from_record, lambda index, s: mask_intervals(s))
     inputs = _digests([args.in_path])
-    with io.Outputs() as outs:
-        written = io.write_lines(args.out, masks, outs)
-        return _finish(outs, args, argv, cfg, inputs, {"written": written}, f"{written} masks")
+    written = io.write_lines(args.out, masks, args.staged)
+    return _finish(args, argv, cfg, inputs, {"written": written}, f"{written} masks")
 
 
 def cmd_pack(args: argparse.Namespace, argv: Sequence[str]) -> int:
     from .packing import SamplingConfig, pack_corpus, pack_to_record
-    from .stream import stream_from_record
 
     cfg = _load_config(args)
     if args.n < 1:
@@ -434,18 +423,16 @@ def cmd_pack(args: argparse.Namespace, argv: Sequence[str]) -> int:
             raise ConfigError(f"category {category!r}: stream file {path} is empty")
 
     packs, stats = pack_corpus(sampling, corpora, args.n, cfg.l_min, cfg.l_max, cfg.seed)
-    with io.Outputs() as outs:
-        io.write_jsonl(args.out, (pack_to_record(p) for p in packs), outs)
-        io.write_lines(args.stats, [io.dumps(stats)], outs)
-        return _finish(outs, args, argv, cfg, inputs,
-                       {"packs": len(packs), "samples": stats["sample_count"]},
-                       f"{len(packs)} packs (bound {stats['lower_bound']}, "
-                       f"{stats['underfull_count']} underfull)")
+    io.write_jsonl(args.out, (pack_to_record(p) for p in packs), args.staged)
+    io.write_lines(args.stats, [io.dumps(stats)], args.staged)
+    return _finish(args, argv, cfg, inputs,
+                   {"packs": len(packs), "samples": stats["sample_count"]},
+                   f"{len(packs)} packs (bound {stats['lower_bound']}, "
+                   f"{stats['underfull_count']} underfull)")
 
 
 def cmd_stats(args: argparse.Namespace, argv: Sequence[str]) -> int:
     from .dialogue import dialogue_from_record
-    from .stream import loss_summary, serialize
     from .taxonomy import format_signature
 
     del argv
@@ -576,6 +563,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     args = parser.parse_args(argv)
+    args.staged = []  # (temp file, path) of each output written, for ``_finish`` to rename
     try:
         return args.fn(args, argv)
     except ConfigError as err:
@@ -587,6 +575,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (InvalidStream, UnitOverflow, EmptyText) as err:
         print(f"stream error: {err}", file=sys.stderr)
         return 3
+    finally:
+        for tmp, _ in args.staged:  # a failed run renames no output into place
+            os.unlink(tmp)
 
 
 def run() -> None:

@@ -28,60 +28,41 @@ def dumps(obj: Any) -> str:
     return json.dumps(obj, ensure_ascii=False, separators=(",", ":"))
 
 
-class Outputs:
-    """Temp files beside their output paths, renamed into place together by ``commit``.
+def write_lines(path: str | Path, lines: Iterable[str], staged: list | None = None) -> int:
+    """Write each of ``lines`` and a newline; returns the count.
 
-    A ``with`` block left without a commit removes every temp file, so each path
-    keeps its bytes; a path may be the file its lines are read from.
+    The lines go to a temp file beside ``path``, renamed onto it once ``lines``
+    is exhausted, or with ``staged`` appended to it as ``(temp file, path)``. If
+    ``lines`` raises part way (say, a lazily read input has a bad record), the
+    temp file is removed and a file already at ``path`` keeps its bytes; ``path``
+    may also be the file ``lines`` reads from. An ``OSError`` from opening the
+    temp file names ``path``, the file the caller asked for.
     """
-
-    def __init__(self) -> None:
-        self.staged: list[tuple[str, str]] = []  # (temp file, path), in the order written
-
-    def __enter__(self) -> Outputs:
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        for tmp, _ in self.staged:
-            os.unlink(tmp)
-
-    def commit(self) -> None:
-        while self.staged:
-            os.replace(*self.staged[0])
-            del self.staged[0]
-
-
-def write_lines(path: str | Path, lines: Iterable[str], outs: Outputs | None = None) -> int:
-    """Write each of ``lines`` and a newline to a temp file beside ``path``, staged
-    in ``outs`` or, with none, renamed onto ``path`` at once; returns the count.
-
-    If ``lines`` raises part way (say, a lazily read input has a bad record),
-    ``path`` keeps its bytes. An ``OSError`` from opening the temp file names
-    ``path``, the file the caller asked for.
-    """
-    if outs is None:
-        with Outputs() as outs:
-            n = write_lines(path, lines, outs)
-            outs.commit()
-        return n
-    tmp = f"{path}.{os.getpid()}.{len(outs.staged)}.tmp"
+    tmp = f"{path}.{os.getpid()}.{len(staged or ())}.tmp"
     try:
         f = open(tmp, "w", encoding="utf-8", newline="\n")
     except OSError as err:
         raise OSError(err.errno, err.strerror, str(path)) from None
-    outs.staged.append((tmp, str(path)))
     n = 0
-    with f:
-        for line in lines:
-            f.write(line)
-            f.write("\n")
-            n += 1
+    try:
+        with f:
+            for line in lines:
+                f.write(line)
+                f.write("\n")
+                n += 1
+        if staged is None:
+            os.replace(tmp, path)
+        else:
+            staged.append((tmp, str(path)))
+    except BaseException:
+        os.unlink(tmp)
+        raise
     return n
 
 
-def write_jsonl(path: str | Path, objs: Iterable[Any], outs: Outputs | None = None) -> int:
+def write_jsonl(path: str | Path, objs: Iterable[Any], staged: list | None = None) -> int:
     """``write_lines`` of one ``dumps`` line per value of ``objs``; returns the count."""
-    return write_lines(path, map(dumps, objs), outs)
+    return write_lines(path, map(dumps, objs), staged)
 
 
 def parse_json(data: bytes) -> Any:

@@ -1,15 +1,15 @@
 """Weighted category sampling and sequence packing with no sample twice in a pack.
 
-Draws are seeded and sequential, so a (config, corpora, n, seed) tuple pins
-the output bytes. Samples are whole and never truncated. ``pack_greedy``
-fills one pack at a time, never with two samples of one id: first a copy of
-each stream that needs one in every pack left, then the copies that leave the
-pack's room usable. It then repairs the emptiest packs with exact subset sums
-until the pack count reaches ``ceil(sum of lengths / l_max)``, stops gaining
-or spends its work budget, and ends at once where no pass can close a pack, as
-each would be rolled back. Packs that end light are flagged underfull.
-``pack_corpus`` packs the draws and writes the packs in a seeded order so the
-pack file carries no length curriculum."""
+Draws are seeded and sequential, so a (config, corpora, n, seed) tuple pins the
+output bytes. Samples are whole and never truncated. ``pack_greedy`` fills one
+pack at a time, never with two samples of one id: first a copy of each stream
+that needs one in every pack left, then the copies that leave the pack's room
+usable. It then repairs the emptiest packs with exact subset sums until the
+pack count reaches ``ceil(sum of lengths / l_max)``, stops gaining or spends
+its work budget. It ends at once where a room bound proves that no pass can
+close a pack, since every pass from there would be rolled back. Packs that end
+light are flagged underfull. ``pack_corpus`` packs the draws and writes the
+packs in a seeded order so the pack file carries no length curriculum."""
 
 from __future__ import annotations
 
@@ -121,12 +121,11 @@ def pack_greedy(samples: Sequence[tuple[str, int]], l_min: int, l_max: int) -> l
     *Repair* then takes passes, while there are more packs than ``ceil(sum of
     lengths / l_max)``, until a cycle of ``REPAIR_POOL_SIZES`` passes gains
     nothing, ``REPAIR_BUDGET`` is spent or no pass can close a pack. A pass
-    pools the samples of the emptiest packs (``_Packs.repair`` says which), lets
-    each visited pack take
-    the fullest subset of its own samples and the pool's that fits ``l_max``
-    with no id twice, places the rest of the pool by the placement rule (into
-    the live packs that have room, fullest first, then new ones), and is kept
-    only if it closed a pack.
+    pools the samples of the emptiest packs (``_Packs.repair`` says which),
+    lets each visited pack take the fullest subset of its own samples and the
+    pool's that fits ``l_max`` with no id twice, places the rest of the pool by
+    the placement rule (into the live packs that have room, fullest first, then
+    new ones), and is kept only if it closed a pack.
 
     A pack lists its samples in the order they joined it. Packs keep their
     opening order; a kept pass drops the pooled packs and appends any it
@@ -312,9 +311,12 @@ class _Packs:
         ``_fullest`` of them if that is fuller than it is, and its samples left
         out join the end of the pool. Then ``fill`` places the rest of the pool.
 
-        Before the first pass and each one after a pass that closed a pack, the
-        repair ends if ``_may_close`` is false for every pool size: each pass
-        from there would fail and be rolled back, so the packs are the same.
+        Before the first pass and after each pass that closed a pack, the repair
+        ends if no pool size passes ``_may_close``: the rooms of the pooled, the
+        visited and the other packs with room for the shortest draw in those sum
+        to under ``l_max``. A visited pack gains at most its room and any other
+        takes only draws that fit its room, so the pooled draws cannot fit in one
+        pack fewer, and every pass from there would be rolled back unchanged.
         """
         ids, lengths, l_max = self.ids, self.lengths, self.l_max
         bound = -(-sum(lengths) // l_max)
@@ -386,19 +388,12 @@ class _Packs:
         return max(0, len(rooms) - max(size, half_full))
 
     def _may_close(self, size: int) -> bool:
-        """Whether a repair pass of pool size ``size`` could close a pack: only if
-        the rooms of the packs it pools, of the packs it visits and of the other
-        packs with room for the shortest draw in those reach ``l_max``. To close
-        one, it must fit the pooled draws into one pack fewer than they filled
-        and what the other packs take: a visited pack at most its room, and any
-        other only draws that fit its room."""
+        """Whether a pass of pool size ``size`` passes the room bound of ``repair``."""
         rooms, cut = self.rooms, self._cut(size)
-        if cut == 0:
-            return False
         visited = max(0, cut - REPAIR_VISITS)
         shortest = min(self.lengths[i] for _, q in rooms[visited:] for i in self.packs[q].values())
         others = bisect.bisect_left(rooms, (shortest,), 0, visited)
-        return sum(room for room, _ in rooms[others:]) >= self.l_max
+        return cut > 0 and sum(room for room, _ in rooms[others:]) >= self.l_max
 
 
 def _fullest(lengths: list[int], cap: int) -> tuple[int, list[int]]:

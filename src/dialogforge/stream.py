@@ -59,9 +59,7 @@ class InvalidStream(ValueError):
     """Parts that break the grammar, or a round the grammar cannot express."""
 
 
-class Role(Enum):
-    """The slot a turn fills in its round; the grammar labels each part with it."""
-
+class Role(Enum):  # the slot a turn fills in its round; the grammar labels each part with it
     USER = "user"
     ASSISTANT = "assistant"
 
@@ -353,6 +351,7 @@ def _entries(s: TokenStream) -> list[list[Any]]:
 def validate_stream(s: TokenStream) -> ValidationReport:
     """The ``_walk`` faults of ``s``'s parts, each with its part index; violations are data."""
     from .dialogue import ValidationReport
+
     report = ValidationReport()
     _walk(_entries(s), s.total_len, report.add)
     return report

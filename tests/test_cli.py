@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from mask_reference import dense_from_rows, mask_oracle
 
 import dialogforge
-from dialogforge import cli, dialogue, io, stage_b, stream
+from dialogforge import cli, dialogue, io, stage_b
 from dialogforge.atomic_ops import BackendUnavailable, MockBackend
 from dialogforge.cli import build_parser, main
 from dialogforge.dialogue import dialogue_from_record
@@ -1189,9 +1189,9 @@ def test_stream_subcommands_hold_one_record_at_a_time(workdir, monkeypatch):
             return obj
         return decode_and_watch
 
-    # each subcommand imports its decoder from the defining module when it runs
+    # the subcommands that read dialogues import the decoder from its module as they run
     monkeypatch.setattr(dialogue, "dialogue_from_record", watched(dialogue.dialogue_from_record))
-    monkeypatch.setattr(stream, "stream_from_record", watched(stream.stream_from_record))
+    monkeypatch.setattr(cli, "stream_from_record", watched(cli.stream_from_record))
     for argv in ("validate --in d.jsonl", "serialize --in d.jsonl --out s.jsonl",
                  "mask --in s.jsonl --out m.jsonl", "stats --in d.jsonl --out st.json"):
         peak[0] = 0

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from dialogforge import cli, io, stream
+from dialogforge import cli, io
 from dialogforge.atomic_ops import BackendUnavailable, OpKind, invoke, mock_complete
 from dialogforge.fixtures import make_distractor_pool
 from dialogforge.stage_b import entry_to_record
@@ -422,14 +422,14 @@ def test_worker_that_dies_ends_the_run_with_exit_3(cpus, tmp_path, monkeypatch, 
     run(*_CHAIN[1].split())
     victim = list(io.read_jsonl("a.jsonl"))[12]["id"]
     parent = os.getpid()
-    serialize = stream.serialize
+    serialize = cli.serialize
 
     def die_on_victim(d, cfg):
         if d.id == victim and os.getpid() != parent:
             os._exit(1)
         return serialize(d, cfg)
 
-    monkeypatch.setattr(stream, "serialize", die_on_victim)  # cmd_serialize imports it as it runs
+    monkeypatch.setattr(cli, "serialize", die_on_victim)
     Path("out").mkdir()
     Path("out/o.jsonl").write_bytes(b"previous output\n")
     cpus(2)
