@@ -440,24 +440,24 @@ def cmd_stats(args: argparse.Namespace, argv: Sequence[str]) -> int:
     stream_cfg = cfg.stream_config()
 
     def record_stats(index: int, d: Dialogue) -> tuple[Any, ...]:
-        summary = loss_summary(serialize(d, stream_cfg))
+        s = serialize(d, stream_cfg)
         return (format_signature(d.signature),
                 str(d.dep_depth_value) if d.dep_depth_value is not None else "0",
                 sum(1 for r in d.rounds if r.user.is_distractor),
-                summary.ce_positions, summary.mse_positions, summary.none_positions,
-                summary.total)
+                loss_summary(s), s.total_len)
 
     signatures: dict[str, int] = {}
     depths: dict[str, int] = {}
     distractor_rounds = 0
     loss = {"ce": 0, "mse": 0, "none": 0, "total": 0}
-    for sig, depth_key, distractors, *positions in _read(
+    for sig, depth_key, distractors, positions, total in _read(
             args.in_path, dialogue_from_record, record_stats, signature=args.signature):
         signatures[sig] = signatures.get(sig, 0) + 1
         depths[depth_key] = depths.get(depth_key, 0) + 1
         distractor_rounds += distractors
-        for key, count in zip(loss, positions):
+        for key, count in positions.items():
             loss[key] += count
+        loss["total"] += total
     result = {
         "dialogues": sum(signatures.values()),
         "signatures": {k: signatures[k] for k in sorted(signatures)},

@@ -195,9 +195,6 @@ class ValidationReport:
     def add(self, rule: str, detail: str, where: int | None = None) -> None:
         self.violations.append(Violation(rule, detail, where))
 
-    def rules(self) -> set[str]:
-        return {v.rule for v in self.violations}
-
 
 def validate_round_turns(user: Turn, assistant: Turn, report: ValidationReport,
                          where: int | None = None) -> None:
@@ -212,6 +209,9 @@ def validate_round_turns(user: Turn, assistant: Turn, report: ValidationReport,
                 report.add("empty-text", f"{slot} turn has a blank text segment", where)
             if seg.is_image and (seg.image.width <= 0 or seg.image.height <= 0):
                 report.add("image-dims", f"image {seg.image.id!r} has non-positive dimensions", where)
+        if slot == "user" and not any(seg.is_text for seg in turn.segments):
+            # the stream grammar opens every round with the user's text
+            report.add("user-text", "user turn has no text segment", where)
         images = turn.images()
         if len(images) > 1:  # the stream grammar holds one upload or one generated image
             report.add(f"{slot}-image-count", f"{slot} turn carries {len(images)} images", where)

@@ -8,18 +8,18 @@ replayed as clean ViT + VAE blocks so later turns have noise-free context to
 condition on. Text the assistant produces, and the structural delimiters it
 predicts, carry cross-entropy loss; everything on the user side carries none.
 
-A ``TokenStream`` holds one ``(part, units, image_id)`` entry per part of the
-block grammar (``_PARTS``), the content of its v2 record. Kinds, tokens,
-roles, losses, rounds and positions follow from the grammar, so a stream of
-parts cannot get them wrong; ``TokenStream.blocks`` derives the blocks when a
-caller wants them one by one.
+A ``TokenStream`` holds its v2 record's entries, one per part of the block
+grammar (``_PARTS``), as tuples. Kinds, tokens, roles, losses, rounds and
+positions follow from the grammar, so a stream of entries cannot get them
+wrong; ``TokenStream.blocks`` derives the blocks when a caller wants them one
+by one.
 
 Attention over the stream is causal with two exceptions: positions inside one
 noised block attend to each other bidirectionally (the latents of an image
 are denoised jointly), and no position outside a noised block ever sees into
 it, so history is always consumed through the clean replay.
 ``mask_intervals`` writes a stream's run-length mask record as a JSONL line,
-in one walk over the parts.
+in one walk over the entries.
 
 Block sizes are unit *counts* only; no tokenizer vocabulary or latent tensors
 are involved.
@@ -41,8 +41,7 @@ if TYPE_CHECKING:
 __all__ = [
     "Role", "SpecialToken", "BlockKind", "LossTag", "TokenBlock", "TokenStream",
     "StreamConfig", "serialize", "validate_stream",
-    "mask_intervals", "loss_summary",
-    "LossSummary", "stream_to_record", "stream_from_record",
+    "mask_intervals", "loss_summary", "stream_to_record", "stream_from_record",
     "EmptyText", "UnitOverflow", "InvalidStream",
 ]
 
@@ -99,45 +98,42 @@ class TokenBlock:
     image_id: str | None = None
 
 
-# (part, units of its non-special blocks in slot order, image id or None)
-Part = tuple[str, tuple[int, ...], str | None]
-
-
 @dataclass(frozen=True)
 class TokenStream:
-    """A serialized dialogue as one ``(part, units, image_id)`` per grammar part.
+    """A serialized dialogue as its record entries, one tuple per grammar part.
 
-    ``part`` is a ``_PARTS`` key, ``units`` are the units of the part's
-    non-special blocks in slot order, and ``image_id`` names the image of an
-    ``upload`` or ``noised`` part; it is ``None`` on every other part (a
-    ``replay`` shows the image of the ``noised`` part before it).
+    An entry is the part's code (a ``_PARTS`` key), the units of its
+    non-special blocks in slot order, and the image id of a ``p`` or ``n``
+    part (an ``r`` part shows the image of the ``n`` part before it):
+    ``("u", 22)``, ``("n", 640, "img")``, ``("r", 851, 640)``, ``("e",)``.
     ``validate_stream`` checks a stream built by hand.
     """
 
     dialogue_id: str
-    parts: tuple[Part, ...]
+    parts: tuple[tuple, ...]
     total_len: int
 
     @cached_property
     def blocks(self) -> tuple[TokenBlock, ...]:
-        """The blocks the parts stand for, rebuilt from the grammar on first access.
+        """The blocks the entries stand for, rebuilt from the grammar on first access.
 
         Assumes a stream that ``validate_stream`` passes.
         """
         blocks = []
         pos = rnd = 0
         image_id = None
-        for part, units, part_image in self.parts:
-            role = _PARTS[part][0]
-            named = _IMAGE_PARTS.get(part)
+        for entry in self.parts:
+            code = entry[0]
+            role = _PARTS[code][0]
+            named = _IMAGE_PARTS.get(code)
             if named:
-                image_id = part_image
-            for kind, tok, loss, u in _SLOTS[part]:
-                n = 1 if u is None else units[u]
+                image_id = entry[-1]
+            for kind, tok, loss, u in _SLOTS[code]:
+                n = 1 if u is None else entry[u]
                 blocks.append(TokenBlock(kind, n, rnd, role, loss, pos, pos + n, tok,
                                          image_id if named is not None and u is not None else None))
                 pos += n
-            rnd += part == "end"
+            rnd += code == "e"
         return tuple(blocks)
 
 
@@ -166,56 +162,52 @@ _CLEAN_IMAGE = (
     (BlockKind.SPECIAL, SpecialToken.V_E, LossTag.NONE),
 )
 
-# The block grammar of docs/stream-format.md, written once: part -> (role, slots),
-# one (kind, special token, loss) slot per block, and ``_NEXT`` below, a round being
-#   user_text upload? (noised replay text? | text) end
-# ``serialize`` emits a round's parts in that order, ``_walk`` matches record
-# entries against it (for ``stream_from_record``, ``validate_stream`` and
+# The block grammar of docs/stream-format.md, written once: part code ->
+# (role, slots), one (kind, special token, loss) slot per block, and ``_NEXT``
+# below, a round being (u: user text, p: upload, n: noised, r: replay, t: text)
+#   u p? (n r t? | t) e
+# ``serialize`` emits a round's entries in that order, ``_walk`` matches entries
+# against it (for ``stream_from_record``, ``validate_stream`` and
 # ``stream_to_record``), and ``TokenStream.blocks``, ``mask_intervals`` and
-# ``loss_summary`` expand parts into blocks through ``_SLOTS``.
+# ``loss_summary`` expand entries into blocks through ``_SLOTS``.
 _PARTS: dict[str, tuple[Role, tuple]] = {
-    "user_text": (Role.USER, ((BlockKind.SPECIAL, SpecialToken.IM_S, LossTag.NONE),
-                              (BlockKind.TEXT, None, LossTag.NONE),
-                              (BlockKind.SPECIAL, SpecialToken.IM_E, LossTag.NONE))),
-    "upload": (Role.USER, _CLEAN_IMAGE),
-    "noised": (Role.ASSISTANT, ((BlockKind.SPECIAL, SpecialToken.V_S, LossTag.CE),
-                                (BlockKind.VAE_NOISED, None, LossTag.MSE),
-                                (BlockKind.SPECIAL, SpecialToken.V_E, LossTag.CE))),
-    "replay": (Role.ASSISTANT, _CLEAN_IMAGE),
-    "text": (Role.ASSISTANT, ((BlockKind.SPECIAL, SpecialToken.IM_S, LossTag.CE),
-                              (BlockKind.TEXT, None, LossTag.CE),
-                              (BlockKind.SPECIAL, SpecialToken.IM_E, LossTag.CE))),
-    "end": (Role.ASSISTANT, ((BlockKind.SPECIAL, SpecialToken.END, LossTag.CE),)),
+    "u": (Role.USER, ((BlockKind.SPECIAL, SpecialToken.IM_S, LossTag.NONE),
+                      (BlockKind.TEXT, None, LossTag.NONE),
+                      (BlockKind.SPECIAL, SpecialToken.IM_E, LossTag.NONE))),
+    "p": (Role.USER, _CLEAN_IMAGE),
+    "n": (Role.ASSISTANT, ((BlockKind.SPECIAL, SpecialToken.V_S, LossTag.CE),
+                           (BlockKind.VAE_NOISED, None, LossTag.MSE),
+                           (BlockKind.SPECIAL, SpecialToken.V_E, LossTag.CE))),
+    "r": (Role.ASSISTANT, _CLEAN_IMAGE),
+    "t": (Role.ASSISTANT, ((BlockKind.SPECIAL, SpecialToken.IM_S, LossTag.CE),
+                           (BlockKind.TEXT, None, LossTag.CE),
+                           (BlockKind.SPECIAL, SpecialToken.IM_E, LossTag.CE))),
+    "e": (Role.ASSISTANT, ((BlockKind.SPECIAL, SpecialToken.END, LossTag.CE),)),
 }
 
 # Part -> the parts that may follow it, the last one being what the round
-# requires when none of the others fits. A stream starts as if after an ``end``
+# requires when none of the others fits. A stream starts as if after an ``e``
 # and must stop right after one.
-_NEXT: dict[str, tuple[str, ...]] = {
-    "end": ("user_text",),
-    "user_text": ("upload", "noised", "text"),
-    "upload": ("noised", "text"),
-    "noised": ("replay",),
-    "replay": ("text", "end"),
-    "text": ("end",),
-}
+_NEXT = {"e": ("u",), "u": ("p", "n", "t"), "p": ("n", "t"), "n": ("r",), "r": ("t", "e"),
+         "t": ("e",)}
 
 # Parts whose non-special blocks carry an image id -> whether the part names it
-# (as its image_id, and in its record entry); a replay reuses the id of the
-# noised part that ``_NEXT`` puts before it. No other block has an id.
-_IMAGE_PARTS = {"upload": True, "noised": True, "replay": False}
+# (as the last item of its entry); an ``r`` reuses the id of the ``n`` that
+# ``_NEXT`` puts before it. No other block has an id.
+_IMAGE_PARTS = {"p": True, "n": True, "r": False}
 
-# Part -> per block (kind, token, loss, index of its units in the part's units,
-# None for a special block, which takes one unit).
-_SLOTS = {part: tuple((kind, tok, loss, None if tok else sum(t is None for _, t, _ in slots[:j]))
+# Part -> per block (kind, token, loss, index of its units in the entry, None
+# for a special block, which takes one unit).
+_SLOTS = {code: tuple((kind, tok, loss, None if tok else 1 + sum(t is None for _, t, _ in slots[:j]))
                       for j, (kind, tok, loss) in enumerate(slots))
-          for part, (_, slots) in _PARTS.items()}
-# Part -> the units its special blocks take.
-_SPECIALS = {part: sum(u is None for *_, u in slots) for part, slots in _SLOTS.items()}
+          for code, (_, slots) in _PARTS.items()}
+# Part -> the units its special blocks take, and the items of its entry that hold units.
+_SPECIALS = {code: sum(u is None for *_, u in slots) for code, slots in _SLOTS.items()}
+_UNITS = {code: slice(1, 1 + len(slots) - _SPECIALS[code]) for code, slots in _SLOTS.items()}
 
 
 def serialize(d: Dialogue, cfg: StreamConfig = StreamConfig()) -> TokenStream:
-    """Flatten a dialogue into its parts, one ``_PARTS`` part at a time.
+    """Flatten a dialogue into its record entries, one ``_PARTS`` part at a time.
 
     Raises:
         EmptyText: a required text span is empty.
@@ -224,7 +216,7 @@ def serialize(d: Dialogue, cfg: StreamConfig = StreamConfig()) -> TokenStream:
             more than one image, an assistant turn that is not at most one
             image followed by text) or an image has no positive size.
     """
-    parts: list[Part] = []
+    parts: list[tuple] = []
 
     def text(ri: int, texts: list[str]) -> int:
         n = len(" ".join(texts).split())
@@ -248,117 +240,91 @@ def serialize(d: Dialogue, cfg: StreamConfig = StreamConfig()) -> TokenStream:
                 or any(s.is_image for s in asst.segments[1:])):
             raise InvalidStream(f"dialogue {d.id!r}: round {ri}: the grammar takes one upload at "
                                 "most and an assistant turn of one image at most, then text")
-        parts.append(("user_text", (text(ri, [s.text for s in rnd.user.segments if s.is_text]),),
-                      None))
+        parts.append(("u", text(ri, [s.text for s in rnd.user.segments if s.is_text])))
         for img in uploads:
-            parts.append(("upload", (image(img, cfg.vit_patch), image(img, cfg.vae_patch)), img.id))
+            parts.append(("p", image(img, cfg.vit_patch), image(img, cfg.vae_patch), img.id))
         for img in asst.images():
             vae = image(img, cfg.vae_patch)
-            parts.append(("noised", (vae,), img.id))
-            parts.append(("replay", (image(img, cfg.vit_patch), vae), None))
+            parts.append(("n", vae, img.id))
+            parts.append(("r", image(img, cfg.vit_patch), vae))
         texts = [s.text for s in asst.segments if s.is_text]
         if texts:
-            parts.append(("text", (text(ri, texts),), None))
-        parts.append(("end", (), None))
-    total = sum(_SPECIALS[part] + sum(n) for part, n, _ in parts)
+            parts.append(("t", text(ri, texts)))
+        parts.append(("e",))
+    total = sum(_SPECIALS[e[0]] + sum(e[_UNITS[e[0]]]) for e in parts)
     return TokenStream(d.id, tuple(parts), total)
 
 
 # --- JSONL record schema and the grammar walk ----------------------------------
 #
-# A v2 record holds one entry per part: the part's code, the units of its
-# non-special blocks in slot order, and the image id for a part that shows an
-# image first (upload, noised). Everything else follows from _PARTS and _NEXT.
+# A v2 record holds the stream's entries as lists. Everything else follows from
+# _PARTS and _NEXT.
 
 _VERSION = 2
-_CODE = {"user_text": "u", "upload": "p", "noised": "n", "replay": "r", "text": "t", "end": "e"}
-_PART_OF = {code: part for part, code in _CODE.items()}
-_ENTRY_LEN = {part: 1 + len(slots) - _SPECIALS[part] + _IMAGE_PARTS.get(part, False)
-              for part, slots in _SLOTS.items()}
+_ENTRY_LEN = {code: units.stop + _IMAGE_PARTS.get(code, False) for code, units in _UNITS.items()}
 
 
-def _walk(entries: list, total: Any,
-          fault: Callable[[str, str, int | None], None]) -> list[Part]:
-    """Match v2 record entries against the grammar; the parts they hold.
+def _walk(entries: list | tuple, total: Any,
+          fault: Callable[[str, str, int | None], None]) -> list[tuple]:
+    """Match entries (lists from a record, tuples in memory) against the grammar.
 
-    Calls ``fault(rule, detail, entry index or None)`` once per fault. A
-    ``grammar`` fault (an entry that is not a ``[code, ...]`` list, an unknown
-    code, a part ``_NEXT`` does not allow there, an entry of the wrong length)
-    ends the walk there. ``image-id`` (a named image id that is not a string)
-    and ``unit-count`` (units that are not a positive int) do not; then come
-    ``grammar`` for no entries or a last round without its end, and
-    ``total-len`` for a ``total`` other than the position sum.
+    Returns the entries it walked as tuples. Calls ``fault(rule, detail, entry
+    index or None)`` once per fault. A ``grammar`` fault (an entry that is not
+    a ``[code, ...]`` list, an unknown code, a part ``_NEXT`` does not allow
+    there, an entry of the wrong length, such as an image id on a part that
+    names none) ends the walk there. ``image-id`` (a named image id that is
+    not a string) and ``unit-count`` (units that are not a positive int) do
+    not; then come ``grammar`` for no entries or a last round without its
+    end, and ``total-len`` for a ``total`` other than the position sum.
     """
-    parts: list[Part] = []
+    parts: list[tuple] = []
     pos = 0
-    prev = "end"
+    prev = "e"
     for k, entry in enumerate(entries):
-        if type(entry) is not list or not entry:
+        if type(entry) not in (list, tuple) or not entry:
             fault("grammar", f"{entry!r} is not a [part, ...] list", k)
             return parts
         code = entry[0]
-        part = _PART_OF.get(code) if type(code) is str else None
-        if part is None:
+        if type(code) is not str or code not in _PARTS:
             fault("grammar", f"{code!r} is not a valid part code", k)
             return parts
-        if part not in _NEXT[prev]:
-            after = "start a stream" if k == 0 else f"follow {_CODE[prev]!r}"
+        if code not in _NEXT[prev]:
+            after = "start a stream" if k == 0 else f"follow {prev!r}"
             fault("grammar", f"part {code!r} cannot {after}", k)
             return parts
-        if len(entry) != _ENTRY_LEN[part]:
-            fault("grammar", f"a {code!r} entry has {_ENTRY_LEN[part]} items, not {len(entry)}", k)
+        if len(entry) != _ENTRY_LEN[code]:
+            fault("grammar", f"a {code!r} entry has {_ENTRY_LEN[code]} items, not {len(entry)}", k)
             return parts
-        image_id = None
-        if _IMAGE_PARTS.get(part):
-            image_id = entry[-1]
-            if type(image_id) is not str:
-                fault("image-id", f"image id {image_id!r} is not a string", k)
-            units = tuple(entry[1:-1])
-        else:
-            units = tuple(entry[1:])
-        pos += _SPECIALS[part]
-        for n in units:
+        if _IMAGE_PARTS.get(code) and type(entry[-1]) is not str:
+            fault("image-id", f"image id {entry[-1]!r} is not a string", k)
+        pos += _SPECIALS[code]
+        for n in entry[_UNITS[code]]:
             if type(n) is not int or n < 1:
                 fault("unit-count", f"units {n!r} are not a positive int", k)
             else:
                 pos += n
-        parts.append((part, units, image_id))
-        prev = part
+        parts.append(tuple(entry))
+        prev = code
     if not entries:
         fault("grammar", "stream has no parts", None)
-    elif prev != "end":
+    elif prev != "e":
         fault("grammar", "the last round has no 'e' entry", None)
     elif type(total) is not int or total != pos:
         fault("total-len", f"total_len {total!r} != position sum {pos}", None)
     return parts
 
 
-def _entries(s: TokenStream) -> list[list[Any]]:
-    """The record entries of ``s``'s parts, for ``_walk`` to judge.
-
-    The image id goes last where the part names one, and wherever it is not
-    None, so that an id on any other part shows as an entry of the wrong length.
-    """
-    entries = []
-    for part, units, image_id in s.parts:
-        entry = [_CODE.get(part), *units]
-        if image_id is not None or _IMAGE_PARTS.get(part):
-            entry.append(image_id)
-        entries.append(entry)
-    return entries
-
-
 def validate_stream(s: TokenStream) -> ValidationReport:
-    """The ``_walk`` faults of ``s``'s parts, each with its part index; violations are data."""
+    """The ``_walk`` faults of ``s``'s entries, each with its part index; violations are data."""
     from .dialogue import ValidationReport
 
     report = ValidationReport()
-    _walk(_entries(s), s.total_len, report.add)
+    _walk(s.parts, s.total_len, report.add)
     return report
 
 
 def stream_to_record(s: TokenStream) -> dict[str, Any]:
-    """The v2 record of ``s`` (``docs/stream-format.md``).
+    """The v2 record of ``s`` (``docs/stream-format.md``): its entries as lists.
 
     Raises:
         InvalidStream: a fault ``validate_stream`` reports, so that the record
@@ -367,10 +333,9 @@ def stream_to_record(s: TokenStream) -> dict[str, Any]:
     def fault(rule: str, detail: str, k: int | None) -> None:
         raise InvalidStream(f"dialogue {s.dialogue_id!r}: part {k}: {rule}: {detail}")
 
-    entries = _entries(s)
-    _walk(entries, s.total_len, fault)
+    _walk(s.parts, s.total_len, fault)
     return {"v": _VERSION, "dialogue_id": s.dialogue_id, "total_len": s.total_len,
-            "blocks": entries}
+            "blocks": [list(e) for e in s.parts]}
 
 
 def stream_from_record(rec: Any) -> TokenStream:
@@ -411,9 +376,9 @@ def stream_from_record(rec: Any) -> TokenStream:
 # through its clean replay.
 
 # Part -> per block (kind as written in a mask row, whether it is noised, index
-# of its units as in ``_SLOTS``).
-_MASK_SLOTS = {part: tuple((kind.value, kind is BlockKind.VAE_NOISED, u) for kind, _, _, u in slots)
-               for part, slots in _SLOTS.items()}
+# of its units in the entry as in ``_SLOTS``).
+_MASK_SLOTS = {code: tuple((kind.value, kind is BlockKind.VAE_NOISED, u) for kind, _, _, u in slots)
+               for code, slots in _SLOTS.items()}
 
 
 def mask_intervals(s: TokenStream) -> str:
@@ -422,11 +387,11 @@ def mask_intervals(s: TokenStream) -> str:
     Every query in a block sees the same strictly-earlier context; within its
     own block attention is causal for ordinary blocks and bidirectional for
     noised ones. ``docs/stream-format.md`` documents the record. The line is
-    built as text in one walk over the parts and has the bytes ``io.dumps``
+    built as text in one walk over the entries and has the bytes ``io.dumps``
     writes for the record. Assumes a stream that ``validate_stream`` passes.
 
     Raises:
-        InvalidStream: the parts' units do not sum to total_len.
+        InvalidStream: the entries' units do not sum to total_len.
     """
     rows = []
     # Merged [start, end) runs of non-noised history: the text of the closed ones,
@@ -434,9 +399,9 @@ def mask_intervals(s: TokenStream) -> str:
     # (lo is -1 before the first).
     closed, lo, hi = "", -1, -1
     pos = 0
-    for part, units, _ in s.parts:
-        for kind, noised, u in _MASK_SLOTS[part]:
-            end = pos + (1 if u is None else units[u])
+    for entry in s.parts:
+        for kind, noised, u in _MASK_SLOTS[entry[0]]:
+            end = pos + (1 if u is None else entry[u])
             rows.append(f'{{"block":{len(rows)},"kind":"{kind}","start":{pos},"end":{end},'
                         f'"context":[{closed}{"" if lo < 0 else f"[{lo},{hi}]"}],'
                         f'"within":"{"bidirectional" if noised else "causal"}"}}')
@@ -454,20 +419,10 @@ def mask_intervals(s: TokenStream) -> str:
             f'"rows":[{",".join(rows)}]}}')
 
 
-@dataclass(frozen=True)
-class LossSummary:
-    ce_positions: int
-    mse_positions: int
-    none_positions: int
-
-    @property
-    def total(self) -> int:
-        return self.ce_positions + self.mse_positions + self.none_positions
-
-
-def loss_summary(s: TokenStream) -> LossSummary:
+def loss_summary(s: TokenStream) -> dict[str, int]:
+    """Positions per loss tag, ``{"ce": n, "mse": n, "none": n}``; they sum to total_len."""
     counts = {LossTag.CE: 0, LossTag.MSE: 0, LossTag.NONE: 0}
-    for part, units, _ in s.parts:
-        for _, _, loss, u in _SLOTS[part]:
-            counts[loss] += 1 if u is None else units[u]
-    return LossSummary(counts[LossTag.CE], counts[LossTag.MSE], counts[LossTag.NONE])
+    for entry in s.parts:
+        for _, _, loss, u in _SLOTS[entry[0]]:
+            counts[loss] += 1 if u is None else entry[u]
+    return {loss.value: n for loss, n in counts.items()}

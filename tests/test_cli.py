@@ -610,6 +610,32 @@ def test_validate_reports_violations(workdir, capsys):
     assert "image-dims (round 0)" in capsys.readouterr().out
 
 
+def test_a_user_turn_without_text_fails_validate_and_pool_validation(workdir, capsys):
+    """``serialize`` needs text in every user turn, so an image-only one is a violation."""
+    run("synthesize", "--stage", "a", "--task", "ti_i_0_0",
+        "--in", "edit_records_20.jsonl", "--out", "d.jsonl", "--seed", "1")
+    records = list(io.read_jsonl("d.jsonl"))
+    user = records[0]["rounds"][0]["user"]
+    upload = [seg for seg in user["segments"] if "image" in seg]
+    user["segments"] = upload
+    io.write_jsonl("d.jsonl", records)
+    capsys.readouterr()
+    assert run("validate", "--in", "d.jsonl") == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == f"{records[0]['id']}: user-text (round 0): user turn has no text segment"
+    assert run("serialize", "--in", "d.jsonl", "--out", "s.jsonl") == 3
+    assert "round 0 has an empty text span" in capsys.readouterr().err
+
+    entries = [entry_to_record(e) for e in make_distractor_pool(2, 3).entries]
+    entries[1]["user"]["segments"] = upload
+    io.write_jsonl("pool_bad.jsonl", entries)
+    assert run("synthesize", "--stage", "b", "--in", "d.jsonl", "--pool", "pool_bad.jsonl",
+               "--out", "b.jsonl") == 2
+    assert capsys.readouterr().err == ("config error: distractor pool pool_bad.jsonl: "
+                                       "entry 1: user turn has no text segment\n")
+    assert not Path("b.jsonl").exists()
+
+
 @pytest.mark.parametrize("argv", [
     pytest.param("validate --in d.jsonl --signature bogus", id="validate-signature"),
     pytest.param("validate --in d.jsonl --signature t_i_0_1", id="validate-inconsistent"),

@@ -39,6 +39,10 @@ def text(s):
     return Segment(text=s)
 
 
+def rules(report):
+    return {v.rule for v in report.violations}
+
+
 def edit_dialogue(targets=(0,)):
     # Generate-then-edit across two rounds, dependency back to round 0.
     return Dialogue(
@@ -102,7 +106,7 @@ def test_validate_empty_text_and_segments():
                 Round(user(text("draw it")), assistant(Segment(image=image("g"))))),
     )
     report = validate_dialogue(d)
-    assert report.rules() == {"empty-text", "empty-segments"}
+    assert rules(report) == {"empty-text", "empty-segments"}
     assert {v.where for v in report.violations} == {0}
 
 
@@ -114,7 +118,7 @@ def test_validate_user_image_count():
             assistant(Segment(image=image("g"))),
         ),),
     )
-    assert "user-image-count" in validate_dialogue(d).rules()
+    assert "user-image-count" in rules(validate_dialogue(d))
 
 
 def test_validate_assistant_image_count():
@@ -124,7 +128,7 @@ def test_validate_assistant_image_count():
                       assistant(Segment(image=image("g0")), Segment(image=image("g1")))),),
     )
     report = validate_dialogue(d)
-    assert report.rules() == {"assistant-image-count"}
+    assert rules(report) == {"assistant-image-count"}
     assert report.violations[0].where == 0
 
 
@@ -133,7 +137,7 @@ def test_validate_assistant_image_after_text():
         id="d",
         rounds=(Round(user(text("go")), assistant(text("here"), Segment(image=image("g")))),),
     )
-    assert "assistant-image-order" in validate_dialogue(d).rules()
+    assert "assistant-image-order" in rules(validate_dialogue(d))
 
 
 def test_validate_duplicate_image_ids():
@@ -145,7 +149,7 @@ def test_validate_duplicate_image_ids():
         ),
         dep_target_rounds=(0,),
     )
-    assert "image-id-unique" in validate_dialogue(d).rules()
+    assert "image-id-unique" in rules(validate_dialogue(d))
 
 
 @pytest.mark.parametrize("stage", list(Stage), ids=[s.value for s in Stage])
@@ -175,7 +179,7 @@ def test_validate_nonpositive_dims():
         id="d",
         rounds=(Round(user(text("a")), assistant(Segment(image=image("g", w=0)))),),
     )
-    assert "image-dims" in validate_dialogue(d).rules()
+    assert "image-dims" in rules(validate_dialogue(d))
 
 
 def test_signature_follows_the_target_count():

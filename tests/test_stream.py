@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from mask_reference import StreamTooLong, dense_mask, mask_oracle
 from stream_reference import block_faults
 
 from dialogforge import io
+from dialogforge.cli import main
 from dialogforge.dialogue import (
     Dialogue,
     ImageRef,
@@ -20,6 +22,7 @@ from dialogforge.dialogue import (
     Segment,
     Stage,
     Turn,
+    validate_dialogue,
 )
 from dialogforge.fixtures import make_t2i_records
 from dialogforge.stage_a import build_t_i_0_0, t2i_record_from_obj
@@ -53,14 +56,31 @@ def t2i_dialogue(backend, *, w=256, h=256, seed=90):
     return build_t_i_0_0(t2i_record_from_obj(rec), backend, seed=1)
 
 
-# Part -> units of its special blocks, per the grammar in docs/stream-format.md
-_SPECIAL_UNITS = {"user_text": 2, "upload": 2, "noised": 2, "replay": 2, "text": 2, "end": 1}
+# Part code -> units of its special blocks, per the grammar in docs/stream-format.md
+_SPECIAL_UNITS = {"u": 2, "p": 2, "n": 2, "r": 2, "t": 2, "e": 1}
+# Part codes whose entry ends in the id of the image the part names
+_NAMED = ("p", "n")
 
 
-def parts_stream(*parts):
-    """Hand-build a stream from (part, units[, image_id]) tuples; total_len is the position sum."""
-    full = tuple((p[0], tuple(p[1]), p[2] if len(p) > 2 else None) for p in parts)
-    return TokenStream("hand", full, sum(_SPECIAL_UNITS[p] + sum(u) for p, u, _ in full))
+def _split(entry):
+    """An entry as (code, units, image id or None)."""
+    if entry[0] in _NAMED:
+        return entry[0], tuple(entry[1:-1]), entry[-1]
+    return entry[0], tuple(entry[1:]), None
+
+
+def _join(code, units, image_id):
+    """The entry of (code, units, image id): the id goes last where the part names
+    one, and wherever it is not None, so an id on any other part makes the entry
+    too long."""
+    named = image_id is not None or code in _NAMED
+    return (code, *units, image_id) if named else (code, *units)
+
+
+def parts_stream(*entries):
+    """Hand-build a stream from its entries; total_len is the position sum."""
+    full = tuple(tuple(e) for e in entries)
+    return TokenStream("hand", full, sum(_SPECIAL_UNITS[e[0]] + sum(_split(e)[1]) for e in full))
 
 
 def test_unit_formulas():
@@ -96,7 +116,7 @@ def test_serialize_uses_configured_patch_sizes(backend):
 
 
 def test_grammar_requires_replay_after_noised_image():
-    s = parts_stream(("user_text", [3]), ("noised", [4], "g0"), ("end", []))
+    s = parts_stream(("u", 3), ("n", 4, "g0"), ("e",))
     report = validate_stream(s)
     assert [(v.rule, v.where) for v in report.violations] == [("grammar", 2)]
     assert report.violations[0].detail == "part 'e' cannot follow 'n'"
@@ -169,6 +189,29 @@ def test_serialize_refuses_rounds_the_grammar_cannot_express(user_images, assist
         serialize(d)
 
 
+_SEGMENT = st.sampled_from(["hi", "  ", (64, 64), (0, 64)])
+_TURN = st.lists(_SEGMENT, max_size=2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(shapes=st.lists(st.tuples(_TURN, _TURN), min_size=1, max_size=2))
+def test_a_dialogue_that_validates_serializes(shapes):
+    """Text "hi" or blank, or an image under the unit cap, 64 wide or 0 wide, in any mix."""
+    ids = iter(range(100))
+
+    def turn(segments):
+        return Turn(tuple(Segment(text=seg) if isinstance(seg, str) else
+                          Segment(image=ImageRef(f"i{next(ids)}", "img/i.png", *seg, "a cat"))
+                          for seg in segments), PROV)
+
+    try:
+        d = Dialogue("d", tuple(Round(turn(u), turn(a)) for u, a in shapes))
+    except ValueError:  # no signature: the last assistant turn shows no image
+        return
+    if validate_dialogue(d).ok:
+        serialize(d)
+
+
 def test_serialize_unit_overflow(backend):
     with pytest.raises(UnitOverflow):
         serialize(t2i_dialogue(backend), StreamConfig(max_image_units=10))
@@ -231,13 +274,13 @@ def test_parse_stream_reconstructs_skeleton(backend):
 
 
 @pytest.mark.parametrize("parts, where, detail", [
-    pytest.param([("noised", [4], "g0"), ("replay", [2, 4]), ("end", [])], 0,
+    pytest.param([("n", 4, "g0"), ("r", 2, 4), ("e",)], 0,
                  "part 'n' cannot start a stream", id="noised-first"),
-    pytest.param([("user_text", [2]), ("text", [2]), ("upload", [2, 2], "u0"), ("end", [])], 2,
+    pytest.param([("u", 2), ("t", 2), ("p", 2, 2, "u0"), ("e",)], 2,
                  "part 'p' cannot follow 't'", id="upload-after-text"),
-    pytest.param([("user_text", [2]), ("user_text", [2]), ("end", [])], 1,
+    pytest.param([("u", 2), ("u", 2), ("e",)], 1,
                  "part 'u' cannot follow 'u'", id="two-user-texts"),
-    pytest.param([("user_text", [2]), ("text", [1]), ("end", []), ("end", [])], 3,
+    pytest.param([("u", 2), ("t", 1), ("e",), ("e",)], 3,
                  "part 'e' cannot follow 'e'", id="two-ends"),
 ])
 def test_validate_rejects_a_part_out_of_order(parts, where, detail):
@@ -260,10 +303,10 @@ def test_block_oracle_rejects_mse_outside_noised(backend):
 
 
 def test_validate_rejects_bad_units_and_total_len():
-    good = parts_stream(("user_text", [2]), ("text", [2]), ("end", []))
+    good = parts_stream(("u", 2), ("t", 2), ("e",))
     assert validate_stream(good).ok
     for units in [0, -1, "2", True, 2.0]:
-        bad = dataclasses.replace(good, parts=(("user_text", (units,), None), *good.parts[1:]),
+        bad = dataclasses.replace(good, parts=(("u", units), *good.parts[1:]),
                                   total_len=good.total_len - 2)
         assert _found(bad) == [("unit-count", 0)]
     longer = dataclasses.replace(good, total_len=good.total_len + 1)
@@ -303,25 +346,34 @@ def test_loss_summary_partition(backend):
     d = t2i_dialogue(backend)
     s = serialize(d)
     summary = loss_summary(s)
-    assert summary.total == s.total_len
-    assert summary.mse_positions == patch_grid_units(256, 256, 16)
+    assert list(summary) == ["ce", "mse", "none"]
+    assert sum(summary.values()) == s.total_len
+    assert summary["mse"] == patch_grid_units(256, 256, 16)
     # CE covers the assistant's structural specials only: v_s, v_e, end
-    assert summary.ce_positions == 3
+    assert summary["ce"] == 3
 
 
 def test_loss_summary_no_image():
-    s = parts_stream(("user_text", [5]), ("text", [3]), ("end", []))
+    s = parts_stream(("u", 5), ("t", 3), ("e",))
     summary = loss_summary(s)
-    assert summary.mse_positions == 0
-    assert summary.ce_positions == 6
-    assert summary.none_positions == 7
+    assert summary["mse"] == 0
+    assert summary["ce"] == 6
+    assert summary["none"] == 7
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), max_rounds=st.integers(1, 4))
+def test_loss_summary_and_record_entries_are_the_streams_own(seed, max_rounds):
+    s = serialize(make_random_dialogue(random.Random(seed), f"e-{seed}", max_rounds=max_rounds))
+    assert sum(loss_summary(s).values()) == s.total_len
+    assert stream_to_record(s)["blocks"] == [list(e) for e in s.parts]
 
 
 # --- attention mask -------------------------------------------------------------
 
 
 def test_mask_pure_causal_text():
-    s = parts_stream(("user_text", [3]), ("text", [2]), ("end", []))
+    s = parts_stream(("u", 3), ("t", 2), ("e",))
     mask = dense_mask(s)
     assert np.array_equal(mask, np.tril(np.ones((10, 10), dtype=bool)))
 
@@ -329,7 +381,7 @@ def test_mask_pure_causal_text():
 def test_mask_noised_isolated_and_bidirectional():
     # u: |im_s| 0, text 1-2, |im_e| 3; n: |v_s| 4, noised 5-7, |v_e| 8;
     # r: |v_s| 9, vit 10, vae_clean 11-13, |v_e| 14; |end| 15
-    s = parts_stream(("user_text", [2]), ("noised", [3], "g0"), ("replay", [1, 3]), ("end", []))
+    s = parts_stream(("u", 2), ("n", 3, "g0"), ("r", 1, 3), ("e",))
     mask = dense_mask(s)
     q = 15  # the |end| token
     assert mask[q, :5].all()                     # sees the prior text and |v_s|
@@ -341,7 +393,7 @@ def test_mask_noised_isolated_and_bidirectional():
 
 
 def test_mask_two_noised_blocks_do_not_see_each_other():
-    rnd = [("user_text", [1]), ("noised", [2], "g"), ("replay", [1, 2]), ("end", [])]
+    rnd = [("u", 1), ("n", 2, "g"), ("r", 1, 2), ("e",)]
     s = parts_stream(*rnd, *rnd)
     first, second = [b for b in s.blocks if b.kind is BlockKind.VAE_NOISED]
     mask = dense_mask(s)
@@ -445,8 +497,9 @@ def _found(s):
 
 
 def _with_part(s, k, **change):
-    part, units, image_id = s.parts[k]
-    new = (change.get("part", part), change.get("units", units), change.get("image_id", image_id))
+    code, units, image_id = _split(s.parts[k])
+    new = _join(change.get("code", code), change.get("units", units),
+                change.get("image_id", image_id))
     return dataclasses.replace(s, parts=s.parts[:k] + (new,) + s.parts[k + 1:])
 
 
@@ -483,7 +536,8 @@ def test_each_part_fault_is_reported_once_at_its_part():
     for n in range(40):
         s = serialize(make_random_dialogue(rng, f"q-{n}"))
         assert _found(dataclasses.replace(s, total_len=s.total_len + 1)) == [("total-len", None)]
-        for k, (part, units, image_id) in enumerate(s.parts):
+        for k, entry in enumerate(s.parts):
+            _, units, image_id = _split(entry)
             if image_id is not None:
                 assert _found(_with_part(s, k, image_id=7)) == [("image-id", k)]
             for u, old in enumerate(units):
@@ -510,7 +564,7 @@ def test_block_oracle_refuses_a_block_off_its_slot(seed, data):
     assert _oracle_found(_mutated(blocks, i, **{field: value}))
 
 
-_PART_NAMES = ["user_text", "upload", "noised", "replay", "text", "end"]
+_PART_CODES = ["u", "p", "n", "r", "t", "e"]
 
 
 @settings(max_examples=60, deadline=None)
@@ -518,9 +572,9 @@ _PART_NAMES = ["user_text", "upload", "noised", "replay", "text", "end"]
 def test_stream_to_record_refuses_a_part_off_the_grammar(seed, data):
     s = serialize(make_random_dialogue(random.Random(seed), f"o-{seed}", max_rounds=3))
     k = data.draw(st.integers(0, len(s.parts) - 1), label="part")
-    part, units, image_id = s.parts[k]
+    code, units, image_id = _split(s.parts[k])
     change = data.draw(st.one_of(
-        st.sampled_from([p for p in _PART_NAMES if p != part]).map(lambda v: {"part": v}),
+        st.sampled_from([c for c in _PART_CODES if c != code]).map(lambda v: {"code": v}),
         st.sampled_from([0, -1, "3", True]).map(lambda v: {"units": units[:-1] + (v,)})
         if units else st.just({"units": (1,)}),
         st.just({"units": units + (1,)}),
@@ -553,7 +607,7 @@ def test_block_oracle_checks_image_ids(backend):
 
 
 def test_mask_first_block_sees_only_itself():
-    s = parts_stream(("user_text", [1]), ("text", [1]), ("end", []))
+    s = parts_stream(("u", 1), ("t", 1), ("e",))
     line = json.loads(mask_intervals(s))
     assert (line["dialogue_id"], line["total_len"]) == (s.dialogue_id, s.total_len)
     first, second = line["rows"][:2]
@@ -561,6 +615,25 @@ def test_mask_first_block_sees_only_itself():
     assert first["context"] == [] and first["within"] == "causal"
     assert (first["start"], first["end"]) == (0, 1)
     assert second["context"] == [[0, 1]]
+
+
+def test_the_doc_example_is_the_first_record_its_command_writes(tmp_path):
+    text = (Path(__file__).parents[1] / "docs" / "stream-format.md").read_text(encoding="utf-8")
+    doc = json.loads(text.split("```json\n", 1)[1].split("```", 1)[0])
+    data = Path(__file__).parent / "data"
+    dialogues, streams = tmp_path / "d.jsonl", tmp_path / "s.jsonl"
+    assert main(["synthesize", "--stages", "a,b,c", "--task", "ti_i_0_0",
+                 "--in", str(data / "edit_records_20.jsonl"), "--pool", str(data / "pool.jsonl"),
+                 "--out", str(dialogues), "--seed", "7"]) == 0
+    assert main(["serialize", "--in", str(dialogues), "--out", str(streams)]) == 0
+    rec = json.loads(streams.read_text(encoding="utf-8").splitlines()[0])
+    assert rec == doc
+    s = stream_from_record(rec)
+    assert s.parts == (("u", 22), ("p", 896, 672, "edit-00000-src"), ("n", 640, "edit-00000-tgt"),
+                       ("r", 851, 640), ("t", 36), ("e",))
+    # the doc's decoded blocks: 18 of them, all in round 0, |end| at 3767-3768
+    assert len(s.blocks) == 18 and {b.round_index for b in s.blocks} == {0}
+    assert (s.blocks[-1].tok, s.blocks[-1].start, s.blocks[-1].end) == (SpecialToken.END, 3767, 3768)
 
 
 def _edit_record():
