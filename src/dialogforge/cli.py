@@ -312,7 +312,7 @@ def cmd_synthesize(args: argparse.Namespace, argv: Sequence[str]) -> int:
         pool = DistractorPool(tuple(io.read_records(args.pool, entry_from_record)))
         if not pool.entries:
             raise ConfigError(f"distractor pool {args.pool} is empty")
-        report = pool.validate()
+        report = pool.validate(cfg.stream_config())
         if not report.ok:
             first = report.violations[0]
             raise ConfigError(f"distractor pool {args.pool}: entry {first.where}: {first.detail}")
@@ -340,10 +340,11 @@ def cmd_validate(args: argparse.Namespace, argv: Sequence[str]) -> int:
     from .dialogue import dialogue_from_record, validate_dialogue
 
     del argv
+    stream_cfg = _load_config(args).stream_config()
 
     def violations(index: int, d: Dialogue) -> tuple[str, list[str]]:
         return d.id, [f"{d.id}: {v.rule}{'' if v.where is None else f' (round {v.where})'}: "
-                      f"{v.detail}" for v in validate_dialogue(d).violations]
+                      f"{v.detail}" for v in validate_dialogue(d, stream_cfg).violations]
 
     bad = 0
     ids: set[str] = set()  # workers see one chunk each, so the corpus rule runs here
@@ -516,6 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", help="check dialogue invariants")
     p.add_argument("--in", dest="in_path", required=True)
     p.add_argument("--signature", help="only dialogues with this signature")
+    _add_stream_flags(p)
     p.set_defaults(fn=cmd_validate)
 
     p = sub.add_parser("serialize", help="dialogues -> token streams")

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Any, Callable, TypeVar
 
+from .stream import StreamConfig, ValidationReport, round_entries
 from .taxonomy import (
     DependencyModality,
     DepthKind,
@@ -177,68 +178,27 @@ class Dialogue:
         return len(self.rounds) - 1
 
 
-@dataclass(frozen=True)
-class Violation:
-    rule: str
-    detail: str
-    where: int | None = None  # round index (dialogues) or part index (streams)
+def validate_round_turns(rnd: Round, cfg: StreamConfig, report: ValidationReport,
+                         where: int) -> None:
+    """The faults ``stream.round_entries`` finds in ``rnd``, and a blank text segment
+    beside text with words, which streams; shared with distractor-pool validation."""
+    round_entries(where, rnd, cfg, lambda rule, detail, error: report.add(rule, detail, where))
+    for slot, turn in (("user", rnd.user), ("assistant", rnd.assistant)):
+        texts = [s.text for s in turn.segments if s.is_text]
+        if len(texts) > 1 and not all(t.strip() for t in texts) and " ".join(texts).split():
+            report.add("empty-text", f"{slot} turn has a blank text segment", where)
 
 
-@dataclass
-class ValidationReport:
-    violations: list[Violation] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def add(self, rule: str, detail: str, where: int | None = None) -> None:
-        self.violations.append(Violation(rule, detail, where))
-
-
-def validate_round_turns(user: Turn, assistant: Turn, report: ValidationReport,
-                         where: int | None = None) -> None:
-    """Turn-level checks for one round, each turn named by its slot; shared with
-    distractor-pool validation."""
-    for slot, turn in (("user", user), ("assistant", assistant)):
-        if not turn.segments:
-            report.add("empty-segments", f"{slot} turn has no segments", where)
-            continue
-        for seg in turn.segments:
-            if seg.is_text and not seg.text.strip():
-                report.add("empty-text", f"{slot} turn has a blank text segment", where)
-            if seg.is_image and (seg.image.width <= 0 or seg.image.height <= 0):
-                report.add("image-dims", f"image {seg.image.id!r} has non-positive dimensions", where)
-        if slot == "user" and not any(seg.is_text for seg in turn.segments):
-            # the stream grammar opens every round with the user's text
-            report.add("user-text", "user turn has no text segment", where)
-        images = turn.images()
-        if len(images) > 1:  # the stream grammar holds one upload or one generated image
-            report.add(f"{slot}-image-count", f"{slot} turn carries {len(images)} images", where)
-        if slot == "assistant":
-            seen_text = False
-            for seg in turn.segments:
-                if seg.is_text:
-                    seen_text = True
-                elif seen_text:
-                    report.add("assistant-image-order",
-                               "assistant image segment appears after text", where)
-                    break
-
-
-def validate_dialogue(d: Dialogue) -> ValidationReport:
-    """Check the rules the constructor leaves open; violations are data, not errors."""
+def validate_dialogue(d: Dialogue, cfg: StreamConfig = StreamConfig()) -> ValidationReport:
+    """What ``serialize`` with ``cfg`` refuses and what the constructor leaves open, as data."""
     report = ValidationReport()
-    for i, rnd in enumerate(d.rounds):
-        validate_round_turns(rnd.user, rnd.assistant, report, where=i)
-
     seen_ids: set[str] = set()
     for i, rnd in enumerate(d.rounds):
-        for turn in (rnd.user, rnd.assistant):
-            for img in turn.images():
-                if img.id in seen_ids:
-                    report.add("image-id-unique", f"image id {img.id!r} appears twice", i)
-                seen_ids.add(img.id)
+        validate_round_turns(rnd, cfg, report, i)
+        for img in rnd.user.images() + rnd.assistant.images():
+            if img.id in seen_ids:
+                report.add("image-id-unique", f"image id {img.id!r} appears twice", i)
+            seen_ids.add(img.id)
 
     targets = d.dep_target_rounds
     if len(set(targets)) != len(targets):

@@ -24,13 +24,13 @@ from .dialogue import (
     Segment,
     Stage,
     Turn,
-    ValidationReport,
     turn_from_obj,
     turn_to_obj,
     image_caption,
     validate_round_turns,
     with_annotation,
 )
+from .stream import StreamConfig, ValidationReport
 from .taxonomy import DependencyModality, DepthKind, format_signature
 from .util import derive_seed
 
@@ -63,10 +63,10 @@ class DistractorPool:
     def __post_init__(self):
         object.__setattr__(self, "entries", tuple(self.entries))
 
-    def validate(self) -> ValidationReport:
+    def validate(self, cfg: StreamConfig = StreamConfig()) -> ValidationReport:
         report = ValidationReport()
         for i, entry in enumerate(self.entries):
-            validate_round_turns(entry.user, entry.assistant, report, where=i)
+            validate_round_turns(Round(entry.user, entry.assistant), cfg, report, i)
         return report
 
 

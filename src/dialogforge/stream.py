@@ -28,7 +28,7 @@ are involved.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from enum import Enum
 from typing import TYPE_CHECKING, Any, Callable
@@ -36,11 +36,11 @@ from typing import TYPE_CHECKING, Any, Callable
 from .io import dumps
 
 if TYPE_CHECKING:
-    from .dialogue import Dialogue, ValidationReport
+    from .dialogue import Dialogue, ImageRef, Round
 
 __all__ = [
-    "Role", "SpecialToken", "BlockKind", "LossTag", "TokenBlock", "TokenStream",
-    "StreamConfig", "serialize", "validate_stream",
+    "Role", "SpecialToken", "BlockKind", "LossTag", "TokenBlock", "TokenStream", "Violation",
+    "ValidationReport", "StreamConfig", "round_entries", "serialize", "validate_stream",
     "mask_intervals", "loss_summary", "stream_to_record", "stream_from_record",
     "EmptyText", "UnitOverflow", "InvalidStream",
 ]
@@ -83,6 +83,25 @@ class LossTag(Enum):
     NONE = "none"
     CE = "ce"
     MSE = "mse"
+
+
+@dataclass(frozen=True)
+class Violation:
+    rule: str
+    detail: str
+    where: int | None = None  # round index (dialogues) or part index (streams)
+
+
+@dataclass
+class ValidationReport:
+    violations: list[Violation] = field(default_factory=list)
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
+
+    def add(self, rule: str, detail: str, where: int | None = None) -> None:
+        self.violations.append(Violation(rule, detail, where))
 
 
 @dataclass(frozen=True)
@@ -166,7 +185,7 @@ _CLEAN_IMAGE = (
 # (role, slots), one (kind, special token, loss) slot per block, and ``_NEXT``
 # below, a round being (u: user text, p: upload, n: noised, r: replay, t: text)
 #   u p? (n r t? | t) e
-# ``serialize`` emits a round's entries in that order, ``_walk`` matches entries
+# ``round_entries`` emits a round's entries in that order, ``_walk`` matches entries
 # against it (for ``stream_from_record``, ``validate_stream`` and
 # ``stream_to_record``), and ``TokenStream.blocks``, ``mask_intervals`` and
 # ``loss_summary`` expand entries into blocks through ``_SLOTS``.
@@ -206,51 +225,71 @@ _SPECIALS = {code: sum(u is None for *_, u in slots) for code, slots in _SLOTS.i
 _UNITS = {code: slice(1, 1 + len(slots) - _SPECIALS[code]) for code, slots in _SLOTS.items()}
 
 
-def serialize(d: Dialogue, cfg: StreamConfig = StreamConfig()) -> TokenStream:
-    """Flatten a dialogue into its record entries, one ``_PARTS`` part at a time.
+def round_entries(ri: int, rnd: Round, cfg: StreamConfig,
+                  fault: Callable[[str, str, ValueError], None]) -> list[tuple]:
+    """Round ``ri``'s entries, one ``_PARTS`` part each: the one copy of the turn rules.
 
-    Raises:
-        EmptyText: a required text span is empty.
-        UnitOverflow: an image exceeds the configured unit cap.
-        InvalidStream: the grammar cannot express a round (a user turn with
-            more than one image, an assistant turn that is not at most one
-            image followed by text) or an image has no positive size.
+    Calls ``fault(rule, detail, error)`` for each thing the grammar cannot
+    express and goes on; ``error`` is what ``serialize`` raises for it:
+    ``InvalidStream`` for ``user-image-count``, ``empty-segments`` (assistant),
+    ``assistant-image-count``, ``assistant-image-order`` and ``image-dims``;
+    ``EmptyText`` for ``empty-segments`` (user), ``user-text`` and ``empty-text``
+    (a text span with no word); ``UnitOverflow`` for ``image-units``.
     """
-    parts: list[tuple] = []
+    user, asst = rnd.user, rnd.assistant
+    uploads, shown, segs = user.images(), asst.images(), asst.segments
+    if len(uploads) > 1 or not segs or any(s.is_image for s in segs[1:]):
+        shape = InvalidStream(f"round {ri}: the grammar takes one upload at most and an "
+                              "assistant turn of one image at most, then text")
+        if len(uploads) > 1:
+            fault("user-image-count", f"user turn carries {len(uploads)} images", shape)
+        if not segs:
+            fault("empty-segments", "assistant turn has no segments", shape)
+        if len(shown) > 1:
+            fault("assistant-image-count", f"assistant turn carries {len(shown)} images", shape)
+        if any(a.is_text and b.is_image for a, b in zip(segs, segs[1:])):
+            fault("assistant-image-order", "assistant image segment appears after text", shape)
 
-    def text(ri: int, texts: list[str]) -> int:
+    def text(slot: str, texts: list[str]) -> int:
         n = len(" ".join(texts).split())
-        if n < 1:
-            raise EmptyText(f"dialogue {d.id!r}: round {ri} has an empty text span")
+        if n < 1:  # only the user turn comes here without text segments
+            rule, detail = (("empty-text", f"{slot} turn has no word in its text") if texts else
+                            ("user-text", "user turn has no text segment") if user.segments else
+                            ("empty-segments", "user turn has no segments"))
+            fault(rule, detail, EmptyText(f"round {ri} has an empty text span"))
         return n
 
-    def image(img, patch: int) -> int:
-        where = f"dialogue {d.id!r}: image {img.id!r}"
-        if img.width < 1 or img.height < 1:
-            raise InvalidStream(f"{where} is {img.width}x{img.height}, not a positive size")
-        n = patch_grid_units(img.width, img.height, patch)
-        if n > cfg.max_image_units:
-            raise UnitOverflow(f"{where} needs {n} units, cap is {cfg.max_image_units}")
-        return n
+    def units(img: ImageRef, first: int, second: int) -> tuple[int, int]:
+        w, h, cap = img.width, img.height, cfg.max_image_units
+        a, b = patch_grid_units(w, h, first), patch_grid_units(w, h, second)
+        if w < 1 or h < 1:
+            fault("image-dims", f"image {img.id!r} has non-positive dimensions",
+                  InvalidStream(f"image {img.id!r} is {w}x{h}, not a positive size"))
+        elif a > cap or b > cap:
+            over = f"image {img.id!r} needs {a if a > cap else b} units, cap is {cap}"
+            fault("image-units", over, UnitOverflow(over))
+        return a, b
 
     # Units go in the slot order of _PARTS: text; vit then vae for an image.
-    for ri, rnd in enumerate(d.rounds):
-        uploads, asst = rnd.user.images(), rnd.assistant
-        if (len(uploads) > 1 or not asst.segments
-                or any(s.is_image for s in asst.segments[1:])):
-            raise InvalidStream(f"dialogue {d.id!r}: round {ri}: the grammar takes one upload at "
-                                "most and an assistant turn of one image at most, then text")
-        parts.append(("u", text(ri, [s.text for s in rnd.user.segments if s.is_text])))
-        for img in uploads:
-            parts.append(("p", image(img, cfg.vit_patch), image(img, cfg.vae_patch), img.id))
-        for img in asst.images():
-            vae = image(img, cfg.vae_patch)
-            parts.append(("n", vae, img.id))
-            parts.append(("r", image(img, cfg.vit_patch), vae))
-        texts = [s.text for s in asst.segments if s.is_text]
-        if texts:
-            parts.append(("t", text(ri, texts)))
-        parts.append(("e",))
+    entries = [("u", text("user", [s.text for s in user.segments if s.is_text]))]
+    entries += [("p", *units(img, cfg.vit_patch, cfg.vae_patch), img.id) for img in uploads]
+    for img in shown:
+        vae, vit = units(img, cfg.vae_patch, cfg.vit_patch)
+        entries += [("n", vae, img.id), ("r", vit, vae)]
+    texts = [s.text for s in segs if s.is_text]
+    return entries + ([("t", text("assistant", texts))] if texts else []) + [("e",)]
+
+
+def serialize(d: Dialogue, cfg: StreamConfig = StreamConfig()) -> TokenStream:
+    """Flatten a dialogue into its record entries, ``round_entries`` for each round.
+
+    Raises the first fault's error (``EmptyText``, ``InvalidStream`` or
+    ``UnitOverflow``), led by the dialogue id.
+    """
+    def refuse(rule: str, detail: str, error: ValueError) -> None:
+        raise type(error)(f"dialogue {d.id!r}: {error}")
+
+    parts = [e for ri, rnd in enumerate(d.rounds) for e in round_entries(ri, rnd, cfg, refuse)]
     total = sum(_SPECIALS[e[0]] + sum(e[_UNITS[e[0]]]) for e in parts)
     return TokenStream(d.id, tuple(parts), total)
 
@@ -316,8 +355,6 @@ def _walk(entries: list | tuple, total: Any,
 
 def validate_stream(s: TokenStream) -> ValidationReport:
     """The ``_walk`` faults of ``s``'s entries, each with its part index; violations are data."""
-    from .dialogue import ValidationReport
-
     report = ValidationReport()
     _walk(s.parts, s.total_len, report.add)
     return report

@@ -200,19 +200,24 @@ def test_stream_grammar():
 
 @criterion(7, "mask: block construction equals the brute-force oracle on 200+ streams")
 def test_mask_oracle_equivalence():
+    # Each rejection loop stops after a fixed number of draws, so a grammar that
+    # never yields an acceptable stream fails the quota instead of looping forever.
     rng = random.Random(700)
     checked = 0
-    while checked < 200:
+    for _ in range(400):  # the seed meets the quota in 200 draws
         d = make_random_dialogue(rng, f"acc-{checked}", max_rounds=2, dims=[16, 24, 32])
         s = serialize(d)
         if s.total_len > 256:
             continue
         assert np.array_equal(dense_mask(s), mask_oracle(s)), d.id
         checked += 1
+        if checked == 200:
+            break
+    assert checked == 200, f"{checked} of 200 streams within 256 positions in 400 draws"
     # spot cases: isolation of noised history, bidirectional denoising
     rng = random.Random(701)
     spot = 0
-    while spot < 20:
+    for _ in range(40):  # the seed meets the quota in 20 draws
         d = make_random_dialogue(rng, f"spot-{spot}", max_rounds=2, dims=[16, 24])
         s = serialize(d)
         noised = [b for b in s.blocks if b.kind is BlockKind.VAE_NOISED]
@@ -225,6 +230,9 @@ def test_mask_oracle_equivalence():
             outside[b.start:b.end] = False
             assert not mask[outside][:, b.start:b.end].any()
         spot += 1
+        if spot == 20:
+            break
+    assert spot == 20, f"{spot} of 20 streams with a noised block in 40 draws"
 
 
 @criterion(8, "sampler: stage-2 mixture frequencies within 0.02 of weights at n=100000")

@@ -635,6 +635,40 @@ def test_a_user_turn_without_text_fails_validate_and_pool_validation(workdir, ca
                                        "entry 1: user turn has no text segment\n")
     assert not Path("b.jsonl").exists()
 
+    # an upload over the unit cap (a 286 x 286 ViT grid) is refused the same way
+    entries = [entry_to_record(e) for e in make_distractor_pool(2, 3).entries]
+    entries[2]["user"]["segments"][1]["image"].update(width=4000, height=4000)
+    io.write_jsonl("pool_big.jsonl", entries)
+    assert run("synthesize", "--stage", "b", "--in", "d.jsonl", "--pool", "pool_big.jsonl",
+               "--out", "b.jsonl") == 2
+    assert capsys.readouterr().err == ("config error: distractor pool pool_big.jsonl: entry 2: "
+                                       "image 'pool-und-0000' needs 81796 units, cap is 16384\n")
+    assert not Path("b.jsonl").exists()
+
+
+def test_validate_reports_the_unit_cap_that_serialize_refuses(workdir, capsys):
+    """``validate`` takes the stream flags and names an image over the cap ``image-units``."""
+    run("synthesize", "--stage", "a", "--task", "ti_i_0_0",
+        "--in", "edit_records_20.jsonl", "--out", "d.jsonl", "--seed", "7")
+    records = list(io.read_jsonl("d.jsonl"))
+    records[0]["rounds"][0]["assistant"]["segments"][0]["image"].update(width=4000, height=4000)
+    io.write_jsonl("d.jsonl", records)
+    first = records[0]["id"]
+    # the noised block takes a 250 x 250 VAE grid, the replay a 286 x 286 ViT grid
+    for cap, units in [([], "62500 units, cap is 16384"),
+                       (["--max-image-units", "62500"], "81796 units, cap is 62500")]:
+        capsys.readouterr()
+        assert run("validate", "--in", "d.jsonl", *cap) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            f"{first}: image-units (round 0): image 'edit-00000-tgt' needs {units}",
+            "validate: 1 dialogues with violations"]
+        assert run("serialize", "--in", "d.jsonl", "--out", "s.jsonl", *cap) == 3
+        assert capsys.readouterr().err == (f"stream error: d.jsonl:1: dialogue {first!r}: "
+                                           f"image 'edit-00000-tgt' needs {units}\n")
+    assert run("validate", "--in", "d.jsonl", "--max-image-units", "81796") == 0
+    assert run("serialize", "--in", "d.jsonl", "--out", "s.jsonl", "--max-image-units", "81796") == 0
+    assert run("validate", "--in", "d.jsonl", "--vit-patch", "16", "--max-image-units", "62500") == 0
+
 
 @pytest.mark.parametrize("argv", [
     pytest.param("validate --in d.jsonl --signature bogus", id="validate-signature"),

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from dialogue_reference import make_random_dialogue
 from hypothesis import strategies as st
 from mask_reference import StreamTooLong, dense_mask, mask_oracle
@@ -40,6 +40,7 @@ from dialogforge.stream import (
     loss_summary,
     mask_intervals,
     patch_grid_units,
+    round_entries,
     serialize,
     stream_from_record,
     stream_to_record,
@@ -210,6 +211,63 @@ def test_a_dialogue_that_validates_serializes(shapes):
         return
     if validate_dialogue(d).ok:
         serialize(d)
+
+
+# The rules of ``round_entries``; ``validate_dialogue`` adds its own ``empty-text``
+# for a blank segment in a turn whose text has words, which ``serialize`` streams.
+_ROUND_RULES = {"empty-segments", "user-text", "empty-text", "user-image-count",
+                "assistant-image-count", "assistant-image-order", "image-dims", "image-units"}
+_BLANK_BESIDE_WORDS = {("empty-text", f"{slot} turn has a blank text segment")
+                       for slot in ("user", "assistant")}
+
+
+_IMAGE = st.sampled_from(["small"] * 5 + ["zero-wide", "vit-over", "over"])
+_ANY_TURN = st.lists(st.sampled_from(["hi", "  ", "zero-wide", "small", "vit-over", "over"]),
+                     max_size=3)
+# Most turns have a shape the grammar takes, so that a fair share of dialogues stream.
+_USER_TURN = st.one_of(_ANY_TURN, *[st.builds(lambda img: ["hi", *img],
+                                              st.lists(_IMAGE, max_size=1))] * 3)
+_ASSISTANT_TURN = st.one_of(_ANY_TURN, *[st.builds(lambda img, text: [img, *text], _IMAGE,
+                                                   st.lists(st.just("hi"), max_size=1))] * 3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(shapes=st.lists(st.tuples(_USER_TURN, _ASSISTANT_TURN), min_size=1, max_size=3),
+       cap=st.integers(25, 2000))
+def test_validate_reports_a_round_fault_exactly_when_serialize_refuses(shapes, cap):
+    """Text "hi" or blank; an image 0 wide, 64x64, or over ``cap`` in its ViT grid
+    only ("vit-over") or in both grids ("over"), in any mix of up to 3 segments a turn."""
+    cfg = StreamConfig(max_image_units=cap)
+    sizes = {"zero-wide": (0, 64), "small": (64, 64), "vit-over": (16 * cap, 16),
+             "over": (16 * cap + 16, 16)}
+    ids = iter(range(100))
+
+    def turn(segments):
+        return Turn(tuple(Segment(text=seg) if seg in ("hi", "  ") else
+                          Segment(image=ImageRef(f"i{next(ids)}", "img/i.png", *sizes[seg], "a cat"))
+                          for seg in segments), PROV)
+
+    try:
+        d = Dialogue("d", tuple(Round(turn(u), turn(a)) for u, a in shapes))
+    except ValueError:  # no signature: the last assistant turn shows no image
+        return
+    faults = []
+    for ri, rnd in enumerate(d.rounds):
+        round_entries(ri, rnd, cfg, lambda *fault: faults.append(fault))
+    reported = [(v.rule, v.detail) for v in validate_dialogue(d, cfg).violations
+                if v.rule in _ROUND_RULES and (v.rule, v.detail) not in _BLANK_BESIDE_WORDS]
+    assert reported == [(rule, detail) for rule, detail, _ in faults]
+    try:
+        s = serialize(d, cfg)
+    except (EmptyText, InvalidStream, UnitOverflow) as err:
+        event(f"refused: {faults[0][0]}")
+        assert reported, err  # serialize refuses only what validate reports
+        first = faults[0][2]
+        assert (type(err), str(err)) == (type(first), f"dialogue 'd': {first}")
+    else:
+        event("streamed")
+        assert not reported  # validate reports only what serialize refuses
+        assert validate_stream(s).ok
 
 
 def test_serialize_unit_overflow(backend):
@@ -425,19 +483,22 @@ def test_oracle_refuses_long_streams(backend):
 def test_mask_matches_oracle_on_random_streams():
     rng = random.Random(7)
     checked = 0
-    while checked < 40:
+    for _ in range(80):  # a fixed number of draws; the seed meets the quota in 40
         d = make_random_dialogue(rng, f"m-{checked}", max_rounds=2, dims=[16, 24, 32])
         s = serialize(d)
         if s.total_len > 256:
             continue
         assert np.array_equal(dense_mask(s), mask_oracle(s))
         checked += 1
+        if checked == 40:
+            break
+    assert checked == 40, f"{checked} of 40 streams within 256 positions in 80 draws"
 
 
 def test_mask_prefix_stability(backend):
     rng = random.Random(17)
     checked = 0
-    while checked < 6:
+    for _ in range(60):  # a fixed number of draws; the seed meets the quota in 22
         d = make_random_dialogue(rng, f"p-{checked}", max_rounds=3, dims=[16, 24])
         # the prefix is a dialogue only when its last round ends on an image
         if len(d.rounds) < 2 or not d.rounds[-2].assistant.images():
@@ -447,6 +508,9 @@ def test_mask_prefix_stability(backend):
         n = head.shape[0]
         assert np.array_equal(full[:n, :n], head)
         checked += 1
+        if checked == 6:
+            break
+    assert checked == 6, f"{checked} of 6 dialogues with a prefix in 60 draws"
 
 
 def test_mask_intervals_reconstruct_dense():
