@@ -13,10 +13,11 @@ whole pipeline runs offline and deterministically.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Protocol
 from urllib.parse import SplitResult, unquote, urlsplit
+
+from .values import Value
 
 
 class MissingInput(ValueError):
@@ -51,18 +52,19 @@ class OpKind(Enum):
 _HEADER_PREFIX = "### op: "
 
 
-@dataclass(frozen=True)
-class OpSpec:
+class OpSpec(Value):
     """An op's input keys, reply tags, prompt instruction and mock reply.
 
     The instruction names every tag the parser requires; the mock reply is a
     format string over the inputs.
     """
 
-    inputs: tuple[str, ...]
-    outputs: tuple[str, ...]
-    instruction: str
-    mock_reply: str
+    __slots__ = _fields = ("inputs", "outputs", "instruction", "mock_reply")
+
+    def __init__(self, inputs: tuple[str, ...], outputs: tuple[str, ...], instruction: str,
+                 mock_reply: str):
+        self.inputs, self.outputs, self.instruction, self.mock_reply = (
+            inputs, outputs, instruction, mock_reply)
 
 
 OPS: dict[OpKind, OpSpec] = {
@@ -271,7 +273,6 @@ def _proxy(target: SplitResult) -> tuple[str, int, dict[str, str]] | None:
     return via.hostname, via.port or 80, auth
 
 
-@dataclass
 class RemoteBackend:
     """HTTP completion service speaking a one-endpoint JSON contract.
 
@@ -289,10 +290,11 @@ class RemoteBackend:
         ValueError: ``url`` fails ``split_backend_url``.
     """
 
-    url: str
-    timeout: float = 30.0
+    __slots__ = ("url", "timeout", "_path", "_headers", "_connect", "_local", "_conns",
+                 "_transport_errors")
 
-    def __post_init__(self) -> None:
+    def __init__(self, url: str, timeout: float = 30.0) -> None:
+        self.url, self.timeout = url, timeout
         # Imported here, not at module level, so that mock runs and the offline
         # subcommands never load an HTTP stack.
         import http.client

@@ -30,13 +30,13 @@ import json
 import os
 import sys
 import typing
-from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
 
 from . import io
 from .stream import (EmptyText, InvalidStream, StreamConfig, UnitOverflow, loss_summary,
                      mask_intervals, serialize, stream_from_record, stream_to_record)
+from .values import Value
 
 if TYPE_CHECKING:
     from .atomic_ops import CompletionBackend, MockBackend, RemoteBackend
@@ -53,21 +53,28 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass
-class PipelineConfig:
-    backend: str = "mock"
-    backend_url: str | None = None
-    seed: int = 0
-    concurrency: int = 8  # remote calls in flight; mock runs use one process per CPU
-    retries: int = 2
-    k_min: int = 1
-    k_max: int = 3
-    apply_fraction: float = 1.0
-    l_min: int = 62464
-    l_max: int = 65536
-    vit_patch: int = StreamConfig.vit_patch
-    vae_patch: int = StreamConfig.vae_patch
-    max_image_units: int = StreamConfig.max_image_units
+_STREAM = StreamConfig()
+
+
+class PipelineConfig(Value):
+    """The run's settings; ``_fields`` is their order in a manifest's ``config``."""
+
+    __slots__ = _fields = ("backend", "backend_url", "seed", "concurrency", "retries", "k_min",
+                           "k_max", "apply_fraction", "l_min", "l_max", "vit_patch", "vae_patch",
+                           "max_image_units")
+    __hash__ = None  # mutable: ``_load_config`` sets each setting in turn
+
+    def __init__(self, backend: str = "mock", backend_url: str | None = None, seed: int = 0,
+                 concurrency: int = 8, retries: int = 2, k_min: int = 1, k_max: int = 3,
+                 apply_fraction: float = 1.0, l_min: int = 62464, l_max: int = 65536,
+                 vit_patch: int = _STREAM.vit_patch, vae_patch: int = _STREAM.vae_patch,
+                 max_image_units: int = _STREAM.max_image_units):
+        self.backend, self.backend_url, self.seed = backend, backend_url, seed
+        self.concurrency = concurrency  # remote calls in flight; mock runs use one process per CPU
+        self.retries, self.k_min, self.k_max = retries, k_min, k_max
+        self.apply_fraction, self.l_min, self.l_max = apply_fraction, l_min, l_max
+        self.vit_patch, self.vae_patch = vit_patch, vae_patch
+        self.max_image_units = max_image_units
 
     def validate(self) -> None:
         if self.backend not in ("mock", "remote"):
@@ -114,8 +121,8 @@ def _json_types(hint: Any) -> tuple[type, ...]:
 
 
 # Config-file key -> the value types it accepts; the keys are exactly the fields.
-_HINTS = typing.get_type_hints(PipelineConfig)
-_CONFIG_TYPES = {f.name: _json_types(_HINTS[f.name]) for f in fields(PipelineConfig)}
+_HINTS = typing.get_type_hints(PipelineConfig.__init__)
+_CONFIG_TYPES = {name: _json_types(_HINTS[name]) for name in PipelineConfig._fields}
 
 
 def _read_json(path: str, what: str) -> Any:
@@ -144,7 +151,7 @@ def _load_config(args: argparse.Namespace) -> PipelineConfig:
             setattr(cfg, key, value)
     if os.environ.get(ENV_BACKEND_URL):
         cfg.backend_url = os.environ[ENV_BACKEND_URL]
-    if os.environ.get(ENV_SEED):
+    if os.environ.get(ENV_SEED) and hasattr(args, "seed"):  # only where --seed is taken
         try:
             cfg.seed = int(os.environ[ENV_SEED])
         except ValueError as err:
@@ -206,7 +213,7 @@ def _finish(args: argparse.Namespace, argv: Sequence[str], cfg: PipelineConfig,
     io.write_lines(args.manifest or f"{args.out}.manifest.json", [io.dumps({
         "command": args.command,
         "argv": list(argv),
-        "config": asdict(cfg),
+        "config": {name: getattr(cfg, name) for name in cfg._fields},
         "inputs": inputs,
         "outputs": {path: io.sha256_file(tmp) for tmp, path in args.staged},
         "counts": counts,
@@ -511,6 +518,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-min", dest="k_min", type=int, default=None)
     p.add_argument("--k-max", dest="k_max", type=int, default=None)
     p.add_argument("--apply-fraction", dest="apply_fraction", type=float, default=None)
+    _add_stream_flags(p)
     _add_common(p, needs_backend=True)
     p.set_defaults(fn=cmd_synthesize)
 

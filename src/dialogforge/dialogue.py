@@ -1,8 +1,10 @@
 """Conversation data model: image references, segments, turns, rounds, dialogues.
 
 A dialogue is an ordered list of (user, assistant) rounds plus dependency
-annotations tying the final user request to earlier rounds. Values are frozen
-after construction; the transformation stages always build new dialogues.
+annotations tying the final user request to earlier rounds. Values are
+``__slots__`` classes compared by value (``dialogforge.values``); nothing
+changes one once built, and the transformation stages always build new
+dialogues, with ``replace`` where they change one field.
 
 Each fact is stored once. The constructor derives a dialogue's signature and
 ``dep_depth_value`` from its content and raises when the content has none. A
@@ -21,7 +23,6 @@ though its farthest subject is two rounds back.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Any, Callable, TypeVar
 
@@ -33,6 +34,7 @@ from .taxonomy import (
     OutputModality,
     TaskSignature,
 )
+from .values import Value, replace
 
 
 E = TypeVar("E", bound=Enum)
@@ -79,25 +81,22 @@ class Stage(Enum):
     SOURCE = "source"
 
 
-@dataclass(frozen=True)
-class ImageRef:
-    id: str
-    uri: str
-    width: int
-    height: int
-    caption: str | None = None
+class ImageRef(Value):
+    __slots__ = _fields = ("id", "uri", "width", "height", "caption")
+
+    def __init__(self, id: str, uri: str, width: int, height: int, caption: str | None = None):
+        self.id, self.uri, self.width, self.height, self.caption = id, uri, width, height, caption
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(Value):
     """Exactly one of ``text`` or ``image``."""
 
-    text: str | None = None
-    image: ImageRef | None = None
+    __slots__ = _fields = ("text", "image")
 
-    def __post_init__(self):
-        if (self.text is None) == (self.image is None):
+    def __init__(self, text: str | None = None, image: ImageRef | None = None):
+        if (text is None) == (image is None):
             raise ValueError("a segment holds exactly one of text or image")
+        self.text, self.image = text, image
 
     @property
     def is_text(self) -> bool:
@@ -108,27 +107,27 @@ class Segment:
         return self.image is not None
 
 
-@dataclass(frozen=True)
-class Provenance:
-    stage: Stage
-    op_kind: str | None = None
-    # Pre-rewrite final query, kept when a history-dependent rewrite replaces it.
-    original_text: str | None = None
+class Provenance(Value):
+    __slots__ = _fields = ("stage", "op_kind", "original_text")
+
+    def __init__(self, stage: Stage, op_kind: str | None = None,
+                 original_text: str | None = None):
+        self.stage, self.op_kind = stage, op_kind
+        # Pre-rewrite final query, kept when a history-dependent rewrite replaces it.
+        self.original_text = original_text
 
 
-@dataclass(frozen=True)
-class Turn:
+class Turn(Value):
     """Segments and where they came from.
 
     A turn's role is the slot of its ``Round`` that holds it, and it is a
     distractor when its provenance stage is ``Stage.DISTRACTOR``.
     """
 
-    segments: tuple[Segment, ...]
-    provenance: Provenance
+    __slots__ = _fields = ("segments", "provenance")
 
-    def __post_init__(self):
-        object.__setattr__(self, "segments", tuple(self.segments))
+    def __init__(self, segments: tuple[Segment, ...], provenance: Provenance):
+        self.segments, self.provenance = tuple(segments), provenance
 
     @property
     def is_distractor(self) -> bool:
@@ -142,36 +141,33 @@ class Turn:
         return [s.image for s in self.segments if s.is_image]
 
 
-@dataclass(frozen=True)
-class Round:
-    user: Turn
-    assistant: Turn
+class Round(Value):
+    __slots__ = _fields = ("user", "assistant")
+
+    def __init__(self, user: Turn, assistant: Turn):
+        self.user, self.assistant = user, assistant
 
 
-@dataclass(frozen=True)
-class Dialogue:
+class Dialogue(Value):
     """Rounds and dependency targets; the signature and depth are derived from them.
 
     Raises TypeError for an ``id`` that is not a string, and what ``_classify``
     raises for content that has no signature.
     """
 
-    id: str
-    rounds: tuple[Round, ...]
-    dep_target_rounds: tuple[int, ...] = ()
-    annotations: tuple[str, ...] = ()
-    signature: TaskSignature = field(init=False)
-    dep_depth_value: int | None = field(init=False)
+    __slots__ = ("id", "rounds", "dep_target_rounds", "annotations", "signature",
+                 "dep_depth_value", "__weakref__")
+    _fields = ("id", "rounds", "dep_target_rounds", "annotations")
 
-    def __post_init__(self):
-        if type(self.id) is not str:
-            raise TypeError(f"dialogue id must be a string, not {self.id!r}")
-        rounds, targets = tuple(self.rounds), tuple(self.dep_target_rounds)
-        object.__setattr__(self, "rounds", rounds)
-        object.__setattr__(self, "dep_target_rounds", targets)
-        object.__setattr__(self, "annotations", tuple(self.annotations))
-        object.__setattr__(self, "signature", _classify(rounds, targets))
-        object.__setattr__(self, "dep_depth_value", _farthest(rounds, targets))
+    def __init__(self, id: str, rounds: tuple[Round, ...], dep_target_rounds: tuple[int, ...] = (),
+                 annotations: tuple[str, ...] = ()):
+        if type(id) is not str:
+            raise TypeError(f"dialogue id must be a string, not {id!r}")
+        rounds, targets = tuple(rounds), tuple(dep_target_rounds)
+        self.id, self.rounds, self.dep_target_rounds = id, rounds, targets
+        self.annotations = tuple(annotations)
+        self.signature: TaskSignature = _classify(rounds, targets)
+        self.dep_depth_value: int | None = _farthest(rounds, targets)
 
     @property
     def last_round_index(self) -> int:
@@ -284,7 +280,8 @@ def image_to_obj(img: ImageRef) -> dict[str, Any]:
 
 
 # The decoders check the value types later code computes with, so that a bad
-# record is refused where it is read (the CLI's exit 3 with path:line).
+# record is refused where it is read (the CLI's exit 3 with path:line). They pass
+# constructor arguments by position, which costs less per call than by keyword.
 
 _stage = enum_decoder(Stage)
 
@@ -301,13 +298,7 @@ def image_from_obj(obj: Any) -> ImageRef:
     caption = obj.get("caption")
     if caption is not None and type(caption) is not str:
         raise TypeError(f"image {obj['id']!r}: caption must be a string, not {caption!r}")
-    return ImageRef(
-        id=obj["id"],
-        uri=obj["uri"],
-        width=width,
-        height=height,
-        caption=caption,
-    )
+    return ImageRef(obj["id"], obj["uri"], width, height, caption)
 
 
 def _segment_to_obj(seg: Segment) -> dict[str, Any]:
@@ -323,8 +314,8 @@ def _segment_from_obj(obj: Any) -> Segment:
     if "text" in obj:
         if not isinstance(obj["text"], str):
             raise TypeError(f"text segment must be a string, not {obj['text']!r}")
-        return Segment(text=obj["text"])
-    return Segment(image=image_from_obj(obj["image"]))
+        return Segment(obj["text"])
+    return Segment(None, image_from_obj(obj["image"]))
 
 
 def turn_to_obj(turn: Turn) -> dict[str, Any]:
@@ -348,14 +339,8 @@ def turn_from_obj(obj: dict[str, Any], slot: str) -> Turn:
         raise TypeError(f"{slot} turn: provenance must be an object, not {prov!r}")
     if not isinstance(obj["segments"], list):
         raise TypeError(f"{slot} turn: segments must be a list")
-    return Turn(
-        segments=tuple(_segment_from_obj(s) for s in obj["segments"]),
-        provenance=Provenance(
-            stage=_stage(prov["stage"]),
-            op_kind=prov.get("op_kind"),
-            original_text=prov.get("original_text"),
-        ),
-    )
+    return Turn(tuple([_segment_from_obj(s) for s in obj["segments"]]),
+                Provenance(_stage(prov["stage"]), prov.get("op_kind"), prov.get("original_text")))
 
 
 def dialogue_to_record(d: Dialogue) -> dict[str, Any]:
@@ -387,8 +372,8 @@ def dialogue_from_record(rec: dict[str, Any]) -> Dialogue:
         if not isinstance(r, dict):
             raise TypeError(f"dialogue {rec['id']!r}: round {i} must be an object, not {r!r}")
         try:
-            rounds.append(Round(user=turn_from_obj(r["user"], "user"),
-                                assistant=turn_from_obj(r["assistant"], "assistant")))
+            rounds.append(Round(turn_from_obj(r["user"], "user"),
+                                turn_from_obj(r["assistant"], "assistant")))
         except TypeError as err:
             raise TypeError(f"dialogue {rec['id']!r}: round {i}: {err}") from err
     annotations = rec.get("annotations", [])

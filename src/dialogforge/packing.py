@@ -19,10 +19,10 @@ import heapq
 import itertools
 import math
 import random
-from dataclasses import dataclass, replace
 from typing import Any, Iterable, Mapping, Sequence, TypeVar
 
 from .util import derive_seed
+from .values import Value, replace
 
 T = TypeVar("T")
 
@@ -39,12 +39,11 @@ class SampleTooLong(ValueError):
     """A single sample exceeds the pack upper bound."""
 
 
-@dataclass(frozen=True)
-class SamplingConfig:
-    categories: Mapping[str, float]
+class SamplingConfig(Value):
+    __slots__ = _fields = ("categories",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "categories", dict(self.categories))
+    def __init__(self, categories: Mapping[str, float]):
+        self.categories = dict(categories)
 
     def validate(self) -> None:
         for name, w in self.categories.items():
@@ -83,13 +82,13 @@ def sample_stream(cfg: SamplingConfig, corpora: Mapping[str, Sequence[T]],
     return draws
 
 
-@dataclass(frozen=True)
-class Pack:
-    pack_id: str
-    sample_ids: tuple[str, ...]
-    lengths: tuple[int, ...]
-    total: int
-    underfull: bool
+class Pack(Value):
+    __slots__ = _fields = ("pack_id", "sample_ids", "lengths", "total", "underfull")
+
+    def __init__(self, pack_id: str, sample_ids: tuple[str, ...], lengths: tuple[int, ...],
+                 total: int, underfull: bool):
+        self.pack_id, self.sample_ids, self.lengths = pack_id, sample_ids, lengths
+        self.total, self.underfull = total, underfull
 
 
 # The repair's settings. Pass k pools the packs at most half full, or the

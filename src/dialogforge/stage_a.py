@@ -10,7 +10,6 @@ corpora stay joinable. A record keeps each caption once, on its image, where
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from typing import Any, Callable
 
 from .atomic_ops import CompletionBackend, OpKind, invoke
@@ -25,31 +24,33 @@ from .dialogue import (
     image_from_obj,
 )
 from .util import derive_seed
+from .values import Value, replace
 
 
 class RecordError(ValueError):
     """An ingest record that violates its schema."""
 
 
-@dataclass(frozen=True)
-class T2IRecord:
-    id: str
-    image: ImageRef
+class T2IRecord(Value):
+    __slots__ = _fields = ("id", "image")
+
+    def __init__(self, id: str, image: ImageRef):
+        self.id, self.image = id, image
 
 
-@dataclass(frozen=True)
-class EditRecord:
-    id: str
-    instruction: str
-    source_image: ImageRef
-    target_image: ImageRef
+class EditRecord(Value):
+    __slots__ = _fields = ("id", "instruction", "source_image", "target_image")
+
+    def __init__(self, id: str, instruction: str, source_image: ImageRef, target_image: ImageRef):
+        self.id, self.instruction = id, instruction
+        self.source_image, self.target_image = source_image, target_image
 
 
-@dataclass(frozen=True)
-class SubjectRecord:
-    id: str
-    subjects: tuple[ImageRef, ImageRef]
-    composed_image: ImageRef
+class SubjectRecord(Value):
+    __slots__ = _fields = ("id", "subjects", "composed_image")
+
+    def __init__(self, id: str, subjects: tuple[ImageRef, ImageRef], composed_image: ImageRef):
+        self.id, self.subjects, self.composed_image = id, subjects, composed_image
 
 
 def _require(obj: dict[str, Any], key: str) -> Any:

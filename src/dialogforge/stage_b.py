@@ -12,7 +12,6 @@ dialogue.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Any, Callable
 
@@ -33,6 +32,7 @@ from .dialogue import (
 from .stream import StreamConfig, ValidationReport
 from .taxonomy import DependencyModality, DepthKind, format_signature
 from .util import derive_seed
+from .values import Value, replace
 
 
 class WrongDepth(ValueError):
@@ -49,19 +49,18 @@ class DistractorCategory(Enum):
     TEXT_CHAT = "text_chat"
 
 
-@dataclass(frozen=True)
-class DistractorEntry:
-    category: DistractorCategory
-    user: Turn
-    assistant: Turn
+class DistractorEntry(Value):
+    __slots__ = _fields = ("category", "user", "assistant")
+
+    def __init__(self, category: DistractorCategory, user: Turn, assistant: Turn):
+        self.category, self.user, self.assistant = category, user, assistant
 
 
-@dataclass(frozen=True)
-class DistractorPool:
-    entries: tuple[DistractorEntry, ...]
+class DistractorPool(Value):
+    __slots__ = _fields = ("entries",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(self.entries))
+    def __init__(self, entries: tuple[DistractorEntry, ...]):
+        self.entries = tuple(entries)
 
     def validate(self, cfg: StreamConfig = StreamConfig()) -> ValidationReport:
         report = ValidationReport()

@@ -10,12 +10,12 @@ if its seeded per-id coin says so.
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 
 from .atomic_ops import CompletionBackend, OpKind, invoke
 from .dialogue import Dialogue, Round, Segment, Turn, image_caption, with_annotation
 from .taxonomy import OutputModality
 from .util import derive_seed
+from .values import replace
 
 
 def _insert_text(turn: Turn, text: str, *, after_image: bool) -> Turn:

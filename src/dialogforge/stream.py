@@ -28,12 +28,11 @@ are involved.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
 from enum import Enum
 from typing import TYPE_CHECKING, Any, Callable
 
 from .io import dumps
+from .values import Value
 
 if TYPE_CHECKING:
     from .dialogue import Dialogue, ImageRef, Round
@@ -85,16 +84,20 @@ class LossTag(Enum):
     MSE = "mse"
 
 
-@dataclass(frozen=True)
-class Violation:
-    rule: str
-    detail: str
-    where: int | None = None  # round index (dialogues) or part index (streams)
+class Violation(Value):
+    __slots__ = _fields = ("rule", "detail", "where")
+
+    def __init__(self, rule: str, detail: str, where: int | None = None):
+        self.rule, self.detail = rule, detail
+        self.where = where  # round index (dialogues) or part index (streams)
 
 
-@dataclass
-class ValidationReport:
-    violations: list[Violation] = field(default_factory=list)
+class ValidationReport(Value):
+    __slots__ = _fields = ("violations",)
+    __hash__ = None  # mutable
+
+    def __init__(self, violations: list[Violation] | None = None):
+        self.violations = [] if violations is None else violations
 
     @property
     def ok(self) -> bool:
@@ -104,21 +107,18 @@ class ValidationReport:
         self.violations.append(Violation(rule, detail, where))
 
 
-@dataclass(frozen=True)
-class TokenBlock:
-    kind: BlockKind
-    units: int
-    round_index: int
-    role: Role
-    loss: LossTag
-    start: int
-    end: int
-    tok: SpecialToken | None = None
-    image_id: str | None = None
+class TokenBlock(Value):
+    __slots__ = _fields = ("kind", "units", "round_index", "role", "loss", "start", "end", "tok",
+                           "image_id")
+
+    def __init__(self, kind: BlockKind, units: int, round_index: int, role: Role, loss: LossTag,
+                 start: int, end: int, tok: SpecialToken | None = None,
+                 image_id: str | None = None):
+        self.kind, self.units, self.round_index, self.role = kind, units, round_index, role
+        self.loss, self.start, self.end, self.tok, self.image_id = loss, start, end, tok, image_id
 
 
-@dataclass(frozen=True)
-class TokenStream:
+class TokenStream(Value):
     """A serialized dialogue as its record entries, one tuple per grammar part.
 
     An entry is the part's code (a ``_PARTS`` key), the units of its
@@ -128,16 +128,21 @@ class TokenStream:
     ``validate_stream`` checks a stream built by hand.
     """
 
-    dialogue_id: str
-    parts: tuple[tuple, ...]
-    total_len: int
+    __slots__ = ("dialogue_id", "parts", "total_len", "_blocks", "__weakref__")
+    _fields = ("dialogue_id", "parts", "total_len")
 
-    @cached_property
+    def __init__(self, dialogue_id: str, parts: tuple[tuple, ...], total_len: int):
+        self.dialogue_id, self.parts, self.total_len = dialogue_id, parts, total_len
+        self._blocks: tuple[TokenBlock, ...] | None = None
+
+    @property
     def blocks(self) -> tuple[TokenBlock, ...]:
         """The blocks the entries stand for, rebuilt from the grammar on first access.
 
         Assumes a stream that ``validate_stream`` passes.
         """
+        if self._blocks is not None:
+            return self._blocks
         blocks = []
         pos = rnd = 0
         image_id = None
@@ -153,15 +158,15 @@ class TokenStream:
                                          image_id if named is not None and u is not None else None))
                 pos += n
             rnd += code == "e"
-        return tuple(blocks)
+        self._blocks = tuple(blocks)
+        return self._blocks
 
 
 def patch_grid_units(width: int, height: int, patch: int) -> int:
     return math.ceil(width / patch) * math.ceil(height / patch)
 
 
-@dataclass(frozen=True)
-class StreamConfig:
+class StreamConfig(Value):
     """Encoder patch sizes and the per-image unit cap the trainer expects.
 
     A ``w x h`` image takes ``patch_grid_units(w, h, p)`` units in the ViT
@@ -169,9 +174,10 @@ class StreamConfig:
     unit per whitespace-separated word.
     """
 
-    vit_patch: int = 14
-    vae_patch: int = 16
-    max_image_units: int = 16384
+    __slots__ = _fields = ("vit_patch", "vae_patch", "max_image_units")
+
+    def __init__(self, vit_patch: int = 14, vae_patch: int = 16, max_image_units: int = 16384):
+        self.vit_patch, self.vae_patch, self.max_image_units = vit_patch, vae_patch, max_image_units
 
 
 _CLEAN_IMAGE = (

@@ -8,8 +8,9 @@ which leaves exactly 36 valid combinations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+
+from .values import Value
 
 
 class SignatureError(ValueError):
@@ -48,12 +49,12 @@ class DepthKind(Enum):
     N = "n"
 
 
-@dataclass(frozen=True)
-class TaskSignature:
-    input: InputModality
-    output: OutputModality
-    dep: DependencyModality
-    depth: DepthKind
+class TaskSignature(Value):
+    __slots__ = _fields = ("input", "output", "dep", "depth")
+
+    def __init__(self, input: InputModality, output: OutputModality, dep: DependencyModality,
+                 depth: DepthKind):
+        self.input, self.output, self.dep, self.depth = input, output, dep, depth
 
     @property
     def is_consistent(self) -> bool:

@@ -10,7 +10,6 @@ dialogue can have.
 
 import itertools
 import random
-from dataclasses import replace
 
 from dialogforge.dialogue import (
     Dialogue,
@@ -31,6 +30,7 @@ from dialogforge.taxonomy import (
     TaskSignature,
     format_signature,
 )
+from dialogforge.values import replace
 
 
 def restore_stage_a_view(d: Dialogue) -> Dialogue:

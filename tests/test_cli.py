@@ -1,6 +1,7 @@
 import collections
 import concurrent.futures
 import contextlib
+import copy
 import json
 import os
 import random
@@ -23,7 +24,7 @@ import dialogforge
 from dialogforge import cli, dialogue, io, stage_b
 from dialogforge.atomic_ops import BackendUnavailable, MockBackend
 from dialogforge.cli import build_parser, main
-from dialogforge.dialogue import dialogue_from_record
+from dialogforge.dialogue import dialogue_from_record, dialogue_to_record, with_annotation
 from dialogforge.fixtures import (
     make_distractor_pool,
     make_edit_records,
@@ -279,10 +280,12 @@ def test_cli_import_does_not_load_numpy():
 
 
 _REPORT_MODULES = ("import sys; from dialogforge.cli import main; code = main(sys.argv[1:]); "
+                   "print('dataclasses' in sys.modules); "
                    "print(sorted(m for m in sys.modules if m.split('.')[0] == 'dialogforge')); "
                    "print('hashlib' in sys.modules); "
                    "print('concurrent.futures' in sys.modules); sys.exit(code)")
-_READ_LAYERS = ["dialogforge", "dialogforge.cli", "dialogforge.io", "dialogforge.stream"]
+_READ_LAYERS = ["dialogforge", "dialogforge.cli", "dialogforge.io", "dialogforge.stream",
+                "dialogforge.values"]
 _DIALOGUE_LAYERS = sorted(_READ_LAYERS + ["dialogforge.dialogue", "dialogforge.taxonomy"])
 
 
@@ -327,6 +330,9 @@ def test_each_subcommand_loads_only_its_layers(footprint_dir, argv, layers, hash
     out = subprocess.run([sys.executable, "-c", _REPORT_MODULES, *argv.split()],
                          cwd=footprint_dir, env=_child_env(), check=True, capture_output=True,
                          text=True).stdout.splitlines()
+    bare = subprocess.run([sys.executable, "-c", "import sys; print('dataclasses' in sys.modules)"],
+                          env=_child_env(), check=True, capture_output=True, text=True).stdout
+    assert out[-4] == bare.strip()  # the run loads dataclasses only if the interpreter does
     assert out[-3] == repr(layers)
     assert out[-2] == repr(hashes)  # only a command that writes a manifest hashes
     assert out[-1] == "False"  # a mock run, or none, starts no thread pool
@@ -668,6 +674,60 @@ def test_validate_reports_the_unit_cap_that_serialize_refuses(workdir, capsys):
     assert run("validate", "--in", "d.jsonl", "--max-image-units", "81796") == 0
     assert run("serialize", "--in", "d.jsonl", "--out", "s.jsonl", "--max-image-units", "81796") == 0
     assert run("validate", "--in", "d.jsonl", "--vit-patch", "16", "--max-image-units", "62500") == 0
+
+
+def test_synthesize_checks_the_pool_against_the_stream_flags(workdir, capsys):
+    """Pool validation checks the unit cap that ``serialize`` will use."""
+    run("synthesize", "--stage", "a", "--task", "t_i_i1_1",
+        "--in", "edit_records_20.jsonl", "--out", "d.jsonl", "--seed", "1")
+    entries = [entry_to_record(e) for e in make_distractor_pool(2, 3).entries]
+    entries[2]["user"]["segments"][1]["image"].update(width=1000, height=1000)
+    io.write_jsonl("pool_wide.jsonl", entries)
+    capsys.readouterr()
+    # the upload takes a 72 x 72 ViT grid, over the cap of 4096 units
+    assert run("synthesize", "--stage", "b", "--in", "d.jsonl", "--pool", "pool_wide.jsonl",
+               "--out", "b.jsonl", "--max-image-units", "4096") == 2
+    assert capsys.readouterr().err == ("config error: distractor pool pool_wide.jsonl: entry 2: "
+                                       "image 'pool-und-0000' needs 5184 units, cap is 4096\n")
+    assert not Path("b.jsonl").exists()
+    assert run("synthesize", "--stage", "b", "--in", "d.jsonl", "--pool", "pool_wide.jsonl",
+               "--out", "b.jsonl") == 0
+
+
+def test_df_seed_is_read_only_by_subcommands_that_take_a_seed(workdir, monkeypatch, capsys):
+    run("synthesize", "--stage", "a", "--task", "t_i_0_0",
+        "--in", "t2i_records_20.jsonl", "--out", "d.jsonl", "--seed", "1")
+    monkeypatch.setenv("DF_SEED", "x")
+    capsys.readouterr()
+    assert run("validate", "--in", "d.jsonl") == 0
+    assert capsys.readouterr().out == "validate: 0 dialogues with violations\n"
+    assert run("serialize", "--in", "d.jsonl", "--out", "s.jsonl") == 2
+    assert capsys.readouterr().err == "config error: DF_SEED must be an integer\n"
+
+
+def test_stages_leave_their_inputs_unchanged(backend):
+    """Values are not frozen: each stage builds new ones and changes none it is given,
+    neither the record or dialogue nor the distractor pool."""
+    cfg = cli.PipelineConfig(k_min=2, k_max=2)
+    pool = make_distractor_pool(2, seed=5)
+    pool_records = [entry_to_record(e) for e in pool.entries]
+    records = make_edit_records(3, seed=5)
+    before = copy.deepcopy(records)
+    stage_a = cli.record_synthesizer(["a"], backend, cfg, task="t_i_i1_1")
+    dialogues = [dialogue_from_record(json.loads(stage_a(i, rec)[1]))
+                 for i, rec in enumerate(records)]
+    assert records == before
+    for stages in (["b"], ["c"], ["b", "c"]):
+        one = cli.record_synthesizer(stages, backend, cfg, pool=pool)
+        for i, d in enumerate(dialogues):
+            seen = dialogue_to_record(d)
+            out = one(i, d)
+            assert json.loads(out[1]) != seen, stages  # the stages ran
+            assert dialogue_to_record(d) == seen, stages
+    assert [entry_to_record(e) for e in pool.entries] == pool_records
+    seen = dialogue_to_record(dialogues[0])
+    assert with_annotation(dialogues[0], "note").annotations == ("note",)
+    assert dialogue_to_record(dialogues[0]) == seen
 
 
 @pytest.mark.parametrize("argv", [

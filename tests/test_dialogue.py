@@ -1,8 +1,10 @@
-from dataclasses import replace
+import json
 
 import pytest
 from dialogue_reference import structural_equal
 
+from dialogforge import io
+from dialogforge.cli import PipelineConfig
 from dialogforge.dialogue import (
     AmbiguousDependency,
     Dialogue,
@@ -17,8 +19,12 @@ from dialogforge.dialogue import (
     dialogue_from_record,
     dialogue_to_record,
     validate_dialogue,
+    with_annotation,
 )
+from dialogforge.fixtures import make_distractor_pool, make_edit_records
+from dialogforge.stream import serialize, stream_from_record, stream_to_record
 from dialogforge.taxonomy import DepthKind, format_signature, parse_signature
+from dialogforge.values import replace
 
 PROV = Provenance(Stage.SOURCE)
 
@@ -83,7 +89,7 @@ def test_replace_derives_the_signature_again():
     longer = replace(d, rounds=d.rounds + (extra,))
     assert format_signature(longer.signature) == "t_i_i1_n"
     assert longer.dep_depth_value == 2
-    with pytest.raises(ValueError, match="init=False"):
+    with pytest.raises(ValueError, match="no __init__ field 'signature'"):
         replace(d, signature=parse_signature("t_i_0_0"))
 
 
@@ -299,6 +305,29 @@ def test_record_round_trip_lossless():
     assert "annotations" not in rec
     assert "caption" in rec["rounds"][0]["assistant"]["segments"][0]["image"]
     assert "op_kind" not in rec["rounds"][0]["user"]["provenance"]
+
+
+def test_equal_records_decode_to_equal_and_hash_equal_values(synthesize, backend):
+    """Values compare and hash by their fields, not by identity: two decodes of one
+    line, a dialogue with distractors, rewrites and annotations among them, agree."""
+    records, _ = synthesize(make_edit_records(4, seed=3), ["a", "b", "c"], backend,
+                            PipelineConfig(k_min=2, k_max=2), task="t_i_i1_1",
+                            pool=make_distractor_pool(2, seed=4))
+    assert records[0]["rounds"][-1]["user"]["provenance"]["original_text"]
+    noted = with_annotation(dialogue_from_record(records[0]), "note")
+    records += [dialogue_to_record(noted), dialogue_to_record(edit_dialogue())]
+    for rec in records:
+        for encode, decode in ((lambda r: r, dialogue_from_record),
+                               (lambda r: stream_to_record(serialize(dialogue_from_record(r))),
+                                stream_from_record)):
+            line = io.dumps(encode(rec))
+            first, second = decode(json.loads(line)), decode(json.loads(line))
+            assert first is not second
+            assert first == second and hash(first) == hash(second)
+            assert len({first, second}) == 1
+    assert replace(noted, annotations=()) != noted
+    assert replace(noted, annotations=()) == dialogue_from_record(records[0])
+    assert noted != dialogue_to_record(noted)  # a value of another class is never equal
 
 
 def test_record_field_order():

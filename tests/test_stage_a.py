@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import functools
 import operator
 
@@ -24,6 +23,7 @@ from dialogforge.stage_a import (
     t2i_record_from_obj,
 )
 from dialogforge.taxonomy import DepthKind, format_signature
+from dialogforge.values import replace
 
 
 @pytest.fixture()
@@ -94,8 +94,8 @@ def test_t_i_i1_1(edit_rec, backend):
 
 
 def test_t_i_i1_1_missing_caption(edit_rec, backend):
-    blank = dataclasses.replace(edit_rec.source_image, caption="   ")
-    broken = dataclasses.replace(edit_rec, source_image=blank)
+    blank = replace(edit_rec.source_image, caption="   ")
+    broken = replace(edit_rec, source_image=blank)
     with pytest.raises(MissingInput):
         build_t_i_i1_1(broken, backend)
 

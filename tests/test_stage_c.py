@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 from dialogue_reference import structural_equal
 
@@ -25,6 +23,7 @@ from dialogforge.stage_a import (
 from dialogforge.stage_b import insert_distractors
 from dialogforge.stage_c import interleave
 from dialogforge.taxonomy import OutputModality, format_signature
+from dialogforge.values import replace
 
 
 @pytest.fixture()
@@ -86,10 +85,10 @@ def test_interleave_upload_stays_last(backend):
 def test_interleave_missing_caption(t2i_dialogue, backend):
     final = t2i_dialogue.rounds[-1]
     img_seg = final.assistant.segments[0]
-    stripped = dataclasses.replace(img_seg, image=dataclasses.replace(img_seg.image, caption=None))
-    asst = dataclasses.replace(final.assistant, segments=(stripped,))
-    d = dataclasses.replace(t2i_dialogue,
-                            rounds=(dataclasses.replace(final, assistant=asst),))
+    stripped = replace(img_seg, image=replace(img_seg.image, caption=None))
+    asst = replace(final.assistant, segments=(stripped,))
+    d = replace(t2i_dialogue,
+                            rounds=(replace(final, assistant=asst),))
     with pytest.raises(MissingCaption):
         interleave(d, backend)
 

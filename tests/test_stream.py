@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import random
@@ -46,6 +45,7 @@ from dialogforge.stream import (
     stream_to_record,
     validate_stream,
 )
+from dialogforge.values import replace
 
 PROV = Provenance(Stage.SOURCE)
 
@@ -157,8 +157,8 @@ def test_serialize_upload_blocks(backend):
 def test_serialize_empty_text(backend):
     d = t2i_dialogue(backend)
     user = d.rounds[0].user
-    blank = dataclasses.replace(user, segments=(Segment(text="   "),))
-    d2 = dataclasses.replace(d, rounds=(Round(blank, d.rounds[0].assistant),))
+    blank = replace(user, segments=(Segment(text="   "),))
+    d2 = replace(d, rounds=(Round(blank, d.rounds[0].assistant),))
     with pytest.raises(EmptyText):
         serialize(d2)
 
@@ -348,7 +348,7 @@ def test_validate_rejects_a_part_out_of_order(parts, where, detail):
 
 def test_block_oracle_rejects_end_without_ce(backend):
     blocks = list(serialize(t2i_dialogue(backend)).blocks)
-    blocks[-1] = dataclasses.replace(blocks[-1], loss=LossTag.NONE)
+    blocks[-1] = replace(blocks[-1], loss=LossTag.NONE)
     faults = block_faults(blocks, blocks[-1].end)
     assert [rule for rule, _, _ in faults] == ["loss-tags"]
     assert "|end|" in faults[0][1]
@@ -356,7 +356,7 @@ def test_block_oracle_rejects_end_without_ce(backend):
 
 def test_block_oracle_rejects_mse_outside_noised(backend):
     blocks = list(serialize(t2i_dialogue(backend)).blocks)
-    blocks[1] = dataclasses.replace(blocks[1], loss=LossTag.MSE)  # the user text
+    blocks[1] = replace(blocks[1], loss=LossTag.MSE)  # the user text
     assert [(rule, i) for rule, _, i in block_faults(blocks, blocks[-1].end)] == [("loss-tags", 1)]
 
 
@@ -364,10 +364,10 @@ def test_validate_rejects_bad_units_and_total_len():
     good = parts_stream(("u", 2), ("t", 2), ("e",))
     assert validate_stream(good).ok
     for units in [0, -1, "2", True, 2.0]:
-        bad = dataclasses.replace(good, parts=(("u", units), *good.parts[1:]),
+        bad = replace(good, parts=(("u", units), *good.parts[1:]),
                                   total_len=good.total_len - 2)
         assert _found(bad) == [("unit-count", 0)]
-    longer = dataclasses.replace(good, total_len=good.total_len + 1)
+    longer = replace(good, total_len=good.total_len + 1)
     assert _found(longer) == [("total-len", None)]
     with pytest.raises(InvalidStream, match="total_len 10 != position sum 9"):
         mask_intervals(longer)
@@ -380,15 +380,15 @@ def test_block_oracle_checks_tiling(backend):
     blocks = serialize(t2i_dialogue(backend)).blocks
     total = blocks[-1].end
     assert block_faults(blocks, total) == []
-    shifted = [dataclasses.replace(b, start=b.start + 1, end=b.end + 1) if i == 1 else b
+    shifted = [replace(b, start=b.start + 1, end=b.end + 1) if i == 1 else b
                for i, b in enumerate(blocks)]
     assert [(rule, i) for rule, _, i in block_faults(shifted, total)] == [("positions", 1),
                                                                            ("positions", 2)]
     assert [rule for rule, _, _ in block_faults(blocks, total + 1)] == ["total-len"]
-    empty = dataclasses.replace(blocks[1], units=0, end=blocks[1].start)
+    empty = replace(blocks[1], units=0, end=blocks[1].start)
     assert ("unit-count", 1) in [(rule, i) for rule, _, i in block_faults(
         (blocks[0], empty), empty.end)]
-    wide = dataclasses.replace(blocks[0], units=2, end=2)
+    wide = replace(blocks[0], units=2, end=2)
     assert ("unit-count", 0) in [(rule, i) for rule, _, i in block_faults((wide,), 2)]
 
 
@@ -504,7 +504,7 @@ def test_mask_prefix_stability(backend):
         if len(d.rounds) < 2 or not d.rounds[-2].assistant.images():
             continue
         full = dense_mask(serialize(d))
-        head = dense_mask(serialize(dataclasses.replace(d, rounds=d.rounds[:-1])))
+        head = dense_mask(serialize(replace(d, rounds=d.rounds[:-1])))
         n = head.shape[0]
         assert np.array_equal(full[:n, :n], head)
         checked += 1
@@ -548,7 +548,7 @@ def test_stream_record_bytes_round_trip(seed, max_rounds):
 
 def _mutated(blocks, i, **change):
     blocks = list(blocks)
-    blocks[i] = dataclasses.replace(blocks[i], **change)
+    blocks[i] = replace(blocks[i], **change)
     return blocks
 
 
@@ -564,7 +564,7 @@ def _with_part(s, k, **change):
     code, units, image_id = _split(s.parts[k])
     new = _join(change.get("code", code), change.get("units", units),
                 change.get("image_id", image_id))
-    return dataclasses.replace(s, parts=s.parts[:k] + (new,) + s.parts[k + 1:])
+    return replace(s, parts=s.parts[:k] + (new,) + s.parts[k + 1:])
 
 
 @settings(max_examples=60, deadline=None)
@@ -599,14 +599,14 @@ def test_each_part_fault_is_reported_once_at_its_part():
     rng = random.Random(62)
     for n in range(40):
         s = serialize(make_random_dialogue(rng, f"q-{n}"))
-        assert _found(dataclasses.replace(s, total_len=s.total_len + 1)) == [("total-len", None)]
+        assert _found(replace(s, total_len=s.total_len + 1)) == [("total-len", None)]
         for k, entry in enumerate(s.parts):
             _, units, image_id = _split(entry)
             if image_id is not None:
                 assert _found(_with_part(s, k, image_id=7)) == [("image-id", k)]
             for u, old in enumerate(units):
                 bad = units[:u] + (0,) + units[u + 1:]
-                assert (_found(dataclasses.replace(_with_part(s, k, units=bad),
+                assert (_found(replace(_with_part(s, k, units=bad),
                                                    total_len=s.total_len - old))
                         == [("unit-count", k)])
             assert _found(_with_part(s, k, units=units + (1,))) == [("grammar", k)]
