@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 from enum import Enum
-from typing import Mapping, Protocol
+from typing import BinaryIO, Mapping, Protocol
 from urllib.parse import SplitResult, unquote, urlsplit
 
 from .values import Value
@@ -258,10 +258,8 @@ def _proxy(target: SplitResult) -> tuple[str, int, dict[str, str]] | None:
     """
     import urllib.request
 
-    if urllib.request.proxy_bypass(target.netloc.rpartition("@")[2]):
-        return None
     proxy = urllib.request.getproxies().get(target.scheme)
-    if not proxy:
+    if not proxy or urllib.request.proxy_bypass(target.netloc.rpartition("@")[2]):
         return None
     via = urlsplit(proxy if "://" in proxy else f"http://{proxy}")
     auth = {}
@@ -273,6 +271,55 @@ def _proxy(target: SplitResult) -> tuple[str, int, dict[str, str]] | None:
     return via.hostname, via.port or 80, auth
 
 
+def _line(reader: BinaryIO) -> bytes:
+    """The next line of ``reader`` without its end; ValueError if cut off or over 64 KiB."""
+    line = reader.readline(65536)  # http.client's limit
+    if not line.endswith(b"\n"):
+        raise ValueError("reply cut off, or a line of it over 64 KiB")
+    return line.rstrip(b"\r\n")
+
+
+def _fields(reader: BinaryIO) -> dict[bytes, bytes]:
+    """The header or trailer lines up to a blank one, by lowercased name."""
+    return dict(line.lower().partition(b":")[::2] for line in iter(lambda: _line(reader), b""))
+
+
+def _read_reply(reader: BinaryIO) -> tuple[int, bytes, bool]:
+    """Status and body of the HTTP/1.x reply on ``reader``, and whether the connection ends.
+
+    Raises:
+        ConnectionResetError: EOF came before a status line.
+        ValueError: the reply is not HTTP/1.x, is cut off, or has a line over 64 KiB.
+    """
+    status = 100
+    while status < 200:  # skips a 1xx reply
+        line = reader.readline(65536)
+        if not line:
+            raise ConnectionResetError("the server closed the connection without a reply")
+        version, _, rest = line.partition(b" ")
+        if not (version.startswith(b"HTTP/1.") and rest[:3].isdigit() and line[-1:] == b"\n"):
+            raise ValueError(f"not an HTTP/1.x status line: {line[:80]!r}")
+        status, fields = int(rest[:3]), _fields(reader)
+    connection = fields.get(b"connection", b"")
+    close = b"close" in connection or version == b"HTTP/1.0" and b"keep-alive" not in connection
+    if status == 204:
+        return status, b"", close
+    if b"chunked" in fields.get(b"transfer-encoding", b""):
+        chunks = []
+        while size := int(_line(reader).split(b";", 1)[0], 16):
+            chunks.append(reader.read(size))
+            if len(chunks[-1]) < size or _line(reader):
+                raise ValueError("reply cut off in a chunk")
+        _fields(reader)  # the trailer
+        return status, b"".join(chunks), close
+    if b"content-length" not in fields:
+        return status, reader.read(), True
+    body = reader.read(length := int(fields[b"content-length"]))
+    if len(body) < length:
+        raise ValueError(f"reply cut off after {len(body)} of {length} bytes")
+    return status, body, close
+
+
 class RemoteBackend:
     """HTTP completion service speaking a one-endpoint JSON contract.
 
@@ -280,6 +327,9 @@ class RemoteBackend:
     the service replies ``{"text": <completion>}``. Anything else (transport
     error, non-2xx, malformed body) raises BackendUnavailable.
 
+    Each call sends its request in one ``sendall`` and reads the reply with
+    ``_read_reply``; ``http.client`` only opens each connection (TCP_NODELAY,
+    the CONNECT tunnel, TLS). ``Host`` names the target, never its userinfo.
     Each thread keeps one keep-alive connection; when a reused one turns out
     to have been closed by the server, the request is sent once more on a
     fresh one. ``http_proxy``, ``https_proxy`` and ``no_proxy`` are read once,
@@ -290,8 +340,7 @@ class RemoteBackend:
         ValueError: ``url`` fails ``split_backend_url``.
     """
 
-    __slots__ = ("url", "timeout", "_path", "_headers", "_connect", "_local", "_conns",
-                 "_transport_errors")
+    __slots__ = ("url", "timeout", "_head", "_connect", "_local", "_conns", "_transport_errors")
 
     def __init__(self, url: str, timeout: float = 30.0) -> None:
         self.url, self.timeout = url, timeout
@@ -304,19 +353,21 @@ class RemoteBackend:
         https = target.scheme == "https"
         cls = http.client.HTTPSConnection if https else http.client.HTTPConnection
         host, port, tunnel = target.hostname, target.port, None
-        self._path = target.path or "/"
-        if target.query:
-            self._path += "?" + target.query
-        self._headers = {"Content-Type": "application/json"}
+        name = f"[{host}]" if ":" in host else host.encode("idna").decode()
+        authority = name if port in (None, cls.default_port) else f"{name}:{port}"
+        path = (target.path or "/") + (f"?{target.query}" if target.query else "")
+        head = [f"Host: {authority}", "Content-Type: application/json",
+                "Accept-Encoding: identity"]
         proxy = _proxy(target)
         if proxy is not None:
             proxy_host, proxy_port, auth = proxy
             if https:
                 tunnel = (host, port, auth)
             else:
-                self._path = self.url
-                self._headers.update(auth)
+                path = f"http://{authority}{path}"
+                head += [f"{key}: {value}" for key, value in auth.items()]
             host, port = proxy_host, proxy_port
+        self._head = "\r\n".join([f"POST {path} HTTP/1.1", *head, "Content-Length: "]).encode()
 
         def connect() -> http.client.HTTPConnection:
             conn = cls(host, port, timeout=self.timeout)
@@ -329,7 +380,7 @@ class RemoteBackend:
         # Every connection opened, also those of worker threads that have exited
         # since, so that ``close`` reaches them all.
         self._conns: list[http.client.HTTPConnection] = []
-        self._transport_errors = (OSError, http.client.HTTPException)
+        self._transport_errors = (OSError, ValueError, http.client.HTTPException)
 
     def close(self) -> None:
         """Close every connection this backend opened; call it when no request is in flight.
@@ -342,6 +393,7 @@ class RemoteBackend:
     def complete(self, prompt: str, seed: int) -> str:
         body = {"prompt": prompt, "seed": seed, "max_tokens": 512, "temperature": 0.7}
         payload = json.dumps(body).encode("utf-8")
+        request = b"%s%d\r\n\r\n%s" % (self._head, len(payload), payload)
         conn = getattr(self._local, "conn", None)
         if conn is None:
             conn = self._local.conn = self._connect()
@@ -349,9 +401,13 @@ class RemoteBackend:
         while True:
             reused = conn.sock is not None
             try:
-                conn.request("POST", self._path, payload, self._headers)
-                resp = conn.getresponse()
-                status, raw = resp.status, resp.read()
+                if not reused:
+                    conn.connect()
+                conn.sock.sendall(request)
+                # a reader per reply, as in http.client: the server sends nothing
+                # between a reply and the next request
+                with conn.sock.makefile("rb") as reader:
+                    status, raw, close = _read_reply(reader)
                 break
             except self._transport_errors as err:
                 conn.close()
@@ -359,6 +415,8 @@ class RemoteBackend:
                 # fresh one: raising here would make invoke retry with seed + 1.
                 if not (reused and isinstance(err, (ConnectionResetError, BrokenPipeError))):
                     raise BackendUnavailable(f"POST {self.url} failed: {err}") from err
+        if close:
+            conn.close()
         if not 200 <= status < 300:
             raise BackendUnavailable(f"POST {self.url} returned {status}")
         try:

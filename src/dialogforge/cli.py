@@ -149,7 +149,7 @@ def _load_config(args: argparse.Namespace) -> PipelineConfig:
                 raise ConfigError(f"config key {key!r} takes {wanted}, "
                                   f"not {type(value).__name__}")
             setattr(cfg, key, value)
-    if os.environ.get(ENV_BACKEND_URL):
+    if os.environ.get(ENV_BACKEND_URL) and hasattr(args, "backend_url"):  # only in synthesize
         cfg.backend_url = os.environ[ENV_BACKEND_URL]
     if os.environ.get(ENV_SEED) and hasattr(args, "seed"):  # only where --seed is taken
         try:

@@ -705,6 +705,26 @@ def test_df_seed_is_read_only_by_subcommands_that_take_a_seed(workdir, monkeypat
     assert capsys.readouterr().err == "config error: DF_SEED must be an integer\n"
 
 
+def test_df_backend_url_stays_out_of_the_manifests_of_offline_subcommands(workdir, monkeypatch):
+    run("synthesize", "--stage", "a", "--task", "t_i_0_0",
+        "--in", "t2i_records_20.jsonl", "--out", "d.jsonl", "--seed", "1")
+    Path("streams").mkdir()
+    Path("w.json").write_text('{"t": 1.0}')
+
+    def manifests():
+        assert run("serialize", "--in", "d.jsonl", "--out", "streams/t.jsonl") == 0
+        assert run("mask", "--in", "streams/t.jsonl", "--out", "masks.jsonl") == 0
+        assert run("pack", "--config", "w.json", "--in-dir", "streams", "--n", "30",
+                   "--out", "p.jsonl", "--stats", "p.json") == 0
+        return [Path(f"{out}.manifest.json").read_bytes()
+                for out in ("streams/t.jsonl", "masks.jsonl", "p.jsonl")]
+
+    without = manifests()
+    monkeypatch.setenv("DF_BACKEND_URL", "http://example.invalid/x")
+    assert manifests() == without
+    assert all(b"example.invalid" not in m for m in without)
+
+
 def test_stages_leave_their_inputs_unchanged(backend):
     """Values are not frozen: each stage builds new ones and changes none it is given,
     neither the record or dialogue nor the distractor pool."""
