@@ -9,10 +9,15 @@ For each draw seed the script draws ``--n`` streams of the file uniformly with
 replacement, as ``pack`` does for a one-category config, packs them with
 ``pack_greedy`` at the default ``l_min`` and ``l_max`` and prints one line: the
 seed, the pack count, the lower bound ``ceil(sum of lengths / l_max)``, the
-packs over it, and the seconds ``pack_greedy`` took. A last line sums them up.
+packs over it, the seconds ``pack_greedy`` took, and a digest of the packs (the
+first 12 hex digits of the sha256 of each pack's sample ids and lengths, in
+order). Two builds made the same packs when ``cut -s -f1,6`` of their outputs
+match. A last line sums them up.
 """
 
 import argparse
+import hashlib
+import json
 import statistics
 import sys
 import time
@@ -38,7 +43,7 @@ def main(argv: list[str] | None = None) -> int:
     streams = [(s.dialogue_id, s.total_len)
                for s in io.read_records(args.streams, stream_from_record)]
     over, seconds = [], []
-    print("seed\tpacks\tbound\tover\tpack_s")
+    print("seed\tpacks\tbound\tover\tpack_s\tdigest")
     for seed in args.seeds:
         draws = [draw for _, draw in
                  sample_stream(SamplingConfig({"all": 1.0}), {"all": streams}, args.n, seed)]
@@ -47,7 +52,9 @@ def main(argv: list[str] | None = None) -> int:
         seconds.append(time.perf_counter() - start)
         bound = -(-sum(length for _, length in draws) // cfg.l_max)
         over.append(len(packs) - bound)
-        print(f"{seed}\t{len(packs)}\t{bound}\t{over[-1]}\t{seconds[-1]:.3f}")
+        digest = hashlib.sha256(json.dumps([[p.sample_ids, p.lengths] for p in packs]).encode())
+        print(f"{seed}\t{len(packs)}\t{bound}\t{over[-1]}\t{seconds[-1]:.3f}\t"
+              f"{digest.hexdigest()[:12]}")
     print(f"{len(over)} seeds: {over.count(0)} at the bound, {sum(over)} packs over it "
           f"(mean {statistics.fmean(over):.2f}, max {max(over)}), "
           f"median {statistics.median(seconds):.3f} s")

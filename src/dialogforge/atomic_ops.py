@@ -238,12 +238,18 @@ def split_backend_url(url: str) -> SplitResult:
     """``url`` split into its parts, once it is known to name an HTTP endpoint.
 
     Raises:
-        ValueError: the scheme is not http or https, the host is missing, or
-            the port is not a number in 0..65535.
+        ValueError: the scheme is not http or https, the host is missing, the
+            port is not a number in 0..65535, or a request line cannot carry
+            the URL: it has a space, a control character or a non-ASCII path
+            or query (``%20`` is fine).
     """
     parts = urlsplit(url)
     if parts.scheme not in ("http", "https") or not parts.hostname:
         raise ValueError(f"backend url {url!r} is not an http:// or https:// URL with a host")
+    # the raw url, since urlsplit drops a tab or newline unseen
+    if any(c <= " " or c == "\x7f" for c in url) or not (parts.path + parts.query).isascii():
+        raise ValueError(f"backend url {url!r} has a space, a control character "
+                         "or a non-ASCII path or query")
     try:
         parts.port
     except ValueError as err:

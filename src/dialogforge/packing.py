@@ -14,9 +14,7 @@ packs in a seeded order so the pack file carries no length curriculum."""
 from __future__ import annotations
 
 import bisect
-import collections
 import heapq
-import itertools
 import math
 import random
 from typing import Any, Iterable, Mapping, Sequence, TypeVar
@@ -160,15 +158,14 @@ class _Packs:
     ``packs[q]`` maps each draw in pack q to its draw index by the draw's id, in
     the order the draws joined; a pack holds no id twice, so the id is a key,
     and a pack that is gone is empty. ``rooms`` holds ``(room left, q)`` for
-    every live pack, ascending. ``owned`` holds the packs whose dicts may change
-    in place: a repair pass shares the others with the packs it may go back to.
+    every live pack, ascending. A repair pass shares the dicts with the packs it
+    may go back to, so it replaces a dict and never edits one in place.
     """
 
     def __init__(self, ids: list[str], lengths: list[int], l_max: int):
         self.ids, self.lengths, self.l_max = ids, lengths, l_max
         self.packs: list[dict[str, int]] = []
         self.rooms: list[tuple[int, int]] = []
-        self.owned: set[int] = set()
 
     def fill(self, draws: Iterable[int]) -> None:
         """Place ``draws``, filling one pack at a time: first the live packs that
@@ -186,7 +183,7 @@ class _Packs:
         takes the stream with most copies left. Ties go to the stream drawn
         first, and a stream's copies go in draw order.
         """
-        packs, rooms, owned, l_max = self.packs, self.rooms, self.owned, self.l_max
+        packs, rooms, l_max = self.packs, self.rooms, self.l_max
         streams: dict[tuple[str, int], list[int]] = {}  # a stream's copies left, the last first
         for i in sorted(draws, reverse=True):
             streams.setdefault((self.ids[i], self.lengths[i]), []).append(i)
@@ -227,10 +224,7 @@ class _Packs:
 
         def take(length: int, k: int) -> None:
             """Move the next copy of the stream at ``heaps[length][k]`` into pack q."""
-            nonlocal pack, room, tokens
-            if q not in owned:
-                pack = packs[q] = dict(pack)
-                owned.add(q)
+            nonlocal room, tokens
             heap = heaps[length]
             _, first, sid = heap[k]
             stream = copies[first]
@@ -256,9 +250,9 @@ class _Packs:
             room, q = next(reopen, (l_max, len(packs)))
             if q == len(packs):
                 packs.append({})
-                owned.add(q)
-            else:
+            else:  # a live pack, whose dict the packs before the pass may share
                 del rooms[bisect.bisect_left(rooms, (room, q))]
+                packs[q] = dict(packs[q])
             pack = packs[q]
             due = -(-tokens // l_max)  # the packs the draws left would fill
             urgent = []
@@ -298,7 +292,7 @@ class _Packs:
     def repair(self) -> None:
         """Repair passes, as ``pack_greedy`` says, each run on a copy of the list
         of packs and of ``rooms`` that replaces them only if it closed a pack.
-        The copy shares each pack's dict until the pass changes that pack.
+        The copy shares the packs' dicts: the pass replaces one, never edits it.
 
         Pass k ranks the live packs by room, most first, the later opened first
         on a tie. It pools the samples of the first ``max(REPAIR_POOL_SIZES[k %
@@ -307,8 +301,8 @@ class _Packs:
         A pass that would pool every pack is skipped as one without gain: it
         would only place every draw again. A visited pack's candidates are its
         own samples, then the first pool sample of each id it lacks. It takes
-        ``_fullest`` of them if that is fuller than it is, and its samples left
-        out join the end of the pool. Then ``fill`` places the rest of the pool.
+        ``_fullest`` of them if fuller than it is; the pool samples taken leave
+        the pool and its own left out join its end. ``fill`` places the rest.
 
         Before the first pass and after each pass that closed a pack, the repair
         ends if no pool size passes ``_may_close``: the rooms of the pooled, the
@@ -334,46 +328,32 @@ class _Packs:
             kept = self.packs, self.rooms
             packs = self.packs = list(self.packs)
             rooms = self.rooms = list(self.rooms)
-            self.owned = set()
-            # id -> its pooled draws as (place in the pool order, draw), in order
-            pool: dict[str, collections.deque[tuple[int, int]]] = {}
-            order = itertools.count()
-
-            def join(i: int) -> None:
-                pool.setdefault(ids[i], collections.deque()).append((next(order), i))
-
+            pool: list[int] = []  # the pooled draws, in the order they joined
             for _, q in reversed(rooms[cut:]):
                 spent += len(packs[q]) * unit
-                for i in packs[q].values():
-                    join(i)
+                pool.extend(packs[q].values())
                 packs[q] = {}
             visits = rooms[max(0, cut - REPAIR_VISITS):cut]
             del rooms[cut:]
             for room, q in reversed(visits):
                 if not pool or not room or spent >= REPAIR_BUDGET:
                     break
-                own = list(packs[q].values())
-                firsts = sorted(draws[0] for sid, draws in pool.items() if sid not in packs[q])
-                items = own + [i for _, i in firsts]
+                items, held = list(packs[q].values()), set(packs[q])
+                for i in pool:  # then the first pooled draw of each id the pack lacks
+                    if ids[i] not in held:
+                        held.add(ids[i])
+                        items.append(i)
                 if len(items) * (l_max + 1) > REPAIR_SUM_BITS:
                     continue
                 spent += len(items) * unit
                 best, chosen = _fullest([lengths[i] for i in items], l_max)
                 if best > l_max - room:
-                    for j in chosen[bisect.bisect_left(chosen, len(own)):]:
-                        draws = pool[ids[items[j]]]
-                        draws.popleft()
-                        if not draws:
-                            del pool[ids[items[j]]]
-                    taken = set(chosen)
-                    for j, i in enumerate(own):
-                        if j not in taken:
-                            join(i)
+                    taken = {items[j] for j in chosen}
+                    pool = [i for i in [*pool, *packs[q].values()] if i not in taken]
                     packs[q] = {ids[items[j]]: items[j] for j in chosen}
-                    self.owned.add(q)
                     del rooms[bisect.bisect_left(rooms, (room, q))]
                     bisect.insort(rooms, (l_max - best, q))
-            self.fill([i for draws in pool.values() for _, i in draws])
+            self.fill(pool)
             if len(rooms) < before:
                 fails = 0
             else:
@@ -399,41 +379,25 @@ def _fullest(lengths: list[int], cap: int) -> tuple[int, list[int]]:
     """The largest subset sum of ``lengths`` that is at most ``cap``, and the
     ascending indices of one subset with it.
 
-    An exact subset sum over bitsets, where bit s says some subset sums to s.
-    Walking back from the last length, a length is taken only when the sum
-    still wanted is out of reach without it. A run of equal adjacent lengths
-    is added at once, and the walk takes the first m of a run, m the fewest
-    copies that leave the wanted sum within reach of the runs before it: what
-    the walk over single lengths would take.
+    An exact subset sum over bitsets, where bit s says some subset sums to s,
+    adding one length at a time. Walking back from the last length, a length
+    is taken only when the sum still wanted is out of reach without it.
     """
     mask = (1 << cap + 1) - 1
-    runs: list[tuple[int, int, int]] = []  # (first index, length, copies)
-    for j, length in enumerate(lengths):
-        if runs and runs[-1][1] == length:
-            runs[-1] = (runs[-1][0], length, runs[-1][2] + 1)
-        else:
-            runs.append((j, length, 1))
-    reach = [1]  # reach[k]: the sums of subsets of the first k runs
-    for _, length, copies in runs:
-        bits, step = reach[-1], 1
-        while copies:  # 1, 2, 4, ... copies at a time make every count up to copies
-            step = min(step, copies)
-            bits |= (bits << step * length) & mask
-            copies -= step
-            step *= 2
+    bits = 1
+    reach = [bits]  # reach[j]: the sums of subsets of lengths[:j]
+    for length in lengths:
+        bits |= (bits << length) & mask
         reach.append(bits)
-        if bits >> cap:  # cap itself is reached; later runs are never taken
+        if bits >> cap:  # cap itself is reached; later lengths are never taken
             break
     best = want = reach[-1].bit_length() - 1
-    chosen: list[int] = []
-    for k in range(len(reach) - 2, -1, -1):
-        first, length, _ = runs[k]
-        m = 0
-        while not reach[k] >> want - m * length & 1:
-            m += 1
-        chosen[:0] = range(first, first + m)
-        want -= m * length
-    return best, chosen
+    chosen = []
+    for j in range(len(reach) - 2, -1, -1):
+        if not reach[j] >> want & 1:
+            chosen.append(j)
+            want -= lengths[j]
+    return best, chosen[::-1]
 
 
 def pack_to_record(p: Pack) -> dict[str, Any]:

@@ -494,6 +494,15 @@ def test_remote_refuses_a_url_that_is_not_http(url):
         RemoteBackend(url=url)
 
 
+def test_remote_sends_a_percent_encoded_path_and_query_as_written(loopback, monkeypatch):
+    _no_proxy_env(monkeypatch)
+    server = loopback.server()
+    backend = loopback.backend(server.url + "/a%20b?q=%C3%A9%20x")
+    prompt = _caption_prompt(1)
+    assert backend.complete(prompt, 1) == mock_complete(prompt, 1)
+    assert [path for path, _, _ in server.seen] == ["/complete/a%20b?q=%C3%A9%20x"]
+
+
 def test_remote_host_header_names_the_target_without_userinfo(loopback, monkeypatch):
     _no_proxy_env(monkeypatch)
     target = loopback.server()

@@ -574,7 +574,10 @@ def test_remote_unreachable_exits_4(workdir):
                "--retries", "0") == 4
 
 
-@pytest.mark.parametrize("url", ["not-a-url", "ftp://127.0.0.1/x", "http:///x", "http://h:port/x"])
+@pytest.mark.parametrize("url", ["not-a-url", "ftp://127.0.0.1/x", "http:///x", "http://h:port/x",
+                                 # no request line carries these; urlsplit drops the tab
+                                 "http://127.0.0.1:9/a b", "http://127.0.0.1:9/x?q=a b",
+                                 "http://127.0.0.1:9/\u00e9", "http://127.0.0.1:9/a\tb"])
 def test_remote_bad_url_exits_2_before_reading(workdir, capsys, url):
     # --in names no file: exit 2 rather than 3 shows the URL was refused first
     assert run("synthesize", "--stage", "a", "--task", "t_i_0_0",

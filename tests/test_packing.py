@@ -251,6 +251,11 @@ def repeated_draws(draw):
 
 @settings(max_examples=300)
 @given(case=repeated_draws())
+# a repair pass that reopens a live pack and is rolled back must leave that pack as it was
+@example(case=([("s2", 12), ("s3", 15), ("s3", 15), ("s2", 12), ("s2", 12), ("s3", 15), ("s4", 5),
+                ("s0", 2), ("s4", 5), ("s0", 2), ("s0", 2), ("s3", 15), ("s4", 5), ("s0", 2),
+                ("s3", 15), ("s4", 5), ("s2", 12), ("s1", 7), ("s1", 7), ("s1", 7), ("s1", 7),
+                ("s0", 2), ("s2", 12)], 25))
 def test_pack_greedy_builds_the_reference_packs_from_repeated_draws(case):
     samples, l_max = case
     packs = pack_greedy(samples, l_min=1, l_max=l_max)
